@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .analysis import (MembershipResult, StationarityResult, TemperedResult,
                        UndefinedDensityError, besov_classify, lm_membership,
-                       phi_m, stationarity_check, tempered_test,
-                       truncation_drift)
+                       phi_m, stationarity_check, tempered_test)
 from .characteristics import (Atom, Characteristics, ControlMeasureValue,
                               Density, DiffusionComponent,
                               DivergentControlMeasureError, DriftComponent,
@@ -23,22 +22,20 @@ from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                     TestFunction)
 from .gaussian import WhiteNoiseField
 from .integrate import (CylindricalCharacteristics, IntegralValue,
-                        NotIntegrableError, cylindrical_action,
-                        cylindrical_characteristics, empirical_cf, integrate,
-                        integrate_simple)
+                        NotIntegrableError, cylindrical_characteristics,
+                        empirical_cf, integrate, integrate_simple)
 from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
                       JumpSizeDistribution, NormalJumps, StableKernel,
                       TabulatedKernel, TemperedStableKernel, UniformJumps,
                       kernel_from_config, stable_symbol_constant)
 from .presets import PRESET_NAMES, preset, spectrally_positive_scale
 from .regions import Box, Region, interval
-from .sampler import (FieldRealization, InfiniteActivityError, JumpRecord,
-                      LevyItoSpec, OutOfWindowError, SamplerConfig,
-                      levy_ito_spec, sample_field, sample_marginals,
-                      sample_spectrally_positive, sample_stable_marginal_oracle)
+from .sampler import (FieldRealization, InfiniteActivityError, LevyItoSpec,
+                      OutOfWindowError, SamplerConfig, levy_ito_spec,
+                      sample_field, sample_marginals, sample_spectrally_positive,
+                      sample_stable_marginal_oracle)
 from .sheets import (BoxIncrement, DualityResult, LampReport, SheetRealization,
-                     box_increment, duality_check, lamp_grid_check,
-                     sheet_from_field)
+                     box_increment, duality_check, lamp_grid_check)
 from .verify import (OnbCounterexampleSpec, VerificationReport, cf_match_test,
                      distance_covariance, embedding_inequality_check,
                      independence_test, onb_counterexample,

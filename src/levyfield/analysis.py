@@ -19,11 +19,9 @@ import numpy as np
 
 from .characteristics import Characteristics
 from .funcs import PolynomialDecay
-from .kernels import CompoundPoissonKernel, DiscreteJumps, JumpKernel, StableKernel
-from .quadrature import box_integral
+from .kernels import JumpKernel
+from .quadrature import region_integral, shell_region
 from .regions import Box, Region
-
-SUP_TOL = 1e-9
 
 
 class UndefinedDensityError(ValueError):
@@ -34,74 +32,11 @@ class UndefinedDensityError(ValueError):
 # Drift correction term U and its sup over the truncation parameter
 # --------------------------------------------------------------------------
 
-def truncation_drift(kernel: JumpKernel, v) -> np.ndarray:
-    """``G(v) = int (tau(v y) - v tau(y)) k(dy)`` with ``tau(y) = y ^ sgn(y)``.
-
-    Odd in v, and identically zero for symmetric kernels.  Finite for every
-    Levy kernel: the indicator mismatch lives on an annulus away from 0.
-    """
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    if kernel.symmetric:
-        out = np.zeros_like(v)
-    elif isinstance(kernel, StableKernel):
-        a = kernel.alpha
-        mag = np.abs(v)
-        out = (kernel.scale * kernel.beta / (1.0 - a)
-               * np.sign(v) * (mag ** a - mag))
-    elif isinstance(kernel, CompoundPoissonKernel) and isinstance(kernel.jumps, DiscreteJumps):
-        sizes, probs = kernel.jumps._arr()
-        prod = v[:, None] * sizes[None, :]
-        gap = np.clip(prod, -1.0, 1.0) - v[:, None] * np.clip(sizes, -1.0, 1.0)[None, :]
-        out = kernel.rate * gap @ probs
-    else:
-        out = v * kernel.indicator_moment_diff(v)
-        tp1, tn1 = kernel.tail_masses(1.0)
-        for i, vi in np.ndenumerate(v):
-            if vi != 0.0:
-                tp, tn = kernel.tail_masses(1.0 / abs(vi))
-                out[i] += np.sign(vi) * (tp - tn) - vi * (tp1 - tn1)
-    return float(out[0]) if scalar else out
-
-
-def _sup_stable(a0, mod, kern: StableKernel, u):
-    """Exact sup of |A v + B v^alpha| on [0, u]: endpoint or stationary point."""
-    a = kern.alpha
-    b_coef = mod * kern.scale * kern.beta / (1.0 - a) if a != 1.0 else np.zeros_like(mod)
-    a_coef = a0 - b_coef
-    best = np.abs(a_coef * u + b_coef * u ** a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(b_coef != 0.0, -a_coef / (a * b_coef), -1.0)
-        vstar = np.where(ratio > 0.0, ratio ** (1.0 / (a - 1.0)), 0.0)
-    keep = (vstar > 0.0) & (vstar < u)
-    inner = np.where(keep, np.abs(a_coef * vstar + b_coef * vstar ** a), 0.0)
-    return np.maximum(best, inner)
-
-
-def _sup_refined(a0, mod, kern, u, max_level=11):
-    """Dyadic-grid sup of |a0 v + mod G(v)|, refined until Cauchy."""
-    out = np.zeros_like(u)
-    for start in range(0, u.size, 256):
-        sl = slice(start, start + 256)
-        prev = None
-        cur = np.zeros(u[sl].shape)
-        for m in range(4, max_level + 1):
-            c = np.linspace(0.0, 1.0, 2 ** m + 1)[1:]
-            v = u[sl, None] * c[None, :]
-            g = np.asarray(truncation_drift(kern, v.ravel())).reshape(v.shape)
-            cur = np.abs(a0[sl, None] * v + mod[sl, None] * g).max(axis=1)
-            if prev is not None and np.all(np.abs(cur - prev) <= SUP_TOL * (1.0 + cur)):
-                break
-            prev = cur
-        out[sl] = cur
-    return out
-
-
 def drift_correction_sup(chars: Characteristics, x: np.ndarray, u) -> np.ndarray:
     """``sup_{0 <= v <= u} |v a0(x) + m(x) G(v)|`` — Lebesgue-normalized.
 
-    The supremand is odd in v, so [0, u] suffices.
+    ``G`` is the kernel's ``truncation_drift``.  The supremand is odd in v,
+    so [0, u] suffices.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.broadcast_to(np.abs(np.asarray(u, dtype=float)), (x.shape[0],)).astype(float)
@@ -109,16 +44,7 @@ def drift_correction_sup(chars: Characteristics, x: np.ndarray, u) -> np.ndarray
     kern = chars.nu.kernel if chars.nu is not None else None
     if kern is None or kern.symmetric:
         return np.abs(a0) * u
-    mod = chars.jump_modulation(x)
-    if isinstance(kern, StableKernel):
-        return _sup_stable(a0, mod, kern, u)
-    if isinstance(kern, CompoundPoissonKernel) and isinstance(kern.jumps, DiscreteJumps):
-        sizes, _ = kern.jumps._arr()
-        breaks = np.unique(1.0 / np.abs(sizes[sizes != 0.0]))
-        cand = np.minimum(np.concatenate([breaks, [np.inf]])[None, :], u[:, None])
-        g = np.asarray(truncation_drift(kern, cand.ravel())).reshape(cand.shape)
-        return np.abs(a0[:, None] * cand + mod[:, None] * g).max(axis=1)
-    return _sup_refined(a0, mod, kern, u)
+    return kern.drift_sup(a0, chars.jump_modulation(x), u)
 
 
 # --------------------------------------------------------------------------
@@ -203,21 +129,6 @@ class MembershipResult:
         return self.verdict == "member"
 
 
-def _integrate_region(integrand, region: Region) -> tuple[float, float]:
-    val = err = 0.0
-    for b in region.boxes:
-        v, e = box_integral(integrand, b)
-        val += v
-        err += e
-    return val, err
-
-
-def _shell_boxes(dim: int, k: int) -> list[Box]:
-    inner = Box((-2.0 ** k,) * dim, (2.0 ** k,) * dim)
-    outer = Box((-2.0 ** (k + 1),) * dim, (2.0 ** (k + 1),) * dim)
-    return outer.subtract(inner)
-
-
 def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
                   max_shells: int = 48, min_shells: int = 6,
                   decay_ratio: float = 0.98, growth_ratio: float = 1.02) -> MembershipResult:
@@ -246,7 +157,7 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
         if bounded.is_empty:
             return MembershipResult("member", atoms, 0.0, note="empty effective domain")
         try:
-            val, err = _integrate_region(integrand, bounded)
+            val, err = region_integral(integrand, bounded)
         except ArithmeticError:
             return MembershipResult("indeterminate",
                                     note="integrand not finite on the domain")
@@ -256,18 +167,15 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
         return MembershipResult("member", val + atoms, err)
 
     # Unbounded domain: core cube plus dyadic shells.
-    core_val, core_err = _integrate_region(
+    core_val, core_err = region_integral(
         integrand, Region.from_box(Box((-1.0,) * chars.dim, (1.0,) * chars.dim)))
     total, err = core_val + atoms, core_err
     shells: list[float] = []
     ratios: list[float] = []
     for k in range(max_shells):
-        sk = 0.0
         try:
-            for b in _shell_boxes(chars.dim, k):
-                v, e = box_integral(integrand, b)
-                sk += v
-                err += e
+            sk, e = region_integral(integrand, shell_region(chars.dim, k))
+            err += e
         except ArithmeticError:
             sk = np.inf
         shells.append(sk)

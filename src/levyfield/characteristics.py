@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import JumpKernel, kernel_from_config
-from .quadrature import box_integral, region_integral
+from .quadrature import region_integral
 from .regions import Box, Region
 
 
@@ -294,33 +294,31 @@ class Characteristics:
                     "levy_symbol needs a simple function or a test function "
                     "with bounded support")
             if self.gamma is not None:
-                for b in support.boxes:
-                    drift += box_integral(
-                        lambda p: np.asarray(f(p)) * self.gamma.density(p), b)[0]
+                drift += region_integral(
+                    lambda p: np.asarray(f(p)) * self.gamma.density(p), support)[0]
                 for a in self.gamma.atoms:
                     if support.contains(np.asarray(a.point))[0]:
                         drift += a.weight * float(np.asarray(f(np.asarray(a.point)[None, :]))[0])
             if self.sigma is not None:
-                for b in support.boxes:
-                    gauss += box_integral(
-                        lambda p: np.asarray(f(p)) ** 2 * self.sigma.density(p), b)[0]
+                gauss += region_integral(
+                    lambda p: np.asarray(f(p)) ** 2 * self.sigma.density(p), support)[0]
                 for a in self.sigma.atoms:
                     if support.contains(np.asarray(a.point))[0]:
                         gauss += a.weight * float(np.asarray(f(np.asarray(a.point)[None, :]))[0]) ** 2
             if self.nu is not None and u != 0.0:
                 kern = self.nu.kernel
-                for b in support.boxes:
-                    def jr(p):
-                        c = u * np.asarray(f(p))
-                        return self.nu.modulation(p) * np.real(kern.cf_integrand(c, eps))
 
-                    def ji(p):
-                        c = u * np.asarray(f(p))
-                        return self.nu.modulation(p) * np.imag(kern.cf_integrand(c, eps))
+                def jr(p):
+                    c = u * np.asarray(f(p))
+                    return self.nu.modulation(p) * np.real(kern.cf_integrand(c, eps))
 
-                    jump += box_integral(jr, b)[0]
-                    if not kern.symmetric:
-                        jump += 1j * box_integral(ji, b)[0]
+                def ji(p):
+                    c = u * np.asarray(f(p))
+                    return self.nu.modulation(p) * np.imag(kern.cf_integrand(c, eps))
+
+                jump += region_integral(jr, support)[0]
+                if not kern.symmetric:
+                    jump += 1j * region_integral(ji, support)[0]
         if not (np.isfinite(drift) and np.isfinite(gauss)
                 and np.isfinite(jump.real) and np.isfinite(jump.imag)):
             raise SymbolDivergentError("symbol integrals failed to converge")

@@ -18,7 +18,7 @@ from .analysis import lm_membership
 from .characteristics import Characteristics
 from .funcs import IndicatorFunction, SimpleFunction
 from .kernels import JumpKernel
-from .quadrature import box_integral
+from .quadrature import region_integral, shell_region
 from .regions import Box, Region
 
 _PUSH_GRID_DECADES = (-8, 8)
@@ -48,15 +48,6 @@ def integrate_simple(real, f: SimpleFunction, t: float,
         if not piece.is_empty:
             total += coef * real.evaluate(t, piece)
     return total
-
-
-def _region_quad(fn, region: Region) -> tuple[float, float]:
-    val = err = 0.0
-    for b in region.boxes:
-        v, e = box_integral(fn, b)
-        val += v
-        err += e
-    return val, err
 
 
 def _pairing(field, f, t: float, box: Box, max_level: int,
@@ -101,7 +92,7 @@ def integrate(real, f, t: float, region: Region | None = None, *,
     value = err = 0.0
     # drift
     if chars.gamma is not None:
-        v, e = _region_quad(lambda x: f(x) * chars.drift_density(x), domain)
+        v, e = region_integral(lambda x: f(x) * chars.drift_density(x), domain)
         for point, wg, _ in chars.atoms_in(domain):
             v += float(f(np.asarray(point)[None, :])[0]) * wg
         value += t * v
@@ -117,7 +108,7 @@ def integrate(real, f, t: float, region: Region | None = None, *,
         if eps < 1.0:
             rate = chars.nu.kernel.annulus_first_moment(eps, 1.0)
             if rate != 0.0:
-                v, e = _region_quad(lambda x: f(x) * chars.jump_modulation(x), domain)
+                v, e = region_integral(lambda x: f(x) * chars.jump_modulation(x), domain)
                 value -= t * rate * v
                 err += t * abs(rate) * e
     # white-noise pairings
@@ -129,13 +120,6 @@ def integrate(real, f, t: float, region: Region | None = None, *,
             value += v
             err += e
     return IntegralValue(value, err)
-
-
-def cylindrical_action(real, f, t: float) -> IntegralValue:
-    """``L(t)f`` — the integral of f against the measure at time t."""
-    if isinstance(f, SimpleFunction):
-        return IntegralValue(integrate_simple(real, f, t), 0.0)
-    return integrate(real, f, t)
 
 
 # --------------------------------------------------------------------------
@@ -205,15 +189,10 @@ class CylindricalCharacteristics:
 
 def _expanding_quad(fn, dim: int, tol: float = 1e-10) -> tuple[float, float]:
     """Integral over R^d by expanding cubes, for decaying integrands."""
-    val, err = _region_quad(fn, Region.from_box(Box((-1.0,) * dim, (1.0,) * dim)))
+    val, err = region_integral(fn, Region.from_box(Box((-1.0,) * dim, (1.0,) * dim)))
     for k in range(30):
-        inner = Box((-2.0 ** k,) * dim, (2.0 ** k,) * dim)
-        outer = Box((-2.0 ** (k + 1),) * dim, (2.0 ** (k + 1),) * dim)
-        inc = 0.0
-        for b in outer.subtract(inner):
-            v, e = box_integral(fn, b)
-            inc += v
-            err += e
+        inc, e = region_integral(fn, shell_region(dim, k))
+        err += e
         val += inc
         if abs(inc) <= max(tol, 1e-8 * abs(val)):
             return val, err
@@ -229,7 +208,7 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
 
     def quad(fn):
         if support is not None:
-            return _region_quad(fn, support)
+            return region_integral(fn, support)
         return _expanding_quad(fn, chars.dim)
 
     # a(f) = int f d gamma + int m(x) f(x) int y (1{|f y|<=1} - 1{|y|<=1}) nu

@@ -12,9 +12,9 @@ separately.  Four parametric families are provided:
 * tabulated: piecewise-linear density on a user grid.
 
 Every kernel exposes the handful of integrals the rest of the package needs
-(tail masses, truncated moments, characteristic-function integrands).  Where a
-closed form exists it is used; a quadrature fallback backs the generic case
-and doubles as an independent cross-check in the tests.
+(tail masses, truncated moments, characteristic-function integrands, the
+truncation drift and its supremum).  Where a closed form exists it is used; a
+quadrature fallback backs the generic case.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ import numpy as np
 from scipy import integrate as _sint
 from scipy.special import gamma as _gamma, gammainc as _gammainc, gammaincc as _gammaincc
 from scipy.stats import norm as _norm
+
+from .quadrature import _rule
+
+SUP_TOL = 1e-9
+SUP_MAX_LEVEL = 11
 
 
 def stable_symbol_constant(alpha: float) -> float:
@@ -131,12 +136,75 @@ class JumpKernel:
         """
         raise NotImplementedError
 
-    def laplace_integrand(self, u, eps: float = 0.0) -> np.ndarray:
-        """``int_{|y| > eps} (e^{-u y} - 1 + u y 1{|y| <= 1}) k(dy)`` for u >= 0.
+    def laplace_integrand(self, u) -> np.ndarray:
+        """``int (e^{-u y} - 1 + u y 1{|y| <= 1}) k(dy)`` for u >= 0.
 
         Finite only when the negative tail is light; kernels raise otherwise.
         """
         raise NotImplementedError
+
+    # --- drift correction -------------------------------------------------
+    def truncation_drift(self, v) -> np.ndarray:
+        """``G(v) = int (tau(v y) - v tau(y)) k(dy)`` with ``tau(y) = y ^ sgn(y)``.
+
+        Odd in v, and identically zero for symmetric kernels.  Finite for every
+        Levy kernel: the indicator mismatch lives on an annulus away from 0.
+        """
+        v = np.asarray(v, dtype=float)
+        scalar = v.ndim == 0
+        v = np.atleast_1d(v)
+        out = np.zeros_like(v) if self.symmetric else self._truncation_drift(v)
+        return float(out[0]) if scalar else out
+
+    def _truncation_drift(self, v: np.ndarray) -> np.ndarray:
+        """``G`` of an asymmetric kernel on an array of at least one dimension."""
+        out = v * self.indicator_moment_diff(v)
+        tp1, tn1 = self.tail_masses(1.0)
+        for i, vi in np.ndenumerate(v):
+            if vi != 0.0:
+                tp, tn = self.tail_masses(1.0 / abs(vi))
+                out[i] += np.sign(vi) * (tp - tn) - vi * (tp1 - tn1)
+        return out
+
+    def drift_sup(self, a0: np.ndarray, mod: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``sup_{0 <= v <= u} |a0 v + mod G(v)|`` elementwise over 1-d arrays.
+
+        Generic route: the maximum over a dyadic grid of [0, u], refined until
+        successive levels agree to ``SUP_TOL``.
+        """
+        out = np.zeros_like(u)
+        for start in range(0, u.size, 256):
+            sl = slice(start, start + 256)
+            prev = None
+            cur = np.zeros(u[sl].shape)
+            for m in range(4, SUP_MAX_LEVEL + 1):
+                c = np.linspace(0.0, 1.0, 2 ** m + 1)[1:]
+                v = u[sl, None] * c[None, :]
+                g = np.asarray(self.truncation_drift(v.ravel())).reshape(v.shape)
+                cur = np.abs(a0[sl, None] * v + mod[sl, None] * g).max(axis=1)
+                if prev is not None and np.all(np.abs(cur - prev) <= SUP_TOL * (1.0 + cur)):
+                    break
+                prev = cur
+            out[sl] = cur
+        return out
+
+    def abs_annulus_first_moment(self, c) -> np.ndarray:
+        """``int_{1 < |y| <= c} |y| k(dy)`` for an array of cutoffs c >= 1."""
+        c = np.asarray(c, dtype=float)
+        out = np.zeros(c.shape)
+        live = c > 1.0
+        if live.any():
+            out[live] = self._abs_annulus_first_moment(c[live])
+        return out
+
+    def _abs_annulus_first_moment(self, c: np.ndarray) -> np.ndarray:
+        """``abs_annulus_first_moment`` on a 1-d array of cutoffs c > 1."""
+        out = np.empty(c.shape)
+        for i, ci in enumerate(c):
+            ci = float(ci)
+            tail_int, _ = _sint.quad(lambda s: float(self.tail_mass(s)), 1.0, ci, limit=200)
+            out[i] = float(self.tail_mass(1.0)) - ci * float(self.tail_mass(ci)) + tail_int
+        return out
 
     # --- sampling --------------------------------------------------------
     def sample_tail(self, rng: np.random.Generator, n: int, eps: float) -> np.ndarray:
@@ -150,31 +218,6 @@ class JumpKernel:
 
     def to_config(self) -> dict:
         raise NotImplementedError
-
-    # Quadrature fallbacks, also used as dual-route checks in the tests.
-    def cf_integrand_quad(self, c, eps: float = 0.0) -> np.ndarray:
-        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-        out = np.empty(c_arr.shape, dtype=complex)
-        for i, ci in enumerate(c_arr):
-            def re(y, s):
-                return (np.cos(ci * s * y) - 1.0) * self.density(s * y)
-
-            def im(y, s):
-                yy = s * y
-                return (np.sin(ci * yy) - ci * yy * (abs(yy) <= 1.0)) * self.density(yy)
-
-            val = 0.0 + 0.0j
-            for s in (+1.0, -1.0):
-                pieces = [(max(eps, 1e-12), 1.0), (1.0, 10.0), (10.0, np.inf)]
-                if eps >= 1.0:
-                    pieces = [(eps, 10.0 * eps), (10.0 * eps, np.inf)]
-                for a, b in pieces:
-                    if a >= b:
-                        continue
-                    val += _quad(lambda y: re(y, s), a, b)
-                    val += 1j * s * _quad(lambda y: im(y, s), a, b)
-            out[i] = val
-        return out if np.ndim(c) else complex(out[0])
 
 
 @dataclass(frozen=True)
@@ -215,6 +258,8 @@ class StableKernel(JumpKernel):
         return np.where(y > 0, self.p * mag, np.where(y < 0, self.q * mag, 0.0))
 
     def tail_masses(self, c):
+        if c == 0.0:
+            return (math.inf if self.p else 0.0), (math.inf if self.q else 0.0)
         t = self.scale * c ** (-self.alpha)
         return self.p * t, self.q * t
 
@@ -272,23 +317,11 @@ class StableKernel(JumpKernel):
                 return val
         return out
 
-    def laplace_integrand(self, u, eps: float = 0.0):
+    def laplace_integrand(self, u):
         if self.q != 0.0:
             raise ValueError("Laplace integrand diverges: kernel has negative jumps")
         u = np.asarray(u, dtype=float)
         a, s = self.alpha, self.scale * self.p
-        if eps != 0.0:
-            out = np.empty(np.shape(u))
-            for i, ui in np.ndenumerate(np.atleast_1d(u)):
-                out_i = s * a * (
-                    _quad(lambda y: (np.exp(-ui * y) - 1.0 + ui * y) * y ** (-a - 1.0), eps, 1.0)
-                    + _quad(lambda y: (np.exp(-ui * y) - 1.0) * y ** (-a - 1.0), 1.0, np.inf)
-                )
-                if out.shape:
-                    out[i] = out_i
-                else:
-                    return out_i
-            return out
         if a == 1.0:
             raise ValueError("alpha = 1 one-sided Laplace form not supported")
         if a > 1.0:
@@ -296,6 +329,31 @@ class StableKernel(JumpKernel):
         else:
             val = s * (-_gamma(1.0 - a) * u ** a + u * a / (1.0 - a))
         return val if val.shape else float(val)
+
+    def _truncation_drift(self, v):
+        a = self.alpha
+        mag = np.abs(v)
+        return self.scale * self.beta / (1.0 - a) * np.sign(v) * (mag ** a - mag)
+
+    def drift_sup(self, a0, mod, u):
+        """Exact sup of |A v + B v^alpha| on [0, u]: endpoint or stationary point."""
+        a = self.alpha
+        b_coef = mod * self.scale * self.beta / (1.0 - a) if a != 1.0 else np.zeros_like(mod)
+        a_coef = a0 - b_coef
+        best = np.abs(a_coef * u + b_coef * u ** a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(b_coef != 0.0, -a_coef / (a * b_coef), -1.0)
+            vstar = np.where(ratio > 0.0, ratio ** (1.0 / (a - 1.0)), 0.0)
+        keep = (vstar > 0.0) & (vstar < u)
+        inner = np.where(keep, np.abs(a_coef * vstar + b_coef * vstar ** a), 0.0)
+        return np.maximum(best, inner)
+
+    def _abs_annulus_first_moment(self, c):
+        a = self.alpha
+        mass = self.scale * (self.p + self.q)
+        if a == 1.0:
+            return mass * np.log(c)
+        return mass * a * (c ** (1.0 - a) - 1.0) / (1.0 - a)
 
     def sample_tail(self, rng, n, eps):
         u = rng.random(n)
@@ -329,7 +387,13 @@ class StableKernel(JumpKernel):
 class JumpSizeDistribution:
     """Proper probability law of a single jump (no mass at 0)."""
 
+    symmetric: bool = False
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def pdf(self, y: float) -> float:
+        """Lebesgue density at a point; laws with atoms have none."""
         raise NotImplementedError
 
     def prob_tails(self, c: float) -> tuple[float, float]:
@@ -346,6 +410,21 @@ class JumpSizeDistribution:
 
     def char_fn(self, c) -> np.ndarray:
         raise NotImplementedError
+
+    def char_fn_tail(self, c, eps: float) -> np.ndarray:
+        """``E[e^{icY} 1{|Y| > eps}]``, by quadrature against ``pdf``."""
+        out = np.empty(np.shape(c), dtype=complex)
+        for i, ci in np.ndenumerate(np.atleast_1d(c)):
+            re = _quad(lambda y: np.cos(ci * y) * self.pdf(y), eps, np.inf) \
+                + _quad(lambda y: np.cos(ci * y) * self.pdf(y), -np.inf, -eps)
+            im = _quad(lambda y: np.sin(ci * y) * self.pdf(y), eps, np.inf) \
+                + _quad(lambda y: np.sin(ci * y) * self.pdf(y), -np.inf, -eps)
+            val = re + 1j * im
+            if out.shape:
+                out[i] = val
+            else:
+                return val
+        return out
 
     def mgf_neg(self, u) -> np.ndarray:
         """``E[e^{-u Y}]`` for u >= 0."""
@@ -386,6 +465,11 @@ class DiscreteJumps(JumpSizeDistribution):
         if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probs must be a probability vector")
 
+    @property
+    def symmetric(self) -> bool:
+        pairs = dict(zip(self.values, self.probs))
+        return all(pairs.get(-v) == p for v, p in pairs.items())
+
     def _arr(self):
         return np.asarray(self.values), np.asarray(self.probs)
 
@@ -411,6 +495,11 @@ class DiscreteJumps(JumpSizeDistribution):
         v, p = self._arr()
         c = np.asarray(c, dtype=float)
         return np.exp(1j * np.multiply.outer(c, v)) @ p
+
+    def char_fn_tail(self, c, eps):
+        v, p = self._arr()
+        m = np.abs(v) > eps
+        return np.exp(1j * np.multiply.outer(c, v[m])) @ p[m]
 
     def mgf_neg(self, u):
         v, p = self._arr()
@@ -440,8 +529,15 @@ class NormalJumps(JumpSizeDistribution):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
+    @property
+    def symmetric(self) -> bool:
+        return self.mu == 0.0
+
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, n)
+
+    def pdf(self, y):
+        return _norm(self.mu, self.sigma).pdf(y)
 
     def prob_tails(self, c):
         d = _norm(self.mu, self.sigma)
@@ -492,8 +588,15 @@ class UniformJumps(JumpSizeDistribution):
     def _len(self):
         return self.b - self.a
 
+    @property
+    def symmetric(self) -> bool:
+        return self.a == -self.b
+
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, n)
+
+    def pdf(self, y):
+        return (1.0 / self._len()) * float(self.a <= y <= self.b)
 
     def prob_tails(self, c):
         pos = max(0.0, self.b - max(self.a, c)) / self._len()
@@ -555,14 +658,7 @@ class CompoundPoissonKernel(JumpKernel):
 
     @property
     def symmetric(self) -> bool:
-        if isinstance(self.jumps, DiscreteJumps):
-            pairs = dict(zip(self.jumps.values, self.jumps.probs))
-            return all(pairs.get(-v) == p for v, p in pairs.items())
-        if isinstance(self.jumps, NormalJumps):
-            return self.jumps.mu == 0.0
-        if isinstance(self.jumps, UniformJumps):
-            return self.jumps.a == -self.jumps.b
-        return False
+        return self.jumps.symmetric
 
     @property
     def total_mass(self) -> float:
@@ -581,15 +677,6 @@ class CompoundPoissonKernel(JumpKernel):
     def annulus_first_moment(self, r1, r2):
         return self.rate * self.jumps.mean_annulus(r1, r2)
 
-    def compact_moment(self, u):
-        if isinstance(self.jumps, DiscreteJumps):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(self.jumps.values)
-            p = np.asarray(self.jumps.probs)
-            val = self.rate * (np.minimum(1.0, np.multiply.outer(u, v) ** 2) @ p)
-            return val if val.shape else float(val)
-        return super().compact_moment(u)
-
     def cf_integrand(self, c, eps: float = 0.0):
         c = np.asarray(c, dtype=float)
         if eps == 0.0:
@@ -597,45 +684,52 @@ class CompoundPoissonKernel(JumpKernel):
                 - 1j * c * self.rate * self.jumps.mean_annulus(0.0, 1.0)
         else:
             # drop jumps of size <= eps entirely
-            phi_tail = self._char_fn_tail(c, eps)
+            phi_tail = self.jumps.char_fn_tail(c, eps)
             p_tail = sum(self.jumps.prob_tails(eps))
             val = self.rate * (phi_tail - p_tail) \
                 - 1j * c * self.rate * self.jumps.mean_annulus(eps, 1.0)
         return val if np.ndim(c) else complex(val)
 
-    def _char_fn_tail(self, c, eps):
-        """``E[e^{icY} 1{|Y| > eps}]`` (exact for discrete jumps, quad otherwise)."""
-        if isinstance(self.jumps, DiscreteJumps):
-            v, p = np.asarray(self.jumps.values), np.asarray(self.jumps.probs)
-            m = np.abs(v) > eps
-            return np.exp(1j * np.multiply.outer(c, v[m])) @ p[m]
-        out = np.empty(np.shape(c), dtype=complex)
-        for i, ci in np.ndenumerate(np.atleast_1d(c)):
-            re = _quad(lambda y: np.cos(ci * y) * self._pdf(y), eps, np.inf) \
-                + _quad(lambda y: np.cos(ci * y) * self._pdf(y), -np.inf, -eps)
-            im = _quad(lambda y: np.sin(ci * y) * self._pdf(y), eps, np.inf) \
-                + _quad(lambda y: np.sin(ci * y) * self._pdf(y), -np.inf, -eps)
-            val = re + 1j * im
-            if out.shape:
-                out[i] = val
-            else:
-                return val
-        return out
-
-    def _pdf(self, y):
-        if isinstance(self.jumps, NormalJumps):
-            return _norm(self.jumps.mu, self.jumps.sigma).pdf(y)
-        if isinstance(self.jumps, UniformJumps):
-            return (1.0 / (self.jumps.b - self.jumps.a)) * float(self.jumps.a <= y <= self.jumps.b)
-        raise NotImplementedError
-
-    def laplace_integrand(self, u, eps: float = 0.0):
+    def laplace_integrand(self, u):
         u = np.asarray(u, dtype=float)
-        if eps == 0.0:
-            val = self.rate * (self.jumps.mgf_neg(u) - 1.0) \
-                + u * self.rate * self.jumps.mean_annulus(0.0, 1.0)
-            return val if val.shape else float(val)
-        raise NotImplementedError("truncated Laplace integrand not needed for CP kernels")
+        val = self.rate * (self.jumps.mgf_neg(u) - 1.0) \
+            + u * self.rate * self.jumps.mean_annulus(0.0, 1.0)
+        return val if val.shape else float(val)
+
+    # Discrete jumps: exact sums over the atoms; other laws use the generic routes.
+    def compact_moment(self, u):
+        if not isinstance(self.jumps, DiscreteJumps):
+            return super().compact_moment(u)
+        u = np.asarray(u, dtype=float)
+        sizes, probs = self.jumps._arr()
+        val = self.rate * (np.minimum(1.0, np.multiply.outer(u, sizes) ** 2) @ probs)
+        return val if val.shape else float(val)
+
+    def _truncation_drift(self, v):
+        if not isinstance(self.jumps, DiscreteJumps):
+            return super()._truncation_drift(v)
+        sizes, probs = self.jumps._arr()
+        prod = v[:, None] * sizes[None, :]
+        gap = np.clip(prod, -1.0, 1.0) - v[:, None] * np.clip(sizes, -1.0, 1.0)[None, :]
+        return self.rate * gap @ probs
+
+    def drift_sup(self, a0, mod, u):
+        """Discrete jumps: G is linear between the breakpoints ``1/|size|``."""
+        if not isinstance(self.jumps, DiscreteJumps):
+            return super().drift_sup(a0, mod, u)
+        sizes, _ = self.jumps._arr()
+        breaks = np.unique(1.0 / np.abs(sizes[sizes != 0.0]))
+        cand = np.minimum(np.concatenate([breaks, [np.inf]])[None, :], u[:, None])
+        g = np.asarray(self.truncation_drift(cand.ravel())).reshape(cand.shape)
+        return np.abs(a0[:, None] * cand + mod[:, None] * g).max(axis=1)
+
+    def _abs_annulus_first_moment(self, c):
+        if not isinstance(self.jumps, DiscreteJumps):
+            return super()._abs_annulus_first_moment(c)
+        sizes, probs = self.jumps._arr()
+        v = np.abs(sizes)
+        sel = (v[None, :] > 1.0) & (v[None, :] <= c[:, None])
+        return self.rate * (sel * (v * probs)[None, :]).sum(axis=1)
 
     def sample_tail(self, rng, n, eps):
         return self.jumps.sample_tail(rng, n, eps)
@@ -678,6 +772,8 @@ class TemperedStableKernel(JumpKernel):
                             * np.exp(-self.cutoff * mag), 0.0)
 
     def tail_masses(self, c):
+        if c == 0.0:
+            return math.inf, math.inf
         a, th = self.alpha, self.cutoff
         t = self.scale * 0.5 * a * th ** a * float(upper_gamma(-a, th * c))
         return t, t
@@ -767,9 +863,9 @@ class TabulatedKernel(JumpKernel):
 
     symmetric = False
 
-    def _segment_integrals(self, f):
-        """Integral of f * density per segment with 16-point Gauss-Legendre."""
-        nodes, weights = np.polynomial.legendre.leggauss(16)
+    def _segment_integrals(self, f, order: int = 16):
+        """Integral of f * density per segment with Gauss-Legendre of ``order``."""
+        nodes, weights = _rule(order)
         a, b = self.grid[:-1], self.grid[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ys = mid[:, None] + half[:, None] * nodes[None, :]
@@ -803,12 +899,7 @@ class TabulatedKernel(JumpKernel):
             def f(y):
                 keep = np.abs(y) > eps
                 return keep * (np.exp(1j * ci * y) - 1.0 - 1j * ci * y * (np.abs(y) <= 1.0))
-            nodes, weights = np.polynomial.legendre.leggauss(32)
-            a, b = self.grid[:-1], self.grid[1:]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ys = mid[:, None] + half[:, None] * nodes[None, :]
-            dens = self._interp(ys)
-            out[i] = ((f(ys) * dens * weights[None, :]).sum(axis=1) * half).sum()
+            out[i] = self._segment_integrals(f, 32).sum()
         return out if np.ndim(c) else complex(out[0])
 
     def sample_tail(self, rng, n, eps):

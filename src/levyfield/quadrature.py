@@ -56,6 +56,7 @@ def box_integral(f, box: Box, abs_tol: float = ABS_TOL,
 
 def region_integral(f, region: Region, abs_tol: float = ABS_TOL,
                     rel_tol: float = REL_TOL) -> tuple[float, float]:
+    """Sum of ``box_integral`` over the region's boxes: (value, error)."""
     total, err = 0.0, 0.0
     for b in region.boxes:
         v, e = box_integral(f, b, abs_tol, rel_tol)
@@ -64,14 +65,8 @@ def region_integral(f, region: Region, abs_tol: float = ABS_TOL,
     return total, err
 
 
-def midpoint_grid(lo, hi, counts):
-    """Cell midpoints and the common cell volume of a uniform grid on a box."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    counts = np.asarray(counts, dtype=int)
-    axes = [a + (np.arange(n) + 0.5) * (b - a) / n
-            for a, b, n in zip(lo, hi, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vol = float(np.prod((hi - lo) / counts))
-    return pts, vol
+def shell_region(dim: int, k: int) -> Region:
+    """The dyadic sup-norm shell ``2^k < |x|_inf <= 2^(k+1)`` as a region."""
+    inner = Box((-2.0 ** k,) * dim, (2.0 ** k,) * dim)
+    outer = Box((-2.0 ** (k + 1),) * dim, (2.0 ** (k + 1),) * dim)
+    return Region(dim, tuple(outer.subtract(inner)))

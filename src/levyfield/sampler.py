@@ -100,14 +100,6 @@ class SamplerConfig:
             raise ValueError("replicates must be >= 1")
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    time: float
-    location: tuple[float, ...]
-    size: float
-    compensated: bool  # True iff |size| <= 1 (drawn from the compensated part)
-
-
 class FieldRealization:
     """One sampled path of the random measure over (0, horizon] x window."""
 
@@ -127,12 +119,6 @@ class FieldRealization:
         self._mod_cache: dict[Region, float] = {}
 
     # -- structure -------------------------------------------------------
-    @property
-    def jumps(self) -> tuple[JumpRecord, ...]:
-        return tuple(
-            JumpRecord(float(s), tuple(x), float(y), bool(abs(y) <= 1.0))
-            for s, x, y in zip(self.jump_times, self.jump_locations, self.jump_sizes))
-
     def _check_query(self, t: float, region: Region, t0: float) -> None:
         if not 0.0 <= t0 <= t <= self.config.horizon * (1 + 1e-12):
             raise ValueError("need 0 <= t0 <= t <= horizon")
@@ -262,9 +248,7 @@ def sample_field(chars: Characteristics, config: SamplerConfig,
     if chars.nu is not None:
         kern = chars.nu.kernel
         mod_mass, _ = chars.nu.spatial_mass(window)
-        tail = kern.tail_mass(eps) if eps > 0.0 or not isinstance(kern, StableKernel) \
-            else np.inf
-        rate = T * mod_mass * tail
+        rate = T * mod_mass * kern.tail_mass(eps)
         if not np.isfinite(rate):
             raise InfiniteActivityError(
                 "infinitely many jumps above the requested truncation; "
@@ -361,9 +345,7 @@ def sample_marginals(chars: Characteristics, config: SamplerConfig,
     if chars.nu is not None:
         kern = chars.nu.kernel
         mod_mass = chars.nu.spatial_mass(region)[0]
-        tail = kern.tail_mass(eps) if eps > 0.0 or not isinstance(kern, StableKernel) \
-            else np.inf
-        rate = T * mod_mass * tail
+        rate = T * mod_mass * kern.tail_mass(eps)
         if not np.isfinite(rate):
             raise InfiniteActivityError(
                 "infinitely many jumps above the requested truncation; use eps > 0")

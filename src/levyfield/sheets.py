@@ -110,10 +110,6 @@ class SheetRealization:
         return out
 
 
-def sheet_from_field(real: FieldRealization) -> SheetRealization:
-    return SheetRealization(real)
-
-
 # --------------------------------------------------------------------------
 # Box increments
 # --------------------------------------------------------------------------

@@ -14,15 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as sp_integrate
 from scipy import stats as sp_stats
 
 from .analysis import modular_integrand
 from .characteristics import Characteristics
 from .funcs import IndicatorFunction
 from .integrate import empirical_cf, integrate
-from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
-                      JumpSizeDistribution, StableKernel)
+from .kernels import DiscreteJumps, JumpSizeDistribution
 from .quadrature import region_integral
 from .regions import Region
 from .sampler import SamplerConfig, _segment_sums, sample_field, sample_marginals
@@ -311,37 +309,6 @@ def onb_counterexample(spec: OnbCounterexampleSpec, n: int, seed: int,
 # Membership-modular bound
 # --------------------------------------------------------------------------
 
-def _abs_annulus_first_moment(kern: JumpKernel, c: np.ndarray) -> np.ndarray:
-    """``int_{1 < |y| <= c} |y| kernel(dy)`` for an array of cutoffs c >= 1."""
-    c = np.asarray(c, dtype=float)
-    out = np.zeros(c.shape)
-    live = c > 1.0
-    if not live.any():
-        return out
-    if isinstance(kern, StableKernel):
-        a = kern.alpha
-        mass = kern.scale * (kern.p + kern.q)
-        cl = c[live]
-        if a == 1.0:
-            out[live] = mass * np.log(cl)
-        else:
-            out[live] = mass * a * (cl ** (1.0 - a) - 1.0) / (1.0 - a)
-        return out
-    if isinstance(kern, CompoundPoissonKernel) and isinstance(kern.jumps, DiscreteJumps):
-        v = np.abs(np.asarray(kern.jumps.values, dtype=float))
-        p = np.asarray(kern.jumps.probs, dtype=float)
-        sel = (v[None, :] > 1.0) & (v[None, :] <= c[live, None])
-        out[live] = kern.rate * (sel * (v * p)[None, :]).sum(axis=1)
-        return out
-    for idx in np.argwhere(live):
-        ci = float(c[tuple(idx)])
-        tail_int, _ = sp_integrate.quad(
-            lambda s: float(kern.tail_mass(s)), 1.0, ci, limit=200)
-        out[tuple(idx)] = (float(kern.tail_mass(1.0)) - ci * float(kern.tail_mass(ci))
-                          + tail_int)
-    return out
-
-
 def embedding_inequality_check(chars: Characteristics, f,
                                domain: Region | None = None, *,
                                name: str = "embedding-inequality"
@@ -392,7 +359,7 @@ def embedding_inequality_check(chars: Characteristics, f,
             def tail_term(x):
                 u = fl(x)
                 cut = np.where(u > 0.0, 1.0 / np.maximum(u, 1e-300), 1.0)
-                return chars.jump_modulation(x) * u * _abs_annulus_first_moment(kern, cut)
+                return chars.jump_modulation(x) * u * kern.abs_annulus_first_moment(cut)
 
             t4, e = region_integral(tail_term, domain)
             err += e
@@ -421,7 +388,9 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
     For each (s, t) pair: a two-sample KS test between M(t,A) - M(s,A) from
     one batch of paths and M(t-s, A) from an independent batch, plus a
     distance-covariance test between M(s,A) and the increment.  Thresholds
-    are Bonferroni-corrected across all sub-tests; ``path_sampler`` is
+    are Bonferroni-corrected across all sub-tests, and one undecided
+    sub-test (e.g. a constant sample) makes the report indeterminate;
+    ``path_sampler`` is
     injectable so planted time-inhomogeneous samplers can exercise the fail
     arm.
     """
@@ -434,6 +403,7 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
     n_tests = 2 * len(pairs)
     cutoff = level / n_tests
     worst = 1.0
+    undecided = False
     notes = []
     for i, (s, t) in enumerate(pairs):
         cfg1 = SamplerConfig(seed=_child_seed(seed, i, 0), window=region,
@@ -452,9 +422,14 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
         ks_p = float(sp_stats.ks_2samp(incr, fresh).pvalue)
         dep = independence_test(at_s, incr, level=cutoff,
                                 seed=_child_seed(seed, i, 2))
+        undecided = undecided or math.isnan(ks_p) or dep.decision == "indeterminate"
         worst = min(worst, ks_p, dep.statistic)
         notes.append(f"(s,t)=({s:g},{t:g}): ks_p={ks_p:.4g} indep_p={dep.statistic:.4g}")
-    decision = "pass" if worst > cutoff else "fail"
+    if undecided:
+        # min() skips a NaN p-value, so an undecided sub-test decides the report
+        decision, worst = "indeterminate", math.nan
+    else:
+        decision = "pass" if worst > cutoff else "fail"
     prov = ("two-sample KS of increments vs fresh horizon plus dcov of "
             "increment against the past; Bonferroni over "
             f"{n_tests} sub-tests")

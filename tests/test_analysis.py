@@ -11,7 +11,7 @@ from levyfield import (Characteristics, Density, JumpComponent, Region,
 from levyfield.analysis import (UndefinedDensityError, besov_classify,
                                 drift_correction_sup, lm_membership,
                                 modular_integrand, phi_m, stationarity_check,
-                                tempered_test, truncation_drift)
+                                tempered_test)
 from levyfield.characteristics import Atom, DriftComponent
 from levyfield.funcs import GaussianFunction, PolynomialDecay, ProductBump
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
@@ -20,9 +20,9 @@ from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
 
 def test_truncation_drift_vanishes_for_symmetric_kernels():
     v = np.array([-2.0, -0.3, 0.0, 0.7, 5.0])
-    assert np.all(truncation_drift(StableKernel(1.5, 0.5, 0.5), v) == 0.0)
+    assert np.all(StableKernel(1.5, 0.5, 0.5).truncation_drift(v) == 0.0)
     cp = CompoundPoissonKernel(3.0, DiscreteJumps((1.0, -1.0), (0.5, 0.5)))
-    assert np.all(truncation_drift(cp, v) == 0.0)
+    assert np.all(cp.truncation_drift(v) == 0.0)
 
 
 def test_truncation_drift_stable_closed_form_vs_quadrature():
@@ -46,14 +46,14 @@ def test_truncation_drift_stable_closed_form_vs_quadrature():
                 val += q * sgn
         # saturated tails beyond |y| = big
         val += (np.sign(v) - v) * (0.8 - 0.2) * big ** -1.5
-        assert truncation_drift(kern, v) == pytest.approx(val, rel=1e-6)
+        assert kern.truncation_drift(v) == pytest.approx(val, rel=1e-6)
 
 
 def test_truncation_drift_discrete_by_hand():
     kern = CompoundPoissonKernel(3.0, DiscreteJumps((2.0, -0.5), (0.6, 0.4)))
     # v = 0.8: only the +2 jump saturates either clip
     want = 3.0 * (0.6 * (1.0 - 0.8 * 1.0) + 0.4 * (-0.4 + 0.8 * 0.5))
-    assert truncation_drift(kern, 0.8) == pytest.approx(want, rel=1e-12)
+    assert kern.truncation_drift(0.8) == pytest.approx(want, rel=1e-12)
 
 
 def test_truncation_drift_generic_kernel_vs_quadrature():
@@ -62,7 +62,7 @@ def test_truncation_drift_generic_kernel_vs_quadrature():
         val, _ = spi.quad(
             lambda y: (np.clip(v * y, -1, 1) - v * np.clip(y, -1, 1)) / 1.5,
             0.5, 2.0, points=[1.0, 1.0 / v])
-        assert truncation_drift(kern, v) == pytest.approx(2.0 * val, rel=1e-9)
+        assert kern.truncation_drift(v) == pytest.approx(2.0 * val, rel=1e-9)
 
 
 def test_drift_sup_linear_when_jumps_symmetric():
@@ -79,7 +79,7 @@ def test_drift_sup_matches_brute_force_stable():
     a0 = float(chars.drift_density(np.array([[0.3]]))[0])
     u = 2.0
     grid = np.linspace(0.0, u, 20001)
-    brute = np.abs(a0 * grid + truncation_drift(kern, grid)).max()
+    brute = np.abs(a0 * grid + kern.truncation_drift(grid)).max()
     got = float(drift_correction_sup(chars, np.array([[0.3]]), u)[0])
     assert got == pytest.approx(brute, rel=1e-6)
     assert got >= brute - 1e-12
@@ -92,7 +92,7 @@ def test_drift_sup_matches_brute_force_discrete():
     u = 3.0
     breaks = np.array([0.5, 2.0])  # 1/|jump|
     grid = np.union1d(np.linspace(0.0, u, 10001), breaks)
-    brute = np.abs(0.4 * grid + truncation_drift(kern, grid)).max()
+    brute = np.abs(0.4 * grid + kern.truncation_drift(grid)).max()
     got = float(drift_correction_sup(chars, np.array([[0.0]]), u)[0])
     assert got == pytest.approx(brute, rel=1e-12)
 

@@ -1,10 +1,13 @@
 """Config schema: strict parsing, dotted error paths, task validation."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
-from levyfield import preset
+from levyfield import StableKernel, preset
 from levyfield.config import (ConfigError, load_config, parse_config)
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
                              PolynomialDecay, ProductBump, SimpleFunction)
@@ -193,3 +196,17 @@ def test_load_config_files(tmp_path):
     bad.write_text("schema: [unterminated\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
         load_config(str(bad))
+
+
+def test_readme_explicit_triple_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    explicit = [b for b in blocks if "preset" not in b and "nu:" in b]
+    assert len(explicit) == 1
+    cfg = parse_config(yaml.safe_load(explicit[0]))
+    chars = cfg.characteristics
+    assert chars.dim == 1
+    assert chars.gamma.density.const == 0.3 and chars.sigma.atoms[0].weight == 0.2
+    assert chars.nu.kernel == StableKernel(1.2, 0.7, 0.3)
+    assert chars.nu.modulation.const == 1.0
+    assert cfg.tasks[0]["kind"] == "sample"

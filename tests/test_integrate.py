@@ -10,9 +10,8 @@ from levyfield import Region, SamplerConfig, interval, preset, sample_field
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
                              PolynomialDecay, ProductBump, SimpleFunction,
                              SumFunction)
-from levyfield.integrate import (NotIntegrableError, cylindrical_action,
-                                 cylindrical_characteristics, empirical_cf,
-                                 integrate, integrate_simple)
+from levyfield.integrate import (NotIntegrableError, cylindrical_characteristics,
+                                 empirical_cf, integrate, integrate_simple)
 
 WIN = Region.from_intervals([(0.0, 1.0)])
 
@@ -118,17 +117,6 @@ def test_cylindrical_pushforward_table_for_smooth_integrand():
         np.trapezoid(2.0 * dense * curve, dense), rel=0.02)
     moment, _ = spi.quad(lambda t: math.exp(-2.0 / (1.0 - t * t)), -1, 1)
     assert push.compact_mass() == pytest.approx(rate * 0.3 * moment, rel=0.2)
-
-
-def test_cylindrical_action_dispatches_on_function_type():
-    real = realization(preset("impulsive", rate=25.0), seed=2)
-    a = Region.from_intervals([(0.0, 0.6)])
-    f = SimpleFunction(((3.0, a),))
-    act = cylindrical_action(real, f, 1.0)
-    assert act.value == integrate_simple(real, f, 1.0)
-    assert act.error == 0.0
-    g = GaussianFunction(center=(0.4,), scale=0.25)
-    assert cylindrical_action(real, g, 1.0).value == integrate(real, g, 1.0).value
 
 
 def test_empirical_cf_of_standard_normal():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyfield.quadrature import box_integral, gauss_box, midpoint_grid, region_integral
+from levyfield.quadrature import box_integral, gauss_box, region_integral, shell_region
 from levyfield.regions import Box, Region
 
 
@@ -31,8 +31,15 @@ def test_region_integral_adds_boxes():
     assert val == pytest.approx(0.5 + 2.5, rel=1e-12)
 
 
-def test_midpoint_grid_shape_and_centers():
-    pts, w = midpoint_grid((0.0, 0.0), (1.0, 2.0), (2, 4))
-    assert pts.shape == (8, 2)
-    assert w == pytest.approx(0.5 * 0.5)
-    assert sorted(set(pts[:, 0])) == [0.25, 0.75]
+def test_shell_region_tiles_the_dyadic_annulus():
+    for dim in (1, 2, 3):
+        for k in (0, 3):
+            shell = shell_region(dim, k)
+            assert shell.volume == pytest.approx(2.0 ** ((k + 2) * dim)
+                                                 - 2.0 ** ((k + 1) * dim))
+            inside = np.full((1, dim), 2.0 ** k * 0.5)
+            outside = np.full((1, dim), 2.0 ** (k + 1) * 1.5)
+            edge = np.zeros((1, dim))
+            edge[0, 0] = 1.5 * 2.0 ** k
+            assert not shell.contains(inside)[0] and not shell.contains(outside)[0]
+            assert shell.contains(edge)[0]

@@ -1,13 +1,15 @@
 """Path sampler: Levy-Ito structure, laws of marginals, reproducibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 
-from levyfield import (Density, InfiniteActivityError, JumpComponent, Region,
-                       SamplerConfig, StableKernel, interval, preset,
+from levyfield import (Characteristics, Density, InfiniteActivityError,
+                       JumpComponent, Region, SamplerConfig, StableKernel,
+                       TemperedStableKernel, interval, preset,
                        sample_field, sample_marginals,
                        sample_spectrally_positive, sample_stable_marginal_oracle,
                        stable_symbol_constant)
@@ -80,9 +82,16 @@ def test_out_of_window_rejected():
 
 
 def test_infinite_activity_needs_truncation():
-    chars = preset("balan-stable", alpha=1.2)
-    with pytest.raises(InfiniteActivityError):
-        sample_field(chars, cfg(6, eps=0.0))
+    tempered = Characteristics(1, nu=JumpComponent(TemperedStableKernel(1.2, 2.0)))
+    for chars in (preset("balan-stable", alpha=1.2), tempered):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert chars.nu.kernel.tail_mass(0.0) == math.inf
+            with pytest.raises(InfiniteActivityError):
+                sample_field(chars, cfg(6, eps=0.0))
+            with pytest.raises(InfiniteActivityError):
+                sample_marginals(chars, cfg(6, eps=0.0, replicates=10))
+    assert StableKernel(1.2, 1.0, 0.0).tail_masses(0.0) == (math.inf, 0.0)
 
 
 def test_replicates_deterministic_and_distinct():

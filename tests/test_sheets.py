@@ -13,7 +13,7 @@ from levyfield.integrate import integrate
 from levyfield.kernels import CompoundPoissonKernel, DiscreteJumps
 from levyfield.regions import Box
 from levyfield.sheets import (SheetRealization, box_increment, duality_check,
-                              lamp_grid_check, sheet_from_field)
+                              lamp_grid_check)
 
 WIN2 = Region.from_intervals([(-1.0, 1.0), (-1.0, 1.0)])
 
@@ -23,7 +23,7 @@ def planar(seed=4, rate=25.0, **kw):
     kw.setdefault("eps", 0.0)
     real = sample_field(preset("impulsive", rate=rate, dim=2),
                         SamplerConfig(seed=seed, **kw))
-    return real, sheet_from_field(real)
+    return real, SheetRealization(real)
 
 
 def test_sheet_vanishes_on_the_axes():
@@ -92,7 +92,7 @@ def test_corner_grid_fast_path_matches_point_queries():
     real = sample_field(
         preset("balan-stable", alpha=1.5, p=0.7, q=0.3, dim=2),
         SamplerConfig(seed=10, window=WIN2, eps=2e-2))
-    sheet = sheet_from_field(real)
+    sheet = SheetRealization(real)
     axes = [np.linspace(-0.9, 0.9, 7), np.linspace(-0.8, 0.8, 5)]
     grid = sheet.corner_grid(1.0, axes)
     for i, x1 in enumerate(axes[0]):
@@ -110,7 +110,7 @@ def test_corner_grid_fallback_with_varying_drift():
             8.0, DiscreteJumps((1.0, -1.0), (0.5, 0.5)))))
     real = sample_field(chars, SamplerConfig(
         seed=3, window=Region.from_intervals([(-1.0, 1.0)]), eps=0.0))
-    sheet = sheet_from_field(real)
+    sheet = SheetRealization(real)
     from levyfield.sheets import _fast_grid
     assert _fast_grid(real, 1.0, [np.array([0.5])], 0.0) is None
     x = 0.6

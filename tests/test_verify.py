@@ -8,12 +8,14 @@ import pytest
 import scipy.integrate as spi
 
 import levyfield.verify as lv
-from levyfield import Region, SamplerConfig, preset, sample_field
+from levyfield import (Characteristics, Density, Region, SamplerConfig,
+                       preset, sample_field)
+from levyfield.characteristics import DriftComponent
 from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
 from levyfield.verify import (OnbCounterexampleSpec, VerificationReport,
-                              _abs_annulus_first_moment, _trig_coefficients,
+                              _trig_coefficients,
                               cf_match_test, distance_covariance,
                               embedding_inequality_check, independence_test,
                               onb_counterexample, paired_evaluations,
@@ -158,17 +160,17 @@ def test_onb_shared_arm_fails_control_passes():
 def test_abs_annulus_first_moment_branches():
     stable = StableKernel(1.3, 0.6, 0.4)
     c = np.array([0.5, 1.0, 2.0, 5.0])
-    got = _abs_annulus_first_moment(stable, c)
+    got = stable.abs_annulus_first_moment(c)
     assert got[0] == 0.0 and got[1] == 0.0
     for i in (2, 3):
         want, _ = spi.quad(lambda y: y * 1.3 * y ** -2.3, 1.0, c[i])
         assert got[i] == pytest.approx(want, rel=1e-10)
     disc = CompoundPoissonKernel(2.0, DiscreteJumps((0.5, 2.0, -3.0), (0.2, 0.5, 0.3)))
-    got = _abs_annulus_first_moment(disc, np.array([2.5, 3.0]))
+    got = disc.abs_annulus_first_moment(np.array([2.5, 3.0]))
     assert got[0] == pytest.approx(2.0 * 2.0 * 0.5, rel=1e-12)
     assert got[1] == pytest.approx(2.0 * (2.0 * 0.5 + 3.0 * 0.3), rel=1e-12)
     unif = CompoundPoissonKernel(3.0, UniformJumps(0.5, 3.0))
-    got = _abs_annulus_first_moment(unif, np.array([2.0]))
+    got = unif.abs_annulus_first_moment(np.array([2.0]))
     want = 3.0 * (2.0 ** 2 - 1.0) / 2.0 / 2.5
     assert got[0] == pytest.approx(want, rel=1e-8)
 
@@ -205,6 +207,16 @@ def test_stationary_increments_catch_time_warp():
     rep = stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 300, seed=2,
                                     path_sampler=warped_sampler)
     assert rep.decision == "fail"
+
+
+def test_stationary_increments_indeterminate_when_a_subtest_is():
+    # A drift-only field has constant increments: the dcov sub-test cannot
+    # decide, and its NaN p-value must not let the report read "pass".
+    chars = Characteristics(1, gamma=DriftComponent(Density(0.5)))
+    rep = stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 100, seed=0)
+    assert rep.decision == "indeterminate"
+    assert math.isnan(rep.statistic)
+    assert "indep_p=nan" in rep.notes[0]
 
 
 def test_stationary_increment_pair_validation():
