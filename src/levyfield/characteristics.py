@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import JumpKernel, kernel_from_config
 from .quadrature import region_integral
-from .regions import Box, Region
+from .regions import Region
 
 
 class DivergentControlMeasureError(ArithmeticError):

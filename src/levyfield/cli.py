@@ -1,15 +1,15 @@
 """Batch front end: `levy-field run <config>` and `levy-field describe <preset>`.
 
-Exit codes: 0 on success, 1 when a task ran but failed its check, 2 for
+Exit codes: 0 on success, 1 when a task failed its check or raised, 2 for
 schema violations or unknown presets.  All artifacts land in the output
 directory (flag > LEVY_FIELD_OUTPUT env var > config value), and a manifest
 records the config hash so identical configs can be recognized byte-wise.
+What each task kind reads and writes lives in ``config.TASKS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,18 +17,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import besov_classify, lm_membership, stationarity_check, tempered_test
-from .config import ConfigError, ExperimentConfig, load_config
-from .integrate import NotIntegrableError, integrate
-from .io import (atomic_write_text, write_cf_csv, write_frames,
-                 write_jump_records, write_jsonl, write_manifest,
-                 write_sheet_csv)
+from .analysis import stationarity_check, tempered_test
+from .config import TASKS, ConfigError, ExperimentConfig, load_config
+from .io import atomic_write_text, write_jsonl, write_manifest
 from .presets import PRESET_NAMES, preset
 from .regions import Region
-from .sampler import SamplerConfig, sample_field
-from .sheets import SheetRealization, duality_check
-from .verify import (VerificationReport, cf_match_test, independence_test,
-                     onb_counterexample, paired_evaluations, summary_table)
+from .verify import VerificationReport, summary_table
 
 
 def main(argv=None) -> int:
@@ -78,6 +72,9 @@ def _run(args) -> int:
             _run_task(cfg, task, prefix, emit, reports, failures)
         except (ValueError, ArithmeticError) as exc:
             failures.append(f"{prefix}: {exc}")
+        except Exception as exc:  # any other fault fails this task, not the run
+            detail = f": {exc}" if str(exc) else ""
+            failures.append(f"{prefix}: {type(exc).__name__}{detail}")
 
     if reports:
         emit("reports.jsonl", lambda p: write_jsonl(
@@ -100,108 +97,9 @@ def _versions() -> dict:
 
 def _run_task(cfg: ExperimentConfig, task: dict, prefix: str, emit,
               reports: list, failures: list) -> None:
-    chars, sampler = cfg.characteristics, cfg.sampler
-    kind = task["kind"]
-
-    if kind == "sample":
-        for k in range(task["replicates"]):
-            real = sample_field(chars, sampler, replicate=k)
-            if "jsonl" in task["formats"]:
-                emit(f"{prefix}-r{k}.jsonl",
-                     lambda p, r=real: write_jump_records(p, r))
-            if "frames" in task["formats"]:
-                emit(f"{prefix}-r{k}.bin", lambda p, r=real: write_frames(p, r))
-
-    elif kind == "integrate":
-        real = sample_field(chars, sampler, replicate=0)
-        try:
-            res = integrate(real, task["function"], task["t"],
-                            check_membership=True)
-        except NotIntegrableError as exc:
-            failures.append(f"{prefix}: {exc}")
-            return
-        emit(f"{prefix}.json", lambda p: atomic_write_text(
-            p, json.dumps({"value": res.value, "error": res.error},
-                          sort_keys=True) + "\n"))
-
-    elif kind == "sheet":
-        real = sample_field(chars, sampler, replicate=0)
-        sheet = SheetRealization(real)
-        values = sheet.corner_grid(task["t"], task["axes"])
-        emit(f"{prefix}.csv",
-             lambda p: write_sheet_csv(p, task["axes"], values))
-
-    elif kind == "verify-cf":
-        extras: dict = {}
-        report = cf_match_test(chars, task["function"], sampler.horizon,
-                               task["u"], task["n"], cfg.seed,
-                               window=sampler.window, eps=sampler.eps,
-                               artifacts=extras)
-        reports.append(report)
-        if extras:
-            emit(f"{prefix}.csv", lambda p: write_cf_csv(
-                p, extras["u"], extras["emp"], extras["target"],
-                extras["radius"], extras["bias"], extras["per_u_pass"]))
-        if not report.passed:
-            failures.append(f"{prefix}: decision {report.decision}")
-
-    elif kind == "verify-independence":
-        va, vb = paired_evaluations(chars, sampler, task["region_a"],
-                                    task["region_b"], task["n"])
-        report = independence_test(va, vb, permutations=task["permutations"],
-                                   level=task["level"], seed=cfg.seed,
-                                   name="disjoint-regions",
-                                   provenance="paired evaluations on disjoint "
-                                              "regions from common paths")
-        reports.append(report)
-        if not report.passed:
-            failures.append(f"{prefix}: decision {report.decision}")
-
-    elif kind == "verify-duality":
-        real = sample_field(chars, sampler, replicate=0)
-        res = duality_check(real, task["function"], task["t"], task["h"])
-        emit(f"{prefix}.json", lambda p: atomic_write_text(
-            p, json.dumps({"lhs": res.lhs, "rhs": res.rhs, "error": res.error,
-                           "h": res.h, "cells": res.cells,
-                           "quad_estimate": res.quad_estimate},
-                          sort_keys=True) + "\n"))
-        if not res.error <= task["tolerance"]:
-            failures.append(f"{prefix}: |lhs-rhs|={res.error:.3e} "
-                            f"> {task['tolerance']:.3e}")
-
-    elif kind == "check-integrability":
-        res = lm_membership(chars, task["function"])
-        emit(f"{prefix}.json", lambda p: atomic_write_text(
-            p, json.dumps({"verdict": res.verdict, "value": res.value,
-                           "error": res.error, "note": res.note,
-                           "shells": list(res.shells)}, sort_keys=True) + "\n"))
-
-    elif kind == "check-tempered":
-        res = tempered_test(chars, task["r_max"])
-        emit(f"{prefix}.json", lambda p: atomic_write_text(
-            p, json.dumps({"tempered": res.tempered, "r": res.r,
-                           "attempts": [[r, v] for r, v in res.attempts],
-                           "note": res.note}, sort_keys=True) + "\n"))
-
-    elif kind == "classify-besov":
-        label = besov_classify(task["alpha"], chars.dim, task["p"],
-                               task["tau"], task["rho_growth"])
-        emit(f"{prefix}.json", lambda p: atomic_write_text(
-            p, json.dumps({"classification": label, "alpha": task["alpha"],
-                           "p": "inf" if task["p"] == float("inf") else task["p"],
-                           "tau": task["tau"],
-                           "rho_growth": task["rho_growth"]},
-                          sort_keys=True) + "\n"))
-
-    elif kind == "counterexample":
-        spec = task["spec"]
-        report = onb_counterexample(spec, task["n"], cfg.seed,
-                                    level=task["level"])
-        reports.append(report)
-        expected = "fail" if spec.shared else "pass"
-        if report.decision != expected:
-            failures.append(f"{prefix}: expected decision {expected!r}, "
-                            f"got {report.decision!r}")
+    """Run one task through its ``TASKS`` runner; ``perfbench`` times each
+    task by wrapping this function, so ``_run`` calls it by its global name."""
+    TASKS[task["kind"]][1](cfg, task, prefix, emit, reports, failures)
 
 
 # --------------------------------------------------------------------------

@@ -4,28 +4,34 @@ Configs are YAML mappings with a ``schema`` version, a mandatory ``seed``, a
 characteristics block (preset or explicit triple), a sampler block, and an
 ordered task list.  Unknown keys anywhere are rejected with a dotted field
 path, and every error carries the path of the offending field.
+
+``TASKS`` is the one table of task kinds: each kind maps to the parser that
+validates its fields and the runner that ``levy-field run`` calls for it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import yaml
 
+from .analysis import besov_classify, lm_membership, tempered_test
 from .characteristics import Characteristics
 from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                     ProductBump, SimpleFunction)
+from .integrate import NotIntegrableError, integrate
+from .io import (atomic_write_text, write_cf_csv, write_frames,
+                 write_jump_records, write_sheet_csv)
 from .presets import PRESET_NAMES, preset
 from .regions import Region
-from .sampler import SamplerConfig
-from .verify import OnbCounterexampleSpec
+from .sampler import SamplerConfig, sample_field
+from .sheets import SheetRealization, duality_check
+from .verify import (OnbCounterexampleSpec, cf_match_test, independence_test,
+                     onb_counterexample, paired_evaluations)
 
 SCHEMA_VERSION = 1
-
-TASK_KINDS = ("sample", "integrate", "sheet", "verify-cf",
-              "verify-independence", "verify-duality", "check-integrability",
-              "check-tempered", "classify-besov", "counterexample")
 
 
 class ConfigError(ValueError):
@@ -59,6 +65,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_nums(v) -> bool:
+    return isinstance(v, list) and all(_is_num(c) for c in v)
+
+
 def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected a mapping")
@@ -77,18 +87,32 @@ def _pop(data: dict, key: str, path: str, check, what: str,
     return value
 
 
+def _num(data: dict, key: str, path: str, **kw) -> float:
+    return float(_pop(data, key, path, _is_num, "a number", **kw))
+
+
+def _int(data: dict, key: str, path: str, **kw):
+    return _pop(data, key, path, _is_int, "an integer", **kw)
+
+
+def _any(data: dict, key: str, path: str):
+    """A required field whose value the caller checks itself."""
+    return _pop(data, key, path, lambda v: True, "", required=True)
+
+
 def _finish(data: dict, path: str) -> None:
     if data:
         keys = ", ".join(sorted(str(k) for k in data))
         raise ConfigError(path, f"unknown keys: {keys}")
 
 
-def _region_from_spans(value, path: str, dim: int | None = None) -> Region:
+def _region(data: dict, key: str, path: str, dim: int) -> Region:
+    """The required field ``key``: a list of [lo, hi] spans, one per axis."""
+    value, path = _any(data, key, path), f"{path}.{key}"
     if (not isinstance(value, list) or not value
-            or not all(isinstance(s, list) and len(s) == 2
-                       and all(_is_num(c) for c in s) for s in value)):
+            or not all(_is_nums(s) and len(s) == 2 for s in value)):
         raise ConfigError(path, "expected a list of [lo, hi] pairs, one per axis")
-    if dim is not None and len(value) != dim:
+    if len(value) != dim:
         raise ConfigError(path, f"expected {dim} axis spans, got {len(value)}")
     try:
         return Region.from_intervals([(float(a), float(b)) for a, b in value])
@@ -101,60 +125,44 @@ def function_from_config(value, path: str, dim: int):
     kind = _pop(data, "type", path, lambda v: isinstance(v, str), "a string",
                 required=True)
     if kind == "indicator":
-        region = _region_from_spans(
-            _pop(data, "region", path, lambda v: True, "", required=True),
-            f"{path}.region", dim)
-        _finish(data, path)
-        return IndicatorFunction(region)
-    if kind == "bump":
-        center = _pop(data, "center", path,
-                      lambda v: isinstance(v, list) and all(_is_num(c) for c in v),
-                      "a list of numbers", required=True)
-        radius = _pop(data, "radius", path,
-                      lambda v: _is_num(v) or (isinstance(v, list)
-                                               and all(_is_num(c) for c in v)),
-                      "a number or list of numbers", required=True)
-        smooth = _pop(data, "smoothness", path,
-                      lambda v: v is None or _is_int(v), "an integer or null")
-        _finish(data, path)
+        make, args = IndicatorFunction, (_region(data, "region", path, dim),)
+    elif kind in ("bump", "gaussian"):
+        center = _pop(data, "center", path, _is_nums, "a list of numbers",
+                      required=True)
         if len(center) != dim:
             raise ConfigError(f"{path}.center", f"expected {dim} coordinates")
-        try:
-            return ProductBump(center, radius, smooth)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    if kind == "gaussian":
-        center = _pop(data, "center", path,
-                      lambda v: isinstance(v, list) and all(_is_num(c) for c in v),
-                      "a list of numbers", required=True)
-        scale = _pop(data, "scale", path, _is_num, "a number", required=True)
-        _finish(data, path)
-        if len(center) != dim:
-            raise ConfigError(f"{path}.center", f"expected {dim} coordinates")
-        return GaussianFunction(center, scale)
-    if kind == "decay":
-        r = _pop(data, "r", path, _is_num, "a number", required=True)
-        _finish(data, path)
-        return PolynomialDecay(r, dim)
-    if kind == "simple":
+        if kind == "bump":
+            make, args = ProductBump, (
+                center,
+                _pop(data, "radius", path, lambda v: _is_num(v) or _is_nums(v),
+                     "a number or list of numbers", required=True),
+                _pop(data, "smoothness", path, lambda v: v is None or _is_int(v),
+                     "an integer or null"))
+        else:
+            make, args = GaussianFunction, (
+                center, _pop(data, "scale", path, _is_num, "a number",
+                             required=True))
+    elif kind == "decay":
+        make, args = PolynomialDecay, (
+            _pop(data, "r", path, _is_num, "a number", required=True), dim)
+    elif kind == "simple":
         terms = _pop(data, "terms", path, lambda v: isinstance(v, list) and v,
                      "a nonempty list", required=True)
-        _finish(data, path)
         built = []
         for i, term in enumerate(terms):
             tpath = f"{path}.terms[{i}]"
             tdata = _mapping(term, tpath)
             coef = _pop(tdata, "coef", tpath, _is_num, "a number", required=True)
-            region = _region_from_spans(
-                _pop(tdata, "region", tpath, lambda v: True, "", required=True),
-                f"{tpath}.region", dim)
+            built.append((float(coef), _region(tdata, "region", tpath, dim)))
             _finish(tdata, tpath)
-            built.append((float(coef), region))
-        try:
-            return SimpleFunction(tuple(built))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    raise ConfigError(f"{path}.type", f"unknown function type {kind!r}")
+        make, args = SimpleFunction, (tuple(built),)
+    else:
+        raise ConfigError(f"{path}.type", f"unknown function type {kind!r}")
+    _finish(data, path)
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -188,21 +196,279 @@ def _parse_characteristics(value, path: str) -> Characteristics:
 
 def _parse_sampler(value, path: str, seed: int, dim: int) -> SamplerConfig:
     data = _mapping(value, path)
-    window = _region_from_spans(
-        _pop(data, "window", path, lambda v: True, "", required=True),
-        f"{path}.window", dim)
-    horizon = _pop(data, "horizon", path, _is_num, "a number", default=1.0)
-    eps = _pop(data, "eps", path, _is_num, "a number", default=1e-3)
+    window = _region(data, "window", path, dim)
+    horizon = _num(data, "horizon", path, default=1.0)
+    eps = _num(data, "eps", path, default=1e-3)
     mode = _pop(data, "small_jump_mode", path, lambda v: isinstance(v, str),
                 "a string", default="drop-with-bound")
-    reps = _pop(data, "replicates", path, _is_int, "an integer", default=1)
     _finish(data, path)
     try:
-        return SamplerConfig(seed=seed, window=window, horizon=float(horizon),
-                             eps=float(eps), small_jump_mode=mode,
-                             replicates=int(reps))
+        return SamplerConfig(seed=seed, window=window, horizon=horizon,
+                             eps=eps, small_jump_mode=mode)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+
+
+# --------------------------------------------------------------------------
+# Tasks: each kind's parser and runner side by side, joined in ``TASKS``
+# --------------------------------------------------------------------------
+# A parser pops its fields from ``data`` and returns them as a dict; a runner
+# takes ``(cfg, task, prefix, emit, reports, failures)``, writes artifacts
+# through ``emit(name, writer)`` and appends verification reports and
+# ``"<prefix>: <reason>"`` failure lines.
+
+def _function(data: dict, path: str, dim: int):
+    return function_from_config(_any(data, "function", path),
+                                f"{path}.function", dim)
+
+
+def _emit_json(emit, name: str, payload: dict) -> None:
+    emit(name, lambda p: atomic_write_text(
+        p, json.dumps(payload, sort_keys=True) + "\n"))
+
+
+def _record(report, prefix: str, reports: list, failures: list) -> None:
+    reports.append(report)
+    if not report.passed:
+        failures.append(f"{prefix}: decision {report.decision}")
+
+
+def _parse_sample(data, path, chars, sampler):
+    reps = _int(data, "replicates", path, default=1)
+    formats = _pop(data, "formats", path,
+                   lambda v: isinstance(v, list)
+                   and all(f in ("jsonl", "frames") for f in v),
+                   "a list drawn from [jsonl, frames]", default=["jsonl"])
+    if reps < 1:
+        raise ConfigError(f"{path}.replicates", "must be >= 1")
+    return {"replicates": reps, "formats": tuple(formats)}
+
+
+def _run_sample(cfg, task, prefix, emit, reports, failures):
+    for k in range(task["replicates"]):
+        real = sample_field(cfg.characteristics, cfg.sampler, replicate=k)
+        if "jsonl" in task["formats"]:
+            emit(f"{prefix}-r{k}.jsonl", lambda p, r=real: write_jump_records(p, r))
+        if "frames" in task["formats"]:
+            emit(f"{prefix}-r{k}.bin", lambda p, r=real: write_frames(p, r))
+
+
+def _parse_integrate(data, path, chars, sampler):
+    return {"function": _function(data, path, chars.dim),
+            "t": _num(data, "t", path, default=sampler.horizon)}
+
+
+def _run_integrate(cfg, task, prefix, emit, reports, failures):
+    real = sample_field(cfg.characteristics, cfg.sampler, replicate=0)
+    try:
+        res = integrate(real, task["function"], task["t"], check_membership=True)
+    except NotIntegrableError as exc:
+        failures.append(f"{prefix}: {exc}")
+        return
+    _emit_json(emit, f"{prefix}.json", {"value": res.value, "error": res.error})
+
+
+def _parse_sheet(data, path, chars, sampler):
+    dim = chars.dim
+    t = _num(data, "t", path, default=sampler.horizon)
+    axes_cfg = _pop(data, "axes", path,
+                    lambda v: isinstance(v, list) and len(v) == dim,
+                    f"a list of {dim} axis specs", required=True)
+    axes = []
+    for i, spec in enumerate(axes_cfg):
+        apath = f"{path}.axes[{i}]"
+        if isinstance(spec, list):
+            if not (spec and _is_nums(spec)):
+                raise ConfigError(apath, "expected a nonempty list of numbers")
+            axes.append([float(c) for c in spec])
+        else:
+            sdata = _mapping(spec, apath)
+            lo = _pop(sdata, "lo", apath, _is_num, "a number", required=True)
+            hi = _pop(sdata, "hi", apath, _is_num, "a number", required=True)
+            count = _int(sdata, "n", apath, required=True)
+            _finish(sdata, apath)
+            if not lo < hi or count < 1:
+                raise ConfigError(apath, "need lo < hi and n >= 1")
+            step = (hi - lo) / count
+            axes.append([lo + step * (j + 1) for j in range(count)])
+    return {"t": t, "axes": axes}
+
+
+def _run_sheet(cfg, task, prefix, emit, reports, failures):
+    real = sample_field(cfg.characteristics, cfg.sampler, replicate=0)
+    values = SheetRealization(real).corner_grid(task["t"], task["axes"])
+    emit(f"{prefix}.csv", lambda p: write_sheet_csv(p, task["axes"], values))
+
+
+def _parse_verify_cf(data, path, chars, sampler):
+    task = {"u": _pop(data, "u", path, lambda v: _is_nums(v) and v,
+                      "a nonempty list of numbers", required=True),
+            "n": _int(data, "n", path, required=True)}
+    if task["n"] < 1000:
+        raise ConfigError(f"{path}.n", "cf test needs n >= 1000")
+    if "function" in data:
+        task["function"] = _function(data, path, chars.dim)
+    elif "region" in data:
+        task["function"] = IndicatorFunction(
+            _region(data, "region", path, chars.dim))
+    else:
+        raise ConfigError(path, "needs either 'function' or 'region'")
+    return task
+
+
+def _run_verify_cf(cfg, task, prefix, emit, reports, failures):
+    sampler, extras = cfg.sampler, {}
+    report = cf_match_test(cfg.characteristics, task["function"],
+                           sampler.horizon, task["u"], task["n"], cfg.seed,
+                           window=sampler.window, eps=sampler.eps,
+                           artifacts=extras)
+    _record(report, prefix, reports, failures)
+    if extras:
+        emit(f"{prefix}.csv", lambda p: write_cf_csv(
+            p, extras["u"], extras["emp"], extras["target"],
+            extras["radius"], extras["bias"], extras["per_u_pass"]))
+
+
+def _parse_verify_independence(data, path, chars, sampler):
+    task = {"region_a": _region(data, "region_a", path, chars.dim),
+            "region_b": _region(data, "region_b", path, chars.dim),
+            "n": _int(data, "n", path, default=2000),
+            "level": _num(data, "level", path, default=0.01),
+            "permutations": _int(data, "permutations", path, default=200)}
+    if task["n"] < 100:
+        raise ConfigError(f"{path}.n", "independence test needs n >= 100")
+    return task
+
+
+def _run_verify_independence(cfg, task, prefix, emit, reports, failures):
+    va, vb = paired_evaluations(cfg.characteristics, cfg.sampler,
+                                task["region_a"], task["region_b"], task["n"])
+    report = independence_test(va, vb, permutations=task["permutations"],
+                               level=task["level"], seed=cfg.seed,
+                               name="disjoint-regions",
+                               provenance="paired evaluations on disjoint "
+                                          "regions from common paths")
+    _record(report, prefix, reports, failures)
+
+
+def _parse_verify_duality(data, path, chars, sampler):
+    task = {"function": _function(data, path, chars.dim),
+            "t": _num(data, "t", path, default=sampler.horizon),
+            "h": _num(data, "h", path, required=True),
+            "tolerance": _num(data, "tolerance", path, default=1e-6)}
+    if task["h"] <= 0 or task["tolerance"] <= 0:
+        raise ConfigError(path, "h and tolerance must be positive")
+    return task
+
+
+def _run_verify_duality(cfg, task, prefix, emit, reports, failures):
+    real = sample_field(cfg.characteristics, cfg.sampler, replicate=0)
+    res = duality_check(real, task["function"], task["t"], task["h"])
+    _emit_json(emit, f"{prefix}.json", {
+        "lhs": res.lhs, "rhs": res.rhs, "error": res.error, "h": res.h,
+        "cells": res.cells, "quad_estimate": res.quad_estimate})
+    if not res.error <= task["tolerance"]:
+        failures.append(f"{prefix}: |lhs-rhs|={res.error:.3e} "
+                        f"> {task['tolerance']:.3e}")
+
+
+def _parse_check_integrability(data, path, chars, sampler):
+    return {"function": _function(data, path, chars.dim)}
+
+
+def _run_check_integrability(cfg, task, prefix, emit, reports, failures):
+    res = lm_membership(cfg.characteristics, task["function"])
+    _emit_json(emit, f"{prefix}.json", {
+        "verdict": res.verdict, "value": res.value, "error": res.error,
+        "note": res.note, "shells": list(res.shells)})
+
+
+def _parse_check_tempered(data, path, chars, sampler):
+    return {"r_max": _num(data, "r_max", path, default=64.0)}
+
+
+def _run_check_tempered(cfg, task, prefix, emit, reports, failures):
+    res = tempered_test(cfg.characteristics, task["r_max"])
+    _emit_json(emit, f"{prefix}.json", {
+        "tempered": res.tempered, "r": res.r,
+        "attempts": [[r, v] for r, v in res.attempts], "note": res.note})
+
+
+def _parse_classify_besov(data, path, chars, sampler):
+    p_raw = _pop(data, "p", path,
+                 lambda v: _is_num(v) or v in ("inf", "infinity"),
+                 "a number or 'inf'", required=True)
+    task = {"p": math.inf if isinstance(p_raw, str) else float(p_raw),
+            "tau": _num(data, "tau", path, required=True),
+            "rho_growth": _num(data, "rho_growth", path, required=True)}
+    alpha = _pop(data, "alpha", path, _is_num, "a number")
+    if alpha is None:
+        kern = chars.nu.kernel if chars.nu is not None else None
+        alpha = getattr(kern, "alpha", None)
+        if alpha is None:
+            raise ConfigError(f"{path}.alpha",
+                              "required unless the kernel has a stability index")
+    task["alpha"] = float(alpha)
+    return task
+
+
+def _run_classify_besov(cfg, task, prefix, emit, reports, failures):
+    label = besov_classify(task["alpha"], cfg.characteristics.dim, task["p"],
+                           task["tau"], task["rho_growth"])
+    _emit_json(emit, f"{prefix}.json", {
+        "classification": label, "alpha": task["alpha"],
+        "p": "inf" if task["p"] == math.inf else task["p"],
+        "tau": task["tau"], "rho_growth": task["rho_growth"]})
+
+
+def _parse_counterexample(data, path, chars, sampler):
+    task = {"n": _int(data, "n", path, default=10_000),
+            "level": _num(data, "level", path, default=0.01)}
+    spec_kwargs = {}
+    trunc = _int(data, "truncation", path)
+    if trunc is not None:
+        spec_kwargs["truncation"] = trunc
+    for key in ("set_a", "set_b"):
+        spans = _pop(data, key, path, lambda v: _is_nums(v) and len(v) == 2,
+                     "a [lo, hi] pair")
+        if spans is not None:
+            spec_kwargs[key] = (float(spans[0]), float(spans[1]))
+    shared = _pop(data, "shared", path, lambda v: isinstance(v, bool),
+                  "a boolean")
+    if shared is not None:
+        spec_kwargs["shared"] = shared
+    try:
+        task["spec"] = OnbCounterexampleSpec(**spec_kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+    if task["n"] < 100:
+        raise ConfigError(f"{path}.n", "counterexample needs n >= 100")
+    return task
+
+
+def _run_counterexample(cfg, task, prefix, emit, reports, failures):
+    spec = task["spec"]
+    report = onb_counterexample(spec, task["n"], cfg.seed, level=task["level"])
+    reports.append(report)
+    expected = "fail" if spec.shared else "pass"
+    if report.decision != expected:
+        failures.append(f"{prefix}: expected decision {expected!r}, "
+                        f"got {report.decision!r}")
+
+
+# kind -> (parse, run); the only list of task kinds.
+TASKS = {
+    "sample": (_parse_sample, _run_sample),
+    "integrate": (_parse_integrate, _run_integrate),
+    "sheet": (_parse_sheet, _run_sheet),
+    "verify-cf": (_parse_verify_cf, _run_verify_cf),
+    "verify-independence": (_parse_verify_independence, _run_verify_independence),
+    "verify-duality": (_parse_verify_duality, _run_verify_duality),
+    "check-integrability": (_parse_check_integrability, _run_check_integrability),
+    "check-tempered": (_parse_check_tempered, _run_check_tempered),
+    "classify-besov": (_parse_classify_besov, _run_classify_besov),
+    "counterexample": (_parse_counterexample, _run_counterexample),
+}
 
 
 def _parse_task(value, path: str, chars: Characteristics,
@@ -210,142 +476,10 @@ def _parse_task(value, path: str, chars: Characteristics,
     data = _mapping(value, path)
     kind = _pop(data, "kind", path, lambda v: isinstance(v, str), "a string",
                 required=True)
-    if kind not in TASK_KINDS:
+    if kind not in TASKS:
         raise ConfigError(f"{path}.kind",
-                          f"unknown task kind {kind!r}; known: {', '.join(TASK_KINDS)}")
-    dim = chars.dim
-    task: dict = {"kind": kind}
-    if kind == "sample":
-        task["replicates"] = _pop(data, "replicates", path, _is_int,
-                                  "an integer", default=1)
-        formats = _pop(data, "formats", path,
-                       lambda v: isinstance(v, list)
-                       and all(f in ("jsonl", "frames") for f in v),
-                       "a list drawn from [jsonl, frames]", default=["jsonl"])
-        task["formats"] = tuple(formats)
-        if task["replicates"] < 1:
-            raise ConfigError(f"{path}.replicates", "must be >= 1")
-    elif kind == "integrate":
-        task["function"] = function_from_config(
-            _pop(data, "function", path, lambda v: True, "", required=True),
-            f"{path}.function", dim)
-        task["t"] = float(_pop(data, "t", path, _is_num, "a number",
-                               default=sampler.horizon))
-    elif kind == "sheet":
-        task["t"] = float(_pop(data, "t", path, _is_num, "a number",
-                               default=sampler.horizon))
-        axes_cfg = _pop(data, "axes", path,
-                        lambda v: isinstance(v, list) and len(v) == dim,
-                        f"a list of {dim} axis specs", required=True)
-        axes = []
-        for i, spec in enumerate(axes_cfg):
-            apath = f"{path}.axes[{i}]"
-            if isinstance(spec, list):
-                if not spec or not all(_is_num(c) for c in spec):
-                    raise ConfigError(apath, "expected a nonempty list of numbers")
-                axes.append([float(c) for c in spec])
-            else:
-                sdata = _mapping(spec, apath)
-                lo = _pop(sdata, "lo", apath, _is_num, "a number", required=True)
-                hi = _pop(sdata, "hi", apath, _is_num, "a number", required=True)
-                count = _pop(sdata, "n", apath, _is_int, "an integer", required=True)
-                _finish(sdata, apath)
-                if not lo < hi or count < 1:
-                    raise ConfigError(apath, "need lo < hi and n >= 1")
-                step = (hi - lo) / count
-                axes.append([lo + step * (j + 1) for j in range(count)])
-        task["axes"] = axes
-    elif kind == "verify-cf":
-        task["u"] = _pop(data, "u", path,
-                         lambda v: isinstance(v, list) and v
-                         and all(_is_num(c) for c in v),
-                         "a nonempty list of numbers", required=True)
-        task["n"] = _pop(data, "n", path, _is_int, "an integer", required=True)
-        if task["n"] < 1000:
-            raise ConfigError(f"{path}.n", "cf test needs n >= 1000")
-        if "function" in data:
-            task["function"] = function_from_config(
-                data.pop("function"), f"{path}.function", dim)
-        elif "region" in data:
-            task["function"] = IndicatorFunction(_region_from_spans(
-                data.pop("region"), f"{path}.region", dim))
-        else:
-            raise ConfigError(path, "needs either 'function' or 'region'")
-    elif kind == "verify-independence":
-        task["region_a"] = _region_from_spans(
-            _pop(data, "region_a", path, lambda v: True, "", required=True),
-            f"{path}.region_a", dim)
-        task["region_b"] = _region_from_spans(
-            _pop(data, "region_b", path, lambda v: True, "", required=True),
-            f"{path}.region_b", dim)
-        task["n"] = _pop(data, "n", path, _is_int, "an integer", default=2000)
-        task["level"] = float(_pop(data, "level", path, _is_num, "a number",
-                                   default=0.01))
-        task["permutations"] = _pop(data, "permutations", path, _is_int,
-                                    "an integer", default=200)
-        if task["n"] < 100:
-            raise ConfigError(f"{path}.n", "independence test needs n >= 100")
-    elif kind == "verify-duality":
-        task["function"] = function_from_config(
-            _pop(data, "function", path, lambda v: True, "", required=True),
-            f"{path}.function", dim)
-        task["t"] = float(_pop(data, "t", path, _is_num, "a number",
-                               default=sampler.horizon))
-        task["h"] = float(_pop(data, "h", path, _is_num, "a number",
-                               required=True))
-        task["tolerance"] = float(_pop(data, "tolerance", path, _is_num,
-                                       "a number", default=1e-6))
-        if task["h"] <= 0 or task["tolerance"] <= 0:
-            raise ConfigError(path, "h and tolerance must be positive")
-    elif kind == "check-integrability":
-        task["function"] = function_from_config(
-            _pop(data, "function", path, lambda v: True, "", required=True),
-            f"{path}.function", dim)
-    elif kind == "check-tempered":
-        task["r_max"] = float(_pop(data, "r_max", path, _is_num, "a number",
-                                   default=64.0))
-    elif kind == "classify-besov":
-        p_raw = _pop(data, "p", path,
-                     lambda v: _is_num(v) or v in ("inf", "infinity"),
-                     "a number or 'inf'", required=True)
-        task["p"] = math.inf if isinstance(p_raw, str) else float(p_raw)
-        task["tau"] = float(_pop(data, "tau", path, _is_num, "a number",
-                                 required=True))
-        task["rho_growth"] = float(_pop(data, "rho_growth", path, _is_num,
-                                        "a number", required=True))
-        alpha = _pop(data, "alpha", path, _is_num, "a number")
-        if alpha is None:
-            kern = chars.nu.kernel if chars.nu is not None else None
-            alpha = getattr(kern, "alpha", None)
-            if alpha is None:
-                raise ConfigError(f"{path}.alpha",
-                                  "required unless the kernel has a stability index")
-        task["alpha"] = float(alpha)
-    elif kind == "counterexample":
-        task["n"] = _pop(data, "n", path, _is_int, "an integer", default=10_000)
-        task["level"] = float(_pop(data, "level", path, _is_num, "a number",
-                                   default=0.01))
-        spec_kwargs = {}
-        trunc = _pop(data, "truncation", path, _is_int, "an integer")
-        if trunc is not None:
-            spec_kwargs["truncation"] = trunc
-        for key in ("set_a", "set_b"):
-            spans = _pop(data, key, path,
-                         lambda v: isinstance(v, list) and len(v) == 2
-                         and all(_is_num(c) for c in v),
-                         "a [lo, hi] pair")
-            if spans is not None:
-                spec_kwargs[key] = (float(spans[0]), float(spans[1]))
-        shared = _pop(data, "shared", path, lambda v: isinstance(v, bool),
-                      "a boolean")
-        if shared is not None:
-            spec_kwargs["shared"] = shared
-        try:
-            task["spec"] = OnbCounterexampleSpec(**spec_kwargs)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-        if task["n"] < 100:
-            raise ConfigError(f"{path}.n", "counterexample needs n >= 100")
+                          f"unknown task kind {kind!r}; known: {', '.join(TASKS)}")
+    task = {"kind": kind, **TASKS[kind][0](data, path, chars, sampler)}
     _finish(data, path)
     return task
 
@@ -358,22 +492,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a mapping")
     data = dict(raw)
-    schema = _pop(data, "schema", "<config>", _is_int, "an integer",
-                  required=True)
+    schema = _int(data, "schema", "<config>", required=True)
     if schema != SCHEMA_VERSION:
         raise ConfigError("<config>.schema",
                           f"unsupported schema version {schema}; this build "
                           f"reads version {SCHEMA_VERSION}")
-    seed = _pop(data, "seed", "<config>", _is_int, "an integer", required=True)
+    seed = _int(data, "seed", "<config>", required=True)
     output = _pop(data, "output", "<config>",
                   lambda v: isinstance(v, str) and v, "a nonempty string",
                   default="out")
-    chars = _parse_characteristics(
-        _pop(data, "characteristics", "<config>", lambda v: True, "",
-             required=True), "characteristics")
-    sampler = _parse_sampler(
-        _pop(data, "sampler", "<config>", lambda v: True, "", required=True),
-        "sampler", seed, chars.dim)
+    chars = _parse_characteristics(_any(data, "characteristics", "<config>"),
+                                   "characteristics")
+    sampler = _parse_sampler(_any(data, "sampler", "<config>"), "sampler",
+                             seed, chars.dim)
     tasks_raw = _pop(data, "tasks", "<config>",
                      lambda v: isinstance(v, list), "a list", default=[])
     _finish(data, "<config>")

@@ -520,6 +520,11 @@ class DiscreteJumps(JumpSizeDistribution):
         return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
 
 
+def _z_pdf(z):
+    """``z * phi(z)`` for the standard normal density, 0 at infinite ``z``."""
+    return z * _norm.pdf(z) if math.isfinite(z) else 0.0
+
+
 @dataclass(frozen=True)
 class NormalJumps(JumpSizeDistribution):
     mu: float = 0.0
@@ -557,7 +562,7 @@ class NormalJumps(JumpSizeDistribution):
         za, zb = (-c - self.mu) / self.sigma, (c - self.mu) / self.sigma
         dphi = _norm.pdf(zb) - _norm.pdf(za)
         dPhi = _norm.cdf(zb) - _norm.cdf(za)
-        zphi = zb * _norm.pdf(zb) - za * _norm.pdf(za)
+        zphi = _z_pdf(zb) - _z_pdf(za)
         return ((self.mu ** 2 + self.sigma ** 2) * dPhi
                 - 2.0 * self.mu * self.sigma * dphi - self.sigma ** 2 * zphi)
 

@@ -24,7 +24,7 @@ from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField
 from .kernels import StableKernel
 from .quadrature import box_integral
-from .regions import Box, Region
+from .regions import Region
 
 _CHUNK_JUMPS = 30_000_000  # keep transform temporaries a few hundred MB at most
 

@@ -12,6 +12,7 @@ import pytest
 
 import levyfield
 from levyfield.cli import main
+from levyfield.config import TASKS
 
 MINIMAL = """\
 schema: 1
@@ -117,6 +118,32 @@ tasks:
     rc = main(["run", cfg, "--output", str(tmp_path / "out")])
     assert rc == 1
     assert "not integrable" in capsys.readouterr().err
+
+
+def test_task_exceptions_fail_the_task_not_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("LEVY_FIELD_OUTPUT", raising=False)
+
+    def rejection_loop(*args):
+        raise RuntimeError("rejection sampler gave up")
+
+    def unimplemented(*args):
+        raise NotImplementedError()
+
+    monkeypatch.setitem(TASKS, "sheet", (TASKS["sheet"][0], rejection_loop))
+    monkeypatch.setitem(TASKS, "integrate",
+                        (TASKS["integrate"][0], unimplemented))
+    cfg = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    rc = main(["run", cfg, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "FAILED 01-sheet: RuntimeError: rejection sampler gave up" in err
+    assert "FAILED 02-integrate: NotImplementedError\n" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["00-sample-r0.bin", "00-sample-r0.jsonl",
+                                     "03-classify-besov.json", "manifest.json"]
+    assert sorted(os.listdir(out)) == manifest["artifacts"]
 
 
 def test_output_directory_precedence(tmp_path, monkeypatch):

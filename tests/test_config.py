@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from levyfield import StableKernel, preset
-from levyfield.config import (ConfigError, load_config, parse_config)
+from levyfield.config import TASKS, ConfigError, load_config, parse_config
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
                              PolynomialDecay, ProductBump, SimpleFunction)
 
@@ -55,6 +55,9 @@ def test_unknown_keys_carry_dotted_paths():
     assert "unknown keys: extra" in err(base(extra=1))
     msg = err(base(sampler={"window": [[0, 1]], "wat": True}))
     assert msg.startswith("sampler:") and "wat" in msg
+    # tasks draw their own replicate counts; the sampler block has none
+    msg = err(base(sampler={"window": [[0, 1]], "replicates": 3}))
+    assert msg == "sampler: unknown keys: replicates"
     msg = err(base(tasks=[{"kind": "sample", "oops": 1}]))
     assert msg.startswith("tasks[0]:") and "oops" in msg
     msg = err(base(tasks=[{"kind": "integrate",
@@ -170,6 +173,12 @@ def test_integrate_function_types():
         {"coef": 1.0, "region": [[0.5, 1.0]]}]})
     assert "tasks[0].function" in err(overlap)
     assert "unknown function type" in err(mk({"type": "mystery"}))
+    # constructor rejections surface as schema errors, not bare ValueErrors
+    msg = err(mk({"type": "gaussian", "center": [0.5], "scale": 0}))
+    assert msg == "tasks[0].function: scale must be positive"
+    assert "tasks[0].function:" in err(mk({"type": "decay", "r": 0.0}))
+    assert "tasks[0].function.center" in err(
+        mk({"type": "bump", "center": [0.1, 0.2], "radius": 0.3}))
 
 
 def test_sample_task_formats():
@@ -210,3 +219,11 @@ def test_readme_explicit_triple_example_parses():
     assert chars.nu.kernel == StableKernel(1.2, 0.7, 0.3)
     assert chars.nu.modulation.const == 1.0
     assert cfg.tasks[0]["kind"] == "sample"
+
+
+def test_readme_task_table_lists_every_kind():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("### Tasks\n", 1)[1].split("\n#", 1)[0]
+    kinds = re.findall(r"^\| `([a-z-]+)` \|", section, re.M)
+    assert kinds == list(TASKS)

@@ -1,0 +1,43 @@
+"""Every module-level import in the package is used by its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import levyfield
+
+PACKAGE = Path(levyfield.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: imported but unused: {unused}"
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom a import b, c as d\nprint(d)\n")
+    assert imported_names(tree) == {"os": 1, "b": 2, "d": 2}
+    assert set(imported_names(tree)) - used_names(tree) == {"os", "b"}

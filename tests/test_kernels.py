@@ -138,6 +138,15 @@ def test_normal_jumps_mean_annulus_vs_quad():
     assert d.mean_annulus(0.5, 2.0) == pytest.approx(want, rel=1e-8)
 
 
+def test_normal_second_moment_below_infinity_is_the_full_moment():
+    d = NormalJumps(0.4, 0.9)
+    assert d.second_moment_below(math.inf) == 0.4 ** 2 + 0.9 ** 2
+    kern = CompoundPoissonKernel(1.7, d)
+    with np.errstate(over="ignore"):  # 1/u overflows to inf by design here
+        assert np.isfinite(kern.compact_moment(1e-310))
+        assert np.all(np.isfinite(kern.compact_moment([1e-310, 1.0])))
+
+
 def test_uniform_jumps_second_moment_vs_quad():
     d = UniformJumps(-1.0, 3.0)
     want = spi.quad(lambda y: y * y / 4.0, -1.0, 2.0)[0]
