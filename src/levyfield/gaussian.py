@@ -7,8 +7,12 @@ sub-masses (m_l, m_r) is drawn from N(v m_l/m, m_l m_r/m) and the right share
 is defined as v minus the left share.  Additivity over the grid is therefore
 exact by construction, no matter how often the grid is refined.
 
-Refinement draws are consumed from the realization's dedicated stream in
-insertion order, so identical query sequences replay bit-identically.
+Refinement draws come from the realization's dedicated stream.  A query
+inserts its new planes one axis at a time, and per axis the draw order is
+ascending planes, coordinate-major over patches: for each new plane, the
+patches it is new to in window order, each filling its cells in C order.
+That order is the same whether the planes arrive one per query or all at
+once, so identical query sequences replay bit-identically.
 """
 
 from __future__ import annotations
@@ -60,79 +64,83 @@ class WhiteNoiseField:
             raise ValueError("gaussian intensity integrated to a negative mass")
         return max(m, 0.0)
 
-    def _cell_box(self, patch: dict, space_idx: tuple[int, ...]) -> Box:
-        axes = patch["axes"]
-        lo = tuple(axes[i + 1][j] for i, j in enumerate(space_idx))
-        hi = tuple(axes[i + 1][j + 1] for i, j in enumerate(space_idx))
-        return Box(lo, hi)
-
     # -- refinement ------------------------------------------------------
-    def _insert(self, axis: int, coord: float) -> None:
+    def _refine(self, axis: int, coords) -> None:
+        """Insert the planes ``coords`` along ``axis`` (0 is time) in every patch.
+
+        The normals come from one draw, ordered as inserting the planes one
+        at a time in ascending order would consume them (see the module
+        docstring).  Several new planes in one old cell split it in rounds,
+        the r-th new plane of every cell in round r, so each cell is still
+        split left to right.
+        """
+        coords = np.unique(np.asarray(coords, dtype=float))
+        fresh, per = [], []
         for patch in self._patches:
             planes = patch["axes"][axis]
-            if not planes[0] < coord < planes[-1]:
+            new = (coords > planes[0]) & (coords < planes[-1])
+            new[new] = planes[np.searchsorted(planes, coords[new])] != coords[new]
+            fresh.append(new)
+            per.append(patch["values"].size // patch["values"].shape[axis])
+        counts = (np.array(fresh, dtype=int).T * per).ravel()  # coordinate-major
+        if not counts.any():
+            return
+        draws = self._rng.standard_normal(int(counts.sum()))
+        starts = (np.cumsum(counts) - counts).reshape(coords.size, -1)
+        at, k = (slice(None),) * axis, axis - 1
+        closed_form = self._sigma.density.is_constant and not self._sigma.atoms
+        for n, (patch, mask) in enumerate(zip(self._patches, fresh)):
+            if not mask.any():
                 continue
-            j = int(np.searchsorted(planes, coord))
-            if planes[j] == coord:
-                continue
-            values = patch["values"]
-            sl = [slice(None)] * values.ndim
-            sl[axis] = slice(j - 1, j)
-            v = values[tuple(sl)]
-            if axis == 0:
-                t_lo, t_hi = planes[j - 1], planes[j]
-                frac = (coord - t_lo) / (t_hi - t_lo)
-                ratio = frac
-                var = patch["smass"][None, ...] * ((coord - t_lo) * (t_hi - coord)
-                                                   / (t_hi - t_lo))
-            else:
-                k = axis - 1
-                ssl = [slice(None)] * patch["smass"].ndim
-                ssl[k] = slice(j - 1, j)
-                sm = patch["smass"][tuple(ssl)]
-                dens = self._sigma.density
-                if dens.is_constant and not self._sigma.atoms:
-                    lo_c, hi_c = planes[j - 1], planes[j]
-                    sm_l = sm * ((coord - lo_c) / (hi_c - lo_c))
-                else:
-                    sm_l = np.empty_like(sm)
-                    for idx in np.ndindex(sm.shape):
-                        full = list(idx)
-                        full[k] = j - 1
-                        cell = self._cell_box(patch, tuple(full))
-                        left = Box(cell.lo,
-                                   tuple(coord if i == k else h
-                                         for i, h in enumerate(cell.hi)))
-                        sm_l[idx] = self._space_mass(left)
-                sm_r = sm - sm_l
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(sm > 0.0, sm_l / sm, 0.0)[None, ...]
-                    var = np.where(sm > 0.0, sm_l * sm_r / sm, 0.0)[None, ...]
+            planes, values, smass = patch["axes"][axis], patch["values"], patch["smass"]
+            z = draws[starts[mask, n][:, None] + np.arange(per[n])]
+            new = coords[mask]
+            j = np.searchsorted(planes, new)       # new[q] cuts old cell j[q] - 1
+            pos = j + np.arange(new.size)          # its index among the merged planes
+            merged = np.insert(planes, j, new)
+            rank = np.arange(new.size) - np.searchsorted(j, j)
+            lo, hi = merged[pos - 1], planes[j]    # the cell it cuts, after earlier rounds
+            grow = np.bincount(j - 1, minlength=planes.size - 1) + 1
+            rest = values.shape[:axis] + values.shape[axis + 1:]
+            z = np.moveaxis(z.reshape((new.size,) + rest), 0, axis)
+            values = np.repeat(values, grow, axis=axis)
+            if axis:
+                smass = np.repeat(smass, grow, axis=k)
                 dt = np.diff(patch["axes"][0]).reshape((-1,) + (1,) * (values.ndim - 1))
-                var = np.maximum(var, 0.0) * dt
-                new_smass = np.concatenate(
-                    [patch["smass"][tuple(_upto(k, j - 1, sm))], sm_l, sm_r,
-                     patch["smass"][tuple(_beyond(k, j, sm))]], axis=k)
-                patch["smass"] = new_smass
-            z = self._rng.standard_normal(v.shape)
-            v_left = v * ratio + np.sqrt(var) * z
-            v_right = v - v_left
-            before = [slice(None)] * values.ndim
-            before[axis] = slice(0, j - 1)
-            after = [slice(None)] * values.ndim
-            after[axis] = slice(j, None)
-            patch["values"] = np.concatenate(
-                [values[tuple(before)], v_left, v_right, values[tuple(after)]],
-                axis=axis)
-            patch["axes"][axis] = np.insert(planes, j, coord)
+            for r in range(int(rank.max()) + 1):
+                sel = np.flatnonzero(rank == r)
+                c, cl, ch, p = new[sel], lo[sel], hi[sel], pos[sel]
+                v = values[at + (p - 1,)]
+                if axis == 0:
+                    along = (-1,) + (1,) * smass.ndim
+                    ratio = ((c - cl) / (ch - cl)).reshape(along)
+                    var = smass[None, ...] * ((c - cl) * (ch - c) / (ch - cl)).reshape(along)
+                else:
+                    sm = smass[at[1:] + (p - 1,)]
+                    if closed_form:
+                        sm_l = sm * ((c - cl) / (ch - cl)).reshape((-1,) + (1,) * (sm.ndim - axis))
+                    else:
+                        sm_l = np.empty_like(sm)
+                        for idx in np.ndindex(sm.shape):
+                            cell = [(ax[i], ax[i + 1]) for ax, i in zip(patch["axes"][1:], idx)]
+                            cell[k] = (cl[idx[k]], c[idx[k]])
+                            sm_l[idx] = self._space_mass(Box(*zip(*cell)))
+                    sm_r = sm - sm_l
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ratio = np.where(sm > 0.0, sm_l / sm, 0.0)[None, ...]
+                        var = np.where(sm > 0.0, sm_l * sm_r / sm, 0.0)[None, ...]
+                    var = np.maximum(var, 0.0) * dt
+                    smass[at[1:] + (p - 1,)], smass[at[1:] + (p,)] = sm_l, sm_r
+                left = v * ratio + np.sqrt(var) * z[at + (sel,)]
+                values[at + (p - 1,)], values[at + (p,)] = left, v - left
+            patch["axes"][axis], patch["values"], patch["smass"] = merged, values, smass
 
     def _ensure_planes(self, t0: float, t1: float, boxes) -> None:
-        self._insert(0, t0)
-        self._insert(0, t1)
+        # box by box, so a query over several boxes keeps its draw order
+        self._refine(0, (t0, t1))
         for b in boxes:
             for i in range(b.dim):
-                self._insert(i + 1, b.lo[i])
-                self._insert(i + 1, b.hi[i])
+                self._refine(i + 1, (b.lo[i], b.hi[i]))
 
     # -- queries ---------------------------------------------------------
     def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> float:
@@ -166,8 +174,7 @@ class WhiteNoiseField:
             return np.zeros(shape)
         self._ensure_planes(t0, t1, (box,))
         for i, e in enumerate(edges):
-            for c in e:
-                self._insert(i + 1, float(c))
+            self._refine(i + 1, e)
         for patch in self._patches:
             if patch["box"].intersect(box) is None:
                 continue
@@ -189,14 +196,3 @@ class WhiteNoiseField:
 def _span(planes: np.ndarray, lo: float, hi: float) -> slice:
     return slice(int(np.searchsorted(planes, lo)), int(np.searchsorted(planes, hi)))
 
-
-def _upto(axis: int, j: int, ref: np.ndarray) -> tuple:
-    sl = [slice(None)] * ref.ndim
-    sl[axis] = slice(0, j)
-    return tuple(sl)
-
-
-def _beyond(axis: int, j: int, ref: np.ndarray) -> tuple:
-    sl = [slice(None)] * ref.ndim
-    sl[axis] = slice(j, None)
-    return tuple(sl)

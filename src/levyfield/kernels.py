@@ -65,6 +65,31 @@ def _quad(f, a, b, **kw):
     return val
 
 
+SMALL_CF_RTOL = 1e-10
+# Terms m = 1..12 of the cosine and sine series; at |c y| <= 1 the first
+# omitted term is below 1e-25 of the leading one.
+_M = np.arange(1, 13)
+_EVEN, _ODD, _SIGN = 2.0 * _M, 2.0 * _M + 1.0, (-1.0) ** _M
+_FACT_EVEN = np.array([math.factorial(2 * m) for m in _M], dtype=float)
+_FACT_ODD = np.array([math.factorial(2 * m + 1) for m in _M], dtype=float)
+
+
+def _quad_checked(f, a, b):
+    """``quad`` of a one-signed integrand to ``SMALL_CF_RTOL``, or ``ArithmeticError``."""
+    val, err, *_ = _sint.quad(f, a, b, limit=400, epsabs=0.0,
+                              epsrel=SMALL_CF_RTOL / 100, full_output=1)
+    if not err <= SMALL_CF_RTOL * abs(val):
+        raise ArithmeticError(f"quad on ({a:g}, {b:g}] reached error {err:.3g} "
+                              f"on a value of {val:.6g}")
+    return val
+
+
+def _reciprocal(u: np.ndarray) -> np.ndarray:
+    """``1/u`` elementwise for u >= 0; ``inf`` where it overflows (and at 0)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / u
+
+
 class JumpKernel:
     """Interface shared by all jump kernels."""
 
@@ -100,11 +125,12 @@ class JumpKernel:
         """``int (1 ^ |u y|^2) k(dy)``, vectorized over u."""
         u = np.abs(np.asarray(u, dtype=float))
         out = np.empty_like(u)
+        inv = _reciprocal(u)
         for i, ui in np.ndenumerate(u):
             if ui == 0.0:
                 out[i] = 0.0
             else:
-                r = 1.0 / ui
+                r = inv[i]
                 out[i] = ui * ui * self.second_moment_below(r) + self.tail_mass(r)
         return out if out.shape else float(out)
 
@@ -116,14 +142,15 @@ class JumpKernel:
         """
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
+        inv = _reciprocal(np.abs(v))
         for i, vi in np.ndenumerate(v):
             a = abs(vi)
             if a == 0.0 or a == 1.0:
                 out[i] = 0.0
             elif a < 1.0:
-                out[i] = self.annulus_first_moment(1.0, 1.0 / a)
+                out[i] = self.annulus_first_moment(1.0, inv[i])
             else:
-                out[i] = -self.annulus_first_moment(1.0 / a, 1.0)
+                out[i] = -self.annulus_first_moment(inv[i], 1.0)
         return out if out.shape else float(out)
 
     # --- characteristic-function integrand ------------------------------
@@ -160,9 +187,10 @@ class JumpKernel:
         """``G`` of an asymmetric kernel on an array of at least one dimension."""
         out = v * self.indicator_moment_diff(v)
         tp1, tn1 = self.tail_masses(1.0)
+        inv = _reciprocal(np.abs(v))
         for i, vi in np.ndenumerate(v):
             if vi != 0.0:
-                tp, tn = self.tail_masses(1.0 / abs(vi))
+                tp, tn = self.tail_masses(inv[i])
                 out[i] += np.sign(vi) * (tp - tn) - vi * (tp1 - tn1)
         return out
 
@@ -301,21 +329,29 @@ class StableKernel(JumpKernel):
         return full if full.shape else complex(full)
 
     def _small_cf_part(self, c_arr, eps):
-        """``int_{|y| <= eps} (e^{icy} - 1 - icy) k(dy)`` by quadrature."""
+        """``int_{|y| <= eps} (e^{icy} - 1 - icy) k(dy)``.
+
+        The Taylor series of the integrand integrates term by term over
+        ``(0, e]`` with ``e = min(eps, 1/|c|)``; beyond ``1/|c|`` the
+        integrand no longer cancels and ``quad`` takes ``(1/|c|, eps]``,
+        raising ``ArithmeticError`` when its error estimate exceeds
+        ``SMALL_CF_RTOL``.
+        """
         a, b, s = self.alpha, self.beta, self.scale
-        out = np.empty(np.shape(c_arr), dtype=complex)
-        for i, ci in np.ndenumerate(np.atleast_1d(c_arr)):
-            re = _quad(lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0), 0.0, eps)
+        c = np.asarray(c_arr, dtype=float).ravel()
+        e = eps / np.maximum(1.0, np.abs(c) * eps)
+        x = (c * e)[:, None]
+        re = a * e ** -a * (x ** _EVEN @ (_SIGN / (_FACT_EVEN * (_EVEN - a))))
+        im = a * e ** -a * (x ** _ODD @ (_SIGN / (_FACT_ODD * (_ODD - a))))
+        for i in np.flatnonzero(e < eps):
+            ci = float(c[i])
+            re[i] += _quad_checked(lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0),
+                                   1.0 / abs(ci), eps)
             if b != 0.0:
-                im = _quad(lambda y: (np.sin(ci * y) - ci * y) * a * y ** (-a - 1.0), 0.0, eps)
-            else:
-                im = 0.0
-            val = s * (re + 1j * b * im)
-            if out.shape:
-                out[i] = val
-            else:
-                return val
-        return out
+                im[i] += _quad_checked(lambda y: (np.sin(ci * y) - ci * y) * a * y ** (-a - 1.0),
+                                       1.0 / abs(ci), eps)
+        out = s * (re + 1j * b * im)
+        return out.reshape(np.shape(c_arr)) if np.ndim(c_arr) else complex(out[0])
 
     def laplace_integrand(self, u):
         if self.q != 0.0:
@@ -795,7 +831,7 @@ class TemperedStableKernel(JumpKernel):
     def compact_moment(self, u):
         u = np.abs(np.asarray(u, dtype=float))
         safe = np.where(u > 0, u, 1.0)
-        r = 1.0 / safe
+        r = _reciprocal(safe)
         a, th = self.alpha, self.cutoff
         small = self.scale * a * th ** (a - 2.0) * _gamma(2.0 - a) * _gammainc(2.0 - a, th * r)
         tail = self.scale * a * th ** a * upper_gamma(-a, th * r)

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def test_frames_round_trip_and_layout(tmp_path):
     assert np.array_equal(times, real.jump_times)
     assert np.array_equal(locs, real.jump_locations)
     assert np.array_equal(sizes, real.jump_sizes)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == FRAME_MAGIC
     d, n = struct.unpack_from("<IQ", raw, 4)
     assert d == 2 and n == real.jump_times.size
@@ -44,7 +45,7 @@ def test_jsonl_round_trip(tmp_path):
     records = [{"b": 1, "a": [1.5, None]}, {"x": "y"}]
     write_jsonl(path, records)
     assert read_jsonl(path) == records
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.splitlines()[0] == '{"a":[1.5,null],"b":1}'  # sorted, compact
 
 
@@ -70,7 +71,7 @@ def test_cf_csv_columns_and_flags(tmp_path):
     target = np.array([0.88 + 0.09j, 0.1 + 0.0j])
     write_cf_csv(path, u, emp, target, 0.02, np.array([0.001, 0.0]),
                  [True, False])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "u,re_emp,im_emp,re_analytic,im_analytic,tolerance,pass"
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.5 and cells[6] == "1"
@@ -83,7 +84,7 @@ def test_sheet_csv_lists_lattice_points(tmp_path):
     axes = [np.array([0.25, 0.5]), np.array([0.1, 0.2, 0.3])]
     values = np.arange(6.0).reshape(2, 3)
     write_sheet_csv(path, axes, values)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "x1,x2,value"
     assert len(lines) == 7
     assert [float(c) for c in lines[1].split(",")] == [0.25, 0.1, 0.0]
@@ -102,13 +103,13 @@ def test_manifest_contents_are_deterministic(tmp_path):
     path = str(tmp_path / "manifest.json")
     cfg = {"seed": 5, "schema": 1}
     write_manifest(path, cfg, ["b.csv", "a.jsonl"], {"numpy": "2.0"})
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     assert set(data) == {"config_hash", "seed", "artifacts", "versions"}
     assert data["artifacts"] == ["a.jsonl", "b.csv"]  # sorted
     assert data["seed"] == 5 and data["config_hash"] == config_hash(cfg)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     write_manifest(path, cfg, ["a.jsonl", "b.csv"], {"numpy": "2.0"})
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

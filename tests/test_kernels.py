@@ -1,6 +1,7 @@
 """Jump kernels: moments against quadrature, sampling against known laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,40 @@ def test_stable_cf_integrand_zero_frequency():
     assert k.cf_integrand(0.0) == 0.0
 
 
+def _small_cf_part_exact(a, c, eps):
+    """``int_0^eps (cos(cy) - 1, sin(cy) - cy) a y^(-a-1) dy`` in closed form."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, c, eps = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(eps)
+        z = -(c * eps) ** 2 / 4
+        re = -c ** 2 * eps ** (2 - a) / (2 * (2 - a)) \
+            * mpmath.hyp2f3(1, 1 - a / 2, 1.5, 2, 2 - a / 2, z)
+        im = -c ** 3 * eps ** (3 - a) / (6 * (3 - a)) \
+            * mpmath.hyp2f3(1, 1.5 - a / 2, 2, 2.5, 2.5 - a / 2, z)
+        return float(a * re), float(a * im)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (a, b) for a in (0.7, 1.0, 1.5, 1.9) for b in (0.0, 0.6, 1.0)
+    if a != 1.0 or b == 0.0])  # alpha = 1 is supported only symmetric
+def test_stable_small_cf_part_matches_closed_form(alpha, beta):
+    # the truncated-away part of the stable CF integrand, which sets the
+    # truncation bias that cf_match_test credits
+    k = StableKernel(alpha, (1 + beta) / 2, (1 - beta) / 2)
+    for eps in (1e-3, 1e-2, 0.5):
+        cs = np.array([1e-3, 0.3, 1.0, 2.0, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = k._small_cf_part(cs, eps)
+            assert k._small_cf_part(-cs[2], eps) == pytest.approx(np.conj(got[2]), rel=1e-14)
+        for c, g in zip(cs, got):
+            re, im = _small_cf_part_exact(alpha, c, eps)
+            assert g.real == pytest.approx(re, rel=1e-10), (c, eps)
+            assert g.imag == pytest.approx(beta * im, rel=1e-10, abs=0.0), (c, eps)
+    with pytest.raises(ArithmeticError, match="quad on"):
+        k._small_cf_part(np.array([1e6]), 0.5)  # 8e4 periods: quad gives up
+
+
 def test_stable_scale_image_pushforward():
     k = StableKernel(1.1, 0.7, 0.3)
     km = k.scale_image(-2.0)
@@ -142,9 +177,24 @@ def test_normal_second_moment_below_infinity_is_the_full_moment():
     d = NormalJumps(0.4, 0.9)
     assert d.second_moment_below(math.inf) == 0.4 ** 2 + 0.9 ** 2
     kern = CompoundPoissonKernel(1.7, d)
-    with np.errstate(over="ignore"):  # 1/u overflows to inf by design here
-        assert np.isfinite(kern.compact_moment(1e-310))
-        assert np.all(np.isfinite(kern.compact_moment([1e-310, 1.0])))
+    assert np.isfinite(kern.compact_moment(1e-310))
+    assert np.all(np.isfinite(kern.compact_moment([1e-310, 1.0])))
+
+
+@pytest.mark.parametrize("kern", [CompoundPoissonKernel(1.7, NormalJumps(0.4, 0.9)),
+                                  StableKernel(1.5, 0.8, 0.2),
+                                  TemperedStableKernel(1.2, 2.0)])
+def test_reciprocal_overflow_is_silent(kern):
+    # 1/u overflows to inf below ~1e-308; the kernel methods take that inf as
+    # the cutoff on purpose and must not warn on the way
+    u = np.array([1e-310, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = [kern.compact_moment(u), kern.indicator_moment_diff(u),
+                   kern.truncation_drift(u)]
+    for m in moments:
+        assert np.all(np.isfinite(m))
+    assert moments[0][1] == kern.compact_moment(1.0)
 
 
 def test_uniform_jumps_second_moment_vs_quad():

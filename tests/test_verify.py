@@ -10,7 +10,8 @@ import scipy.integrate as spi
 import levyfield.verify as lv
 from levyfield import (Characteristics, Density, Region, SamplerConfig,
                        preset, sample_field)
-from levyfield.characteristics import DriftComponent
+from levyfield.characteristics import (DiffusionComponent, DriftComponent,
+                                       JumpComponent)
 from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
@@ -102,6 +103,21 @@ def test_cf_match_path_route_for_smooth_integrand():
                         window=UNIT, eps=0.0, artifacts=art)
     assert rep.decision == "pass"
     assert art["per_u_pass"].all() and art["u"].shape == (2,)
+
+
+def test_cf_match_path_route_with_white_noise():
+    # drift, a Gaussian part and small stable jumps cut at eps: the path route
+    # pairs the bump with the refined white-noise mesh on every replicate
+    chars = Characteristics(1, gamma=DriftComponent(Density(0.2)),
+                            sigma=DiffusionComponent(Density(1.0)),
+                            nu=JumpComponent(StableKernel(1.5)))
+    f = ProductBump(center=(0.0,), radius=(0.5,))
+    art = {}
+    rep = cf_match_test(chars, f, 1.0, [0.5, 1.0, 2.0], 1000, seed=11,
+                        window=Region.from_intervals([(-1.0, 1.0)]), eps=0.01,
+                        artifacts=art)
+    assert rep.decision == "pass"
+    assert art["per_u_pass"].all() and np.all(art["bias"] > 0.0)
 
 
 def test_paired_evaluations_deterministic_and_additive():
