@@ -25,9 +25,9 @@ from .integrate import (CylindricalCharacteristics, IntegralValue,
                         NotIntegrableError, cylindrical_characteristics,
                         empirical_cf, integrate, integrate_simple)
 from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
-                      JumpSizeDistribution, NormalJumps, StableKernel,
-                      TabulatedKernel, TemperedStableKernel, UniformJumps,
-                      kernel_from_config, stable_symbol_constant)
+                      JumpSizeDistribution, NonConvergenceError, NormalJumps,
+                      StableKernel, TabulatedKernel, TemperedStableKernel,
+                      UniformJumps, kernel_from_config, stable_symbol_constant)
 from .presets import PRESET_NAMES, preset, spectrally_positive_scale
 from .regions import Box, Region, interval
 from .sampler import (FieldRealization, InfiniteActivityError, LevyItoSpec,

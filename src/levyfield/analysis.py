@@ -19,7 +19,7 @@ import numpy as np
 
 from .characteristics import Characteristics
 from .funcs import PolynomialDecay
-from .kernels import JumpKernel
+from .kernels import JumpKernel, NonConvergenceError
 from .quadrature import region_integral, shell_region
 from .regions import Box, Region
 
@@ -158,6 +158,8 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
             return MembershipResult("member", atoms, 0.0, note="empty effective domain")
         try:
             val, err = region_integral(integrand, bounded)
+        except NonConvergenceError as exc:
+            return MembershipResult("indeterminate", note=str(exc))
         except ArithmeticError:
             return MembershipResult("indeterminate",
                                     note="integrand not finite on the domain")
@@ -167,8 +169,11 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
         return MembershipResult("member", val + atoms, err)
 
     # Unbounded domain: core cube plus dyadic shells.
-    core_val, core_err = region_integral(
-        integrand, Region.from_box(Box((-1.0,) * chars.dim, (1.0,) * chars.dim)))
+    try:
+        core_val, core_err = region_integral(
+            integrand, Region.from_box(Box((-1.0,) * chars.dim, (1.0,) * chars.dim)))
+    except NonConvergenceError as exc:
+        return MembershipResult("indeterminate", note=f"core cube: {exc}")
     total, err = core_val + atoms, core_err
     shells: list[float] = []
     ratios: list[float] = []
@@ -176,6 +181,10 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
         try:
             sk, e = region_integral(integrand, shell_region(chars.dim, k))
             err += e
+        except NonConvergenceError as exc:
+            # an unsettled value is no evidence of divergence
+            return MembershipResult("indeterminate", shells=tuple(shells),
+                                    note=f"shell {k}: {exc}")
         except ArithmeticError:
             sk = np.inf
         shells.append(sk)

@@ -261,7 +261,7 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
                 nz = fx != 0.0
                 if nz.any():
                     with np.errstate(over="ignore"):  # s/|f| -> inf means tail 0
-                        out[nz] = np.array([kern.tail_mass(s / abs(v)) for v in fx[nz]])
+                        out[nz] = kern.tail_mass(s / np.abs(fx[nz]))
                 return out * chars.jump_modulation(x)
 
             tails[j], _ = quad(tail_at)

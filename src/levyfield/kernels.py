@@ -13,8 +13,13 @@ separately.  Four parametric families are provided:
 
 Every kernel exposes the handful of integrals the rest of the package needs
 (tail masses, truncated moments, characteristic-function integrands, the
-truncation drift and its supremum).  Where a closed form exists it is used; a
-quadrature fallback backs the generic case.
+truncation drift and its supremum).  Tails and truncated moments take scalar
+or array cuts, bit for bit alike, in closed form: powers (stable), incomplete
+gamma functions (tempered stable), atom sums, normal CDF or clipped
+polynomials (compound Poisson), Simpson's rule on linear pieces plus prefix
+sums (tabulated; its CF integrand is exact per piece too).  Quadrature is
+left only in the tempered-stable CF integrand, the stable small-jump CF
+beyond ``1/|c|`` and the normal jump law's CF tail.
 """
 
 from __future__ import annotations
@@ -24,13 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sint
-from scipy.special import gamma as _gamma, gammainc as _gammainc, gammaincc as _gammaincc
+from scipy.special import (exp1 as _exp1, gamma as _gamma, gammainc as _gammainc,
+                           gammaincc as _gammaincc, spherical_jn as _spherical_jn)
 from scipy.stats import norm as _norm
-
-from .quadrature import _rule
 
 SUP_TOL = 1e-9
 SUP_MAX_LEVEL = 11
+
+
+class NonConvergenceError(ArithmeticError):
+    """A refinement reached its level limit before successive levels agreed."""
 
 
 def stable_symbol_constant(alpha: float) -> float:
@@ -57,12 +65,9 @@ def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if s > 0:
         return _gamma(s) * _gammaincc(s, x)
+    if s == 0:
+        return _exp1(x)
     return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
-
-
-def _quad(f, a, b, **kw):
-    val, _ = _sint.quad(f, a, b, limit=400, **kw)
-    return val
 
 
 SMALL_CF_RTOL = 1e-10
@@ -90,49 +95,57 @@ def _reciprocal(u: np.ndarray) -> np.ndarray:
         return 1.0 / u
 
 
+def _pow(x, e):
+    """``x ** e`` by libm's ``pow`` for scalars and arrays (which overflow to inf silently)."""
+    if not isinstance(x, np.ndarray):
+        return x ** e
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.float_power(x, e)
+
+
+def _value(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return x if np.ndim(x) else float(x)
+
+
 class JumpKernel:
     """Interface shared by all jump kernels."""
 
     symmetric: bool = False
 
-    # --- densities -----------------------------------------------------
     def density(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # --- scalar integrals ----------------------------------------------
     def quad_mass(self) -> float:
         """``int (1 ^ y^2) k(dy)`` — the jump part of the control measure."""
         return self.second_moment_below(1.0) + self.tail_mass(1.0)
 
-    def tail_mass(self, c: float) -> float:
-        """``k({|y| > c})`` for c > 0."""
+    def tail_mass(self, c):
+        """``k({|y| > c})`` for c >= 0."""
         pos, neg = self.tail_masses(c)
         return pos + neg
 
-    def tail_masses(self, c: float) -> tuple[float, float]:
+    def tail_masses(self, c):
         """Masses of the positive and negative tails beyond ``c``."""
         raise NotImplementedError
 
-    def second_moment_below(self, c: float) -> float:
+    def second_moment_below(self, c):
         """``int_{|y| <= c} y^2 k(dy)``."""
         raise NotImplementedError
 
-    def annulus_first_moment(self, r1: float, r2: float) -> float:
+    def annulus_first_moment(self, r1, r2):
         """``int_{r1 < |y| <= r2} y k(dy)`` (signed), 0 < r1 < r2 <= inf."""
         raise NotImplementedError
 
     def compact_moment(self, u) -> np.ndarray:
         """``int (1 ^ |u y|^2) k(dy)``, vectorized over u."""
         u = np.abs(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        inv = _reciprocal(u)
-        for i, ui in np.ndenumerate(u):
-            if ui == 0.0:
-                out[i] = 0.0
-            else:
-                r = inv[i]
-                out[i] = ui * ui * self.second_moment_below(r) + self.tail_mass(r)
-        return out if out.shape else float(out)
+        out = np.zeros(u.shape)
+        live = u != 0.0
+        ul = u[live]
+        r = _reciprocal(ul)
+        out[live] = ul * ul * self.second_moment_below(r) + self.tail_mass(r)
+        return _value(out)
 
     def indicator_moment_diff(self, v) -> np.ndarray:
         """``int y (1{|v y| <= 1} - 1{|y| <= 1}) k(dy)``, vectorized over v.
@@ -141,19 +154,13 @@ class JumpKernel:
         away from the origin.
         """
         v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        inv = _reciprocal(np.abs(v))
-        for i, vi in np.ndenumerate(v):
-            a = abs(vi)
-            if a == 0.0 or a == 1.0:
-                out[i] = 0.0
-            elif a < 1.0:
-                out[i] = self.annulus_first_moment(1.0, inv[i])
-            else:
-                out[i] = -self.annulus_first_moment(inv[i], 1.0)
-        return out if out.shape else float(out)
+        a = np.abs(v)
+        out = np.zeros(v.shape)
+        inner, outer = (a > 0.0) & (a < 1.0), a > 1.0
+        out[inner] = self.annulus_first_moment(1.0, _reciprocal(a[inner]))
+        out[outer] = -self.annulus_first_moment(_reciprocal(a[outer]), 1.0)
+        return _value(out)
 
-    # --- characteristic-function integrand ------------------------------
     def cf_integrand(self, c, eps: float = 0.0) -> np.ndarray:
         """``int_{|y| > eps} (e^{i c y} - 1 - i c y 1{|y| <= 1}) k(dy)``.
 
@@ -170,7 +177,6 @@ class JumpKernel:
         """
         raise NotImplementedError
 
-    # --- drift correction -------------------------------------------------
     def truncation_drift(self, v) -> np.ndarray:
         """``G(v) = int (tau(v y) - v tau(y)) k(dy)`` with ``tau(y) = y ^ sgn(y)``.
 
@@ -187,64 +193,70 @@ class JumpKernel:
         """``G`` of an asymmetric kernel on an array of at least one dimension."""
         out = v * self.indicator_moment_diff(v)
         tp1, tn1 = self.tail_masses(1.0)
-        inv = _reciprocal(np.abs(v))
-        for i, vi in np.ndenumerate(v):
-            if vi != 0.0:
-                tp, tn = self.tail_masses(inv[i])
-                out[i] += np.sign(vi) * (tp - tn) - vi * (tp1 - tn1)
+        live = v != 0.0
+        vl = v[live]
+        tp, tn = self.tail_masses(_reciprocal(np.abs(vl)))
+        out[live] += np.sign(vl) * (tp - tn) - vl * (tp1 - tn1)
         return out
 
     def drift_sup(self, a0: np.ndarray, mod: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``sup_{0 <= v <= u} |a0 v + mod G(v)|`` elementwise over 1-d arrays.
 
         Generic route: the maximum over a dyadic grid of [0, u], refined until
-        successive levels agree to ``SUP_TOL``.
+        successive levels agree to ``SUP_TOL`` (at most to ``SUP_MAX_LEVEL``).
+        A grid settles on an interior maximum only quadratically, or stalls on
+        it, so rows whose best point is interior, or that still move, then zoom
+        in on it, 16 times finer a step, until steps agree, else
+        ``NonConvergenceError``.  A non-finite maximum is returned as is.
         """
         out = np.zeros_like(u)
         for start in range(0, u.size, 256):
-            sl = slice(start, start + 256)
+            a, b, w = a0[start:start + 256], mod[start:start + 256], u[start:start + 256]
             prev = None
-            cur = np.zeros(u[sl].shape)
             for m in range(4, SUP_MAX_LEVEL + 1):
-                c = np.linspace(0.0, 1.0, 2 ** m + 1)[1:]
-                v = u[sl, None] * c[None, :]
-                g = np.asarray(self.truncation_drift(v.ravel())).reshape(v.shape)
-                cur = np.abs(a0[sl, None] * v + mod[sl, None] * g).max(axis=1)
-                if prev is not None and np.all(np.abs(cur - prev) <= SUP_TOL * (1.0 + cur)):
+                cur, best = self._grid_sup(a, b, w[:, None] * np.linspace(0.0, 1.0, 2 ** m + 1)[1:])
+                moved = np.inf if prev is None else np.abs(cur - prev)
+                if np.all(moved <= SUP_TOL * (1.0 + cur)) or not np.all(np.isfinite(cur)):
                     break
                 prev = cur
-            out[sl] = cur
+            z = ((best < w) | ~(moved <= SUP_TOL * (1.0 + cur))) & np.isfinite(cur)
+            if z.any():
+                cur[z] = self._zoom_sup(a[z], b[z], w[z], best[z], cur[z], w[z] / 2.0 ** m)
+            out[start:start + 256] = cur
         return out
+
+    def _grid_sup(self, a0, mod, v):
+        """Row maxima of ``|a0 v + mod G(v)|`` over the grid rows of ``v``, and their points."""
+        g = np.asarray(self.truncation_drift(v.ravel())).reshape(v.shape)
+        h = np.abs(a0[:, None] * v + mod[:, None] * g)
+        at = (np.arange(v.shape[0]), h.argmax(axis=1))
+        return h[at], v[at]
+
+    def _zoom_sup(self, a0, mod, u, best, cur, width):
+        for _ in range(SUP_MAX_LEVEL):
+            v = np.clip(best[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 33), 0.0, u[:, None])
+            new, best = self._grid_sup(a0, mod, v)
+            moved = np.abs(new - cur)
+            if np.all(moved <= SUP_TOL * (1.0 + new)):
+                return new
+            cur, width = new, width / 16.0
+        raise NonConvergenceError(f"drift sup still moved by {np.max(moved):.3g} "
+                                  f"after {SUP_MAX_LEVEL} zoom steps")
 
     def abs_annulus_first_moment(self, c) -> np.ndarray:
         """``int_{1 < |y| <= c} |y| k(dy)`` for an array of cutoffs c >= 1."""
         c = np.asarray(c, dtype=float)
         out = np.zeros(c.shape)
         live = c > 1.0
-        if live.any():
-            out[live] = self._abs_annulus_first_moment(c[live])
+        out[live] = self._abs_annulus_first_moment(c[live])
         return out
 
-    def _abs_annulus_first_moment(self, c: np.ndarray) -> np.ndarray:
-        """``abs_annulus_first_moment`` on a 1-d array of cutoffs c > 1."""
-        out = np.empty(c.shape)
-        for i, ci in enumerate(c):
-            ci = float(ci)
-            tail_int, _ = _sint.quad(lambda s: float(self.tail_mass(s)), 1.0, ci, limit=200)
-            out[i] = float(self.tail_mass(1.0)) - ci * float(self.tail_mass(ci)) + tail_int
-        return out
-
-    # --- sampling --------------------------------------------------------
     def sample_tail(self, rng: np.random.Generator, n: int, eps: float) -> np.ndarray:
         """Draw n sizes from the kernel conditioned on ``|y| > eps``."""
         raise NotImplementedError
 
-    # --- structure -------------------------------------------------------
     def scale_image(self, c: float) -> "JumpKernel":
         """Pushforward of the kernel under ``y -> c y`` (c != 0)."""
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
         raise NotImplementedError
 
 
@@ -286,28 +298,24 @@ class StableKernel(JumpKernel):
         return np.where(y > 0, self.p * mag, np.where(y < 0, self.q * mag, 0.0))
 
     def tail_masses(self, c):
-        if c == 0.0:
+        if not isinstance(c, np.ndarray) and c == 0.0:
             return (math.inf if self.p else 0.0), (math.inf if self.q else 0.0)
-        t = self.scale * c ** (-self.alpha)
+        t = self.scale * _pow(c, -self.alpha)
+        if isinstance(c, np.ndarray):  # a side without mass stays 0 at c = 0
+            return tuple(w * t if w else np.zeros(t.shape) for w in (self.p, self.q))
         return self.p * t, self.q * t
 
     def second_moment_below(self, c):
         a = self.alpha
-        return self.scale * a / (2.0 - a) * c ** (2.0 - a)
+        return self.scale * a / (2.0 - a) * _pow(c, 2.0 - a)
 
     def annulus_first_moment(self, r1, r2):
         a, b = self.alpha, self.beta
         if b == 0.0:
-            return 0.0
-        if a == 1.0:  # unreachable: alpha = 1 forces symmetry
-            return self.scale * b * math.log(r2 / r1)
-        if np.isinf(r2):
-            if a <= 1.0:
-                raise ValueError("first tail moment diverges for alpha <= 1")
-            r2_term = 0.0
-        else:
-            r2_term = r2 ** (1.0 - a)
-        return self.scale * b * a / (1.0 - a) * (r2_term - r1 ** (1.0 - a))
+            return _value(np.zeros(np.broadcast(r1, r2).shape))
+        if a <= 1.0 and np.any(np.isinf(r2)):
+            raise ValueError("first tail moment diverges for alpha <= 1")
+        return self.scale * b * a / (1.0 - a) * (_pow(r2, 1.0 - a) - _pow(r1, 1.0 - a))
 
     def compact_moment(self, u):
         u = np.abs(np.asarray(u, dtype=float))
@@ -421,55 +429,40 @@ class StableKernel(JumpKernel):
 # --------------------------------------------------------------------------
 
 class JumpSizeDistribution:
-    """Proper probability law of a single jump (no mass at 0)."""
+    """Proper law of a single jump (no mass at 0); tails elementwise over cuts."""
 
     symmetric: bool = False
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def pdf(self, y):
+        """Lebesgue density; laws with atoms have none."""
         raise NotImplementedError
 
-    def pdf(self, y: float) -> float:
-        """Lebesgue density at a point; laws with atoms have none."""
-        raise NotImplementedError
-
-    def prob_tails(self, c: float) -> tuple[float, float]:
+    def prob_tails(self, c):
         """(P(Y > c), P(Y < -c))."""
         raise NotImplementedError
 
-    def mean_annulus(self, r1: float, r2: float) -> float:
-        """``E[Y; r1 < |Y| <= r2]``."""
+    def _partial_mean(self, lo, hi):
+        """``E[Y; lo < Y <= hi]``."""
         raise NotImplementedError
 
-    def second_moment_below(self, c: float) -> float:
+    def mean_annulus(self, r1, r2):
+        """``E[Y; r1 < |Y| <= r2]``."""
+        return _value(self._partial_mean(r1, r2) + self._partial_mean(-r2, -r1))
+
+    def abs_mean_annulus(self, r1, r2):
+        """``E[|Y|; r1 < |Y| <= r2]``."""
+        return _value(self._partial_mean(r1, r2) - self._partial_mean(-r2, -r1))
+
+    def second_moment_below(self, c):
         """``E[Y^2; |Y| <= c]``."""
         raise NotImplementedError
 
-    def char_fn(self, c) -> np.ndarray:
-        raise NotImplementedError
-
     def char_fn_tail(self, c, eps: float) -> np.ndarray:
-        """``E[e^{icY} 1{|Y| > eps}]``, by quadrature against ``pdf``."""
-        out = np.empty(np.shape(c), dtype=complex)
-        for i, ci in np.ndenumerate(np.atleast_1d(c)):
-            re = _quad(lambda y: np.cos(ci * y) * self.pdf(y), eps, np.inf) \
-                + _quad(lambda y: np.cos(ci * y) * self.pdf(y), -np.inf, -eps)
-            im = _quad(lambda y: np.sin(ci * y) * self.pdf(y), eps, np.inf) \
-                + _quad(lambda y: np.sin(ci * y) * self.pdf(y), -np.inf, -eps)
-            val = re + 1j * im
-            if out.shape:
-                out[i] = val
-            else:
-                return val
-        return out
+        """``E[e^{icY} 1{|Y| > eps}]``."""
+        raise NotImplementedError
 
     def mgf_neg(self, u) -> np.ndarray:
         """``E[e^{-u Y}]`` for u >= 0."""
-        raise NotImplementedError
-
-    def scale_image(self, c: float) -> "JumpSizeDistribution":
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
         raise NotImplementedError
 
     def sample_tail(self, rng, n, eps):
@@ -482,6 +475,15 @@ class JumpSizeDistribution:
             block = self.sample(rng, max(64, int(1.3 * (n - out.size) / acc)))
             out = np.concatenate([out, block[np.abs(block) > eps]])
         return out[:n]
+
+
+def _window_sum(w, x, lo, hi):
+    """``w[(x > lo) & (x <= hi)].sum()`` per array cut, each atom set summed once."""
+    s = np.unique(x)
+    table = np.array([[w[(x >= a) & (x <= b)].sum() for b in np.append(-np.inf, s)]
+                      for a in np.append(s, np.inf)])
+    return _value(table[np.searchsorted(s, lo, side="right"),
+                        np.searchsorted(s, hi, side="right")])
 
 
 @dataclass(frozen=True)
@@ -513,19 +515,28 @@ class DiscreteJumps(JumpSizeDistribution):
         v, p = self._arr()
         return rng.choice(v, size=n, p=p)
 
+    # scalar cuts (the sampler's hot path) sum their atoms directly
     def prob_tails(self, c):
         v, p = self._arr()
-        return float(p[v > c].sum()), float(p[v < -c].sum())
+        if not isinstance(c, np.ndarray):
+            return float(p[v > c].sum()), float(p[v < -c].sum())
+        return _window_sum(p, v, c, np.inf), _window_sum(p, -v, c, np.inf)
 
     def mean_annulus(self, r1, r2):
         v, p = self._arr()
-        m = (np.abs(v) > r1) & (np.abs(v) <= r2)
-        return float((v * p)[m].sum())
+        if not isinstance(r1, np.ndarray) and not isinstance(r2, np.ndarray):
+            return float((v * p)[(np.abs(v) > r1) & (np.abs(v) <= r2)].sum())
+        return _window_sum(v * p, np.abs(v), r1, r2)
+
+    def abs_mean_annulus(self, r1, r2):
+        v, p = self._arr()
+        return _window_sum(np.abs(v) * p, np.abs(v), r1, r2)
 
     def second_moment_below(self, c):
         v, p = self._arr()
-        m = np.abs(v) <= c
-        return float((v * v * p)[m].sum())
+        if not isinstance(c, np.ndarray):
+            return float((v * v * p)[np.abs(v) <= c].sum())
+        return _window_sum(v * v * p, np.abs(v), -np.inf, c)
 
     def char_fn(self, c):
         v, p = self._arr()
@@ -556,11 +567,6 @@ class DiscreteJumps(JumpSizeDistribution):
         return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
 
 
-def _z_pdf(z):
-    """``z * phi(z)`` for the standard normal density, 0 at infinite ``z``."""
-    return z * _norm.pdf(z) if math.isfinite(z) else 0.0
-
-
 @dataclass(frozen=True)
 class NormalJumps(JumpSizeDistribution):
     mu: float = 0.0
@@ -582,29 +588,39 @@ class NormalJumps(JumpSizeDistribution):
 
     def prob_tails(self, c):
         d = _norm(self.mu, self.sigma)
-        return float(d.sf(c)), float(d.cdf(-c))
+        return _value(d.sf(c)), _value(d.cdf(-c))
 
     def _partial_mean(self, a, b):
         # E[Y; a < Y <= b] for a normal, via the standard truncated identities.
         za, zb = (a - self.mu) / self.sigma, (b - self.mu) / self.sigma
-        return self.mu * (_norm.cdf(zb) - _norm.cdf(za)) - self.sigma * (
-            _norm.pdf(zb) - _norm.pdf(za))
-
-    def mean_annulus(self, r1, r2):
-        return self._partial_mean(r1, r2) + self._partial_mean(-r2, -r1)
+        with np.errstate(over="ignore"):  # phi(z) at huge |z| is 0
+            return self.mu * (_norm.cdf(zb) - _norm.cdf(za)) - self.sigma * (
+                _norm.pdf(zb) - _norm.pdf(za))
 
     def second_moment_below(self, c):
-        # E[Y^2; -c < Y <= c] from the second truncated moment.
+        # E[Y^2; -c < Y <= c] from the second truncated moment; z phi(z) is 0 at infinite z
         za, zb = (-c - self.mu) / self.sigma, (c - self.mu) / self.sigma
-        dphi = _norm.pdf(zb) - _norm.pdf(za)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dphi = _norm.pdf(zb) - _norm.pdf(za)
+            zphi = (np.where(np.isfinite(zb), zb * _norm.pdf(zb), 0.0)
+                    - np.where(np.isfinite(za), za * _norm.pdf(za), 0.0))
         dPhi = _norm.cdf(zb) - _norm.cdf(za)
-        zphi = _z_pdf(zb) - _z_pdf(za)
-        return ((self.mu ** 2 + self.sigma ** 2) * dPhi
-                - 2.0 * self.mu * self.sigma * dphi - self.sigma ** 2 * zphi)
+        return _value((self.mu ** 2 + self.sigma ** 2) * dPhi
+                      - 2.0 * self.mu * self.sigma * dphi - self.sigma ** 2 * zphi)
 
     def char_fn(self, c):
         c = np.asarray(c, dtype=float)
         return np.exp(1j * c * self.mu - 0.5 * (self.sigma * c) ** 2)
+
+    def char_fn_tail(self, c, eps):
+        """``char_fn`` less its smooth part on [-eps, eps], one ``quad_vec``."""
+        c = np.asarray(c, dtype=float)
+        inner, _, info = _sint.quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
+                                        epsabs=1e-13, epsrel=1e-11, full_output=True)
+        if not info.success:
+            raise ArithmeticError(f"quad_vec on [-{eps:g}, {eps:g}]: {info.message}")
+        out = self.char_fn(c) - inner
+        return out if np.ndim(c) else complex(out)
 
     def mgf_neg(self, u):
         u = np.asarray(u, dtype=float)
@@ -637,30 +653,20 @@ class UniformJumps(JumpSizeDistribution):
         return rng.uniform(self.a, self.b, n)
 
     def pdf(self, y):
-        return (1.0 / self._len()) * float(self.a <= y <= self.b)
+        return _value(np.where((self.a <= y) & (y <= self.b), 1.0 / self._len(), 0.0))
 
     def prob_tails(self, c):
-        pos = max(0.0, self.b - max(self.a, c)) / self._len()
-        neg = max(0.0, min(self.b, -c) - self.a) / self._len()
-        return pos, neg
+        pos = np.maximum(0.0, self.b - np.maximum(self.a, c)) / self._len()
+        neg = np.maximum(0.0, np.minimum(self.b, -c) - self.a) / self._len()
+        return _value(pos), _value(neg)
 
-    def _mean_piece(self, lo, hi):
-        lo, hi = max(self.a, lo), min(self.b, hi)
-        if lo >= hi:
-            return 0.0
-        return 0.5 * (hi * hi - lo * lo) / self._len()
-
-    def mean_annulus(self, r1, r2):
-        return self._mean_piece(r1, r2) + self._mean_piece(-r2, -r1)
-
-    def _m2_piece(self, lo, hi):
-        lo, hi = max(self.a, lo), min(self.b, hi)
-        if lo >= hi:
-            return 0.0
-        return (hi ** 3 - lo ** 3) / (3.0 * self._len())
+    def _partial_mean(self, lo, hi):
+        lo, hi = np.clip(lo, self.a, self.b), np.clip(hi, self.a, self.b)
+        return np.where(lo < hi, 0.5 * (hi * hi - lo * lo) / self._len(), 0.0)
 
     def second_moment_below(self, c):
-        return self._m2_piece(-c, c)
+        lo, hi = np.clip(-c, self.a, self.b), np.clip(c, self.a, self.b)
+        return _value(np.where(lo < hi, (_pow(hi, 3) - _pow(lo, 3)) / (3.0 * self._len()), 0.0))
 
     def char_fn(self, c):
         c = np.asarray(c, dtype=float)
@@ -670,6 +676,15 @@ class UniformJumps(JumpSizeDistribution):
             (np.exp(1j * flat * self.b) - np.exp(1j * flat * self.a))
             / np.where(flat == 0.0, 1.0, 1j * flat * self._len()))
         return res.reshape(np.shape(c)) if np.ndim(c) else complex(res[0])
+
+    def char_fn_tail(self, c, eps):
+        """``(1/L) int e^{icy} dy`` off [-eps, eps]: ``2h j0(ch) e^{icm}`` per piece [m-h, m+h]."""
+        c = np.asarray(c, dtype=float)
+        out = np.zeros(c.shape, dtype=complex)
+        for lo, hi in ((max(self.a, eps), self.b), (self.a, min(self.b, -eps))):
+            h = 0.5 * max(hi - lo, 0.0)
+            out += 2.0 * h * _spherical_jn(0, c * h) * np.exp(0.5j * c * (lo + hi)) / self._len()
+        return out if np.ndim(c) else complex(out)
 
     def mgf_neg(self, u):
         u = np.asarray(u, dtype=float)
@@ -701,13 +716,6 @@ class CompoundPoissonKernel(JumpKernel):
     def symmetric(self) -> bool:
         return self.jumps.symmetric
 
-    @property
-    def total_mass(self) -> float:
-        return self.rate
-
-    def density(self, y):
-        raise NotImplementedError("compound-Poisson kernels may carry atoms; no density")
-
     def tail_masses(self, c):
         pos, neg = self.jumps.prob_tails(c)
         return self.rate * pos, self.rate * neg
@@ -721,14 +729,10 @@ class CompoundPoissonKernel(JumpKernel):
     def cf_integrand(self, c, eps: float = 0.0):
         c = np.asarray(c, dtype=float)
         if eps == 0.0:
-            val = self.rate * (self.jumps.char_fn(c) - 1.0) \
-                - 1j * c * self.rate * self.jumps.mean_annulus(0.0, 1.0)
-        else:
-            # drop jumps of size <= eps entirely
-            phi_tail = self.jumps.char_fn_tail(c, eps)
-            p_tail = sum(self.jumps.prob_tails(eps))
-            val = self.rate * (phi_tail - p_tail) \
-                - 1j * c * self.rate * self.jumps.mean_annulus(eps, 1.0)
+            phi, mass = self.jumps.char_fn(c), 1.0
+        else:  # drop jumps of size <= eps entirely
+            phi, mass = self.jumps.char_fn_tail(c, eps), sum(self.jumps.prob_tails(eps))
+        val = self.rate * (phi - mass) - 1j * c * self.rate * self.jumps.mean_annulus(eps, 1.0)
         return val if np.ndim(c) else complex(val)
 
     def laplace_integrand(self, u):
@@ -765,12 +769,7 @@ class CompoundPoissonKernel(JumpKernel):
         return np.abs(a0[:, None] * cand + mod[:, None] * g).max(axis=1)
 
     def _abs_annulus_first_moment(self, c):
-        if not isinstance(self.jumps, DiscreteJumps):
-            return super()._abs_annulus_first_moment(c)
-        sizes, probs = self.jumps._arr()
-        v = np.abs(sizes)
-        sel = (v[None, :] > 1.0) & (v[None, :] <= c[:, None])
-        return self.rate * (sel * (v * probs)[None, :]).sum(axis=1)
+        return self.rate * self.jumps.abs_mean_annulus(1.0, c)
 
     def sample_tail(self, rng, n, eps):
         return self.jumps.sample_tail(rng, n, eps)
@@ -813,20 +812,26 @@ class TemperedStableKernel(JumpKernel):
                             * np.exp(-self.cutoff * mag), 0.0)
 
     def tail_masses(self, c):
-        if c == 0.0:
-            return math.inf, math.inf
         a, th = self.alpha, self.cutoff
-        t = self.scale * 0.5 * a * th ** a * float(upper_gamma(-a, th * c))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = np.where(c == 0.0, math.inf, upper_gamma(-a, th * c))
+        t = self.scale * 0.5 * a * th ** a * _value(g)
         return t, t
 
     def second_moment_below(self, c):
         a, th = self.alpha, self.cutoff
         # int_0^c y^{1-alpha} e^{-th y} dy, two sides
         low = _gamma(2.0 - a) * _gammainc(2.0 - a, th * c)
-        return self.scale * a * th ** (a - 2.0) * float(low)
+        return self.scale * a * th ** (a - 2.0) * _value(low)
 
     def annulus_first_moment(self, r1, r2):
-        return 0.0  # symmetric
+        return _value(np.zeros(np.broadcast(r1, r2).shape))  # symmetric
+
+    def _abs_annulus_first_moment(self, c):
+        # a int_1^c y^{-alpha} e^{-th y} dy, two sides
+        a, th = self.alpha, self.cutoff
+        return self.scale * a * th ** (a - 1.0) * (
+            upper_gamma(1.0 - a, th) - upper_gamma(1.0 - a, th * c))
 
     def compact_moment(self, u):
         u = np.abs(np.asarray(u, dtype=float))
@@ -844,8 +849,8 @@ class TemperedStableKernel(JumpKernel):
         out = np.empty(c_arr.shape, dtype=complex)
         for i, ci in enumerate(c_arr):
             f = lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0) * np.exp(-th * y)
-            v = _quad(f, max(eps, 0.0), 1.0) if eps < 1.0 else 0.0
-            v += _quad(f, max(eps, 1.0), np.inf)
+            v = _sint.quad(f, max(eps, 0.0), 1.0, limit=400)[0] if eps < 1.0 else 0.0
+            v += _sint.quad(f, max(eps, 1.0), np.inf, limit=400)[0]
             out[i] = self.scale * v  # symmetric: purely real
         return out if np.ndim(c) else complex(out[0])
 
@@ -893,70 +898,83 @@ class TabulatedKernel(JumpKernel):
             raise ValueError("grid must be strictly increasing")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite and nonnegative")
-        for a, b in zip(grid[:-1], grid[1:]):
-            if a < 0 < b:
-                raise ValueError("a segment may not straddle 0; add a grid point at 0")
-        self.grid = grid
-        self.values = values
-        self._seg_mass = self._segment_integrals(lambda y: np.ones_like(y))
-        if not np.all(np.isfinite(self._seg_mass)):
+        if np.any((grid[:-1] < 0) & (grid[1:] > 0)):
+            raise ValueError("a segment may not straddle 0; add a grid point at 0")
+        self.grid, self.values = grid, values
+        # prefix sums of int y^k f(y) dy over whole segments, k = 0, 1, 2
+        seg = [self._piece(grid[:-1], grid[1:], k) for k in range(3)]
+        self._prefix = np.concatenate([np.zeros((3, 1)), np.cumsum(seg, axis=1)], axis=1)
+        if not np.all(np.isfinite(self._prefix)):
             raise ValueError("tabulated kernel has non-integrable segments")
-
-    symmetric = False
-
-    def _segment_integrals(self, f, order: int = 16):
-        """Integral of f * density per segment with Gauss-Legendre of ``order``."""
-        nodes, weights = _rule(order)
-        a, b = self.grid[:-1], self.grid[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ys = mid[:, None] + half[:, None] * nodes[None, :]
-        dens = self._interp(ys)
-        return (f(ys) * dens * weights[None, :]).sum(axis=1) * half
 
     def _interp(self, y):
         return np.interp(y, self.grid, self.values, left=0.0, right=0.0)
 
-    def density(self, y):
-        return self._interp(np.asarray(y, dtype=float))
+    def _piece(self, p, q, k):
+        """``int_p^q y^k f(y) dy``, k <= 2, f linear on [p, q]: Simpson, exact."""
+        fp, fq = self._interp(p), self._interp(q)
+        m = 0.5 * (p + q)
+        return (q - p) / 6.0 * (p ** k * fp + 2.0 * m ** k * (fp + fq) + q ** k * fq)
+
+    def _between(self, lo, hi, k):
+        """``int_{lo < y <= hi} y^k f(y) dy`` elementwise (0 where hi <= lo)."""
+        g = self.grid
+        lo = np.clip(lo, g[0], g[-1])
+        hi = np.clip(hi, lo, g[-1])
+        i = np.clip(np.searchsorted(g, lo, side="right") - 1, 0, g.size - 2)
+        j = np.clip(np.searchsorted(g, hi, side="left") - 1, 0, g.size - 2)
+        # when lo and hi lie in different segments, whole ones lie between
+        out = (self._piece(lo, np.minimum(hi, g[i + 1]), k)
+               + np.where(j > i, self._prefix[k, j] - self._prefix[k, i + 1]
+                          + self._piece(g[j], hi, k), 0.0))
+        return _value(out)
+
+    density = _interp
 
     def tail_masses(self, c):
-        pos = float(self._segment_integrals(lambda y: (y > c).astype(float)).sum())
-        neg = float(self._segment_integrals(lambda y: (y < -c).astype(float)).sum())
-        return pos, neg
+        return self._between(c, np.inf, 0), self._between(-np.inf, -c, 0)
 
     def second_moment_below(self, c):
-        return float(self._segment_integrals(
-            lambda y: y * y * (np.abs(y) <= c)).sum())
+        return self._between(-c, c, 2)
 
     def annulus_first_moment(self, r1, r2):
-        hi = np.inf if not np.isfinite(r2) else r2
-        return float(self._segment_integrals(
-            lambda y: y * ((np.abs(y) > r1) & (np.abs(y) <= hi))).sum())
+        return self._between(r1, r2, 1) + self._between(-r2, -r1, 1)
+
+    def _abs_annulus_first_moment(self, c):
+        return self._between(1.0, c, 1) - self._between(-c, -1.0, 1)
 
     def cf_integrand(self, c, eps: float = 0.0):
-        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-        out = np.empty(c_arr.shape, dtype=complex)
-        for i, ci in enumerate(c_arr):
-            def f(y):
-                keep = np.abs(y) > eps
-                return keep * (np.exp(1j * ci * y) - 1.0 - 1j * ci * y * (np.abs(y) <= 1.0))
-            out[i] = self._segment_integrals(f, 32).sum()
-        return out if np.ndim(c) else complex(out[0])
+        """Exact on the pieces between grid points, ``±eps`` and ``±1``: with
+        midpoint m, half-width h, density f_m at m and slope s, ``int e^{icy} f
+        = 2h e^{icm} (f_m j0(ch) + i s h j1(ch))`` (spherical Bessel j0, j1)."""
+        cuts = np.clip([-1.0, -eps, eps, 1.0], self.grid[0], self.grid[-1])
+        pts = np.union1d(self.grid, cuts)
+        m, h = 0.5 * (pts[1:] + pts[:-1]), 0.5 * (pts[1:] - pts[:-1])
+        m, h = m[np.abs(m) > eps], h[np.abs(m) > eps]
+        fp, fq = self._interp(m - h), self._interp(m + h)
+        fm, slope = 0.5 * (fp + fq), (fq - fp) / (2.0 * h)
+        cc = np.asarray(c, dtype=float)[..., None]
+        full = 2.0 * h * np.exp(1j * cc * m) * (fm * _spherical_jn(0, cc * h)
+                                                + 1j * slope * h * _spherical_jn(1, cc * h))
+        mass = 2.0 * h * fm
+        first = m * mass + slope * 2.0 * h ** 3 / 3.0
+        out = (full - mass - 1j * cc * first * (np.abs(m) < 1.0)).sum(axis=-1)
+        return out if np.ndim(c) else complex(out)
 
     def sample_tail(self, rng, n, eps):
-        masses = self._segment_integrals(
-            lambda y: (np.abs(y) > eps).astype(float))
+        # the part of each segment beyond eps (segments keep one sign)
+        a, b = self.grid[:-1], self.grid[1:]
+        lo = np.where(a >= 0.0, np.clip(eps, a, b), a)
+        hi = np.where(a >= 0.0, b, np.clip(-eps, a, b))
+        masses = self._piece(lo, hi, 0)
         total = masses.sum()
         if total <= 0:
             raise ValueError(f"no tabulated mass beyond {eps}")
         seg = rng.choice(masses.size, size=n, p=masses / total)
+        lo, hi = lo[seg], hi[seg]
         # within a segment, draw by rejection against the max of the density
-        lo = np.maximum(self.grid[:-1][seg], np.where(self.grid[:-1][seg] >= 0, eps, -np.inf))
-        hi = np.minimum(self.grid[1:][seg], np.where(self.grid[1:][seg] <= 0, -eps, np.inf))
-        lo = np.where(np.abs(lo) < eps, np.copysign(eps, hi), lo)
-        hi = np.where(np.abs(hi) < eps, np.copysign(eps, lo), hi)
         out = np.empty(n)
-        cap = np.maximum(self._interp(self.grid[:-1]), self._interp(self.grid[1:]))
+        cap = np.maximum(self.values[:-1], self.values[1:])
         todo = np.arange(n)
         while todo.size:
             y = rng.uniform(lo[todo], hi[todo])

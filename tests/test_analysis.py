@@ -1,6 +1,7 @@
 """Modular/membership machinery, temperedness, stationarity, Besov rules."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ import scipy.integrate as spi
 
 from levyfield import (Characteristics, Density, JumpComponent, Region,
                        StableKernel, preset)
-from levyfield.analysis import (UndefinedDensityError, besov_classify,
+from levyfield.analysis import (TemperedResult, UndefinedDensityError, besov_classify,
                                 drift_correction_sup, lm_membership,
                                 modular_integrand, phi_m, stationarity_check,
                                 tempered_test)
 from levyfield.characteristics import Atom, DriftComponent
 from levyfield.funcs import GaussianFunction, PolynomialDecay, ProductBump
-from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
-                               UniformJumps)
+from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
+                               NonConvergenceError, TabulatedKernel, UniformJumps)
+from levyfield.verify import embedding_inequality_check
 
 
 def test_truncation_drift_vanishes_for_symmetric_kernels():
@@ -95,6 +97,83 @@ def test_drift_sup_matches_brute_force_discrete():
     brute = np.abs(0.4 * grid + kern.truncation_drift(grid)).max()
     got = float(drift_correction_sup(chars, np.array([[0.0]]), u)[0])
     assert got == pytest.approx(brute, rel=1e-12)
+
+
+def test_drift_sup_zooms_in_on_an_interior_maximum():
+    # a dyadic grid settles on a smooth interior maximum only quadratically,
+    # or stalls (two levels with the same maximum, 3e-7 low here)
+    kern = CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.7))
+    u = np.array([0.8, 1.1, 1.4, 1.9])
+    got = kern.drift_sup(np.full(4, 0.4), np.ones(4), u)
+    for ui, g in zip(u, got):
+        grid = np.linspace(0.0, ui, 2_000_001)
+        brute = np.abs(0.4 * grid + kern.truncation_drift(grid)).max()
+        assert g == pytest.approx(brute, rel=1e-9)
+
+
+class UnsettledKernel(JumpKernel):
+    """Unit mass whose truncation drift below v = 0.1 flips sign at every call.
+
+    With drift density 1 the sup of ``|v + G(v)|`` over [0, u] sits at the
+    endpoint for u > 0.11 and settles at once; for smaller u each finer grid,
+    dyadic or zoomed, sees the other drift, so the refinement never settles.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def quad_mass(self):
+        return 1.0
+
+    def compact_moment(self, u):
+        return np.minimum(1.0, np.asarray(u, dtype=float) ** 2)
+
+    def truncation_drift(self, v):
+        self.calls += 1
+        return np.where(v < 0.1, (-1.0) ** self.calls * 0.1 * v, 0.0)
+
+
+UNSETTLED = Characteristics(1, gamma=DriftComponent(Density(1.0)),
+                            nu=JumpComponent(UnsettledKernel()))
+
+
+def test_drift_sup_reports_non_convergence():
+    kern = UNSETTLED.nu.kernel
+    ones = np.ones(3)
+    settled = kern.drift_sup(ones, ones, np.array([0.2, 0.5, 2.0]))
+    assert settled == pytest.approx([0.2, 0.5, 2.0], rel=1e-15)
+    u = np.linspace(0.02, 0.09, 40)
+    with pytest.raises(NonConvergenceError, match="after 11 zoom steps") as info:
+        kern.drift_sup(np.ones(u.size), np.ones(u.size), u)
+    assert isinstance(info.value, ArithmeticError)
+
+
+def test_unsettled_drift_sup_makes_membership_indeterminate():
+    # before: the shell loop read any ArithmeticError as a divergent shell
+    res = lm_membership(UNSETTLED, PolynomialDecay(1.0, dim=1))
+    assert res.verdict == "indeterminate" and len(res.shells) == 1
+    assert res.note.startswith("shell 1: drift sup still moved by")
+    res = lm_membership(UNSETTLED, PolynomialDecay(4.0, dim=1))
+    assert res.verdict == "indeterminate" and res.note.startswith("core cube: ")
+    res = lm_membership(UNSETTLED, PolynomialDecay(1.0, dim=1), Region.from_intervals([(2.5, 3.5)]))
+    assert res.verdict == "indeterminate" and "drift sup" in res.note
+    assert tempered_test(UNSETTLED, r_max=1.0).attempts == ((0.5, "indeterminate"),
+                                                           (1.0, "indeterminate"))
+
+
+def test_unsettled_drift_sup_makes_embedding_check_indeterminate():
+    rep = embedding_inequality_check(UNSETTLED, ProductBump(center=(0.0,), radius=(0.5,)))
+    assert rep.decision == "indeterminate" and "drift sup" in rep.notes[0]
+
+
+def test_tempered_test_on_a_one_sided_tabulated_kernel_is_prompt():
+    # once a hang: every tail of the generic drift sup was a scalar call
+    chars = Characteristics(1, gamma=DriftComponent(Density(0.3)),
+                            nu=JumpComponent(TabulatedKernel([0, 1, 2], [1, 1, 0])))
+    start = time.perf_counter()
+    res = tempered_test(chars)
+    assert time.perf_counter() - start < 2.0
+    assert isinstance(res, TemperedResult) and res.tempered
 
 
 def test_phi_m_symmetric_stable_is_the_stable_power():

@@ -11,6 +11,7 @@ import scipy.stats as sps
 from levyfield import (CompoundPoissonKernel, DiscreteJumps, NormalJumps,
                        StableKernel, TabulatedKernel, TemperedStableKernel,
                        UniformJumps, kernel_from_config, stable_symbol_constant)
+from levyfield.kernels import upper_gamma
 
 
 def stable_density(y, alpha, p, q, scale=1.0):
@@ -266,6 +267,85 @@ def test_tabulated_kernel_moments_vs_quad():
         spi.quad(lambda y: y * y * dens(y), 0.5, 1.2)[0], rel=1e-6)
     assert tab.annulus_first_moment(1.0, 2.0) == pytest.approx(
         spi.quad(lambda y: y * dens(y), 1.0, 2.0)[0], rel=1e-6)
+    # cuts inside a segment (the grid step is 0.05)
+    for c in (1.05, 1.07):
+        assert tab.tail_mass(c) == pytest.approx(
+            spi.quad(lambda y: dens(y), c, 2.5)[0], rel=1e-6)
+    assert tab.second_moment_below(0.77) == pytest.approx(
+        spi.quad(lambda y: y * y * dens(y), 0.5, 0.77)[0], rel=1e-6)
+    assert tab.annulus_first_moment(0.77, 1.93) == pytest.approx(
+        spi.quad(lambda y: y * dens(y), 0.77, 1.93)[0], rel=1e-6)
+
+
+TAB = TabulatedKernel([-2.0, -0.5, 0.0, 0.3, 1.4], [0.2, 1.0, 2.0, 0.5, 0.1])
+
+
+def _tab_integral(g, lo, hi):
+    """``int_lo^hi g(y) f(y) dy`` for TAB's density: 64-point Gauss-Legendre
+    on each piece between its grid points and ±1, where ``g f`` is smooth."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    cuts = np.union1d([lo, hi], [p for p in (*TAB.grid, -1.0, 1.0) if lo < p < hi])
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        y = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        dens = np.interp(y, TAB.grid, TAB.values, left=0.0, right=0.0)
+        total += 0.5 * (b - a) * np.sum(weights * np.vectorize(g)(y) * dens)
+    return total
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.3, 0.77, 1.0, 1.9, 3.0])
+def test_tabulated_kernel_closed_forms_are_exact(c):
+    pos, neg = TAB.tail_masses(c)
+    assert pos == pytest.approx(_tab_integral(lambda y: 1.0, c, 1.4), rel=1e-12, abs=1e-15)
+    assert neg == pytest.approx(_tab_integral(lambda y: 1.0, -2.0, -c), rel=1e-12, abs=1e-15)
+    assert TAB.second_moment_below(c) == pytest.approx(
+        _tab_integral(lambda y: y * y, -c, c), rel=1e-12, abs=1e-15)
+    assert TAB.annulus_first_moment(c, c + 0.9) == pytest.approx(
+        _tab_integral(lambda y: y, c, c + 0.9) + _tab_integral(lambda y: y, -c - 0.9, -c),
+        rel=1e-12, abs=1e-15)
+    cut = 1.0 + c
+    assert TAB.abs_annulus_first_moment(np.array([cut]))[0] == pytest.approx(
+        _tab_integral(abs, 1.0, cut) + _tab_integral(abs, -cut, -1.0), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.6])
+def test_tabulated_cf_integrand_is_exact(eps):
+    for c in (1e-3, 0.4, 3.0, -25.0):
+        def part(trig):
+            def g(y):
+                small = 1.0 if abs(y) <= 1.0 else 0.0
+                return trig(c * y) - (1.0 if trig is math.cos else c * y * small)
+            return (_tab_integral(g, -2.0, -eps) if eps < 2.0 else 0.0) \
+                + _tab_integral(g, eps, 1.4)
+        got = TAB.cf_integrand(c, eps)
+        assert got.real == pytest.approx(part(math.cos), rel=1e-9, abs=1e-14)
+        assert got.imag == pytest.approx(part(math.sin), rel=1e-9, abs=1e-14)
+    got = TAB.cf_integrand(np.array([[0.4, 3.0]]), eps)
+    assert got.shape == (1, 2) and got[0, 1] == TAB.cf_integrand(3.0, eps)
+
+
+def test_tabulated_tail_sampler_segment_masses():
+    # only mass beyond eps is drawn, split over segments as the density says
+    y = TAB.sample_tail(np.random.default_rng(4), 4000, 0.25)
+    assert np.all(np.abs(y) > 0.25)
+    share = TAB.tail_masses(0.25)[1] / TAB.tail_mass(0.25)
+    assert sps.binomtest(int((y < 0).sum()), y.size, share).pvalue > 0.01
+
+
+def _piecewise_linear_cdf(grid, vals):
+    """CDF of the normalised piecewise-linear density through (grid, vals):
+    on segment i, ``F_i + v_i s + (v_{i+1} - v_i) s^2 / (2 h_i)`` at offset s."""
+    h = np.diff(grid)
+    seg = 0.5 * h * (vals[:-1] + vals[1:])
+    total = seg.sum()
+    start = np.concatenate([[0.0], np.cumsum(seg)])
+
+    def cdf(t):
+        t = np.clip(np.asarray(t, dtype=float), grid[0], grid[-1])
+        i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, h.size - 1)
+        s = t - grid[i]
+        return (start[i] + vals[i] * s + (vals[i + 1] - vals[i]) * s * s / (2.0 * h[i])) / total
+    return cdf
 
 
 def test_tabulated_kernel_sample_tail_distribution():
@@ -273,9 +353,10 @@ def test_tabulated_kernel_sample_tail_distribution():
     vals = np.maximum(0.0, 1.0 - np.abs(grid - 1.5))
     tab = TabulatedKernel(grid, vals)
     y = tab.sample_tail(np.random.default_rng(21), 20000, 0.0)
-    dens = lambda t: np.interp(t, grid, vals, left=0.0, right=0.0)
-    cdf = lambda t: np.array([spi.quad(dens, 0.5, ti)[0] for ti in np.atleast_1d(t)])
-    stat = sps.kstest(y, lambda t: cdf(t))
+    cdf = _piecewise_linear_cdf(grid, vals)
+    assert cdf(1.5) == pytest.approx(0.5, abs=1e-15)
+    assert cdf(2.5) == pytest.approx(1.0, abs=1e-15) and cdf(0.5) == 0.0
+    stat = sps.kstest(y, cdf)
     assert stat.pvalue > 0.01
 
 
@@ -291,3 +372,176 @@ def test_kernel_config_round_trip(kern):
     for c in (0.2, 1.0, 3.0):
         assert back.tail_mass(c) == pytest.approx(kern.tail_mass(c), rel=1e-12)
     assert back.quad_mass() == pytest.approx(kern.quad_mass(), rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# array-valued tails and moments: an array of cuts gives the scalar results
+# --------------------------------------------------------------------------
+
+ARRAY_KERNELS = [
+    StableKernel(1.2, 0.7, 0.3, scale=2.0), StableKernel(1.2, 1.0, 0.0),
+    StableKernel(0.8, 0.7, 0.3),
+    CompoundPoissonKernel(1.3, DiscreteJumps((2.0, -0.5, 0.3), (0.5, 0.3, 0.2))),
+    CompoundPoissonKernel(1.1, DiscreteJumps(tuple(np.linspace(-3.1, 2.9, 10)),
+                                             tuple(np.full(10, 0.1)))),
+    CompoundPoissonKernel(1.7, NormalJumps(0.4, 0.9)),
+    CompoundPoissonKernel(2.3, UniformJumps(0.4, 1.9)),
+    CompoundPoissonKernel(1.0, UniformJumps(-1.0, 3.0)),
+    TemperedStableKernel(0.7, cutoff=2.0, scale=1.3), TemperedStableKernel(1.5, 1.0),
+    TAB,
+]
+CUTS = [0.0, 1e-3, 0.1, 0.5, 0.77, 1.0, 1.05, 1.5, 1.9, 2.0, 3.7, 10.0, math.inf]
+
+
+def _same_bits(arr, scalars):
+    return np.asarray(arr, dtype=float).tobytes() == np.array(scalars, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kern", ARRAY_KERNELS, ids=lambda k: type(k).__name__)
+def test_array_cuts_give_the_scalar_results_bit_for_bit(kern):
+    c = np.array(CUTS)
+    for name in ("tail_mass", "second_moment_below"):
+        scalars = [getattr(kern, name)(x) for x in CUTS]
+        assert all(type(x) is float for x in scalars), name
+        assert _same_bits(getattr(kern, name)(c), scalars), name
+    pos, neg = kern.tail_masses(c)
+    assert _same_bits(pos, [kern.tail_masses(x)[0] for x in CUTS])
+    assert _same_bits(neg, [kern.tail_masses(x)[1] for x in CUTS])
+    r1 = c[1:-1]
+    for r2 in (2.0, math.inf):
+        if r2 == math.inf and isinstance(kern, StableKernel) and kern.alpha <= 1.0:
+            continue
+        want = [kern.annulus_first_moment(x, r2) if x < r2 else None for x in r1]
+        got = kern.annulus_first_moment(r1, r2)
+        assert _same_bits(got[r1 < r2], [w for w in want if w is not None])
+    assert _same_bits(kern.annulus_first_moment(1.0, r1[r1 > 1.0]),
+                      [kern.annulus_first_moment(1.0, x) for x in r1[r1 > 1.0]])
+
+
+def _generic(kern):
+    """Kernels whose compact moment and truncation drift are JumpKernel's own."""
+    return isinstance(kern, TabulatedKernel) or (
+        isinstance(kern, CompoundPoissonKernel) and not isinstance(kern.jumps, DiscreteJumps))
+
+
+@pytest.mark.parametrize("kern", [k for k in ARRAY_KERNELS if _generic(k)],
+                         ids=lambda k: type(k).__name__)
+def test_generic_moments_match_the_per_cut_formulas(kern):
+    # compact_moment, indicator_moment_diff and the truncation drift are
+    # single masked expressions; each element equals its own scalar formula
+    u = np.array([0.0, 1e-310, 0.05, 0.3, 0.77, 1.0, 1.3, 4.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / u
+    want = [0.0 if x == 0.0 else x * x * kern.second_moment_below(r) + kern.tail_mass(r)
+            for x, r in zip(u, inv)]
+    assert _same_bits(kern.compact_moment(u), want)
+    v, inv = np.concatenate([-u[1:], u]), np.concatenate([inv[1:], inv])
+    diff = [0.0 if a in (0.0, 1.0) else
+            kern.annulus_first_moment(1.0, r) if a < 1.0 else -kern.annulus_first_moment(r, 1.0)
+            for a, r in zip(np.abs(v), inv)]
+    assert _same_bits(kern.indicator_moment_diff(v), diff)
+    tp1, tn1 = kern.tail_masses(1.0)
+    drift = [x * d + (0.0 if x == 0.0 else np.sign(x) * (kern.tail_masses(r)[0]
+                                                          - kern.tail_masses(r)[1])
+                      - x * (tp1 - tn1))
+             for x, d, r in zip(v, diff, inv)]
+    assert _same_bits(kern.truncation_drift(v), drift)
+
+
+@pytest.mark.parametrize("law", [DiscreteJumps((2.0, -0.5, 0.3, 0.5), (0.4, 0.3, 0.2, 0.1)),
+                                 NormalJumps(0.4, 0.9), UniformJumps(0.4, 1.9),
+                                 UniformJumps(-1.0, 3.0)], ids=lambda d: type(d).__name__)
+def test_jump_laws_take_arrays(law):
+    c = np.array(CUTS)
+    pos, neg = law.prob_tails(c)
+    assert _same_bits(pos, [law.prob_tails(x)[0] for x in CUTS])
+    assert _same_bits(neg, [law.prob_tails(x)[1] for x in CUTS])
+    assert _same_bits(law.second_moment_below(c),
+                      [law.second_moment_below(x) for x in CUTS])
+    for name in ("mean_annulus", "abs_mean_annulus"):
+        f = getattr(law, name)
+        assert _same_bits(f(c[:-1], c[1:]), [f(a, b) for a, b in zip(CUTS[:-1], CUTS[1:])])
+        assert all(type(f(a, 2.0)) is float for a in CUTS[:3])
+    if isinstance(law, DiscreteJumps):
+        assert law.abs_mean_annulus(0.4, 2.0) == pytest.approx(2 * .4 + .5 * .3 + .5 * .1)
+    else:
+        y = np.array([-1.5, -1.0, 0.0, 0.4, 1.0, 1.9, 2.5])
+        assert _same_bits(law.pdf(y), [law.pdf(x) for x in y])
+
+
+def test_uniform_pdf_is_array_valued():
+    law = UniformJumps(-1.0, 3.0)
+    np.testing.assert_array_equal(law.pdf(np.array([[-2.0, -1.0], [3.0, 3.5]])),
+                                  [[0.0, 0.25], [0.25, 0.0]])
+    assert law.pdf(0.5) == 0.25 and type(law.pdf(0.5)) is float
+
+
+def _uniform_tail_cf_exact(a, b, c, eps):
+    """``(1/(b-a)) int e^{icy} dy`` over ``[a, b]`` less ``[-eps, eps]``, 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, c, eps = (mpmath.mpf(x) for x in (a, b, c, eps))
+        total = mpmath.mpf(0)
+        for lo, hi in ((max(a, eps), b), (a, min(b, -eps))):
+            if lo < hi:
+                total += mpmath.quad(lambda y: mpmath.exp(1j * c * y), [lo, hi])
+        return complex(total / (b - a))
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, 3.0), (0.4, 1.9), (-2.5, -0.2)])
+def test_uniform_char_fn_tail_closed_form(a, b):
+    law = UniformJumps(a, b)
+    cs = np.array([0.0, 1e-6, 0.3, -2.0, 7.0, 150.0])
+    for eps in (0.0, 0.01, 0.5, 5.0):
+        got = law.char_fn_tail(cs, eps)
+        for c, g in zip(cs, got):
+            want = _uniform_tail_cf_exact(a, b, c, eps)
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (c, eps)
+        assert law.char_fn_tail(float(cs[3]), eps) == got[3]
+
+
+def test_normal_char_fn_tail_vs_quad():
+    law = NormalJumps(0.3, 1.2)
+    cs = np.array([0.0, 0.3, -2.0, 7.0])
+    for eps in (0.01, 0.5):
+        got = law.char_fn_tail(cs, eps)
+        for c, g in zip(cs, got):
+            def part(trig):
+                f = lambda y: trig(c * y) * sps.norm.pdf(y, 0.3, 1.2)
+                return (spi.quad(f, eps, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
+                        + spi.quad(f, -np.inf, -eps, epsabs=1e-14, epsrel=1e-12)[0])
+            assert abs(g - (part(np.cos) + 1j * part(np.sin))) <= 1e-10, (c, eps)
+
+
+def test_tempered_stable_alpha_one_and_abs_annulus():
+    # Gamma(0, x) is the exponential integral; the recurrence alone divides by 0
+    assert upper_gamma(0.0, 0.7) == pytest.approx(
+        spi.quad(lambda t: math.exp(-t) / t, 0.7, np.inf, epsabs=0, epsrel=1e-13)[0], rel=1e-12)
+    k = TemperedStableKernel(1.0, cutoff=2.0, scale=1.3)
+    dens = lambda t: 1.3 * 0.5 * t ** -2.0 * math.exp(-2.0 * t)
+    assert k.tail_mass(0.5) == pytest.approx(
+        2 * spi.quad(dens, 0.5, np.inf, epsabs=0, epsrel=1e-12)[0], rel=1e-10)
+    for kern in (k, TemperedStableKernel(0.7, cutoff=2.0, scale=1.3),
+                 TemperedStableKernel(1.5, 1.0)):
+        c = np.array([1.0, 1.05, 2.0, 10.0, np.inf])
+        got = kern.abs_annulus_first_moment(c)
+        for ci, g in zip(c, got):
+            want = 2 * spi.quad(lambda t: t * kern.density(np.array([t]))[0], 1.0, ci,
+                                epsabs=0, epsrel=1e-12, limit=200)[0]
+            assert g == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+def test_compound_poisson_abs_annulus_closed_forms():
+    # uniform: rate/L (int over [a,b] n (1,c] of y - int over [a,b] n [-c,-1) of y)
+    k = CompoundPoissonKernel(3.0, UniformJumps(-2.0, 3.0))
+    c = np.array([1.0, 1.5, 2.5, 3.0, 4.0])
+    want = [3.0 / 5.0 * (0.5 * (min(ci, 3.0) ** 2 - 1.0) + 0.5 * (min(ci, 2.0) ** 2 - 1.0))
+            for ci in c]
+    np.testing.assert_allclose(k.abs_annulus_first_moment(c), want, rtol=1e-15)
+    n = CompoundPoissonKernel(1.7, NormalJumps(0.4, 0.9))
+    got = n.abs_annulus_first_moment(np.array([1.5, np.inf]))
+    for ci, g in zip((1.5, np.inf), got):
+        want = sum(spi.quad(lambda y: abs(y) * sps.norm.pdf(y, 0.4, 0.9), lo, hi,
+                            epsabs=0, epsrel=1e-13)[0]
+                   for lo, hi in ((1.0, ci), (-ci, -1.0)))
+        assert g == pytest.approx(1.7 * want, rel=1e-12)
