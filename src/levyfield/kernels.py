@@ -96,9 +96,12 @@ def _reciprocal(u: np.ndarray) -> np.ndarray:
 
 
 def _pow(x, e):
-    """``x ** e`` by libm's ``pow`` for scalars and arrays (which overflow to inf silently)."""
+    """``x ** e`` by libm's ``pow`` for scalars and arrays; overflow gives inf silently."""
     if not isinstance(x, np.ndarray):
-        return x ** e
+        try:
+            return float(x) ** e
+        except OverflowError:
+            return math.inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.float_power(x, e)
 
@@ -301,9 +304,9 @@ class StableKernel(JumpKernel):
         if not isinstance(c, np.ndarray) and c == 0.0:
             return (math.inf if self.p else 0.0), (math.inf if self.q else 0.0)
         t = self.scale * _pow(c, -self.alpha)
-        if isinstance(c, np.ndarray):  # a side without mass stays 0 at c = 0
+        if isinstance(c, np.ndarray):  # a side without mass stays 0 where t is inf
             return tuple(w * t if w else np.zeros(t.shape) for w in (self.p, self.q))
-        return self.p * t, self.q * t
+        return (self.p * t if self.p else 0.0), (self.q * t if self.q else 0.0)
 
     def second_moment_below(self, c):
         a = self.alpha
@@ -669,13 +672,10 @@ class UniformJumps(JumpSizeDistribution):
         return _value(np.where(lo < hi, (_pow(hi, 3) - _pow(lo, 3)) / (3.0 * self._len()), 0.0))
 
     def char_fn(self, c):
+        """``e^{icm} j0(cL/2)``, m the midpoint: no cancellation at small c."""
         c = np.asarray(c, dtype=float)
-        flat = np.atleast_1d(c)
-        res = np.where(
-            flat == 0.0, 1.0 + 0.0j,
-            (np.exp(1j * flat * self.b) - np.exp(1j * flat * self.a))
-            / np.where(flat == 0.0, 1.0, 1j * flat * self._len()))
-        return res.reshape(np.shape(c)) if np.ndim(c) else complex(res[0])
+        res = np.exp(0.5j * c * (self.a + self.b)) * _spherical_jn(0, 0.5 * c * self._len())
+        return res if np.ndim(c) else complex(res)
 
     def char_fn_tail(self, c, eps):
         """``(1/L) int e^{icy} dy`` off [-eps, eps]: ``2h j0(ch) e^{icm}`` per piece [m-h, m+h]."""

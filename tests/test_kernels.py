@@ -500,6 +500,38 @@ def test_uniform_char_fn_tail_closed_form(a, b):
         assert law.char_fn_tail(float(cs[3]), eps) == got[3]
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, 3.0), (0.4, 1.9), (-2.5, -0.2)])
+def test_uniform_char_fn_has_no_small_frequency_cancellation(a, b):
+    # (e^{icb} - e^{ica})/(icL) lost 1.3e-5 relative at c = 1e-6 on U(-2.5, -0.2)
+    law = UniformJumps(a, b)
+    for c in (1e-8, 1e-6, 1e-3, 1.0, 50.0):
+        want = law.char_fn_tail(c, 0.0)
+        assert abs(law.char_fn(c) - want) <= 1e-14 * abs(want), c
+    assert law.char_fn(0.0) == 1
+    cs = np.array([0.0, 1e-6, 50.0])
+    np.testing.assert_array_equal(law.char_fn(cs), [law.char_fn(c) for c in cs])
+
+
+@pytest.mark.parametrize("kernel, method, cut", [
+    (StableKernel(1.2, 0.7, 0.3), "tail_mass", 1e-310),
+    (StableKernel(0.8, 0.7, 0.3), "second_moment_below", 1e300)])
+def test_stable_overflowing_cut_is_inf_for_every_cut_type(kernel, method, cut):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert getattr(kernel, method)(cut) == math.inf
+        assert getattr(kernel, method)(np.float64(cut)) == math.inf
+        np.testing.assert_array_equal(getattr(kernel, method)(np.array([cut])), [math.inf])
+
+
+def test_one_sided_stable_tail_stays_empty_at_an_overflowing_cut():
+    k = StableKernel(1.2, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cut in (1e-310, np.float64(1e-310), np.array([1e-310])):
+            pos, neg = k.tail_masses(cut)
+            assert np.all(pos == math.inf) and np.all(neg == 0.0)
+
+
 def test_normal_char_fn_tail_vs_quad():
     law = NormalJumps(0.3, 1.2)
     cs = np.array([0.0, 0.3, -2.0, 7.0])

@@ -2,6 +2,7 @@
 embedding bound, stationary increments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,73 @@ def test_independence_test_null_planted_degenerate():
         independence_test(x[:50], y[:50])
     with pytest.raises(ValueError):
         independence_test(x, y[:400])
+
+
+def _mean_distances(v):
+    return np.array([np.abs(v - vi).mean() for vi in v])
+
+
+def _dense_dcov(x, z):
+    """The V-statistic from double-centred distance matrices, built in row blocks."""
+    mx, mz = _mean_distances(x), _mean_distances(z)
+    total = 0.0
+    for lo in range(0, x.size, 250):
+        s = slice(lo, lo + 250)
+        a = np.abs(x[s, None] - x) - mx[s, None] - mx + mx.mean()
+        b = np.abs(z[s, None] - z) - mz[s, None] - mz + mz.mean()
+        total += (a * b).sum()
+    return total / x.size ** 2
+
+
+@pytest.mark.parametrize("n", [100, 257, 600, 2000])
+def test_dcov_v_statistics_match_the_dense_reference(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_t(1.5, n)
+    y = 0.3 * x + rng.standard_t(1.5, n)
+    rows = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(3)])
+    for xx, yy in ((x, y), (x, np.round(y)), (np.round(x), np.round(y))):
+        scale = _mean_distances(xx).mean() * _mean_distances(yy).mean()
+        got = lv._dcov_v_statistics(xx, yy, rows)
+        for stat, row in zip(got, rows):
+            assert abs(stat - _dense_dcov(xx, yy[row])) <= 1e-10 * scale
+
+
+def _dense_pvalue(x, y, *, permutations, seed, max_points):
+    """The permutation loop on dense matrices, with independence_test's draws."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
+    if x.size > max_points:
+        idx = rng.choice(x.size, size=max_points, replace=False)
+        x, y = x[idx], y[idx]
+    obs = _dense_dcov(x, y)
+    exceed = sum(_dense_dcov(x, y[rng.permutation(x.size)]) >= obs
+                 for _ in range(permutations))
+    return (1.0 + exceed) / (1.0 + permutations)
+
+
+@pytest.mark.parametrize("max_points", [2000, 250])
+def test_independence_test_pvalues_equal_the_dense_loop(max_points):
+    rng = np.random.default_rng(3)
+    x = rng.standard_t(1.5, 400)
+    for y in (0.05 * x + rng.standard_t(1.5, 400), np.round(rng.standard_normal(400))):
+        for seed in (1, 2):
+            rep = independence_test(x, y, permutations=100, seed=seed,
+                                    max_points=max_points)
+            assert rep.statistic == _dense_pvalue(x, y, permutations=100, seed=seed,
+                                                  max_points=max_points)
+
+
+def test_independence_test_memory_is_linear_in_n():
+    # one 4000 x 4000 float64 matrix is 128 MB
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(4000), rng.standard_normal(4000)
+    tracemalloc.start()
+    try:
+        rep = independence_test(x, y, max_points=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.sample_size == 4000 and rep.decision in ("pass", "fail")
+    assert peak < 32 * 2 ** 20
 
 
 def test_cf_match_simple_function_null(monkeypatch):
