@@ -403,16 +403,32 @@ class StableKernel(JumpKernel):
         return mass * a * (c ** (1.0 - a) - 1.0) / (1.0 - a)
 
     def sample_tail(self, rng, n, eps):
+        """Inverse-CDF map of n uniforms; a side without mass gets no jumps."""
         u = rng.random(n)
+        inv = -1.0 / self.alpha
         if self.symmetric:
-            w = 2.0 * u - 1.0
-            mag = eps * np.abs(w) ** (-1.0 / self.alpha)
-            return np.copysign(mag, w)
-        w = u - self.p
-        v = np.abs(w) * np.where(w < 0.0, 1.0 / self.p, 1.0 / self.q)
-        np.clip(v, np.finfo(float).tiny, 1.0, out=v)
-        mag = eps * v ** (-1.0 / self.alpha)
-        return np.copysign(mag, -w)
+            # |2(u - 1/2)|^(-1/a) * eps with the factor 2 folded into the scale;
+            # a = 3/2 avoids np.power: |c|^(-2/3) = 1 / cbrt(c^2).
+            scale = eps * 2.0 ** inv
+            u -= 0.5
+            if self.alpha == 1.5:
+                mag = np.multiply(u, u)
+                np.maximum(mag, 1e-300, out=mag)
+                np.cbrt(mag, out=mag)
+                np.divide(scale, mag, out=mag)
+            else:
+                mag = np.abs(u)
+                np.maximum(mag, 1e-300, out=mag)
+                np.power(mag, inv, out=mag)
+                mag *= scale
+            return np.copysign(mag, u, out=mag)
+        p, q = self.p, self.q
+        sgn = p - u
+        v = np.where(sgn > 0.0, sgn / max(p, 1e-300), -sgn / max(q, 1e-300))
+        np.clip(v, 1e-300, 1.0, out=v)
+        np.power(v, inv, out=v)
+        v *= eps
+        return np.copysign(v, sgn)
 
     def scale_image(self, c):
         if c == 0.0:

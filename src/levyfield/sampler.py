@@ -9,8 +9,12 @@ white noise of matching variance.
 
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
-to segment sums of transformed uniforms, which is what makes 1e5 replicates
-of an alpha = 1.5 run at eps = 1e-3 (about 3e9 jumps) feasible.
+to a segment sum of its jump sizes, which is what makes 1e5 replicates of an
+alpha = 1.5 run at eps = 1e-3 (about 3e9 jumps) feasible.  The jumps of all
+replicates form one flat stream, drawn in chunks of at most ``_CHUNK_JUMPS``
+by the kernel's own ``sample_tail``; a chunk holds whole replicates, and only
+a replicate with more jumps than a chunk is split, so memory grows with the
+chunk, not with the number of jumps.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField
-from .kernels import StableKernel
 from .quadrature import box_integral
 from .regions import Region
 
-_CHUNK_JUMPS = 30_000_000  # keep transform temporaries a few hundred MB at most
+_CHUNK_JUMPS = 1 << 20  # jumps per sample_tail call; bounds the transform's memory
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
 _STREAM_JUMPS = 1
@@ -282,40 +285,6 @@ def sample_field(chars: Characteristics, config: SamplerConfig,
 # Fast replicated marginals
 # --------------------------------------------------------------------------
 
-def _stable_tail_transform(u: np.ndarray, kern: StableKernel, eps: float,
-                           scratch: np.ndarray | None = None) -> np.ndarray:
-    """Map uniforms to stable jump sizes conditioned on |y| > eps, in place.
-
-    ``scratch``, when given, must match ``u`` in shape and is used for the
-    magnitude pipeline so hot loops can reuse one preallocated buffer.
-    """
-    inv = -1.0 / kern.alpha
-    if kern.p == kern.q:
-        # |2(u - 1/2)|^(-1/a) * eps with the factor 2 folded into the scale;
-        # a = 3/2 avoids np.power: |c|^(-2/3) = 1 / cbrt(c^2).
-        scale = eps * 2.0 ** inv
-        mag = scratch if scratch is not None else np.empty_like(u)
-        np.subtract(u, 0.5, out=u)
-        if kern.alpha == 1.5:
-            np.multiply(u, u, out=mag)
-            np.maximum(mag, 1e-300, out=mag)
-            np.cbrt(mag, out=mag)
-            np.divide(scale, mag, out=mag)
-        else:
-            np.abs(u, out=mag)
-            np.maximum(mag, 1e-300, out=mag)
-            np.power(mag, inv, out=mag)
-            mag *= scale
-        return np.copysign(mag, u, out=mag)
-    p, q = kern.p, kern.q
-    sgn = p - u
-    v = np.where(sgn > 0.0, (p - u) / max(p, 1e-300), (u - p) / max(q, 1e-300))
-    np.clip(v, 1e-300, 1.0, out=v)
-    np.power(v, inv, out=v)
-    v *= eps
-    return np.copysign(v, sgn)
-
-
 def _segment_sums(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts))
     mask = counts > 0
@@ -352,41 +321,18 @@ def sample_marginals(chars: Characteristics, config: SamplerConfig,
         counts = rng.poisson(rate, size=N)
         if eps < 1.0:
             comp = T * mod_mass * kern.annulus_first_moment(max(eps, 0.0), 1.0)
-        ubuf = mbuf = None
-        start = 0
-        while start < N:
-            stop = start + 1
-            budget = int(counts[start])
-            while stop < N and budget + counts[stop] <= _CHUNK_JUMPS:
-                budget += int(counts[stop])
-                stop += 1
-            block = counts[start:stop]
-            ntot = int(block.sum())
-            if isinstance(kern, StableKernel):
-                if ubuf is None:
-                    cap = min(_CHUNK_JUMPS, max(int(counts.sum()), 1))
-                    ubuf, mbuf = np.empty(cap), np.empty(cap)
-                total = np.zeros(stop - start)
-                done = 0
-                while done < ntot:
-                    take = min(ntot - done, _CHUNK_JUMPS)
-                    u = ubuf[:take]
-                    rng.random(out=u)
-                    y = _stable_tail_transform(u, kern, eps, scratch=mbuf[:take])
-                    if take == ntot:
-                        total += _segment_sums(y, block)
-                    else:
-                        # map flat slice [done, done+take) back onto replicates
-                        edges = np.concatenate([[0], np.cumsum(block)])
-                        seg_counts = (np.minimum(edges[1:], done + take)
-                                      - np.maximum(edges[:-1], done)).clip(min=0)
-                        total += _segment_sums(y, seg_counts)
-                    done += take
-                out[start:stop] += total
-            else:
-                y = kern.sample_tail(rng, ntot, eps) if ntot else np.empty(0)
-                out[start:stop] += _segment_sums(y, block)
-            start = stop
+        edges = np.concatenate([[0], np.cumsum(counts)])
+        lo, total = 0, int(edges[-1])
+        while lo < total:
+            # the whole replicates that fit, or a slice of one that does not fit
+            hi = int(edges[np.searchsorted(edges, lo + _CHUNK_JUMPS, side="right") - 1])
+            if hi <= lo:
+                hi = lo + _CHUNK_JUMPS
+            r0 = np.searchsorted(edges, lo, side="right") - 1
+            r1 = np.searchsorted(edges, hi)
+            seg = np.minimum(edges[r0 + 1:r1 + 1], hi) - np.maximum(edges[r0:r1], lo)
+            out[r0:r1] += _segment_sums(kern.sample_tail(rng, hi - lo, eps), seg)
+            lo = hi
     out += T * chars.gamma_measure(region) - comp
     gvar = T * chars.sigma_measure(region)
     if gvar > 0.0:

@@ -276,7 +276,9 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
     all permuted statistics come from one O(P n log n) pass with memory
     linear in n (P = permutations + 1).  Samples larger than ``max_points``
     are still subsampled (seeded): dropping the subsample would change the
-    p-values at fixed seeds, which is a decision of its own.  Passing means
+    p-values at fixed seeds, which is a decision of its own.  A subsampled
+    report keeps ``sample_size`` = n and says so in a note.  A NaN or an
+    infinity in either sample gives ``indeterminate``.  Passing means
     independence was *not* rejected.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -286,14 +288,20 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
     if x.size < 100:
         raise ValueError("need at least 100 pairs")
     n = x.size
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return VerificationReport(name, math.nan, level, "indeterminate",
+                                  n, seed, provenance,
+                                  ("non-finite value in a sample; dcov undefined",))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
+    notes = []
     if n > max_points:
         idx = rng.choice(n, size=max_points, replace=False)
         x, y = x[idx], y[idx]
+        notes.append(f"subsampled {max_points} of {n} pairs")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return VerificationReport(name, math.nan, level, "indeterminate",
                                   n, seed, provenance,
-                                  ("constant marginal; dcov undefined",))
+                                  ("constant marginal; dcov undefined", *notes))
     rows = np.empty((permutations + 1, x.size), dtype=np.intp)
     rows[0] = np.arange(x.size)
     for row in rows[1:]:
@@ -305,7 +313,7 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
     decision = "pass" if pvalue > level else "fail"
     return VerificationReport(name, float(pvalue), float(level), decision, n,
                               seed, provenance,
-                              (f"dcov2={obs:.4e} permutations={permutations}",))
+                              (f"dcov2={obs:.4e} permutations={permutations}", *notes))
 
 
 def paired_evaluations(chars: Characteristics, config: SamplerConfig,

@@ -74,6 +74,21 @@ def test_run_minimal_config(tmp_path, monkeypatch, capsys):
     assert besov["classification"] == "inside"  # tau=-1 < 1/1.5-1, rho < -2/3
 
 
+def test_run_samples_a_spectrally_positive_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("LEVY_FIELD_OUTPUT", raising=False)
+    cfg = write_cfg(tmp_path, """\
+schema: 1
+seed: 5
+characteristics: {preset: mytnik-positive, params: {alpha: 1.5}}
+sampler: {window: [[0.0, 1.0]], eps: 0.01}
+tasks: [{kind: sample, formats: [jsonl]}]
+""")
+    out = tmp_path / "artifacts"
+    assert main(["run", cfg, "--output", str(out)]) == 0
+    assert "FAILED" not in capsys.readouterr().out
+    assert (out / "00-sample-r0.jsonl").exists()
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "schema: 1\ncharacteristics: {preset: impulsive}\n"
                               "sampler: {window: [[0, 1]]}\n")

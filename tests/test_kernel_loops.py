@@ -1,11 +1,18 @@
-"""The kernel maths stays array-valued: no per-element loops over quadrature."""
+"""The kernel maths stays array-valued: no per-element loops over quadrature.
+Kernel-specific code stays behind the kernel interface: no other module
+branches on a concrete kernel or jump-law class."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import levyfield.kernels
+from levyfield.kernels import JumpKernel, JumpSizeDistribution
 
 SOURCE = Path(levyfield.kernels.__file__)
+CONCRETE = {name for name, cls in inspect.getmembers(levyfield.kernels, inspect.isclass)
+            if issubclass(cls, (JumpKernel, JumpSizeDistribution))
+            and cls not in (JumpKernel, JumpSizeDistribution)}
 QUAD = {"quad", "_quad", "_quad_checked", "quad_vec"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 # Characteristic-function integrands without a closed form here still
@@ -66,3 +73,36 @@ def test_the_scan_sees_a_per_element_quad():
         "        _quad(g, 0, x)\n")
     assert quad_in_loops(tree) == {"K.f", "K.g", "top"}
     assert ndenumerate_uses(tree) == [5]
+
+
+def concrete_isinstance(tree: ast.Module) -> list[int]:
+    """Lines calling ``isinstance`` against a concrete kernel or jump-law class."""
+    lines = []
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call) and called_name(call) == "isinstance"
+                and len(call.args) == 2):
+            spec = call.args[1]
+            names = spec.elts if isinstance(spec, ast.Tuple) else [spec]
+            if any(getattr(n, "attr", getattr(n, "id", None)) in CONCRETE for n in names):
+                lines.append(call.lineno)
+    return lines
+
+
+def test_no_module_branches_on_a_concrete_kernel():
+    assert {"StableKernel", "TabulatedKernel", "DiscreteJumps"} <= CONCRETE
+    found = {}
+    for path in sorted(SOURCE.parent.glob("*.py")):
+        if path != SOURCE:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            if lines := concrete_isinstance(tree):
+                found[path.name] = lines
+    assert found == {}
+
+
+def test_the_scan_sees_a_concrete_isinstance():
+    tree = ast.parse(
+        "if isinstance(k, StableKernel):\n"
+        "    pass\n"
+        "ok = isinstance(j, JumpSizeDistribution)\n"
+        "bad = isinstance(j, (int, kernels.DiscreteJumps))\n")
+    assert concrete_isinstance(tree) == [1, 4]

@@ -99,6 +99,15 @@ def test_stable_sample_tail_asymmetric_sign_split():
     assert sps.binomtest(npos, len(y), 0.8).pvalue > 0.01
 
 
+@pytest.mark.parametrize("p, sign", [(0.0, -1.0), (1.0, 1.0)])
+def test_one_sided_stable_sample_tail_has_one_sign(p, sign):
+    k = StableKernel(1.2, p, 1.0 - p)
+    y = k.sample_tail(np.random.default_rng(5), 20000, 0.05)
+    assert np.all(sign * y > 0.05)
+    stat = sps.kstest(np.abs(y), lambda t: 1.0 - (0.05 / t) ** 1.2)
+    assert stat.pvalue > 0.01
+
+
 def test_stable_cf_integrand_zero_frequency():
     k = StableKernel(1.4, 0.6, 0.4)
     assert k.cf_integrand(0.0) == 0.0

@@ -13,6 +13,7 @@ from levyfield import (Characteristics, Density, InfiniteActivityError,
                        sample_field, sample_marginals,
                        sample_spectrally_positive, sample_stable_marginal_oracle,
                        stable_symbol_constant)
+from levyfield import sampler
 from levyfield.sampler import OutOfWindowError
 
 WIN = Region.from_intervals([(0.0, 1.0)])
@@ -186,3 +187,43 @@ def test_marginal_stream_is_separate_from_paths():
     # only through the discrete atom at equal jump counts
     assert m.shape == (1,)
     assert np.isfinite(m[0]) and np.isfinite(p)
+
+
+def test_spectrally_positive_path_has_only_positive_jumps_above_eps():
+    real = sample_field(preset("mytnik-positive", alpha=1.5), cfg(19, eps=0.01))
+    assert real.jump_sizes.size > 100
+    assert np.all(real.jump_sizes > 0.01)
+
+
+def _one_call_marginals(chars, config):
+    """sample_marginals' draws with every jump from one sample_tail call."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((config.seed, sampler._STREAM_MARGINALS)))
+    kern = chars.nu.kernel
+    counts = rng.poisson(kern.tail_mass(config.eps), size=config.replicates)
+    y = kern.sample_tail(rng, int(counts.sum()), config.eps)
+    # np.add.reduceat sums a segment the same way wherever it sits in an array
+    live = counts > 0
+    sums = np.zeros(counts.size)
+    sums[live] = np.add.reduceat(y, (np.cumsum(counts) - counts)[live])
+    return sums, counts
+
+
+@pytest.mark.parametrize("chars, eps", [(preset("balan-stable", alpha=1.5), 0.2),
+                                        (preset("balan-stable", alpha=0.8, p=0.7, q=0.3), 0.1),
+                                        (preset("mytnik-positive", alpha=1.3), 0.05)])
+@pytest.mark.parametrize("chunk", [1, 7, 10 ** 9])
+def test_marginal_chunks_split_only_replicates_bigger_than_a_chunk(monkeypatch, chars,
+                                                                  eps, chunk):
+    # about 10 jumps a replicate: a chunk of 7 splits some replicates, not all
+    config = cfg(20, eps=eps, replicates=40)
+    want, counts = _one_call_marginals(chars, config)
+    want += chars.gamma_measure(WIN) - chars.nu.kernel.annulus_first_moment(eps, 1.0)
+    monkeypatch.setattr(sampler, "_CHUNK_JUMPS", chunk)
+    got = sample_marginals(chars, config)
+    split = counts > chunk
+    assert split.any() == (chunk < 10 ** 9)
+    if chunk == 7:
+        assert not split.all()
+    np.testing.assert_array_equal(got[~split], want[~split])
+    np.testing.assert_allclose(got[split], want[split], rtol=1e-12)

@@ -75,6 +75,35 @@ def test_independence_test_null_planted_degenerate():
         independence_test(x, y[:400])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("permutations", [20, 200])
+def test_independence_test_non_finite_sample_is_indeterminate(bad, permutations):
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(300), rng.standard_normal(300)
+    for side in (0, 1):
+        pair = [x.copy(), y.copy()]
+        pair[side][17] = bad
+        rep = independence_test(*pair, permutations=permutations, seed=3)
+        assert rep.decision == "indeterminate" and math.isnan(rep.statistic)
+        assert rep.sample_size == 300
+        assert any("non-finite" in note for note in rep.notes)
+
+
+def test_independence_test_notes_a_subsample():
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal(600), rng.standard_normal(600)
+    for max_points in (600, 5000):
+        rep = independence_test(x, y, permutations=20, max_points=max_points)
+        assert rep.sample_size == 600
+        assert not any("subsampled" in note for note in rep.notes)
+    rep = independence_test(x, y, permutations=20, max_points=599)
+    assert rep.sample_size == 600 and rep.decision in ("pass", "fail")
+    assert "subsampled 599 of 600 pairs" in rep.notes
+    flat = independence_test(np.ones(600), y, permutations=20, max_points=200)
+    assert flat.decision == "indeterminate"
+    assert "subsampled 200 of 600 pairs" in flat.notes
+
+
 def _mean_distances(v):
     return np.array([np.abs(v - vi).mean() for vi in v])
 
