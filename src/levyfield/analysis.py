@@ -71,22 +71,6 @@ def modular_integrand(chars: Characteristics, f):
     return integrand
 
 
-def _atom_modular(chars: Characteristics, f) -> float:
-    """Sum of ``Phi(|f(p)|, p) * lambda({p})`` over all atoms."""
-    total = 0.0
-    gamma_atoms = chars.gamma.atoms if chars.gamma is not None else ()
-    sigma_atoms = chars.sigma.atoms if chars.sigma is not None else ()
-    merged: dict[tuple[float, ...], list[float]] = {}
-    for a in gamma_atoms:
-        merged.setdefault(a.point, [0.0, 0.0])[0] += a.weight
-    for a in sigma_atoms:
-        merged.setdefault(a.point, [0.0, 0.0])[1] += a.weight
-    for point, (wg, ws) in merged.items():
-        fu = abs(float(f(np.asarray(point)[None, :])[0]))
-        total += abs(fu * wg) + fu * fu * ws
-    return total
-
-
 def phi_m(chars: Characteristics, u: float, x) -> float:
     """The modular ``Phi(u, x)`` with densities taken against the control measure."""
     if u < 0:
@@ -143,8 +127,6 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
     if getattr(f, "dim", chars.dim) != chars.dim:
         raise ValueError("function dimension does not match characteristics")
     integrand = modular_integrand(chars, f)
-    atoms = _atom_modular(chars, f)
-
     support = getattr(f, "support_region", None)
     if domain is not None:
         bounded = domain if support is None else domain.intersect(support)
@@ -152,6 +134,12 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
         bounded = support
     else:
         bounded = None
+    # Phi at an atom is |f w_gamma| + f^2 w_sigma
+    atoms = 0.0
+    if chars.gamma is not None:
+        atoms += chars.gamma.atom_sum(lambda p: np.abs(f(p)), bounded, absolute=True)
+    if chars.sigma is not None:
+        atoms += chars.sigma.atom_sum(lambda p: f(p) ** 2, bounded)
 
     if bounded is not None:
         if bounded.is_empty:

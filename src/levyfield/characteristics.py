@@ -95,18 +95,43 @@ class DriftComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "density", _as_density(self.density))
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        merged: dict[tuple[float, ...], float] = {}
+        for a in self.atoms:  # one atom per point, so |w| sums to the total variation
+            merged[a.point] = merged.get(a.point, 0.0) + a.weight
+        object.__setattr__(self, "atoms", tuple(Atom(p, w) for p, w in merged.items()))
 
-    def measure(self, region: Region) -> float:
-        val, _ = self.density.integral(region)
-        return val + sum(a.weight for a in self.atoms
-                         if region.contains(np.asarray(a.point))[0])
+    def atom_sum(self, g=None, region: Region | None = None, *,
+                 absolute: bool = False) -> float:
+        """``sum g(p) w`` over the atoms in the region (all atoms when None).
 
-    def total_variation(self, region: Region) -> tuple[float, float]:
-        val, err = self.density.integral(region, absolute=True)
-        val += sum(abs(a.weight) for a in self.atoms
-                   if region.contains(np.asarray(a.point))[0])
-        return val, err
+        ``g=None`` stands for 1; ``absolute`` uses ``|w|`` in place of ``w``.
+        """
+        if not self.atoms:
+            return 0.0
+        pts = np.array([a.point for a in self.atoms])
+        w = np.array([a.weight for a in self.atoms])
+        if region is not None:
+            inside = region.contains(pts)
+            pts, w = pts[inside], w[inside]
+        if absolute:
+            w = np.abs(w)
+        if g is not None and w.size:
+            w = np.asarray(g(pts), dtype=float).reshape(w.size) * w
+        return float(w.sum())
+
+    def integral(self, region: Region, g=None, *,
+                 absolute: bool = False) -> tuple[float, float]:
+        """``(int_region g d mu, quadrature error)``, density part first, then atoms.
+
+        ``g=None`` integrates 1 (the measure of the region); ``absolute``
+        integrates against the total variation ``|mu|``.
+        """
+        if g is None:
+            val, err = self.density.integral(region, absolute)
+        else:
+            dens = (lambda p: np.abs(self.density(p))) if absolute else self.density
+            val, err = region_integral(lambda p: g(p) * dens(p), region)
+        return val + self.atom_sum(g, region, absolute=absolute), err
 
 
 @dataclass(frozen=True)
@@ -186,27 +211,6 @@ class Characteristics:
         if self.gamma is None and self.sigma is None and self.nu is None:
             raise ValueError("at least one characteristic component is required")
 
-    # --- structure -----------------------------------------------------
-    @property
-    def atomless(self) -> bool:
-        for comp in (self.gamma, self.sigma):
-            if comp is not None and comp.atoms:
-                return False
-        return True
-
-    def atoms_in(self, region: Region) -> list[tuple[tuple[float, ...], float, float]]:
-        """(point, gamma weight, sigma weight) for atoms inside the region."""
-        merged: dict[tuple[float, ...], list[float]] = {}
-        if self.gamma is not None:
-            for a in self.gamma.atoms:
-                if region.contains(np.asarray(a.point))[0]:
-                    merged.setdefault(a.point, [0.0, 0.0])[0] += a.weight
-        if self.sigma is not None:
-            for a in self.sigma.atoms:
-                if region.contains(np.asarray(a.point))[0]:
-                    merged.setdefault(a.point, [0.0, 0.0])[1] += a.weight
-        return [(p, w[0], w[1]) for p, w in merged.items()]
-
     # --- densities -----------------------------------------------------
     def drift_density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -235,10 +239,10 @@ class Characteristics:
 
     # --- measures ------------------------------------------------------
     def gamma_measure(self, region: Region) -> float:
-        return 0.0 if self.gamma is None else self.gamma.measure(region)
+        return 0.0 if self.gamma is None else self.gamma.integral(region)[0]
 
     def sigma_measure(self, region: Region) -> float:
-        return 0.0 if self.sigma is None else self.sigma.measure(region)
+        return 0.0 if self.sigma is None else self.sigma.integral(region)[0]
 
     def control_measure(self, region: Region) -> ControlMeasureValue:
         """``|gamma|_TV(A) + Sigma(A) + int_A int (1 ^ y^2) nu``."""
@@ -247,7 +251,7 @@ class Characteristics:
         err = 0.0
         try:
             if self.gamma is not None:
-                drift_tv, e = self.gamma.total_variation(region)
+                drift_tv, e = self.gamma.integral(region, absolute=True)
                 err += e
             else:
                 drift_tv = 0.0
@@ -294,17 +298,9 @@ class Characteristics:
                     "levy_symbol needs a simple function or a test function "
                     "with bounded support")
             if self.gamma is not None:
-                drift += region_integral(
-                    lambda p: np.asarray(f(p)) * self.gamma.density(p), support)[0]
-                for a in self.gamma.atoms:
-                    if support.contains(np.asarray(a.point))[0]:
-                        drift += a.weight * float(np.asarray(f(np.asarray(a.point)[None, :]))[0])
+                drift += self.gamma.integral(support, f)[0]
             if self.sigma is not None:
-                gauss += region_integral(
-                    lambda p: np.asarray(f(p)) ** 2 * self.sigma.density(p), support)[0]
-                for a in self.sigma.atoms:
-                    if support.contains(np.asarray(a.point))[0]:
-                        gauss += a.weight * float(np.asarray(f(np.asarray(a.point)[None, :]))[0]) ** 2
+                gauss += self.sigma.integral(support, lambda p: np.asarray(f(p)) ** 2)[0]
             if self.nu is not None and u != 0.0:
                 kern = self.nu.kernel
 

@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .characteristics import DiffusionComponent
-from .quadrature import box_integral
 from .regions import Box, Region
 
 
@@ -52,14 +51,7 @@ class WhiteNoiseField:
 
     # -- masses ----------------------------------------------------------
     def _space_mass(self, box: Box) -> float:
-        dens = self._sigma.density
-        if dens.is_constant:
-            m = dens.const * box.volume
-        else:
-            m, _ = box_integral(dens, box)
-        for a in self._sigma.atoms:
-            if box.contains(np.asarray(a.point)[None, :])[0]:
-                m += a.weight
+        m = self._sigma.integral(Region.from_box(box))[0]
         if m < -1e-12:
             raise ValueError("gaussian intensity integrated to a negative mass")
         return max(m, 0.0)

@@ -2,10 +2,12 @@
 
 ``integrate_simple`` is the defining linear combination over disjoint regions;
 ``integrate`` extends it to smooth integrands pathwise: drift and compensator
-by quadrature, jumps by direct summation, and the white-noise pairing by
-midpoint sums over a dyadically refined cell mesh (the mesh is exactly a
-simple-function approximation, and cell values stay additive under
-refinement, so the limit is the defining one).
+by quadrature, jumps by direct summation, and the white-noise pairing by a
+midpoint sum over a dyadic cell mesh of fixed level per dimension
+(``PAIRING_LEVELS``).  The mesh is exactly a simple-function approximation,
+and cell values stay additive under refinement, so the limit is the
+defining one.  The pairing's reported error is the random difference
+between the sums at the last two levels, not a bound.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .regions import Box, Region
 
 _PUSH_GRID_DECADES = (-8, 8)
 _PUSH_PER_DECADE = 8
+# dyadic mesh level of white-noise pairings per dimension (4 above 2-D)
+PAIRING_LEVELS = {1: 8, 2: 6}
 
 
 class NotIntegrableError(ValueError):
@@ -50,30 +54,28 @@ def integrate_simple(real, f: SimpleFunction, t: float,
     return total
 
 
-def _pairing(field, f, t: float, box: Box, max_level: int,
-             tol: float) -> tuple[float, float]:
-    """Midpoint pairing sum against white-noise cells, dyadically refined."""
-    prev = None
-    err = np.inf
-    value = 0.0
-    for level in range(max_level + 1):
+def _pairing(field, f, t: float, box: Box) -> tuple[float, float]:
+    """Midpoint pairing sum against the white-noise cells of one dyadic level.
+
+    Every coarser level is queried first: that order of plane insertion
+    fixes the white-noise draws.  The error is the difference to the next
+    coarser level's sum, a random number and not a bound.
+    """
+    top = PAIRING_LEVELS.get(box.dim, 4)
+    sums = []
+    for level in range(top + 1):
         edges = [np.linspace(lo, hi, 2 ** level + 1)
                  for lo, hi in zip(box.lo, box.hi)]
         cells = field.grid_values(t, box, edges)
-        centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, box.dim)
-        value = float((f(pts) * cells.ravel()).sum())
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(tol, 1e-12 * abs(value)):
-                break
-        prev = value
-    return value, err if np.isfinite(err) else 0.0
+        if level >= top - 1:
+            centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
+            pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, box.dim)
+            sums.append(float((f(pts) * cells.ravel()).sum()))
+    return sums[-1], abs(sums[-1] - sums[-2])
 
 
 def integrate(real, f, t: float, region: Region | None = None, *,
-              check_membership: bool = False, pairing_tol: float = 1e-9,
-              max_level: int | None = None) -> IntegralValue:
+              check_membership: bool = False) -> IntegralValue:
     """Pathwise ``int f dM(t, .)`` over the window (or a sub-region)."""
     chars: Characteristics = real.chars
     region = real.config.window if region is None else region
@@ -86,15 +88,11 @@ def integrate(real, f, t: float, region: Region | None = None, *,
     if domain.is_empty:
         return IntegralValue(0.0, 0.0)
     real._check_query(t, domain, 0.0)
-    if max_level is None:
-        max_level = {1: 8, 2: 6}.get(chars.dim, 4)
 
     value = err = 0.0
     # drift
     if chars.gamma is not None:
-        v, e = region_integral(lambda x: f(x) * chars.drift_density(x), domain)
-        for point, wg, _ in chars.atoms_in(domain):
-            v += float(f(np.asarray(point)[None, :])[0]) * wg
+        v, e = chars.gamma.integral(domain, f)
         value += t * v
         err += t * e
     # jumps and their compensator
@@ -116,7 +114,7 @@ def integrate(real, f, t: float, region: Region | None = None, *,
         if field is None or getattr(field, "_sigma", None) is None:
             continue
         for b in domain.boxes:
-            v, e = _pairing(field, f, t, b, max_level, pairing_tol)
+            v, e = _pairing(field, f, t, b)
             value += v
             err += e
     return IntegralValue(value, err)
@@ -214,10 +212,8 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
     # a(f) = int f d gamma + int m(x) f(x) int y (1{|f y|<=1} - 1{|y|<=1}) nu
     a_val = a_err = 0.0
     if chars.gamma is not None:
-        v, e = quad(lambda x: f(x) * chars.drift_density(x))
-        a_val, a_err = v, e
-        for atom in chars.gamma.atoms:
-            a_val += float(f(np.asarray(atom.point)[None, :])[0]) * atom.weight
+        a_val, a_err = quad(lambda x: f(x) * chars.drift_density(x))
+        a_val += chars.gamma.atom_sum(f, support)
     if chars.nu is not None:
         kern = chars.nu.kernel
 
@@ -231,10 +227,8 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
     # qf
     qf_val = qf_err = 0.0
     if chars.sigma is not None:
-        v, e = quad(lambda x: f(x) ** 2 * chars.diffusion_density(x))
-        qf_val, qf_err = v, e
-        for atom in chars.sigma.atoms:
-            qf_val += float(f(np.asarray(atom.point)[None, :])[0]) ** 2 * atom.weight
+        qf_val, qf_err = quad(lambda x: f(x) ** 2 * chars.diffusion_density(x))
+        qf_val += chars.sigma.atom_sum(lambda x: f(x) ** 2, support)
     if qf_val < -1e-9:
         raise ArithmeticError("quadratic form came out negative")
     qf_val = max(qf_val, 0.0)

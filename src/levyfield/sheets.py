@@ -25,19 +25,6 @@ from .sampler import FieldRealization, OutOfWindowError
 _CACHE_LIMIT = 1 << 16
 
 
-def _signed_indicator(g: np.ndarray, x: float) -> np.ndarray:
-    """Per-axis corner-box membership ``1{0 < g <= x} - 1{x <= g < 0}``.
-
-    The product of these factors over the axes counts a jump at ``g`` inside
-    the signed corner box of ``x``, sign included.
-    """
-    g = np.asarray(g, dtype=float)
-    out = np.zeros(g.shape)
-    out[(g > 0.0) & (g <= x)] = 1.0
-    out[(g < 0.0) & (g >= x)] = -1.0
-    return out
-
-
 def _corner_box(x: np.ndarray) -> tuple[Box | None, int]:
     """Signed corner box of ``x`` and its orientation sign.
 
@@ -193,7 +180,8 @@ def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray],
     out = (t - t0) * rate * reduce(np.multiply.outer, axes)
     if chars.gamma is not None:
         for atom in chars.gamma.atoms:
-            factors = [_axis_indicator(atom.point[i], axes[i]) for i in range(d)]
+            factors = [_axis_indicator_matrix(np.array([atom.point[i]]), axes[i])[0]
+                       for i in range(d)]
             out += (t - t0) * atom.weight * reduce(np.multiply.outer, factors)
     if sizes.size:
         mats = [_axis_indicator_matrix(locs[:, i], axes[i]) for i in range(d)]
@@ -208,18 +196,12 @@ def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray],
     return out
 
 
-def _axis_indicator(g: float, xs: np.ndarray) -> np.ndarray:
-    """``s(g, x)`` for a single coordinate against an array of x values."""
-    out = np.zeros(xs.shape)
-    if g > 0.0:
-        out[xs >= g] = 1.0
-    elif g < 0.0:
-        out[xs <= g] = -1.0
-    return out
-
-
 def _axis_indicator_matrix(gs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Matrix ``S[j, k] = s(gs[j], xs[k])`` of signed factors."""
+    """Signed corner factors ``S[j, k] = 1{0 < g_j <= x_k} - 1{x_k <= g_j < 0}``.
+
+    The product of one axis's factors over all axes counts a point ``g``
+    inside the signed corner box of ``x``, sign included.
+    """
     pos = (gs[:, None] > 0.0) & (gs[:, None] <= xs[None, :])
     neg = (gs[:, None] < 0.0) & (gs[:, None] >= xs[None, :])
     return pos.astype(float) - neg.astype(float)
@@ -400,7 +382,7 @@ def _decomposition_residual(sheet: SheetRealization, t: float,
     i1 = int(np.searchsorted(src.jump_times, t, side="right"))
     factors = np.ones(i1)
     for i in range(sheet.dim):
-        factors *= _signed_indicator(src.jump_locations[:i1, i], float(x[i]))
+        factors *= _axis_indicator_matrix(src.jump_locations[:i1, i], x[i:i + 1])[:, 0]
     formula_jumps = float(src.jump_sizes[:i1] @ factors)
     rest = sign * (comps["drift"] - comps["compensator"] + comps["gaussian"]
                    + comps["substitute"])

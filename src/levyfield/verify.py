@@ -441,23 +441,30 @@ def embedding_inequality_check(chars: Characteristics, f,
     try:
         lam = chars.control_measure(domain)
         err = 0.0
-        lhs, e = region_integral(modular_integrand(chars, f), domain)
-        err += e
-        for point, wg, ws in chars.atoms_in(domain):
-            ua = abs(float(np.asarray(f(np.asarray(point)[None, :]))[0]))
-            lhs += abs(ua * wg) + ua * ua * ws
 
         def fl(x):
             return np.abs(np.asarray(f(x)))
 
+        def fl2(x):
+            return fl(x) ** 2
+
+        def plus_atoms(val, g_gamma, g_sigma):
+            """``val`` plus a term's atom part: gamma atoms at |w|, sigma atoms at w."""
+            if chars.gamma is not None:
+                val += chars.gamma.atom_sum(g_gamma, domain, absolute=True)
+            if chars.sigma is not None:
+                val += chars.sigma.atom_sum(g_sigma, domain)
+            return val
+
+        lhs, e = region_integral(modular_integrand(chars, f), domain)
+        err += e
+        lhs = plus_atoms(lhs, fl, fl2)
         t1, e = region_integral(lambda x: fl(x) * chars.control_density(x), domain)
         err += e
-        t2, e = region_integral(lambda x: fl(x) ** 2 * chars.control_density(x), domain)
+        t2, e = region_integral(lambda x: fl2(x) * chars.control_density(x), domain)
         err += e
-        for point, wg, ws in chars.atoms_in(domain):
-            ua = abs(float(np.asarray(f(np.asarray(point)[None, :]))[0]))
-            t1 += ua * (abs(wg) + ws)
-            t2 += ua * ua * (abs(wg) + ws)
+        t1 = plus_atoms(t1, fl, fl)
+        t2 = plus_atoms(t2, fl2, fl2)
         t3 = t4 = 0.0
         if chars.nu is not None:
             kern = chars.nu.kernel

@@ -187,6 +187,18 @@ def test_phi_m_symmetric_stable_is_the_stable_power():
         phi_m(chars, 1.0, [[0.3, 0.4]])
 
 
+def test_membership_on_a_domain_counts_only_its_atoms():
+    # the gamma atom at 2 lies outside the domain (0, 1] and must not count
+    unit = Region.from_intervals([(0.0, 1.0)])
+    f = GaussianFunction([0.5], 0.3)
+    base = preset("balan-stable", alpha=1.5)
+    atom = Characteristics(1, gamma=DriftComponent(Density(0.0), (Atom((2.0,), 5.0),)),
+                           nu=base.nu)
+    got = lm_membership(atom, f, unit)
+    assert got.verdict == "member"
+    assert got.value == lm_membership(base, f, unit).value
+
+
 def test_phi_m_atom_branch():
     chars = Characteristics(
         1, gamma=DriftComponent(Density(0.0), atoms=(Atom((0.5,), -2.0),)),

@@ -9,8 +9,12 @@ import pytest
 from levyfield import (Atom, Characteristics, Density, DiffusionComponent,
                        DivergentControlMeasureError, DriftComponent,
                        IndicatorFunction, JumpComponent, ProductBump, Region,
-                       SimpleFunction, StableKernel, interval, preset,
-                       stable_symbol_constant)
+                       SamplerConfig, SimpleFunction, StableKernel, interval,
+                       preset, sample_field, stable_symbol_constant)
+from levyfield.analysis import lm_membership
+from levyfield.funcs import GaussianFunction
+from levyfield.integrate import cylindrical_characteristics, integrate
+from levyfield.verify import embedding_inequality_check
 
 UNIT = Region.from_intervals([(0.0, 1.0)])
 
@@ -135,14 +139,100 @@ def test_laplace_exponent_spectrally_positive():
     assert chars.laplace_exponent(two, 1.0, t=3.0) == pytest.approx(6.0, rel=1e-10)
 
 
-def test_atoms_in_merges_components():
-    chars = Characteristics(
-        1,
-        gamma=DriftComponent(Density(0.0), (Atom((0.5,), -1.0), Atom((2.0,), 4.0))),
-        sigma=DiffusionComponent(Density(0.0), (Atom((0.5,), 0.25),)),
-    )
-    got = chars.atoms_in(UNIT)
-    assert got == [((0.5,), -1.0, 0.25)]
+def test_atom_sum_leaves_out_atoms_outside_the_region():
+    gamma = DriftComponent(Density(0.0), (Atom((0.5,), -1.0), Atom((2.0,), 4.0)))
+    sigma = DiffusionComponent(Density(0.0), (Atom((0.5,), 0.25),))
+    assert gamma.atom_sum(None, UNIT) == -1.0
+    assert gamma.atom_sum(None, UNIT, absolute=True) == 1.0
+    assert gamma.atom_sum() == 3.0
+    assert gamma.atom_sum(lambda p: 3.0 * p[:, 0], UNIT) == -1.5
+    assert gamma.atom_sum(lambda p: 3.0 * p[:, 0]) == -1.5 + 24.0
+    assert sigma.atom_sum(None, UNIT) == 0.25
+    assert sigma.atom_sum(None, Region.from_intervals([(1.0, 3.0)])) == 0.0
+    assert DriftComponent(Density(1.0)).atom_sum(lambda p: 1 / 0) == 0.0
+
+
+def test_integral_adds_atoms_to_the_density_part():
+    gamma = DriftComponent(Density(-2.0), (Atom((0.5,), 0.75), Atom((2.0,), 4.0)))
+    assert gamma.integral(UNIT) == (-2.0 + 0.75, 0.0)
+    assert gamma.integral(UNIT, absolute=True) == (2.0 + 0.75, 0.0)
+    val, err = gamma.integral(UNIT, lambda p: p[:, 0])
+    assert val == pytest.approx(-1.0 + 0.375, abs=1e-12) and err < 1e-9
+    val, _ = gamma.integral(UNIT, lambda p: p[:, 0], absolute=True)
+    assert val == pytest.approx(1.0 + 0.375, abs=1e-12)
+
+
+def test_same_point_atoms_merge_into_one():
+    # +1 and -1 at one point are the zero measure, whose total variation is 0
+    gamma = DriftComponent(Density(0.0), (Atom((0.5,), 1.0), Atom((0.5,), -1.0),
+                                          Atom((0.25,), 2.0)))
+    assert gamma.atoms == (Atom((0.5,), 0.0), Atom((0.25,), 2.0))
+    chars = Characteristics(1, gamma=gamma)
+    assert chars.gamma_measure(Region.from_intervals([(0.4, 0.6)])) == 0.0
+    assert chars.control_measure(Region.from_intervals([(0.4, 0.6)])).drift_tv == 0.0
+    assert chars.control_measure(UNIT).drift_tv == 2.0
+
+
+# One triple with a gamma and a sigma atom inside (0, 1] and a gamma atom at
+# 2, outside; BARE has the same densities and no atoms, so every consumer's
+# value with ATOMS is its BARE value plus the atom terms worked out by hand.
+ATOMS = Characteristics(
+    1,
+    gamma=DriftComponent(Density(0.3), (Atom((0.25,), 0.7), Atom((2.0,), 5.0))),
+    sigma=DiffusionComponent(Density(0.5), (Atom((0.75,), 0.4),)),
+)
+BARE = Characteristics(1, gamma=DriftComponent(Density(0.3)),
+                       sigma=DiffusionComponent(Density(0.5)))
+BUMP = ProductBump(center=(0.5,), radius=(0.5,))
+WIDE = GaussianFunction(center=(0.5,), scale=1.0)   # nonzero at the outside atom
+
+
+def at(f, x):
+    return float(f(np.array([[x]]))[0])
+
+
+def test_atom_terms_in_the_symbol():
+    b1, b2 = at(BUMP, 0.25), at(BUMP, 0.75)
+    got, want = ATOMS.levy_symbol(BUMP, 1.3), BARE.levy_symbol(BUMP, 1.3)
+    assert got.drift_integral == want.drift_integral + 0.7 * b1
+    assert got.gaussian_integral == want.gaussian_integral + 0.4 * b2 ** 2
+
+
+def test_atom_terms_in_the_control_measure():
+    cm = ATOMS.control_measure(UNIT)
+    assert (cm.drift_tv, cm.gaussian_mass) == (0.3 + 0.7, 0.5 + 0.4)
+    wide = ATOMS.control_measure(Region.from_intervals([(0.0, 3.0)]))
+    assert wide.drift_tv == pytest.approx(0.9 + 0.7 + 5.0, abs=1e-12)
+
+
+def test_atom_terms_in_the_drift_of_integrate():
+    drift = Characteristics(1, gamma=ATOMS.gamma)
+    real = sample_field(drift, SamplerConfig(seed=3, window=UNIT, eps=0.0))
+    bare = sample_field(Characteristics(1, gamma=BARE.gamma),
+                        SamplerConfig(seed=3, window=UNIT, eps=0.0))
+    got, want = integrate(real, WIDE, 0.8), integrate(bare, WIDE, 0.8)
+    assert got.value == pytest.approx(want.value + 0.8 * 0.7 * at(WIDE, 0.25), abs=1e-14)
+
+
+def test_atom_terms_in_the_cylindrical_characteristics():
+    b1, b2 = at(BUMP, 0.25), at(BUMP, 0.75)
+    got = cylindrical_characteristics(ATOMS, BUMP)
+    want = cylindrical_characteristics(BARE, BUMP)
+    assert got.a == want.a + 0.7 * b1
+    assert got.qf == want.qf + 0.4 * b2 ** 2
+
+
+def test_atom_terms_in_membership_and_the_embedding_bound():
+    g1, g2 = at(WIDE, 0.25), at(WIDE, 0.75)
+    got = lm_membership(ATOMS, WIDE, UNIT).value
+    assert got == pytest.approx(lm_membership(BARE, WIDE, UNIT).value
+                                + 0.7 * g1 + 0.4 * g2 ** 2, abs=1e-14)
+    lhs = 0.7 * g1 + 0.4 * g2 ** 2
+    rhs = (0.7 * g1 + 0.4 * g2) + 11.0 * (0.7 * g1 ** 2 + 0.4 * g2 ** 2)
+    got = embedding_inequality_check(ATOMS, WIDE, UNIT)
+    want = embedding_inequality_check(BARE, WIDE, UNIT)
+    assert got.decision == want.decision == "pass"
+    assert got.statistic == pytest.approx(want.statistic + lhs - rhs, abs=1e-13)
 
 
 def test_config_round_trip():

@@ -1,0 +1,70 @@
+"""Every function, class and method of the package is named somewhere else.
+
+A top-level function or class, or a non-dunder method, of ``src/levyfield``
+whose name appears in ``src``, ``tests`` and ``perfbench`` only at its own
+definitions has no caller and should go.  Names are matched as whole words
+in the text, so string hooks (``perfbench/tracer.py`` patches by name) and
+attribute access both count as uses.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "levyfield"
+# this file names deleted helpers on purpose, so it is no evidence of use
+CORPUS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+                if p != Path(__file__).resolve())
+DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name) of top-level functions/classes and non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, DEF_NODES):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEF_NODES) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def dead_names(package: list[str], corpus: list[str]) -> set[str]:
+    """Qualified names defined in ``package`` sources that ``corpus`` names only where defined."""
+    mentions = Counter(w for text in corpus for w in re.findall(r"\w+", text))
+    defs = Counter(node.name for text in corpus for node in ast.walk(ast.parse(text))
+                   if isinstance(node, DEF_NODES))
+    return {qualified for text in package for qualified, name in definitions(ast.parse(text))
+            if mentions[name] <= defs[name]}
+
+
+def package_sources() -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_every_package_name_has_a_use():
+    corpus = [p.read_text(encoding="utf-8") for p in CORPUS]
+    assert dead_names(package_sources(), corpus) == set()
+
+
+def test_merged_atom_helpers_are_gone():
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"Characteristics.atoms_in", "Characteristics.atomless", "_atom_modular",
+            "_signed_indicator", "_axis_indicator", "DriftComponent.measure",
+            "DriftComponent.total_variation"}
+    assert defined & gone == set()
+
+
+def test_the_scan_sees_a_dead_name():
+    package = ("def used():\n    pass\n"
+               "def dead():\n    pass\n"
+               "class K:\n"
+               "    def __init__(self):\n        pass\n"
+               "    def hooked(self):\n        pass\n"
+               "    def unused(self):\n        pass\n"
+               "class Unused:\n    pass\n")
+    other = "used()\nK()\nHOOKS = ['hooked']\ndef dead():\n    pass\n"
+    assert dead_names([package], [package, other]) == {"dead", "K.unused", "Unused"}

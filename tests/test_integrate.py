@@ -10,7 +10,8 @@ from levyfield import Region, SamplerConfig, interval, preset, sample_field
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
                              PolynomialDecay, ProductBump, SimpleFunction,
                              SumFunction)
-from levyfield.integrate import (NotIntegrableError, cylindrical_characteristics,
+from levyfield.integrate import (PAIRING_LEVELS, NotIntegrableError,
+                                 cylindrical_characteristics,
                                  empirical_cf, integrate, integrate_simple)
 
 WIN = Region.from_intervals([(0.0, 1.0)])
@@ -128,3 +129,24 @@ def test_empirical_cf_of_standard_normal():
     assert np.all(np.abs(ecf - np.exp(-0.5 * u ** 2)) <= radius)
     with pytest.raises(ValueError):
         empirical_cf([1.0], u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pairing_is_the_midpoint_sum_at_the_fixed_level(dim):
+    window = Region.from_intervals([(0.0, 1.0)] * dim)
+    chars = preset("gaussian-white-noise", dim=dim)
+    f = ProductBump(center=(0.5,) * dim, radius=(0.4,) * dim)
+    got = integrate(realization(chars, seed=21, window=window), f, 1.0)
+    # reference: query every level 0..L in turn (the draw order), then pair
+    # f with the cells of the last two levels at their midpoints
+    field = realization(chars, seed=21, window=window).gaussian
+    box = window.intersect(f.support_region).boxes[0]
+    top = PAIRING_LEVELS[dim]
+    sums = []
+    for level in range(top + 1):
+        edges = [np.linspace(lo, hi, 2 ** level + 1) for lo, hi in zip(box.lo, box.hi)]
+        cells = field.grid_values(1.0, box, edges)
+        mids = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij")
+        sums.append(float((f(np.stack(mids, axis=-1).reshape(-1, dim)) * cells.ravel()).sum()))
+    assert got.value == sums[-1]
+    assert got.error == abs(sums[-1] - sums[-2])
