@@ -70,6 +70,8 @@ def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
 
 
+_CHUNK_JUMPS = 1 << 20  # draws per marginal sample_tail call and per rejection block
+
 SMALL_CF_RTOL = 1e-10
 # Terms m = 1..12 of the cosine and sine series; at |c y| <= 1 the first
 # omitted term is below 1e-25 of the leading one.
@@ -485,14 +487,19 @@ class JumpSizeDistribution:
         raise NotImplementedError
 
     def sample_tail(self, rng, n, eps):
-        """Rejection sampling of Y given |Y| > eps."""
+        """Rejection sampling of Y given |Y| > eps, in at most 10,000 blocks."""
         acc = sum(self.prob_tails(eps))
         if acc <= 0.0:
             raise ValueError(f"jump distribution has no mass beyond {eps}")
         out = np.empty(0)
-        while out.size < n:
-            block = self.sample(rng, max(64, int(1.3 * (n - out.size) / acc)))
+        for _ in range(10_000):
+            if out.size >= n:
+                break
+            block = self.sample(rng, min(_CHUNK_JUMPS, max(64, int(1.3 * (n - out.size) / acc))))
             out = np.concatenate([out, block[np.abs(block) > eps]])
+        if out.size < n:
+            raise RuntimeError(f"{self!r}: rejection kept {out.size} of {n} jumps beyond "
+                               f"eps={eps} in 10000 blocks")
         return out[:n]
 
 

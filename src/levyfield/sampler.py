@@ -26,10 +26,9 @@ import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField
+from .kernels import _CHUNK_JUMPS  # jumps per sample_tail call; bounds the transform's memory
 from .quadrature import box_integral
 from .regions import Region
-
-_CHUNK_JUMPS = 1 << 20  # jumps per sample_tail call; bounds the transform's memory
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
 _STREAM_JUMPS = 1

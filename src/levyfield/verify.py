@@ -19,7 +19,7 @@ from scipy import stats as sp_stats
 from .analysis import modular_integrand
 from .characteristics import Characteristics
 from .funcs import IndicatorFunction
-from .integrate import empirical_cf, integrate
+from .integrate import _integrate_paths, empirical_cf
 from .kernels import DiscreteJumps, JumpSizeDistribution
 from .quadrature import region_integral
 from .regions import Region
@@ -87,7 +87,8 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
     truncation-bias term ``|exp(t Psi_eps) - exp(t Psi)|`` per frequency, so
     dropped small jumps are accounted for analytically rather than blamed on
     the sampler.  Simple functions route through the fast marginal sampler;
-    anything else pays for one path per replicate.
+    anything else samples one path per replicate, keeps its jump sum and
+    white noise, and pairs the white noises of many paths as one stack.
     """
     if n < 1000:
         raise ValueError("cf test needs at least 1000 replicates")
@@ -111,10 +112,8 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
             samples += coef * sample_marginals(chars, cfg, region)
     else:
         cfg = SamplerConfig(seed=seed, window=window, horizon=t, eps=eps)
-        samples = np.empty(n)
-        for k in range(n):
-            real = sample_field(chars, cfg, replicate=k)
-            samples[k] = integrate(real, f, t).value
+        paths = (sample_field(chars, cfg, replicate=k) for k in range(n))
+        samples = _integrate_paths(chars, cfg, paths, f, t)[0]
 
     emp, radius = empirical_cf(samples, u)
     notes = []

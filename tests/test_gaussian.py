@@ -6,7 +6,7 @@ import scipy.stats as sps
 
 from levyfield import Density, DiffusionComponent, Region
 from levyfield.characteristics import Atom
-from levyfield.gaussian import WhiteNoiseField
+from levyfield.gaussian import WhiteNoiseField, _refine
 from levyfield.regions import Box, interval
 
 WIN = Region.from_intervals([(0.0, 1.0)])
@@ -187,3 +187,24 @@ def test_batched_planes_match_one_per_query_2d_two_boxes():
     b.grid_values(1.0, box, [fine, ys])
     assert _state(a) == _state(b)
     assert len(b._patches[1]["axes"][1]) == len(set(xs) | set(fine))
+
+
+def test_a_stack_refines_each_field_as_alone():
+    alone = [make_field(s) for s in (1, 2, 3)]
+    stack = [make_field(s) for s in (1, 2, 3)]
+    edges = np.linspace(0.0, 1.0, 6)
+    for w in alone:
+        w.grid_values(1.0, WIN.boxes[0], [edges])
+    _refine(stack, 1, edges)
+    assert [_state(w) for w in stack] == [_state(w) for w in alone]
+
+
+def test_a_stack_with_different_layouts_is_refused():
+    a, b = make_field(1), make_field(2)
+    a.value(1.0, interval(0.0, 0.3))  # a plane at 0.3 that b lacks
+    with pytest.raises(ValueError, match="one plane layout"):
+        _refine([a, b], 1, [0.5])
+    # same planes, different cell masses
+    c = make_field(3, density=2.0)
+    with pytest.raises(ValueError, match="one plane layout"):
+        _refine([make_field(4), c], 1, [0.5])

@@ -1,5 +1,6 @@
 """Pathwise integrals, cylindrical characteristics, empirical CF."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,14 +8,19 @@ import pytest
 import scipy.integrate as spi
 
 from levyfield import Region, SamplerConfig, interval, preset, sample_field
+from levyfield.characteristics import (Characteristics, Density, DiffusionComponent,
+                                       DriftComponent, JumpComponent)
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
                              PolynomialDecay, ProductBump, SimpleFunction,
                              SumFunction)
-from levyfield.integrate import (PAIRING_LEVELS, NotIntegrableError,
+from levyfield.integrate import (PAIRING_LEVELS, NotIntegrableError, _integrate_paths,
                                  cylindrical_characteristics,
                                  empirical_cf, integrate, integrate_simple)
+from levyfield.kernels import StableKernel
 
 WIN = Region.from_intervals([(0.0, 1.0)])
+# the package exports the function ``integrate`` under the module's name
+integrate_module = importlib.import_module("levyfield.integrate")
 
 
 def realization(chars, seed, **kw):
@@ -150,3 +156,43 @@ def test_pairing_is_the_midpoint_sum_at_the_fixed_level(dim):
         sums.append(float((f(np.stack(mids, axis=-1).reshape(-1, dim)) * cells.ravel()).sum()))
     assert got.value == sums[-1]
     assert got.error == abs(sums[-1] - sums[-2])
+
+
+# --------------------------------------------------------------------------
+# batched pairing: the white noises of many paths refined as one stack give
+# each path the value a lone ``integrate`` call gives
+# --------------------------------------------------------------------------
+
+def _triple(dim, sigma_density=1.0):
+    return Characteristics(dim, gamma=DriftComponent(Density(0.3)),
+                           sigma=DiffusionComponent(Density(sigma_density)),
+                           nu=JumpComponent(StableKernel(1.5, 0.7, 0.3)))
+
+
+SYMMETRIC = Region.from_intervals([(-1.0, 1.0)])
+BUMP = ProductBump(center=(0.0,), radius=(0.5,))
+
+
+@pytest.mark.parametrize("chars, window, f, t, mode", [
+    (_triple(1), SYMMETRIC, BUMP, 1.0, "drop-with-bound"),
+    # a window of two parts, both cut by the support, and t below the horizon
+    (_triple(1), Region(1, (interval(0.0, 1.0), interval(2.0, 3.0))),
+     ProductBump(center=(1.5,), radius=(1.4,)), 0.6, "drop-with-bound"),
+    (_triple(2), Region.from_intervals([(0.0, 1.0), (0.0, 1.0)]),
+     ProductBump(center=(0.5, 0.5), radius=(0.4, 0.3)), 1.0, "drop-with-bound"),
+    (_triple(1), SYMMETRIC, BUMP, 1.0, "gaussian-substitute"),
+    # non-constant intensity: cell masses split by quadrature, cell by cell
+    (_triple(1, lambda x: 1.0 + x[:, 0] ** 2), SYMMETRIC,
+     ProductBump(center=(0.2,), radius=(0.5,)), 1.0, "drop-with-bound"),
+])
+def test_batched_paths_equal_one_integrate_per_path(chars, window, f, t, mode, monkeypatch):
+    # stacks of 3 paths in 2-D, so 5 paths make two stacks
+    monkeypatch.setattr(integrate_module, "_STACK_CELLS", 3 << 12)
+    cfg = SamplerConfig(seed=8, window=window, horizon=1.0, eps=0.05, small_jump_mode=mode)
+    n = 5
+    want = [integrate(sample_field(chars, cfg, k), f, t) for k in range(n)]
+    values, errors = _integrate_paths(chars, cfg, (sample_field(chars, cfg, k)
+                                                   for k in range(n)), f, t)
+    assert np.array_equal(values, [w.value for w in want])
+    assert np.array_equal(errors, [w.error for w in want])
+    assert len(set(values)) == n

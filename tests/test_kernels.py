@@ -11,6 +11,7 @@ import scipy.stats as sps
 from levyfield import (CompoundPoissonKernel, DiscreteJumps, NormalJumps,
                        StableKernel, TabulatedKernel, TemperedStableKernel,
                        UniformJumps, kernel_from_config, stable_symbol_constant)
+from levyfield import kernels
 from levyfield.kernels import upper_gamma
 
 
@@ -586,3 +587,30 @@ def test_compound_poisson_abs_annulus_closed_forms():
                             epsabs=0, epsrel=1e-13)[0]
                    for lo, hi in ((1.0, ci), (-ci, -1.0)))
         assert g == pytest.approx(1.7 * want, rel=1e-12)
+
+
+def test_rejection_blocks_are_capped_and_the_rounds_bounded(monkeypatch):
+    asked = []
+    real_sample = NormalJumps.sample
+
+    def recording(self, rng, n):
+        asked.append(n)
+        return real_sample(self, rng, n)
+
+    monkeypatch.setattr(NormalJumps, "sample", recording)
+    law = NormalJumps(0.0, 1.0)
+    # below the cap the blocks are the old 1.3 n / P(|Y| > eps), draws unchanged
+    y = law.sample_tail(np.random.default_rng(3), 200, 1.0)
+    acc = sum(law.prob_tails(1.0))
+    assert asked[0] == int(1.3 * 200 / acc) and y.size == 200 and np.all(np.abs(y) > 1.0)
+    # one jump beyond 5 sigma used to ask for 2.3e6 draws in one block (6.6e8 at 6)
+    asked.clear()
+    y = law.sample_tail(np.random.default_rng(3), 1, 5.0)
+    assert abs(y[0]) > 5.0 and max(asked) == kernels._CHUNK_JUMPS
+    # negligible tail mass: a stub that never lands beyond eps runs out of rounds
+    asked.clear()
+    monkeypatch.setattr(NormalJumps, "sample",
+                        lambda self, rng, n: asked.append(n) or np.zeros(1))
+    with pytest.raises(RuntimeError, match=r"eps=20\.0"):
+        law.sample_tail(np.random.default_rng(3), 1, 20.0)
+    assert len(asked) == 10_000 and max(asked) == kernels._CHUNK_JUMPS
