@@ -34,30 +34,32 @@ class WhiteNoiseField:
 
     def __init__(self, sigma: DiffusionComponent | None, window: Region,
                  horizon: float, seed_seq: np.random.SeedSequence):
+        self._plant(sigma, window, root_masses(sigma, window), horizon, seed_seq)
+
+    @classmethod
+    def rooted(cls, sigma: DiffusionComponent | None, window: Region, masses: tuple,
+               horizon: float, seed_seq: np.random.SeedSequence) -> "WhiteNoiseField":
+        """The field over root cells of spatial ``masses = root_masses(sigma,
+        window)``, computed once for all the fields of a window."""
+        field = cls.__new__(cls)
+        field._plant(sigma, window, masses, horizon, seed_seq)
+        return field
+
+    def _plant(self, sigma, window, masses, horizon, seed_seq) -> None:
         self._sigma = sigma
         self._horizon = float(horizon)
-        self._rng = np.random.default_rng(seed_seq)
+        self._rng = None if sigma is None else np.random.default_rng(seed_seq)
         self._patches: list[dict] = []
-        if sigma is None:
-            return
-        for box in window.boxes:
-            smass = np.array(self._space_mass(box)).reshape((1,) * box.dim)
-            mass = self._horizon * float(smass.ravel()[0])
+        for box, smass in zip(window.boxes, masses):
+            mass = self._horizon * smass
             value = self._rng.normal(0.0, math.sqrt(mass)) if mass > 0.0 else 0.0
             self._patches.append({
                 "box": box,
                 "axes": [np.array([0.0, self._horizon])]
                         + [np.array([lo, hi]) for lo, hi in zip(box.lo, box.hi)],
                 "values": np.full((1,) * (1 + box.dim), value),
-                "smass": smass,
+                "smass": np.full((1,) * box.dim, smass),
             })
-
-    # -- masses ----------------------------------------------------------
-    def _space_mass(self, box: Box) -> float:
-        m = self._sigma.integral(Region.from_box(box))[0]
-        if m < -1e-12:
-            raise ValueError("gaussian intensity integrated to a negative mass")
-        return max(m, 0.0)
 
     # -- queries ---------------------------------------------------------
     def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> float:
@@ -161,7 +163,7 @@ def _refine(fields, axis: int, coords) -> None:
                     for idx in np.ndindex(sm.shape):
                         cell = [(ax[i], ax[i + 1]) for ax, i in zip(patch["axes"][1:], idx)]
                         cell[k] = (cl[idx[k]], c[idx[k]])
-                        sm_l[idx] = fields[0]._space_mass(Box(*zip(*cell)))
+                        sm_l[idx] = _space_mass(fields[0]._sigma, Box(*zip(*cell)))
                 sm_r = sm - sm_l
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(sm > 0.0, sm_l / sm, 0.0)[None, ...]
@@ -181,6 +183,18 @@ def _ensure_planes(fields, t0: float, t1: float, boxes) -> None:
     for b in boxes:
         for i in range(b.dim):
             _refine(fields, i + 1, (b.lo[i], b.hi[i]))
+
+
+def _space_mass(sigma: DiffusionComponent, box: Box) -> float:
+    m = sigma.integral(Region.from_box(box))[0]
+    if m < -1e-12:
+        raise ValueError("gaussian intensity integrated to a negative mass")
+    return max(m, 0.0)
+
+
+def root_masses(sigma: DiffusionComponent | None, window: Region) -> tuple:
+    """``Sigma(box)`` per window box: the root cells of every field over the window."""
+    return () if sigma is None else tuple(_space_mass(sigma, box) for box in window.boxes)
 
 
 def _mesh_cells(fields, t1: float, box: Box, edges: list[np.ndarray],

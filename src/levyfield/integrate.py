@@ -29,6 +29,7 @@ from .gaussian import _ensure_planes, _mesh_cells, _refine
 from .kernels import JumpKernel
 from .quadrature import region_integral, shell_region
 from .regions import Box, Region
+from .sampler import levy_ito_spec
 
 _PUSH_GRID_DECADES = (-8, 8)
 _PUSH_PER_DECADE = 8
@@ -116,12 +117,11 @@ def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
         value += t * v
         err += t * e
     # compensator of the retained jumps up to size 1
-    if chars.nu is not None and config.eps < 1.0:
-        rate = chars.nu.kernel.annulus_first_moment(config.eps, 1.0)
-        if rate != 0.0:
-            v, e = region_integral(lambda x: f(x) * chars.jump_modulation(x), domain)
-            comp = t * rate * v
-            err += t * abs(rate) * e
+    rate = levy_ito_spec(chars, config).compensator_rate
+    if rate != 0.0:
+        v, e = region_integral(lambda x: f(x) * chars.jump_modulation(x), domain)
+        comp = t * rate * v
+        err += t * abs(rate) * e
     # paths in blocks: jump sums one by one, then one stacked pairing per block
     step = max(1, _STACK_CELLS >> (PAIRING_LEVELS.get(chars.dim, 4) * chars.dim))
     values, errors, reals = [], [], iter(reals)

@@ -995,16 +995,19 @@ class TabulatedKernel(JumpKernel):
             raise ValueError(f"no tabulated mass beyond {eps}")
         seg = rng.choice(masses.size, size=n, p=masses / total)
         lo, hi = lo[seg], hi[seg]
-        # within a segment, draw by rejection against the max of the density
+        # rejection against the larger end of the (linear) piece: half pass or more
         out = np.empty(n)
-        cap = np.maximum(self.values[:-1], self.values[1:])
+        cap = np.maximum(self._interp(lo), self._interp(hi))
         todo = np.arange(n)
-        while todo.size:
+        for _ in range(10_000):
             y = rng.uniform(lo[todo], hi[todo])
-            acc = rng.random(todo.size) * cap[seg[todo]] < self._interp(y)
+            acc = rng.random(todo.size) * cap[todo] < self._interp(y)
             out[todo[acc]] = y[acc]
             todo = todo[~acc]
-        return out
+            if not todo.size:
+                return out
+        raise RuntimeError(f"TabulatedKernel: rejection left {todo.size} of {n} jumps "
+                           f"beyond eps={eps} undrawn in 10000 rounds")
 
     def scale_image(self, c):
         if c == 0.0:

@@ -7,6 +7,10 @@ set evaluations are finitely additive by construction.  Small jumps below eps
 are either dropped (with a reported L2 bound) or replaced by an independent
 white noise of matching variance.
 
+Every constant of the decomposition depends on the characteristics and the
+config but not on the seed: ``levy_ito_spec`` builds them once per config,
+and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
+
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
 to a segment sum of its jump sizes, which is what makes 1e5 replicates of an
@@ -19,13 +23,14 @@ chunk, not with the number of jumps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
-from .gaussian import WhiteNoiseField
+from .gaussian import WhiteNoiseField, root_masses
 from .kernels import _CHUNK_JUMPS  # jumps per sample_tail call; bounds the transform's memory
 from .quadrature import box_integral
 from .regions import Region
@@ -35,6 +40,8 @@ _STREAM_JUMPS = 1
 _STREAM_GAUSS = 2
 _STREAM_SUBSTITUTE = 3
 _STREAM_MARGINALS = 4
+# decompositions kept by levy_ito_spec, most recently used first
+_SPECS = 8
 
 
 class InfiniteActivityError(ValueError):
@@ -45,34 +52,78 @@ class OutOfWindowError(ValueError):
     """Raised when a query region is not covered by the sampled window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyItoSpec:
-    """Integrability record for the decomposition underlying the sampler.
+    """The Levy-Ito decomposition of one sampler config, shared by its paths.
 
-    ``gaussian_l2``: total Gaussian mass of the window; ``small_jump``:
-    second moment of jumps of size <= 1 over the window; ``large_jump``:
-    mass of jumps of size > 1 over the window.  All three must be finite
-    for the decomposition to define a random measure.
+    Integrability, all finite for a random measure: ``gaussian_l2``, the
+    Gaussian mass of the window; ``small_jump``, the second moment of jumps
+    of size <= 1 over it; ``large_jump``, the mass of jumps of size > 1.
+    Per unit of modulation: ``tail`` ``nu(|y| > eps)``, ``compensator_rate``
+    ``int_{eps < |y| <= 1} y nu`` and ``small_moment`` ``int_{|y| <= eps}
+    y^2 nu``.  Over the window: the mean jump count ``jump_rate`` of a path,
+    the box probabilities ``box_p`` of jump locations, and the white-noise
+    root masses of Sigma and of the ``substitute`` for the small jumps.
     """
 
+    chars: Characteristics
     gaussian_l2: float
     small_jump: float
     large_jump: float
+    tail: float = 0.0
+    compensator_rate: float = 0.0
+    small_moment: float = 0.0
+    jump_rate: float = 0.0
+    box_p: tuple | None = None
+    sigma_roots: tuple = ()
+    substitute: DiffusionComponent | None = None
+    substitute_roots: tuple = ()
 
 
-def levy_ito_spec(chars: Characteristics, window: Region) -> LevyItoSpec:
+def levy_ito_spec(chars: Characteristics, config: SamplerConfig) -> LevyItoSpec:
+    """The decomposition of ``chars`` on the config's window, horizon, eps and
+    small-jump mode; the last ``_SPECS`` are kept, whatever their seeds."""
+    return _decompose(chars, config.window, config.horizon, config.eps,
+                      config.small_jump_mode)
+
+
+@functools.lru_cache(maxsize=_SPECS)
+def _decompose(chars: Characteristics, window: Region, horizon: float, eps: float,
+               mode: str) -> LevyItoSpec:
     if window.dim != chars.dim:
         raise ValueError("window dimension does not match characteristics")
     gaussian_l2 = chars.sigma_measure(window)
     small = large = 0.0
     if chars.nu is not None:
-        mod, _ = chars.nu.spatial_mass(window)
-        small = mod * chars.nu.kernel.second_moment_below(1.0)
-        large = mod * chars.nu.kernel.tail_mass(1.0)
+        kern, mod = chars.nu.kernel, chars.nu.modulation
+        mod_mass, _ = chars.nu.spatial_mass(window)
+        small = mod_mass * kern.second_moment_below(1.0)
+        large = mod_mass * kern.tail_mass(1.0)
     for name, v in (("gaussian", gaussian_l2), ("small-jump", small), ("large-jump", large)):
         if not np.isfinite(v):
             raise ValueError(f"{name} integrability condition fails on the window")
-    return LevyItoSpec(gaussian_l2, small, large)
+    sigma_roots = root_masses(chars.sigma, window)
+    if chars.nu is None:
+        return LevyItoSpec(chars, gaussian_l2, small, large, sigma_roots=sigma_roots)
+    tail = kern.tail_mass(eps)
+    rate = horizon * mod_mass * tail
+    if not np.isfinite(rate):
+        raise InfiniteActivityError(
+            "infinitely many jumps above the requested truncation; "
+            "use eps > 0 (e.g. 1e-3) for infinite-activity kernels")
+    weights = np.array([mod.const * b.volume if mod.is_constant else box_integral(mod, b)[0]
+                        for b in window.boxes])
+    # with no mass on the window a path cannot place its jumps; marginals need none
+    box_p = tuple(weights / weights.sum()) if weights.sum() > 0.0 else None
+    s2 = kern.second_moment_below(eps)
+    substitute = None
+    if mode == "gaussian-substitute" and eps > 0.0:
+        substitute = DiffusionComponent(Density(mod.const * s2) if mod.is_constant
+                                        else Density(lambda x: mod(x) * s2))
+    return LevyItoSpec(chars, gaussian_l2, small, large, tail,
+                       kern.annulus_first_moment(eps, 1.0) if eps < 1.0 else 0.0, s2,
+                       rate, box_p, sigma_roots, substitute,
+                       root_masses(substitute, window))
 
 
 @dataclass(frozen=True)
@@ -101,14 +152,20 @@ class SamplerConfig:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 
+    def check_times(self, t: float, t0: float) -> None:
+        """The one check of a query's time span (t0, t] against the horizon."""
+        if not 0.0 <= t0 <= t <= self.horizon * (1 + 1e-12):
+            raise ValueError("need 0 <= t0 <= t <= horizon")
+
 
 class FieldRealization:
     """One sampled path of the random measure over (0, horizon] x window."""
 
-    def __init__(self, chars: Characteristics, config: SamplerConfig, replicate: int,
+    def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicate: int,
                  times: np.ndarray, locations: np.ndarray, sizes: np.ndarray,
                  gaussian: WhiteNoiseField, substitute: WhiteNoiseField | None):
-        self.chars = chars
+        self.spec = spec
+        self.chars = spec.chars
         self.config = config
         self.replicate = replicate
         for a in (times, locations, sizes):
@@ -122,19 +179,19 @@ class FieldRealization:
 
     # -- structure -------------------------------------------------------
     def _check_query(self, t: float, region: Region, t0: float) -> None:
-        if not 0.0 <= t0 <= t <= self.config.horizon * (1 + 1e-12):
-            raise ValueError("need 0 <= t0 <= t <= horizon")
+        self.config.check_times(t, t0)
         if region.dim != self.chars.dim:
             raise ValueError("region dimension mismatch")
         if not region.is_empty and not self.config.window.covers_region(region):
             raise OutOfWindowError("query region is not covered by the sampled window")
 
-    def _modulation_mass(self, region: Region) -> float:
-        if self.chars.nu is None:
+    def _per_modulation(self, rate: float, t: float, region: Region, t0: float) -> float:
+        """``(t - t0) m(region) rate``; m(region) is kept for this path only."""
+        if not rate:
             return 0.0
         if region not in self._mod_cache:
             self._mod_cache[region] = self.chars.nu.spatial_mass(region)[0]
-        return self._mod_cache[region]
+        return (t - t0) * self._mod_cache[region] * rate
 
     # -- exact accessors -------------------------------------------------
     def drift(self, t: float, region: Region, t0: float = 0.0) -> float:
@@ -142,18 +199,11 @@ class FieldRealization:
 
     def compensator(self, t: float, region: Region, t0: float = 0.0) -> float:
         """Subtracted mean of the retained compensated jumps (eps < |y| <= 1)."""
-        eps = self.config.eps
-        if self.chars.nu is None or eps >= 1.0:
-            return 0.0
-        rate = self.chars.nu.kernel.annulus_first_moment(eps, 1.0)
-        return (t - t0) * self._modulation_mass(region) * rate
+        return self._per_modulation(self.spec.compensator_rate, t, region, t0)
 
     def small_jump_bound(self, t: float, region: Region, t0: float = 0.0) -> float:
         """L2 bound on the dropped small-jump part: (t-t0) int_{|y|<=eps} y^2 nu."""
-        if self.chars.nu is None:
-            return 0.0
-        s2 = self.chars.nu.kernel.second_moment_below(self.config.eps)
-        return (t - t0) * self._modulation_mass(region) * s2
+        return self._per_modulation(self.spec.small_moment, t, region, t0)
 
     # -- evaluation ------------------------------------------------------
     def jump_sum(self, t: float, region: Region, t0: float = 0.0) -> tuple[float, float]:
@@ -168,16 +218,13 @@ class FieldRealization:
         return float(vals[big].sum()), float(vals[~big].sum())
 
     def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
-        """M over (t0, t] x region for this path."""
-        self._check_query(t, region, t0)
+        """M over (t0, t] x region for this path: the sum of its components."""
         if region.is_empty:
+            self._check_query(t, region, t0)
             return 0.0
-        big, small = self.jump_sum(t, region, t0)
-        out = self.drift(t, region, t0) + big + small - self.compensator(t, region, t0)
-        out += self.gaussian.value(t, region, t0)
-        if self.substitute is not None:
-            out += self.substitute.value(t, region, t0)
-        return out
+        c = self.components(t, region, t0)
+        return (c["drift"] + c["large_jumps"] + c["small_jumps"] - c["compensator"]
+                + c["gaussian"] + c["substitute"])
 
     def components(self, t: float, region: Region, t0: float = 0.0) -> dict:
         self._check_query(t, region, t0)
@@ -199,16 +246,11 @@ class FieldRealization:
 # --------------------------------------------------------------------------
 
 def _sample_locations(rng: np.random.Generator, modulation: Density,
-                      window: Region, n: int) -> np.ndarray:
-    boxes = window.boxes
-    if modulation.is_constant:
-        weights = np.array([modulation.const * b.volume for b in boxes])
-    else:
-        weights = np.array([box_integral(modulation, b)[0] for b in boxes])
-    total = weights.sum()
-    if total <= 0.0:
+                      window: Region, box_p: tuple, n: int) -> np.ndarray:
+    if box_p is None:
         raise ValueError("jump modulation has no mass on the window")
-    pick = rng.choice(len(boxes), size=n, p=weights / total)
+    boxes = window.boxes
+    pick = rng.choice(len(boxes), size=n, p=box_p)
     pts = np.empty((n, window.dim))
     for i, b in enumerate(boxes):
         sel = pick == i
@@ -241,43 +283,30 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
 
 def sample_field(chars: Characteristics, config: SamplerConfig,
                  replicate: int = 0) -> FieldRealization:
-    """One Levy-Ito path: Poisson jumps above eps + white noise + drift."""
-    levy_ito_spec(chars, config.window)  # validates integrability + dimensions
-    eps, T, window = config.eps, config.horizon, config.window
+    """Path ``replicate`` of the config's Levy-Ito decomposition: Poisson jumps
+    above eps + white noise + drift."""
+    spec = levy_ito_spec(chars, config)
+    T, window = config.horizon, config.window
     times = np.empty(0)
     locs = np.empty((0, chars.dim))
     sizes = np.empty(0)
     if chars.nu is not None:
-        kern = chars.nu.kernel
-        mod_mass, _ = chars.nu.spatial_mass(window)
-        rate = T * mod_mass * kern.tail_mass(eps)
-        if not np.isfinite(rate):
-            raise InfiniteActivityError(
-                "infinitely many jumps above the requested truncation; "
-                "use eps > 0 (e.g. 1e-3) for infinite-activity kernels")
         rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, replicate, _STREAM_JUMPS)))
-        n = int(rng.poisson(rate))
+        n = int(rng.poisson(spec.jump_rate))
         times = rng.uniform(0.0, T, n)
-        locs = _sample_locations(rng, chars.nu.modulation, window, n)
-        sizes = kern.sample_tail(rng, n, eps) if n else np.empty(0)
+        locs = _sample_locations(rng, chars.nu.modulation, window, spec.box_p, n)
+        sizes = chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0)
         order = np.argsort(times, kind="stable")
         times, locs, sizes = times[order], locs[order], sizes[order]
-    gaussian = WhiteNoiseField(
-        chars.sigma, window, T,
-        np.random.SeedSequence((config.seed, replicate, _STREAM_GAUSS)))
-    substitute = None
-    if (config.small_jump_mode == "gaussian-substitute" and chars.nu is not None
-            and eps > 0.0):
-        s2 = chars.nu.kernel.second_moment_below(eps)
-        mod = chars.nu.modulation
-        sub_density = Density(mod.const * s2) if mod.is_constant \
-            else Density(lambda x: mod(x) * s2)
-        substitute = WhiteNoiseField(
-            DiffusionComponent(sub_density), window, T,
-            np.random.SeedSequence((config.seed, replicate, _STREAM_SUBSTITUTE)))
-    return FieldRealization(chars, config, replicate, times, locs, sizes,
-                            gaussian, substitute)
+    def noise(sigma, roots, stream):
+        return WhiteNoiseField.rooted(sigma, window, roots, T, np.random.SeedSequence(
+            (config.seed, replicate, stream)))
+
+    substitute = (None if spec.substitute is None
+                  else noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
+    return FieldRealization(spec, config, replicate, times, locs, sizes,
+                            noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS), substitute)
 
 
 # --------------------------------------------------------------------------
@@ -305,21 +334,15 @@ def sample_marginals(chars: Characteristics, config: SamplerConfig,
     region = config.window if region is None else region
     if not config.window.covers_region(region):
         raise OutOfWindowError("marginal region is not covered by the window")
+    spec = levy_ito_spec(chars, config)
     T, eps, N = config.horizon, config.eps, config.replicates
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_MARGINALS)))
     out = np.zeros(N)
-    comp = 0.0
+    mod_mass = 0.0
     if chars.nu is not None:
-        kern = chars.nu.kernel
         mod_mass = chars.nu.spatial_mass(region)[0]
-        rate = T * mod_mass * kern.tail_mass(eps)
-        if not np.isfinite(rate):
-            raise InfiniteActivityError(
-                "infinitely many jumps above the requested truncation; use eps > 0")
-        counts = rng.poisson(rate, size=N)
-        if eps < 1.0:
-            comp = T * mod_mass * kern.annulus_first_moment(max(eps, 0.0), 1.0)
+        counts = rng.poisson(T * mod_mass * spec.tail, size=N)
         edges = np.concatenate([[0], np.cumsum(counts)])
         lo, total = 0, int(edges[-1])
         while lo < total:
@@ -330,18 +353,14 @@ def sample_marginals(chars: Characteristics, config: SamplerConfig,
             r0 = np.searchsorted(edges, lo, side="right") - 1
             r1 = np.searchsorted(edges, hi)
             seg = np.minimum(edges[r0 + 1:r1 + 1], hi) - np.maximum(edges[r0:r1], lo)
-            out[r0:r1] += _segment_sums(kern.sample_tail(rng, hi - lo, eps), seg)
+            out[r0:r1] += _segment_sums(chars.nu.kernel.sample_tail(rng, hi - lo, eps), seg)
             lo = hi
-    out += T * chars.gamma_measure(region) - comp
-    gvar = T * chars.sigma_measure(region)
-    if gvar > 0.0:
-        out += math.sqrt(gvar) * rng.standard_normal(N)
-    if (config.small_jump_mode == "gaussian-substitute" and chars.nu is not None
-            and eps > 0.0):
-        svar = T * chars.nu.spatial_mass(region)[0] \
-            * chars.nu.kernel.second_moment_below(eps)
-        if svar > 0.0:
-            out += math.sqrt(svar) * rng.standard_normal(N)
+    out += T * chars.gamma_measure(region) - T * mod_mass * spec.compensator_rate
+    # draw order: the white noise of Sigma, then the small-jump substitute
+    for var in (T * chars.sigma_measure(region),
+                T * mod_mass * spec.small_moment if spec.substitute is not None else 0.0):
+        if var > 0.0:
+            out += math.sqrt(var) * rng.standard_normal(N)
     return out
 
 

@@ -67,8 +67,7 @@ class SheetRealization:
             return self._cache[key]
         region, sign = self.corner_region(x)
         if region is None:
-            if not 0.0 <= t0 <= t <= self.source.config.horizon * (1 + 1e-12):
-                raise ValueError("need 0 <= t0 <= t <= horizon")
+            self.source.config.check_times(t, t0)
             out = 0.0
         else:
             out = sign * self.source.evaluate(t, region, t0)
@@ -139,38 +138,24 @@ def box_increment(sheet: SheetRealization, t: float, a, b,
 # Fast lattice evaluation (pure-jump, constant densities)
 # --------------------------------------------------------------------------
 
-def _net_drift_rate(real: FieldRealization) -> float | None:
-    """Constant density of the deterministic part of M(t, .), or None.
-
-    Combines the drift density with the retained-jump compensator rate; both
-    must be spatially constant for the closed form to apply.
-    """
-    chars = real.chars
-    a0 = 0.0
-    if chars.gamma is not None:
-        if not chars.gamma.density.is_constant:
-            return None
-        a0 = chars.gamma.density.const
-    if chars.nu is not None:
-        if not chars.nu.modulation.is_constant:
-            return None
-        eps = real.config.eps
-        if eps < 1.0:
-            a0 -= chars.nu.modulation.const * chars.nu.kernel.annulus_first_moment(eps, 1.0)
-    return a0
-
-
 def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray],
                t0: float) -> np.ndarray | None:
-    """Vectorized corner-grid evaluation, or None when inapplicable."""
+    """Vectorized corner-grid evaluation, or None when inapplicable.
+
+    Applies when the deterministic part of M(t, .), drift minus the
+    compensator of the retained jumps, has a spatially constant density.
+    """
     chars = real.chars
     if chars.sigma is not None or real.substitute is not None:
         return None
-    rate = _net_drift_rate(real)
-    if rate is None:
+    gamma, nu = chars.gamma, chars.nu
+    if (gamma is not None and not gamma.density.is_constant
+            or nu is not None and not nu.modulation.is_constant):
         return None
-    if not 0.0 <= t0 <= t <= real.config.horizon * (1 + 1e-12):
-        raise ValueError("need 0 <= t0 <= t <= horizon")
+    real.config.check_times(t, t0)
+    rate = 0.0 if gamma is None else gamma.density.const
+    if nu is not None:
+        rate -= nu.modulation.const * real.spec.compensator_rate
     d = len(axes)
     i0 = int(np.searchsorted(real.jump_times, t0, side="right"))
     i1 = int(np.searchsorted(real.jump_times, t, side="right"))

@@ -508,9 +508,8 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
     distance-covariance test between M(s,A) and the increment.  Thresholds
     are Bonferroni-corrected across all sub-tests, and one undecided
     sub-test (e.g. a constant sample) makes the report indeterminate;
-    ``path_sampler`` is
-    injectable so planted time-inhomogeneous samplers can exercise the fail
-    arm.
+    ``path_sampler`` is injectable so planted time-inhomogeneous samplers
+    can exercise the fail arm.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not pairs:
@@ -524,10 +523,9 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
     undecided = False
     notes = []
     for i, (s, t) in enumerate(pairs):
-        cfg1 = SamplerConfig(seed=_child_seed(seed, i, 0), window=region,
-                             horizon=t, eps=eps, small_jump_mode=small_jump_mode)
-        cfg2 = SamplerConfig(seed=_child_seed(seed, i, 1), window=region,
-                             horizon=t, eps=eps, small_jump_mode=small_jump_mode)
+        # two seeds of one config: both batches share its decomposition
+        cfg1, cfg2 = (SamplerConfig(seed=_child_seed(seed, i, j), window=region, horizon=t,
+                                    eps=eps, small_jump_mode=small_jump_mode) for j in (0, 1))
         at_s, at_t = np.empty(n), np.empty(n)
         for k in range(n):
             real = path_sampler(chars, cfg1, replicate=k)

@@ -58,6 +58,14 @@ def test_merged_atom_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_merged_set_up_helpers_are_gone():
+    # the per-config decomposition (sampler.levy_ito_spec) holds these rates
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"_net_drift_rate", "FieldRealization._modulation_mass",
+            "WhiteNoiseField._space_mass"}
+    assert defined & gone == set()
+
+
 def test_the_scan_sees_a_dead_name():
     package = ("def used():\n    pass\n"
                "def dead():\n    pass\n"

@@ -614,3 +614,33 @@ def test_rejection_blocks_are_capped_and_the_rounds_bounded(monkeypatch):
     with pytest.raises(RuntimeError, match=r"eps=20\.0"):
         law.sample_tail(np.random.default_rng(3), 1, 20.0)
     assert len(asked) == 10_000 and max(asked) == kernels._CHUNK_JUMPS
+
+
+def test_tabulated_rejection_caps_each_clipped_piece():
+    # the piece beyond eps = 1.999 of f(y) = 2 - y: CDF 1 - ((2 - y)/(2 - eps))^2
+    tab, eps = TabulatedKernel([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]), 1.999
+    y = tab.sample_tail(np.random.default_rng(8), 2000, eps)
+    assert np.all((y > eps) & (y <= 2.0))
+    width = 2.0 - eps
+    assert sps.kstest(y, lambda v: 1.0 - ((2.0 - v) / width) ** 2).pvalue > 0.01
+
+
+def test_tabulated_rejection_rounds_are_bounded():
+    class NeverAccepts:
+        def __init__(self):
+            self.rng, self.rounds = np.random.default_rng(0), 0
+
+        def choice(self, *args, **kwargs):
+            return self.rng.choice(*args, **kwargs)
+
+        def uniform(self, lo, hi):
+            self.rounds += 1
+            return self.rng.uniform(lo, hi)
+
+        def random(self, size):
+            return np.full(size, 2.0)  # twice the cap: no draw passes
+
+    stub = NeverAccepts()
+    with pytest.raises(RuntimeError, match=r"TabulatedKernel.*eps=0\.5"):
+        TabulatedKernel([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]).sample_tail(stub, 3, 0.5)
+    assert stub.rounds == 10_000

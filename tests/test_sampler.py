@@ -2,18 +2,20 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 
-from levyfield import (Characteristics, Density, InfiniteActivityError,
+from levyfield import (Box, Characteristics, Density, InfiniteActivityError,
                        JumpComponent, Region, SamplerConfig, StableKernel,
                        TemperedStableKernel, interval, preset,
                        sample_field, sample_marginals,
                        sample_spectrally_positive, sample_stable_marginal_oracle,
                        stable_symbol_constant)
-from levyfield import sampler
+from levyfield import gaussian, sampler
+from levyfield.characteristics import DiffusionComponent
 from levyfield.sampler import OutOfWindowError
 
 WIN = Region.from_intervals([(0.0, 1.0)])
@@ -227,3 +229,83 @@ def test_marginal_chunks_split_only_replicates_bigger_than_a_chunk(monkeypatch, 
         assert not split.all()
     np.testing.assert_array_equal(got[~split], want[~split])
     np.testing.assert_allclose(got[split], want[split], rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# One decomposition per config, shared by its paths
+# --------------------------------------------------------------------------
+
+TWO_BOXES = Region(2, (Box((0.0, 0.0), (1.0, 0.5)), Box((1.0, 0.0), (2.0, 1.0))))
+PROBES = {1: Region.from_intervals([(0.2, 0.65)]),
+          2: Region.from_box(Box((0.3, 0.1), (1.5, 0.4)))}
+
+
+def _plan_case(dim, densities, mode):
+    window = WIN if dim == 1 else TWO_BOXES
+    if densities == "constant":
+        sigma, modulation = Density(0.8), Density(1.5)
+    else:
+        sigma = Density(lambda x: 1.0 + x[:, 0])
+        modulation = Density(lambda x: 2.0 - x[:, -1])
+    chars = Characteristics(dim, sigma=DiffusionComponent(sigma),
+                            nu=JumpComponent(StableKernel(1.5), modulation))
+    return chars, cfg(31, window=window, eps=0.1, small_jump_mode=mode)
+
+
+def _queried(real):
+    """Jump records, then white-noise values and M after a fixed query sequence."""
+    out = [real.jump_times, real.jump_locations, real.jump_sizes]
+    probe, window = PROBES[real.chars.dim], real.config.window
+    for t, t0 in ((0.7, 0.0), (1.0, 0.3), (0.45, 0.2)):
+        for region in (probe, window):
+            noise = real.substitute.value(t, region, t0) if real.substitute else 0.0
+            out.append(np.array([real.gaussian.value(t, region, t0), noise,
+                                 real.evaluate(t, region, t0)]))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["drop-with-bound", "gaussian-substitute"])
+@pytest.mark.parametrize("densities", ["constant", "callable"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_path_does_not_depend_on_the_paths_drawn_before_it(dim, densities, mode):
+    chars, config = _plan_case(dim, densities, mode)
+    first = _queried(sample_field(chars, config, 3))
+    others = [sample_field(chars, config, k) for k in range(3)]
+    after_draws = _queried(sample_field(chars, config, 3))
+    for k, real in enumerate(others):  # refine the others on other planes
+        cut = Region.from_box(Box((0.05 * (k + 1),) * dim, (0.9, 0.45)[:dim]))
+        real.evaluate(0.2 * (k + 1), cut, 0.1)
+        real.evaluate(0.95, config.window)
+        if dim == 1:
+            real.gaussian.grid_values(0.8, WIN.boxes[0], [np.linspace(0.0, 1.0, 9)])
+    after_queries = _queried(sample_field(chars, config, 3))
+    assert (sample_field(chars, config, 3).substitute is None) == (mode == "drop-with-bound")
+    for got in (after_draws, after_queries):
+        assert len(got) == len(first)
+        assert all(np.array_equal(a, b) for a, b in zip(first, got))
+
+
+def test_a_config_is_set_up_once_for_all_its_paths(monkeypatch):
+    chars, config = _plan_case(2, "callable", "gaussian-substitute")
+    calls = Counter()
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[label(*args)] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(StableKernel, "tail_mass", lambda kern, c: ("tail", c))
+    count(Characteristics, "sigma_measure", lambda chars, region: ("sigma", region))
+    count(JumpComponent, "spatial_mass", lambda nu, region: ("modulation", region))
+    count(gaussian, "_space_mass",
+          lambda sigma, box: ("root", sigma is chars.sigma, box))
+    for k in range(100):
+        sample_field(chars, config, k)
+    assert calls[("tail", config.eps)] == 1
+    assert calls[("sigma", TWO_BOXES)] == calls[("modulation", TWO_BOXES)] == 1
+    # the white-noise root cells of sigma and of the small-jump substitute
+    assert sum(1 for key in calls if key[0] == "root") == 2 * len(TWO_BOXES.boxes)
+    assert set(calls.values()) == {1}
