@@ -113,15 +113,21 @@ class MembershipResult:
         return self.verdict == "member"
 
 
-def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
-                  max_shells: int = 48, min_shells: int = 6,
-                  decay_ratio: float = 0.98, growth_ratio: float = 1.02) -> MembershipResult:
+MAX_SHELLS = 48
+MIN_SHELLS = 6
+DECAY_RATIO = 0.98
+GROWTH_RATIO = 1.02
+
+
+def lm_membership(chars: Characteristics, f,
+                  domain: Region | None = None) -> MembershipResult:
     """Decide whether ``int Phi(|f|, x) lambda(dx)`` over the domain is finite.
 
     ``domain=None`` means all of R^d; unbounded integrals are resolved shell by
-    shell over dyadic sup-norm annuli, declaring membership only when the shell
-    sequence decays geometrically (the tail is then bounded by a geometric
-    series) and non-membership only when it grows geometrically.  Anything
+    shell over dyadic sup-norm annuli, at most ``MAX_SHELLS``, declaring
+    membership only when the shell ratios stay at most ``DECAY_RATIO`` (after
+    ``MIN_SHELLS`` shells; the tail is then bounded by a geometric series) and
+    non-membership only when they stay at least ``GROWTH_RATIO``.  Anything
     less clear-cut is reported as indeterminate, never silently as member.
     """
     if getattr(f, "dim", chars.dim) != chars.dim:
@@ -165,7 +171,7 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
     total, err = core_val + atoms, core_err
     shells: list[float] = []
     ratios: list[float] = []
-    for k in range(max_shells):
+    for k in range(MAX_SHELLS):
         try:
             sk, e = region_integral(integrand, shell_region(chars.dim, k))
             err += e
@@ -177,7 +183,7 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
             sk = np.inf
         shells.append(sk)
         if not np.isfinite(sk):
-            if len(ratios) >= 2 and min(ratios[-2:]) > growth_ratio:
+            if len(ratios) >= 2 and min(ratios[-2:]) > GROWTH_RATIO:
                 return MembershipResult("non-member", shells=tuple(shells), note=(
                     f"integrand overflowed at shell {k} after geometric growth"))
             return MembershipResult("indeterminate", shells=tuple(shells),
@@ -191,16 +197,16 @@ def lm_membership(chars: Characteristics, f, domain: Region | None = None, *,
                                     note="tail numerically zero")
         if len(ratios) >= 4:
             last = ratios[-4:]
-            if max(last) <= decay_ratio and k + 1 >= min_shells:
+            if max(last) <= DECAY_RATIO and k + 1 >= MIN_SHELLS:
                 r = max(last)
                 tail = sk * r / (1.0 - r)
                 return MembershipResult("member", total + tail, err + tail,
                                         tuple(shells), note="geometric tail bound")
-            if min(last) >= growth_ratio:
+            if min(last) >= GROWTH_RATIO:
                 return MembershipResult("non-member", shells=tuple(shells), note=(
                     f"shell integrals grow geometrically (last ratio {last[-1]:.3g})"))
     return MembershipResult("indeterminate", shells=tuple(shells),
-                            note=f"no verdict after {max_shells} shells")
+                            note=f"no verdict after {MAX_SHELLS} shells")
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +260,7 @@ def _probe_points(dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def stationarity_check(chars: Characteristics, tol: float = 1e-9) -> StationarityResult:
+def stationarity_check(chars: Characteristics) -> StationarityResult:
     """Constant densities and no atoms <=> spatially homogeneous law."""
     for comp, name in ((chars.gamma, "gamma atom"), (chars.sigma, "sigma atom")):
         if comp is not None and comp.atoms:
@@ -268,7 +274,7 @@ def stationarity_check(chars: Characteristics, tol: float = 1e-9) -> Stationarit
     for name, fn in fields:
         vals = fn(pts)
         lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-        if vals[hi] - vals[lo] > tol * (1.0 + np.abs(vals).max()):
+        if vals[hi] - vals[lo] > 1e-9 * (1.0 + np.abs(vals).max()):
             return StationarityResult(
                 False, witness=(tuple(pts[lo]), tuple(pts[hi]), name))
         consts.append(float(vals[0]))

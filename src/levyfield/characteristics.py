@@ -67,14 +67,14 @@ class Density:
             return np.full(x.shape[0], self.const)
         return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
 
-    def integral(self, region: Region, absolute: bool = False) -> tuple[float, float]:
-        """(integral over the region, quadrature error bound)."""
-        if self.is_constant:
+    def integral(self, region: Region, g=None, absolute: bool = False) -> tuple[float, float]:
+        """``(int_region g density dx, quadrature error)``; ``g=None`` stands for 1
+        and ``absolute`` for ``|density|`` in place of the density."""
+        if g is None and self.is_constant:
             c = abs(self.const) if absolute else self.const
             return c * region.volume, 0.0
-        if absolute:
-            return region_integral(lambda p: np.abs(self(p)), region)
-        return region_integral(self, region)
+        dens = (lambda p: np.abs(self(p))) if absolute else self
+        return region_integral(dens if g is None else (lambda p: g(p) * dens(p)), region)
 
     def to_config(self):
         if not self.is_constant:
@@ -126,11 +126,7 @@ class DriftComponent:
         ``g=None`` integrates 1 (the measure of the region); ``absolute``
         integrates against the total variation ``|mu|``.
         """
-        if g is None:
-            val, err = self.density.integral(region, absolute)
-        else:
-            dens = (lambda p: np.abs(self.density(p))) if absolute else self.density
-            val, err = region_integral(lambda p: g(p) * dens(p), region)
+        val, err = self.density.integral(region, g, absolute)
         return val + self.atom_sum(g, region, absolute=absolute), err
 
 
@@ -302,19 +298,14 @@ class Characteristics:
             if self.sigma is not None:
                 gauss += self.sigma.integral(support, lambda p: np.asarray(f(p)) ** 2)[0]
             if self.nu is not None and u != 0.0:
-                kern = self.nu.kernel
+                kern, mod = self.nu.kernel, self.nu.modulation
 
-                def jr(p):
-                    c = u * np.asarray(f(p))
-                    return self.nu.modulation(p) * np.real(kern.cf_integrand(c, eps))
+                def cf(p):
+                    return kern.cf_integrand(u * np.asarray(f(p)), eps)
 
-                def ji(p):
-                    c = u * np.asarray(f(p))
-                    return self.nu.modulation(p) * np.imag(kern.cf_integrand(c, eps))
-
-                jump += region_integral(jr, support)[0]
+                jump += mod.integral(support, lambda p: np.real(cf(p)))[0]
                 if not kern.symmetric:
-                    jump += 1j * region_integral(ji, support)[0]
+                    jump += 1j * mod.integral(support, lambda p: np.imag(cf(p)))[0]
         if not (np.isfinite(drift) and np.isfinite(gauss)
                 and np.isfinite(jump.real) and np.isfinite(jump.imag)):
             raise SymbolDivergentError("symbol integrals failed to converge")

@@ -151,13 +151,12 @@ class IndicatorFunction(TestFunction):
 class Product1D(TestFunction):
     """Tensor product of user-supplied 1-d factors with their derivatives."""
 
-    def __init__(self, factors, derivatives, support: Region | None = None):
+    def __init__(self, factors, derivatives):
         if len(factors) != len(derivatives) or not factors:
             raise ValueError("factors and derivatives must be nonempty and aligned")
         self.factors = list(factors)
         self.derivatives = list(derivatives)
         self.dim = len(factors)
-        self.support_region = support
 
     def __call__(self, x):
         x = self._coerce(x)

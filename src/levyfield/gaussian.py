@@ -64,9 +64,9 @@ class WhiteNoiseField:
     # -- queries ---------------------------------------------------------
     def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> float:
         """``W((t0, t1] x region)``, exact over the refined grid."""
-        if self._sigma is None or t1 <= t0:
-            return 0.0
         boxes = region.boxes if isinstance(region, Region) else (region,)
+        if self._sigma is None or t1 <= t0 or not boxes:  # a new time plane draws
+            return 0.0
         _ensure_planes([self], t0, t1, boxes)
         total = 0.0
         for patch in self._patches:

@@ -119,7 +119,7 @@ def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
     # compensator of the retained jumps up to size 1
     rate = levy_ito_spec(chars, config).compensator_rate
     if rate != 0.0:
-        v, e = region_integral(lambda x: f(x) * chars.jump_modulation(x), domain)
+        v, e = chars.nu.modulation.integral(domain, f)
         comp = t * rate * v
         err += t * abs(rate) * e
     # paths in blocks: jump sums one by one, then one stacked pairing per block
@@ -222,14 +222,14 @@ class CylindricalCharacteristics:
     qf_error: float = 0.0
 
 
-def _expanding_quad(fn, dim: int, tol: float = 1e-10) -> tuple[float, float]:
+def _expanding_quad(fn, dim: int) -> tuple[float, float]:
     """Integral over R^d by expanding cubes, for decaying integrands."""
     val, err = region_integral(fn, Region.from_box(Box((-1.0,) * dim, (1.0,) * dim)))
     for k in range(30):
         inc, e = region_integral(fn, shell_region(dim, k))
         err += e
         val += inc
-        if abs(inc) <= max(tol, 1e-8 * abs(val)):
+        if abs(inc) <= max(1e-10, 1e-8 * abs(val)):
             return val, err
     raise ArithmeticError("correction integral did not converge on expanding cubes")
 

@@ -1,7 +1,9 @@
 """Shared deterministic quadrature helpers.
 
 Tensor Gauss-Legendre over boxes with order escalation; the returned error
-estimate is the last escalation difference.  All evaluation points are fed to
+estimate is the last escalation difference.  Escalation stops once that
+difference is within ``max(ABS_TOL, REL_TOL * |value|)``: the tolerances are
+module constants, the same for every caller.  All evaluation points are fed to
 the integrand as a single (n, d) array, so vectorized integrands stay fast.
 """
 
@@ -39,8 +41,7 @@ def gauss_box(f, lo, hi, order: int) -> float:
     return float(vals)
 
 
-def box_integral(f, box: Box, abs_tol: float = ABS_TOL,
-                 rel_tol: float = REL_TOL) -> tuple[float, float]:
+def box_integral(f, box: Box) -> tuple[float, float]:
     """Adaptive-order integral over a box; returns (value, error estimate)."""
     prev = gauss_box(f, box.lo, box.hi, 8)
     for order in (16, 32, 64, 96):
@@ -48,18 +49,17 @@ def box_integral(f, box: Box, abs_tol: float = ABS_TOL,
         err = abs(cur - prev)
         if not np.isfinite(cur):
             raise ArithmeticError("integral is not finite")
-        if err <= max(abs_tol, rel_tol * abs(cur)):
+        if err <= max(ABS_TOL, REL_TOL * abs(cur)):
             return cur, err
         prev = cur
     return prev, err
 
 
-def region_integral(f, region: Region, abs_tol: float = ABS_TOL,
-                    rel_tol: float = REL_TOL) -> tuple[float, float]:
+def region_integral(f, region: Region) -> tuple[float, float]:
     """Sum of ``box_integral`` over the region's boxes: (value, error)."""
     total, err = 0.0, 0.0
     for b in region.boxes:
-        v, e = box_integral(f, b, abs_tol, rel_tol)
+        v, e = box_integral(f, b)
         total += v
         err += e
     return total, err

@@ -32,7 +32,6 @@ import numpy as np
 from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField, root_masses
 from .kernels import _CHUNK_JUMPS  # jumps per sample_tail call; bounds the transform's memory
-from .quadrature import box_integral
 from .regions import Region
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
@@ -111,8 +110,7 @@ def _decompose(chars: Characteristics, window: Region, horizon: float, eps: floa
         raise InfiniteActivityError(
             "infinitely many jumps above the requested truncation; "
             "use eps > 0 (e.g. 1e-3) for infinite-activity kernels")
-    weights = np.array([mod.const * b.volume if mod.is_constant else box_integral(mod, b)[0]
-                        for b in window.boxes])
+    weights = np.array([mod.integral(Region.from_box(b))[0] for b in window.boxes])
     # with no mass on the window a path cannot place its jumps; marginals need none
     box_p = tuple(weights / weights.sum()) if weights.sum() > 0.0 else None
     s2 = kern.second_moment_below(eps)
@@ -219,9 +217,6 @@ class FieldRealization:
 
     def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
         """M over (t0, t] x region for this path: the sum of its components."""
-        if region.is_empty:
-            self._check_query(t, region, t0)
-            return 0.0
         c = self.components(t, region, t0)
         return (c["drift"] + c["large_jumps"] + c["small_jumps"] - c["compensator"]
                 + c["gaussian"] + c["substitute"])

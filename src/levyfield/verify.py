@@ -79,8 +79,7 @@ def _child_seed(*parts) -> int:
 
 def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
                   seed: int, *, window: Region | None = None,
-                  eps: float = 1e-3, name: str = "cf-match",
-                  artifacts: dict | None = None) -> VerificationReport:
+                  eps: float = 1e-3, artifacts: dict | None = None) -> VerificationReport:
     """Empirical CF of ``int f dM(t, .)`` against ``exp(t Psi(u))``.
 
     Acceptance combines the Monte Carlo radius ``2/sqrt(n)`` with the exact
@@ -127,7 +126,7 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
             notes.append(f"u={uj:g}: |emp-target|={abs(emp[j] - target[j]):.3e} "
                          f"bias={bias[j]:.3e}")
     except ArithmeticError as exc:
-        return VerificationReport(name, math.nan, radius, "indeterminate", n,
+        return VerificationReport("cf-match", math.nan, radius, "indeterminate", n,
                                   seed, "analytic CF quadrature did not converge",
                                   (str(exc),))
     deviations = np.abs(emp - target) - bias
@@ -138,7 +137,7 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
     decision = "pass" if worst <= radius else "fail"
     prov = ("target exp(t*Psi(u)) from the characteristic triple; "
             "per-u truncation bias |exp(t*Psi_eps)-exp(t*Psi)| credited")
-    return VerificationReport(name, float(worst), float(radius), decision, n,
+    return VerificationReport("cf-match", float(worst), float(radius), decision, n,
                               seed, prov, tuple(notes))
 
 
@@ -421,9 +420,7 @@ def onb_counterexample(spec: OnbCounterexampleSpec, n: int, seed: int,
 # --------------------------------------------------------------------------
 
 def embedding_inequality_check(chars: Characteristics, f,
-                               domain: Region | None = None, *,
-                               name: str = "embedding-inequality"
-                               ) -> VerificationReport:
+                               domain: Region | None = None) -> VerificationReport:
     """Numerical check of the membership-modular bound on a finite domain.
 
     Both sides of ``int Phi(|f|, x) lambda(dx) <= ||f||_L1(lambda)
@@ -466,29 +463,25 @@ def embedding_inequality_check(chars: Characteristics, f,
         t2 = plus_atoms(t2, fl2, fl2)
         t3 = t4 = 0.0
         if chars.nu is not None:
-            kern = chars.nu.kernel
-
-            def quad_term(x):
-                return chars.jump_modulation(x) * kern.compact_moment(fl(x))
-
-            t3, e = region_integral(quad_term, domain)
+            kern, mod = chars.nu.kernel, chars.nu.modulation
+            t3, e = mod.integral(domain, lambda x: kern.compact_moment(fl(x)))
             err += e
 
             def tail_term(x):
                 u = fl(x)
                 cut = np.where(u > 0.0, 1.0 / np.maximum(u, 1e-300), 1.0)
-                return chars.jump_modulation(x) * u * kern.abs_annulus_first_moment(cut)
+                return u * kern.abs_annulus_first_moment(cut)
 
-            t4, e = region_integral(tail_term, domain)
+            t4, e = mod.integral(domain, tail_term)
             err += e
         rhs = t1 + 11.0 * t2 + 9.0 * t3 + t4
     except ArithmeticError as exc:
-        return VerificationReport(name, math.nan, math.nan, "indeterminate",
+        return VerificationReport("embedding-inequality", math.nan, math.nan, "indeterminate",
                                   0, None, prov, (str(exc),))
     tol = 1e-8 * (1.0 + abs(rhs)) + 10.0 * err
     decision = "pass" if lhs <= rhs + tol else "fail"
     notes = (f"lhs={lhs:.6g} rhs={rhs:.6g} lambda(domain)={lam.value:.6g}",)
-    return VerificationReport(name, float(lhs - rhs), float(tol), decision,
+    return VerificationReport("embedding-inequality", float(lhs - rhs), float(tol), decision,
                               0, None, prov, notes)
 
 

@@ -14,6 +14,7 @@ from levyfield import (Atom, Characteristics, Density, DiffusionComponent,
 from levyfield.analysis import lm_membership
 from levyfield.funcs import GaussianFunction
 from levyfield.integrate import cylindrical_characteristics, integrate
+from levyfield.quadrature import region_integral
 from levyfield.verify import embedding_inequality_check
 
 UNIT = Region.from_intervals([(0.0, 1.0)])
@@ -160,6 +161,25 @@ def test_integral_adds_atoms_to_the_density_part():
     assert val == pytest.approx(-1.0 + 0.375, abs=1e-12) and err < 1e-9
     val, _ = gamma.integral(UNIT, lambda p: p[:, 0], absolute=True)
     assert val == pytest.approx(1.0 + 0.375, abs=1e-12)
+
+
+@pytest.mark.parametrize("density", [Density(-0.7), Density(lambda p: np.cos(3.0 * p[:, 0]))],
+                         ids=["constant", "callable"])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_density_integral_takes_the_integrand(density, absolute):
+    def g(p):
+        return np.exp(p[:, 0]) - 1.5
+
+    def dens(p):
+        return np.abs(density(p)) if absolute else density(p)
+
+    two_boxes = Region(1, (interval(-1.0, 0.25), interval(0.5, 2.0)))
+    for region in (two_boxes, Region(1, ())):
+        assert density.integral(region, g, absolute) == region_integral(
+            lambda p: g(p) * dens(p), region)
+    if density.is_constant:
+        assert density.integral(two_boxes, absolute=absolute) == (
+            (0.7 if absolute else -0.7) * 2.75, 0.0)
 
 
 def test_same_point_atoms_merge_into_one():

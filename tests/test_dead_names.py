@@ -5,6 +5,9 @@ whose name appears in ``src``, ``tests`` and ``perfbench`` only at its own
 definitions has no caller and should go.  Names are matched as whole words
 in the text, so string hooks (``perfbench/tracer.py`` patches by name) and
 attribute access both count as uses.
+
+Spatial integrals go through their measure (``Density.integral``), so only
+the few places listed in ``QUADRATURE_CALLERS`` call the region quadrature.
 """
 
 import ast
@@ -76,3 +79,46 @@ def test_the_scan_sees_a_dead_name():
                "class Unused:\n    pass\n")
     other = "used()\nK()\nHOOKS = ['hooked']\ndef dead():\n    pass\n"
     assert dead_names([package], [package, other]) == {"dead", "K.unused", "Unused"}
+
+
+# enclosing function -> calls of region_integral/box_integral outside quadrature.py
+QUADRATURE_CALLERS = {"Density.integral": 1, "lm_membership": 3, "_expanding_quad": 2,
+                      "cylindrical_characteristics": 1, "embedding_inequality_check": 3}
+
+
+def quadrature_calls(text: str) -> Counter:
+    """Calls of ``region_integral``/``box_integral`` per top-level function or method."""
+    counts = Counter()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.ClassDef):
+            units = [(f"{node.name}.{item.name}", item) for item in node.body
+                     if isinstance(item, DEF_NODES)]
+        else:
+            units = [(node.name, node)] if isinstance(node, DEF_NODES) else []
+        for name, unit in units:
+            for call in ast.walk(unit):
+                if isinstance(call, ast.Call) and (
+                        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                ) in ("region_integral", "box_integral"):
+                    counts[name] += 1
+    return counts
+
+
+def test_spatial_integrals_go_through_their_measure():
+    counts = sum((quadrature_calls(p.read_text(encoding="utf-8"))
+                  for p in sorted(PACKAGE.glob("*.py")) if p.name != "quadrature.py"),
+                 Counter())
+    assert counts == QUADRATURE_CALLERS
+
+
+def test_the_scan_counts_quadrature_calls():
+    source = ("from .quadrature import box_integral, region_integral\n"
+              "from . import quadrature\n"
+              "def direct(f, r):\n    return region_integral(f, r)[0] + box_integral(f, r)[0]\n"
+              "class M:\n"
+              "    def integral(self, r):\n"
+              "        def inner(p):\n            return p\n"
+              "        return quadrature.region_integral(inner, r)\n"
+              "    def other(self):\n        return 0.0\n"
+              "x = region_integral(len, None)\n")
+    assert quadrature_calls(source) == Counter({"direct": 2, "M.integral": 1})

@@ -67,6 +67,20 @@ def test_components_sum_to_evaluate():
     assert parts["small_jump_bound"] >= 0.0
 
 
+@pytest.mark.parametrize("query", ["components", "evaluate"])
+def test_an_empty_region_query_draws_no_white_noise(query):
+    chars = preset("gaussian-white-noise")
+    half = Region.from_intervals([(0.0, 0.5)])
+    want = sample_field(chars, cfg(3)).evaluate(1.0, half)
+    real = sample_field(chars, cfg(3))
+    got = getattr(real, query)(0.37, Region(1, ()))
+    if query == "evaluate":
+        assert got == 0.0
+    else:
+        assert got["gaussian"] == 0.0 and got["substitute"] == 0.0
+    assert real.evaluate(1.0, half) == want
+
+
 def test_time_slicing():
     real = sample_field(IMP, cfg(4))
     full = real.evaluate(1.0, WIN)
