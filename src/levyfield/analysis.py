@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Characteristics
-from .funcs import PolynomialDecay
+from .funcs import PolynomialDecay, effective_domain
 from .kernels import JumpKernel, NonConvergenceError
 from .quadrature import region_integral, shell_region
-from .regions import Box, Region
+from .regions import Region
 
 
 class UndefinedDensityError(ValueError):
@@ -55,7 +55,7 @@ def modular_integrand(chars: Characteristics, f):
     """Vectorized ``x -> Phi(|f(x)|, x) * control_density(x)``.
 
     Integrating this against Lebesgue gives the membership integral
-    ``int Phi(|f|, x) lambda(dx)`` (atom contributions handled separately).
+    ``int Phi(|f|, x) lambda(dx)`` off the atoms (``modular_integral`` adds them).
     """
     kern = chars.nu.kernel if chars.nu is not None else None
 
@@ -69,6 +69,18 @@ def modular_integrand(chars: Characteristics, f):
         return out
 
     return integrand
+
+
+def modular_integral(chars: Characteristics, f, region: Region) -> tuple[float, float]:
+    """``(int_region Phi(|f|, x) lambda(dx), quadrature error)``: the quadrature of
+    ``modular_integrand`` plus ``|f w_gamma| + f^2 w_sigma`` at each atom in the region."""
+    atoms = 0.0
+    if chars.gamma is not None:
+        atoms += chars.gamma.atom_sum(lambda p: np.abs(f(p)), region, absolute=True)
+    if chars.sigma is not None:
+        atoms += chars.sigma.atom_sum(lambda p: f(p) ** 2, region)
+    val, err = region_integral(modular_integrand(chars, f), region)
+    return val + atoms, err
 
 
 def phi_m(chars: Characteristics, u: float, x) -> float:
@@ -88,11 +100,7 @@ def phi_m(chars: Characteristics, u: float, x) -> float:
     ell = float(chars.control_density(x)[0])
     if not np.isfinite(ell) or ell <= 0.0:
         raise UndefinedDensityError(f"control measure has no density at {point}")
-    val = float(drift_correction_sup(chars, x, u)[0])
-    val += u * u * float(chars.diffusion_density(x)[0])
-    if chars.nu is not None:
-        val += float(chars.jump_modulation(x)[0]) * float(chars.nu.kernel.compact_moment(u))
-    return val / ell
+    return float(modular_integrand(chars, lambda p: np.full(len(p), u))(x)[0]) / ell
 
 
 # --------------------------------------------------------------------------
@@ -132,48 +140,31 @@ def lm_membership(chars: Characteristics, f,
     """
     if getattr(f, "dim", chars.dim) != chars.dim:
         raise ValueError("function dimension does not match characteristics")
-    integrand = modular_integrand(chars, f)
-    support = getattr(f, "support_region", None)
-    if domain is not None:
-        bounded = domain if support is None else domain.intersect(support)
-    elif support is not None:
-        bounded = support
-    else:
-        bounded = None
-    # Phi at an atom is |f w_gamma| + f^2 w_sigma
-    atoms = 0.0
-    if chars.gamma is not None:
-        atoms += chars.gamma.atom_sum(lambda p: np.abs(f(p)), bounded, absolute=True)
-    if chars.sigma is not None:
-        atoms += chars.sigma.atom_sum(lambda p: f(p) ** 2, bounded)
-
+    bounded = effective_domain(f, domain)
     if bounded is not None:
         if bounded.is_empty:
-            return MembershipResult("member", atoms, 0.0, note="empty effective domain")
+            return MembershipResult("member", 0.0, 0.0, note="empty effective domain")
         try:
-            val, err = region_integral(integrand, bounded)
+            val, err = modular_integral(chars, f, bounded)
         except NonConvergenceError as exc:
             return MembershipResult("indeterminate", note=str(exc))
         except ArithmeticError:
-            return MembershipResult("indeterminate",
-                                    note="integrand not finite on the domain")
+            return MembershipResult("indeterminate", note="integrand not finite on the domain")
         if err > max(1e-6 * abs(val), 1e-8):
             return MembershipResult("indeterminate", note=(
                 f"quadrature did not converge (value {val:.6g}, error {err:.3g})"))
-        return MembershipResult("member", val + atoms, err)
+        return MembershipResult("member", val, err)
 
-    # Unbounded domain: core cube plus dyadic shells.
+    # Unbounded domain: the ladder of R^d; an atom counts in the rung holding it.
     try:
-        core_val, core_err = region_integral(
-            integrand, Region.from_box(Box((-1.0,) * chars.dim, (1.0,) * chars.dim)))
+        total, err = modular_integral(chars, f, shell_region(chars.dim, -1))
     except NonConvergenceError as exc:
         return MembershipResult("indeterminate", note=f"core cube: {exc}")
-    total, err = core_val + atoms, core_err
     shells: list[float] = []
     ratios: list[float] = []
     for k in range(MAX_SHELLS):
         try:
-            sk, e = region_integral(integrand, shell_region(chars.dim, k))
+            sk, e = modular_integral(chars, f, shell_region(chars.dim, k))
             err += e
         except NonConvergenceError as exc:
             # an unsettled value is no evidence of divergence
@@ -192,6 +183,8 @@ def lm_membership(chars: Characteristics, f,
             prev = shells[-2]
             ratios.append(sk / prev if prev > 0.0 else (np.inf if sk > 0.0 else 0.0))
         total += sk
+        if 2.0 ** (k + 1) < chars.atom_reach:
+            continue  # no member verdict before the ladder has passed every atom
         if len(shells) >= 2 and max(shells[-2:]) <= 1e-12 * (1.0 + total):
             return MembershipResult("member", total, err + sk, tuple(shells),
                                     note="tail numerically zero")

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .funcs import effective_domain
 from .kernels import JumpKernel, kernel_from_config
 from .quadrature import region_integral
 from .regions import Region
@@ -233,6 +234,12 @@ class Characteristics:
             out = out + self.jump_modulation(x) * self.nu.kernel.quad_mass()
         return out
 
+    @property
+    def atom_reach(self) -> float:
+        """Largest sup-norm of a gamma or Sigma atom: walks over R^d stop only past it."""
+        return max((abs(c) for comp in (self.gamma, self.sigma) if comp is not None
+                    for a in comp.atoms for c in a.point), default=0.0)
+
     # --- measures ------------------------------------------------------
     def gamma_measure(self, region: Region) -> float:
         return 0.0 if self.gamma is None else self.gamma.integral(region)[0]
@@ -240,30 +247,26 @@ class Characteristics:
     def sigma_measure(self, region: Region) -> float:
         return 0.0 if self.sigma is None else self.sigma.integral(region)[0]
 
-    def control_measure(self, region: Region) -> ControlMeasureValue:
-        """``|gamma|_TV(A) + Sigma(A) + int_A int (1 ^ y^2) nu``."""
+    def control_measure(self, region: Region, g=None) -> ControlMeasureValue:
+        """``int_A g d lambda`` (g=None: 1) by part, ``|gamma|``, ``Sigma`` and
+        ``int (1 ^ y^2) nu``, each against its own measure."""
         if region.dim != self.dim:
             raise ValueError("region dimension mismatch")
-        err = 0.0
+        drift_tv = gaussian = jump = err = 0.0
         try:
             if self.gamma is not None:
-                drift_tv, e = self.gamma.integral(region, absolute=True)
+                drift_tv, err = self.gamma.integral(region, g, absolute=True)
+            if self.sigma is not None:
+                gaussian, e = self.sigma.integral(region, g)
                 err += e
-            else:
-                drift_tv = 0.0
-            gaussian = self.sigma_measure(region)
             if self.nu is not None:
-                mass, e = self.nu.spatial_mass(region)
+                mass, e = self.nu.modulation.integral(region, g)
                 jump = mass * self.nu.kernel.quad_mass()
                 err += e * self.nu.kernel.quad_mass()
-            else:
-                jump = 0.0
         except ArithmeticError as exc:
             raise DivergentControlMeasureError(str(exc)) from exc
-        for v in (drift_tv, gaussian, jump):
-            if not np.isfinite(v):
-                raise DivergentControlMeasureError(
-                    "control measure is not finite on the region")
+        if not np.all(np.isfinite((drift_tv, gaussian, jump))):
+            raise DivergentControlMeasureError("control measure is not finite on the region")
         return ControlMeasureValue(drift_tv, gaussian, jump, err)
 
     # --- symbols -------------------------------------------------------
@@ -288,7 +291,7 @@ class Characteristics:
                     mass, _ = self.nu.spatial_mass(region)
                     jump += mass * self.nu.kernel.cf_integrand(u * coef, eps)
         else:
-            support = getattr(f, "support_region", None)
+            support = effective_domain(f)
             if support is None or support.is_empty:
                 raise ValueError(
                     "levy_symbol needs a simple function or a test function "

@@ -106,6 +106,11 @@ def _finish(data: dict, path: str) -> None:
         raise ConfigError(path, f"unknown keys: {keys}")
 
 
+def _known(data: dict, path: str, keys) -> None:
+    """Reject keys of ``data`` outside ``keys``; the caller reads the rest."""
+    _finish({k: None for k in data if k not in keys}, path)
+
+
 def _region(data: dict, key: str, path: str, dim: int) -> Region:
     """The required field ``key``: a list of [lo, hi] spans, one per axis."""
     value, path = _any(data, key, path), f"{path}.{key}"
@@ -188,6 +193,16 @@ def _parse_characteristics(value, path: str) -> Characteristics:
                               f"missing required parameter {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.params", str(exc)) from None
+    _known(data, path, ("dimension", "gamma", "sigma", "nu"))
+    for name, keys in (("gamma", ("density", "atoms")), ("sigma", ("density", "atoms")),
+                       ("nu", ("kernel", "modulation"))):
+        block = data.get(name)
+        if isinstance(block, dict):
+            _known(block, f"{path}.{name}", keys)
+            atoms = block.get("atoms")
+            for i, atom in enumerate(atoms if isinstance(atoms, list) else ()):
+                if isinstance(atom, dict):
+                    _known(atom, f"{path}.{name}.atoms[{i}]", ("point", "weight"))
     try:
         return Characteristics.from_config(data)
     except (KeyError, TypeError, ValueError) as exc:

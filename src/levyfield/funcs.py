@@ -4,6 +4,7 @@ Test functions know their own mixed partial ``d^d f / dx_1 ... dx_d`` in
 closed form (the quantity the integration-by-parts identity needs) and their
 support.  Simple functions are finite linear combinations of indicators of
 disjoint regions; they are what the pathwise integral is defined on first.
+``effective_domain`` is the one reader of their support.
 """
 
 from __future__ import annotations
@@ -233,3 +234,11 @@ class SimpleFunction:
 
     def scaled(self, c: float) -> "SimpleFunction":
         return SimpleFunction(tuple((c * coef, r) for coef, r in self.terms))
+
+
+def effective_domain(f, region: Region | None = None) -> Region | None:
+    """The part of ``region`` (None: R^d) where f can be nonzero; None if unbounded."""
+    support = getattr(f, "support_region", None)
+    if support is None:
+        return region
+    return support if region is None else region.intersect(support)

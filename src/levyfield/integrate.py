@@ -13,6 +13,8 @@ between the sums at the last two levels, not a bound.
 drift and compensator once and pairing the white noises of a block of paths
 as one stack per mesh level, so a non-simple integrand in ``verify``'s CF
 test costs one ``sample_field`` per path plus batched pairings.
+Deterministic terms integrate f against their measures over
+``effective_domain(f)``, or over R^d by ``ladder_integral``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from .analysis import lm_membership
 from .characteristics import Characteristics
-from .funcs import IndicatorFunction, SimpleFunction
+from .funcs import IndicatorFunction, SimpleFunction, effective_domain
 from .gaussian import _ensure_planes, _mesh_cells, _refine
 from .kernels import JumpKernel
-from .quadrature import region_integral, shell_region
+from .quadrature import ladder_integral
 from .regions import Box, Region
 from .sampler import levy_ito_spec
 
@@ -99,11 +101,10 @@ def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
     white noises, until its block of paths is paired.  Per path the terms
     add in the order a lone call would.
     """
-    region = config.window if region is None else region
-    support = getattr(f, "support_region", None)
-    domain = region if support is None else region.intersect(support)
+    domain = effective_domain(f, config.window if region is None else region)
     if check_membership:
-        verdict = lm_membership(chars, f, None if support is None else domain)
+        # f of unbounded support must be a member on all of R^d
+        verdict = lm_membership(chars, f, None if effective_domain(f) is None else domain)
         if verdict.verdict == "non-member":
             raise NotIntegrableError(f"integrand is not integrable: {verdict.note}")
     if domain.is_empty:
@@ -222,57 +223,41 @@ class CylindricalCharacteristics:
     qf_error: float = 0.0
 
 
-def _expanding_quad(fn, dim: int) -> tuple[float, float]:
-    """Integral over R^d by expanding cubes, for decaying integrands."""
-    val, err = region_integral(fn, Region.from_box(Box((-1.0,) * dim, (1.0,) * dim)))
-    for k in range(30):
-        inc, e = region_integral(fn, shell_region(dim, k))
-        err += e
-        val += inc
-        if abs(inc) <= max(1e-10, 1e-8 * abs(val)):
-            return val, err
-    raise ArithmeticError("correction integral did not converge on expanding cubes")
-
-
 def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharacteristics:
     """The triple (a(f), <Qf,f>, image of nu under (x,y) -> f(x)y)."""
     if isinstance(f, IndicatorFunction):
         f = SimpleFunction(((1.0, f.region),))
-    simple = isinstance(f, SimpleFunction)
-    support = f.support_region if simple else getattr(f, "support_region", None)
+    support = effective_domain(f)
 
-    def quad(fn):
-        if support is not None:
-            return region_integral(fn, support)
-        return _expanding_quad(fn, chars.dim)
+    def total(integral):
+        return (integral(support) if support is not None
+                else ladder_integral(integral, chars.dim, chars.atom_reach))
 
     # a(f) = int f d gamma + int m(x) f(x) int y (1{|f y|<=1} - 1{|y|<=1}) nu
     a_val = a_err = 0.0
     if chars.gamma is not None:
-        a_val, a_err = quad(lambda x: f(x) * chars.drift_density(x))
-        a_val += chars.gamma.atom_sum(f, support)
+        a_val, a_err = total(lambda r: chars.gamma.integral(r, f))
     if chars.nu is not None:
-        kern = chars.nu.kernel
+        kern, mod = chars.nu.kernel, chars.nu.modulation
 
-        def corr(x):
+        def gap(x):
             fx = f(x)
-            return chars.jump_modulation(x) * fx * kern.indicator_moment_diff(fx)
+            return fx * kern.indicator_moment_diff(fx)
 
-        v, e = quad(corr)
+        v, e = total(lambda r: mod.integral(r, gap))
         a_val += v
         a_err += e
     # qf
     qf_val = qf_err = 0.0
     if chars.sigma is not None:
-        qf_val, qf_err = quad(lambda x: f(x) ** 2 * chars.diffusion_density(x))
-        qf_val += chars.sigma.atom_sum(lambda x: f(x) ** 2, support)
+        qf_val, qf_err = total(lambda r: chars.sigma.integral(r, lambda x: f(x) ** 2))
     if qf_val < -1e-9:
         raise ArithmeticError("quadratic form came out negative")
     qf_val = max(qf_val, 0.0)
     # pushforward
     if chars.nu is None:
         push = PushforwardMixture(())
-    elif simple:
+    elif isinstance(f, SimpleFunction):
         parts = []
         for coef, part in f.terms:
             if coef == 0.0:
@@ -283,19 +268,18 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
     else:
         lo, hi = _PUSH_GRID_DECADES
         s_grid = np.logspace(lo, hi, (hi - lo) * _PUSH_PER_DECADE + 1)
-        kern = chars.nu.kernel
-        tails = np.empty_like(s_grid)
-        for j, s in enumerate(s_grid):
-            def tail_at(x, s=s):
-                fx = f(x)
-                out = np.zeros(len(fx))
-                nz = fx != 0.0
-                if nz.any():
-                    with np.errstate(over="ignore"):  # s/|f| -> inf means tail 0
-                        out[nz] = kern.tail_mass(s / np.abs(fx[nz]))
-                return out * chars.jump_modulation(x)
 
-            tails[j], _ = quad(tail_at)
+        def tail_at(x, s):
+            fx = f(x)
+            out = np.zeros(len(fx))
+            nz = fx != 0.0
+            if nz.any():
+                with np.errstate(over="ignore"):  # s/|f| -> inf means tail 0
+                    out[nz] = kern.tail_mass(s / np.abs(fx[nz]))
+            return out
+
+        tails = np.array([total(lambda r: mod.integral(r, lambda x: tail_at(x, s)))[0]
+                          for s in s_grid])
         push = PushforwardTable(s_grid, tails)
     if not np.isfinite(push.compact_mass()):
         raise ArithmeticError("pushforward has infinite truncated second moment")

@@ -155,8 +155,8 @@ class JumpKernel:
     def indicator_moment_diff(self, v) -> np.ndarray:
         """``int y (1{|v y| <= 1} - 1{|y| <= 1}) k(dy)``, vectorized over v.
 
-        Always finite: the two indicators differ only on an annulus bounded
-        away from the origin.
+        0 at v = 0, else finite, but it may grow without bound as v -> 0
+        (like ``|v|^(alpha - 1)`` for a stable kernel with alpha < 1).
         """
         v = np.asarray(v, dtype=float)
         a = np.abs(v)
@@ -321,6 +321,16 @@ class StableKernel(JumpKernel):
         if a <= 1.0 and np.any(np.isinf(r2)):
             raise ValueError("first tail moment diverges for alpha <= 1")
         return self.scale * b * a / (1.0 - a) * (_pow(r2, 1.0 - a) - _pow(r1, 1.0 - a))
+
+    def indicator_moment_diff(self, v):
+        """``s beta alpha/(1 - alpha) (|v|^(alpha - 1) - 1)`` on either annulus, 0 at v = 0."""
+        a = np.abs(np.asarray(v, dtype=float))
+        out = np.zeros(a.shape)
+        if self.beta != 0.0:
+            live = a != 0.0
+            coef = self.scale * self.beta * self.alpha / (1.0 - self.alpha)
+            out[live] = coef * (_pow(a[live], self.alpha - 1.0) - 1.0)
+        return _value(out)
 
     def compact_moment(self, u):
         u = np.abs(np.asarray(u, dtype=float))
@@ -855,16 +865,6 @@ class TemperedStableKernel(JumpKernel):
         a, th = self.alpha, self.cutoff
         return self.scale * a * th ** (a - 1.0) * (
             upper_gamma(1.0 - a, th) - upper_gamma(1.0 - a, th * c))
-
-    def compact_moment(self, u):
-        u = np.abs(np.asarray(u, dtype=float))
-        safe = np.where(u > 0, u, 1.0)
-        r = _reciprocal(safe)
-        a, th = self.alpha, self.cutoff
-        small = self.scale * a * th ** (a - 2.0) * _gamma(2.0 - a) * _gammainc(2.0 - a, th * r)
-        tail = self.scale * a * th ** a * upper_gamma(-a, th * r)
-        val = np.where(u > 0, safe * safe * small + tail, 0.0)
-        return val if val.shape else float(val)
 
     def cf_integrand(self, c, eps: float = 0.0):
         c_arr = np.atleast_1d(np.asarray(c, dtype=float))

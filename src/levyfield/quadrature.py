@@ -5,6 +5,7 @@ estimate is the last escalation difference.  Escalation stops once that
 difference is within ``max(ABS_TOL, REL_TOL * |value|)``: the tolerances are
 module constants, the same for every caller.  All evaluation points are fed to
 the integrand as a single (n, d) array, so vectorized integrands stay fast.
+Outside this module only ``Density.integral`` and ``modular_integral`` call it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,23 @@ def region_integral(f, region: Region) -> tuple[float, float]:
 
 
 def shell_region(dim: int, k: int) -> Region:
-    """The dyadic sup-norm shell ``2^k < |x|_inf <= 2^(k+1)`` as a region."""
-    inner = Box((-2.0 ** k,) * dim, (2.0 ** k,) * dim)
+    """The dyadic sup-norm shell ``2^k < |x|_inf <= 2^(k+1)`` as a region; k = -1 is
+    the core cube ``(-1, 1]^d``, so rungs -1, 0, 1, ... partition R^d."""
     outer = Box((-2.0 ** (k + 1),) * dim, (2.0 ** (k + 1),) * dim)
+    if k < 0:
+        return Region.from_box(outer)
+    inner = Box((-2.0 ** k,) * dim, (2.0 ** k,) * dim)
     return Region(dim, tuple(outer.subtract(inner)))
+
+
+def ladder_integral(integral, dim: int, reach: float) -> tuple[float, float]:
+    """Sum of ``integral(region) -> (value, error)`` over the core cube and the shells,
+    up to the first negligible shell past ``reach`` (at most 30), for decaying integrands."""
+    val = err = 0.0
+    for k in range(-1, 30):
+        inc, e = integral(shell_region(dim, k))
+        err += e
+        val += inc
+        if k >= 0 and 2.0 ** (k + 1) >= reach and abs(inc) <= max(1e-10, 1e-8 * abs(val)):
+            return val, err
+    raise ArithmeticError("integral over R^d did not converge on expanding cubes")

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .funcs import TestFunction
+from .funcs import TestFunction, effective_domain
 from .integrate import integrate
 from .regions import Box, Region
 from .sampler import FieldRealization, OutOfWindowError
@@ -229,7 +229,7 @@ def duality_check(real: FieldRealization, f: TestFunction, t: float,
     chars = real.chars
     if chars.sigma is not None or real.substitute is not None:
         raise ValueError("duality quadrature needs a finite-activity realization")
-    sup = f.support_region
+    sup = effective_domain(f)
     if sup is None:
         raise ValueError("duality needs a compactly supported test function")
     bbox = sup.bounding_box()

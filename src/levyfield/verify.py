@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sp_stats
 
-from .analysis import modular_integrand
+from .analysis import modular_integral
 from .characteristics import Characteristics
-from .funcs import IndicatorFunction
+from .funcs import IndicatorFunction, effective_domain
 from .integrate import _integrate_paths, empirical_cf
 from .kernels import DiscreteJumps, JumpSizeDistribution
-from .quadrature import region_integral
 from .regions import Region
 from .sampler import SamplerConfig, _segment_sums, sample_field, sample_marginals
 
@@ -92,13 +91,9 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
     if n < 1000:
         raise ValueError("cf test needs at least 1000 replicates")
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if isinstance(f, IndicatorFunction):
-        terms = ((1.0, f.region),)
-    else:
-        terms = getattr(f, "terms", None)
+    terms = ((1.0, f.region),) if isinstance(f, IndicatorFunction) else getattr(f, "terms", None)
     if window is None:
-        sup = (Region(chars.dim, tuple(b for _, r in terms for b in r.boxes))
-               if terms is not None else f.support_region)
+        sup = effective_domain(f)
         if sup is None or sup.is_empty:
             raise ValueError("cannot infer a window; pass one explicitly")
         window = Region.from_box(sup.bounding_box())
@@ -425,42 +420,25 @@ def embedding_inequality_check(chars: Characteristics, f,
 
     Both sides of ``int Phi(|f|, x) lambda(dx) <= ||f||_L1(lambda)
     + 11 ||f||_L2(lambda)^2 + 9 int (1 ^ |f y|^2) nu + int_{|y|>1} |f y|
-    1{|f y| <= 1} nu`` are evaluated by quadrature; the domain must carry a
-    finite control measure.
+    1{|f y| <= 1} nu`` are evaluated by quadrature where f can be nonzero in
+    the domain (f's support by default), which must be bounded; where f
+    vanishes on the domain both sides are 0.
     """
+    domain = effective_domain(f, domain)
     if domain is None:
-        domain = f.support_region
-    if domain is None or domain.is_empty:
         raise ValueError("need a bounded domain with finite control measure")
     prov = ("modular bound with proof constants 1, 11, 9 plus the "
             "large-jump linear tail term")
     try:
         lam = chars.control_measure(domain)
-        err = 0.0
 
         def fl(x):
             return np.abs(np.asarray(f(x)))
 
-        def fl2(x):
-            return fl(x) ** 2
-
-        def plus_atoms(val, g_gamma, g_sigma):
-            """``val`` plus a term's atom part: gamma atoms at |w|, sigma atoms at w."""
-            if chars.gamma is not None:
-                val += chars.gamma.atom_sum(g_gamma, domain, absolute=True)
-            if chars.sigma is not None:
-                val += chars.sigma.atom_sum(g_sigma, domain)
-            return val
-
-        lhs, e = region_integral(modular_integrand(chars, f), domain)
-        err += e
-        lhs = plus_atoms(lhs, fl, fl2)
-        t1, e = region_integral(lambda x: fl(x) * chars.control_density(x), domain)
-        err += e
-        t2, e = region_integral(lambda x: fl2(x) * chars.control_density(x), domain)
-        err += e
-        t1 = plus_atoms(t1, fl, fl)
-        t2 = plus_atoms(t2, fl2, fl2)
+        lhs, err = modular_integral(chars, f, domain)
+        l1 = chars.control_measure(domain, fl)
+        l2 = chars.control_measure(domain, lambda x: fl(x) ** 2)
+        err += l1.error_bound + l2.error_bound
         t3 = t4 = 0.0
         if chars.nu is not None:
             kern, mod = chars.nu.kernel, chars.nu.modulation
@@ -474,7 +452,7 @@ def embedding_inequality_check(chars: Characteristics, f,
 
             t4, e = mod.integral(domain, tail_term)
             err += e
-        rhs = t1 + 11.0 * t2 + 9.0 * t3 + t4
+        rhs = l1.value + 11.0 * l2.value + 9.0 * t3 + t4
     except ArithmeticError as exc:
         return VerificationReport("embedding-inequality", math.nan, math.nan, "indeterminate",
                                   0, None, prov, (str(exc),))

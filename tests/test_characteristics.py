@@ -255,6 +255,46 @@ def test_atom_terms_in_membership_and_the_embedding_bound():
     assert got.statistic == pytest.approx(want.statistic + lhs - rhs, abs=1e-13)
 
 
+def test_atoms_count_in_the_rung_of_the_ladder_that_holds_them():
+    # over R^d each part of the ladder (core cube, then the shells) adds its
+    # own atoms: the one at 2 falls in shell 0, not in the core cube
+    g1, g2, g3 = at(WIDE, 0.25), at(WIDE, 0.75), at(WIDE, 2.0)
+    got, want = lm_membership(ATOMS, WIDE), lm_membership(BARE, WIDE)
+    assert got.verdict == want.verdict == "member"
+    assert got.shells[0] == pytest.approx(want.shells[0] + 5.0 * g3, abs=1e-13)
+    assert got.value == pytest.approx(want.value + 0.7 * g1 + 5.0 * g3 + 0.4 * g2 ** 2,
+                                      abs=1e-12)
+    got, want = cylindrical_characteristics(ATOMS, WIDE), cylindrical_characteristics(BARE, WIDE)
+    assert got.a == pytest.approx(want.a + 0.7 * g1 + 5.0 * g3, abs=1e-12)
+    assert got.qf == pytest.approx(want.qf + 0.4 * g2 ** 2, abs=1e-12)
+
+
+def test_walks_over_r_d_pass_every_atom_before_they_stop():
+    # densities 0: every rung before the atoms' is 0, and a walk that stopped
+    # at the first negligible rung would miss both atoms
+    far = Characteristics(1, gamma=DriftComponent(Density(0.0), (Atom((5.0,), 2.0),)),
+                          sigma=DiffusionComponent(Density(0.0), (Atom((-9.0,), 3.0),)))
+    assert far.atom_reach == 9.0 and BARE.atom_reach == 0.0
+    f = GaussianFunction(center=(5.0,), scale=3.0)
+    cyl = cylindrical_characteristics(far, f)
+    assert (cyl.a, cyl.qf) == (2.0, 3.0 * at(f, -9.0) ** 2)
+    res = lm_membership(far, f)
+    assert res.verdict == "member" and res.value == 2.0 + 3.0 * at(f, -9.0) ** 2
+
+
+def test_control_measure_integrates_a_function_against_each_part():
+    g = lambda x: 1.0 + x[:, 0]
+    cm = ATOMS.control_measure(UNIT, g)
+    # |gamma|: 0.3 * 1.5 + 0.7 * 1.25; Sigma: 0.5 * 1.5 + 0.4 * 1.75
+    assert (cm.drift_tv, cm.gaussian_mass, cm.jump_mass) == pytest.approx(
+        (0.45 + 0.875, 0.75 + 0.7, 0.0), abs=1e-14)
+    chars = preset("balan-stable", alpha=1.5, p=0.7, q=0.3)
+    whole = chars.control_measure(UNIT)
+    weighted = chars.control_measure(UNIT, g)
+    for part in ("drift_tv", "gaussian_mass", "jump_mass"):
+        assert getattr(weighted, part) == pytest.approx(1.5 * getattr(whole, part), rel=1e-13)
+
+
 def test_config_round_trip():
     chars = preset("balan-stable", alpha=1.4, p=0.6, q=0.4)
     back = Characteristics.from_config(chars.to_config())

@@ -97,6 +97,21 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 2
 
 
+def test_run_unknown_triple_key_exits_2(tmp_path, capsys):
+    # a misspelt modulation used to parse, and the run used modulation 1
+    cfg = write_cfg(tmp_path, """\
+schema: 1
+seed: 3
+characteristics:
+  dimension: 1
+  nu: {kernel: {kind: stable, alpha: 1.5}, modulaton: 2.0}
+sampler: {window: [[0.0, 1.0]]}
+tasks: []
+""")
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "characteristics.nu: unknown keys: modulaton" in capsys.readouterr().err
+
+
 def test_run_duality_failure_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("LEVY_FIELD_OUTPUT", raising=False)
     text = """\

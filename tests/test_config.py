@@ -63,6 +63,20 @@ def test_unknown_keys_carry_dotted_paths():
     msg = err(base(tasks=[{"kind": "integrate",
                            "function": {"type": "decay", "r": 1.0, "huh": 2}}]))
     assert msg.startswith("tasks[0].function:")
+    # the explicit triple: each block names its own unknown keys
+    triple = {"dimension": 1, "gamma": {"density": 0.5},
+              "sigma": {"density": 1.0, "atoms": [{"point": [0.5], "weight": 0.2}]},
+              "nu": {"kernel": {"kind": "stable", "alpha": 1.5}, "modulation": 2.0}}
+    parse_config(base(characteristics=triple))
+    for key, block, where in (("gama", None, "characteristics"),
+                              ("modulaton", "nu", "characteristics.nu"),
+                              ("bogus", "sigma", "characteristics.sigma"),
+                              ("wieght", "gamma", "characteristics.gamma")):
+        bad = {k: dict(v) if isinstance(v, dict) else v for k, v in triple.items()}
+        (bad if block is None else bad[block])[key] = 2.0
+        assert err(base(characteristics=bad)) == f"{where}: unknown keys: {key}"
+    bad = dict(triple, sigma={"density": 1.0, "atoms": [{"point": [0.5], "weigth": 0.2}]})
+    assert err(base(characteristics=bad)) == "characteristics.sigma.atoms[0]: unknown keys: weigth"
 
 
 def test_preset_block_validation():

@@ -6,8 +6,10 @@ definitions has no caller and should go.  Names are matched as whole words
 in the text, so string hooks (``perfbench/tracer.py`` patches by name) and
 attribute access both count as uses.
 
-Spatial integrals go through their measure (``Density.integral``), so only
-the few places listed in ``QUADRATURE_CALLERS`` call the region quadrature.
+Spatial integrals go through their measure (``Density.integral``) and the
+modular through ``modular_integral``, so only those two call the region
+quadrature (``QUADRATURE_CALLERS``).  Where f lives is read in one place,
+``funcs.effective_domain``: no other module reads ``support_region``.
 """
 
 import ast
@@ -69,6 +71,14 @@ def test_merged_set_up_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_merged_integration_helpers_are_gone():
+    # the R^d walk is quadrature.ladder_integral; the tempered kernel's modular
+    # term is the generic JumpKernel.compact_moment
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"_expanding_quad", "TemperedStableKernel.compact_moment"}
+    assert defined & gone == set()
+
+
 def test_the_scan_sees_a_dead_name():
     package = ("def used():\n    pass\n"
                "def dead():\n    pass\n"
@@ -82,8 +92,7 @@ def test_the_scan_sees_a_dead_name():
 
 
 # enclosing function -> calls of region_integral/box_integral outside quadrature.py
-QUADRATURE_CALLERS = {"Density.integral": 1, "lm_membership": 3, "_expanding_quad": 2,
-                      "cylindrical_characteristics": 1, "embedding_inequality_check": 3}
+QUADRATURE_CALLERS = {"Density.integral": 1, "modular_integral": 1}
 
 
 def quadrature_calls(text: str) -> Counter:
@@ -122,3 +131,23 @@ def test_the_scan_counts_quadrature_calls():
               "    def other(self):\n        return 0.0\n"
               "x = region_integral(len, None)\n")
     assert quadrature_calls(source) == Counter({"direct": 2, "M.integral": 1})
+
+
+def support_readers(text: str) -> list[int]:
+    """Lines that read an attribute named ``support_region`` (or fetch it by name)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(text))
+                   if (isinstance(node, ast.Attribute) and node.attr == "support_region")
+                   or (isinstance(node, ast.Constant) and node.value == "support_region")})
+
+
+def test_only_funcs_reads_the_support():
+    readers = {p.name: support_readers(p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "funcs.py"}
+    assert {name: lines for name, lines in readers.items() if lines} == {}
+
+
+def test_the_scan_sees_a_support_reader():
+    source = ("def a(f):\n    return f.support_region\n"
+              "def b(f):\n    return getattr(f, 'support_region', None)\n"
+              "def c(f):\n    return effective_domain(f)\n")
+    assert support_readers(source) == [2, 4]

@@ -4,6 +4,7 @@ import pytest
 from levyfield import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                        Product1D, ProductBump, Region, SimpleFunction,
                        SumFunction, interval)
+from levyfield.funcs import effective_domain
 
 
 def fd_mixed_partial(f, x, h=1e-5):
@@ -109,3 +110,17 @@ def test_simple_function_rejects_overlap():
                         (2.0, Region(1, (interval(0.5, 1.5),)))))
     with pytest.raises(ValueError):
         SimpleFunction(())
+
+
+def test_effective_domain_is_where_f_can_be_nonzero():
+    bump = ProductBump(center=(0.0,), radius=(0.5,))
+    window = Region.from_intervals([(0.2, 3.0)])
+    assert effective_domain(bump) == bump.support_region
+    assert effective_domain(bump, window) == Region.from_intervals([(0.2, 0.5)])
+    gauss = GaussianFunction(center=(0.0,), scale=1.0)
+    assert effective_domain(gauss) is None                # unbounded: all of R^d
+    assert effective_domain(gauss, window) == window
+    simple = SimpleFunction(((2.0, Region.from_intervals([(0.0, 1.0)])),
+                             (-1.0, Region.from_intervals([(4.0, 5.0)]))))
+    assert effective_domain(simple, window).boxes == (interval(0.2, 1.0),)
+    assert effective_domain(simple, Region.from_intervals([(1.5, 3.5)])).is_empty

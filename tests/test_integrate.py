@@ -106,6 +106,25 @@ def test_cylindrical_pushforward_of_simple_function():
     assert abs(cyl.a) < 1e-12
 
 
+@pytest.mark.parametrize("modulation", [1.0, lambda x: 1.0 + x[:, 0] ** 2])
+def test_cylindrical_drift_of_a_skewed_stable_kernel_below_alpha_one(modulation):
+    # the bump is subnormal at nodes near its edge, where the annulus route
+    # of the indicator moment formed 1/f = inf and raised
+    kern = StableKernel(0.7, 0.3, 0.7, scale=1.4)
+    chars = Characteristics(1, nu=JumpComponent(kern, Density(modulation)))
+    bump = ProductBump((0.1,), (0.6,))
+    cyl = cylindrical_characteristics(chars, bump)
+    coef = 1.4 * (0.3 - 0.7) * 0.7 / 0.3   # f (s beta alpha/(1 - alpha)) (f^(alpha-1) - 1)
+    m = Density(modulation)
+
+    def integrand(x):
+        fx = float(bump(np.array([[x]]))[0])
+        return float(m(np.array([[x]]))[0]) * coef * (fx ** 0.7 - fx) if fx > 0.0 else 0.0
+
+    want, _ = spi.quad(integrand, -0.5, 0.7, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert cyl.a == pytest.approx(want, rel=1e-8)
+
+
 def test_cylindrical_pushforward_table_for_smooth_integrand():
     rate = 12.0
     chars = preset("impulsive", rate=rate)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate as spi
+import scipy.special
 import scipy.stats as sps
 
 from levyfield import (CompoundPoissonKernel, DiscreteJumps, NormalJumps,
@@ -644,3 +645,48 @@ def test_tabulated_rejection_rounds_are_bounded():
     with pytest.raises(RuntimeError, match=r"TabulatedKernel.*eps=0\.5"):
         TabulatedKernel([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]).sample_tail(stub, 3, 0.5)
     assert stub.rounds == 10_000
+
+
+def test_stable_indicator_moment_diff_closed_form():
+    # s beta alpha/(1 - alpha) (|v|^(alpha - 1) - 1), the same on both annuli;
+    # the annulus route forms 1/|v|, which is inf at a subnormal v
+    kern = StableKernel(0.7, 0.3, 0.7, scale=1.4)
+    got = kern.indicator_moment_diff(np.array([1e-300, 1e-320]))
+    coef = 1.4 * (0.3 - 0.7) * 0.7 / 0.3
+    assert got == pytest.approx(coef * (np.array([1e-300, 1e-320]) ** -0.3 - 1.0), rel=1e-13)
+    assert kern.indicator_moment_diff(0.0) == 0.0
+    symmetric = StableKernel(0.7).indicator_moment_diff(np.array([1e-320, 0.5, 3.0]))
+    assert symmetric.tolist() == [0.0] * 3
+    for kern in (StableKernel(0.7, 0.3, 0.7, scale=1.4), StableKernel(1.5, 0.9, 0.1),
+                 StableKernel(0.4, 1.0, 0.0), StableKernel(1.9, 0.2, 0.8, scale=0.6)):
+        for v in (-7.5, -1.0, -0.3, 1e-6, 0.2, 0.77, 1.0, 1.3, 40.0):
+            a = abs(v)
+            want = (0.0 if a == 1.0 else kern.annulus_first_moment(1.0, 1.0 / a) if a < 1.0
+                    else -kern.annulus_first_moment(1.0 / a, 1.0))
+            assert kern.indicator_moment_diff(v) == pytest.approx(want, rel=1e-13, abs=1e-300)
+        v = np.array([-2.0, 0.0, 0.4])
+        assert np.array_equal(kern.indicator_moment_diff(v),
+                              [kern.indicator_moment_diff(x) for x in v])
+
+
+def test_tempered_compact_moment_is_the_generic_one():
+    # the tempered kernel's former closed form, written out: its own
+    # second_moment_below and tail_mass inlined
+    def former(kern, u):
+        u = np.abs(np.asarray(u, dtype=float))
+        safe = np.where(u > 0, u, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            r = 1.0 / safe
+        a, th = kern.alpha, kern.cutoff
+        small = (kern.scale * a * th ** (a - 2.0) * scipy.special.gamma(2.0 - a)
+                 * scipy.special.gammainc(2.0 - a, th * r))
+        tail = kern.scale * a * th ** a * upper_gamma(-a, th * r)
+        return np.where(u > 0, safe * safe * small + tail, 0.0)
+
+    u = np.concatenate([[0.0], np.logspace(-8, 8, 161)])
+    for alpha in (0.3, 0.9, 1.0, 1.5, 1.9):
+        for cutoff in (0.1, 1.0, 7.0):
+            kern = TemperedStableKernel(alpha, cutoff, scale=1.3)
+            got = kern.compact_moment(u)
+            assert got == pytest.approx(former(kern, u), rel=1e-14, abs=0.0), (alpha, cutoff)
+            assert kern.compact_moment(0.0) == 0.0

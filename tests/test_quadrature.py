@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from levyfield.quadrature import box_integral, gauss_box, region_integral, shell_region
+from levyfield.quadrature import (box_integral, gauss_box, ladder_integral, region_integral,
+                                  shell_region)
 from levyfield.regions import Box, Region
 
 
@@ -43,3 +44,27 @@ def test_shell_region_tiles_the_dyadic_annulus():
             edge[0, 0] = 1.5 * 2.0 ** k
             assert not shell.contains(inside)[0] and not shell.contains(outside)[0]
             assert shell.contains(edge)[0]
+
+
+def test_the_ladder_partitions_r_d():
+    # rung -1 is the core cube; with the shells it tiles R^d
+    for dim in (1, 2):
+        assert shell_region(dim, -1) == Region.from_box(Box((-1.0,) * dim, (1.0,) * dim))
+        rungs = [shell_region(dim, k) for k in range(-1, 4)]
+        assert sum(r.volume for r in rungs) == 2.0 ** (5 * dim)
+        pts = np.random.default_rng(3).uniform(-16.0, 16.0, size=(2000, dim))
+        assert (sum(r.contains(pts).astype(int) for r in rungs) == 1).all()
+
+
+def test_ladder_integral_walks_until_the_increments_vanish():
+    def gauss(region):
+        return region_integral(lambda x: np.exp(-0.5 * (x * x).sum(axis=1)), region)
+
+    val, err = ladder_integral(gauss, 2, 0.0)
+    assert val == pytest.approx(2.0 * np.pi, rel=1e-9) and err < 1e-6
+    # nothing on the first rungs: the walk stops at once unless told to reach on
+    def bump_at_40(region):
+        return (1.0, 0.0) if region.contains(np.array([[40.0]]))[0] else (0.0, 0.0)
+
+    assert ladder_integral(bump_at_40, 1, 0.0) == (0.0, 0.0)
+    assert ladder_integral(bump_at_40, 1, 40.0) == (1.0, 0.0)

@@ -13,7 +13,8 @@ from levyfield import (Characteristics, Density, Region, SamplerConfig,
                        preset, sample_field)
 from levyfield.characteristics import (DiffusionComponent, DriftComponent,
                                        JumpComponent)
-from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump
+from levyfield.analysis import modular_integrand
+from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump, SimpleFunction
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
 from levyfield.verify import (OnbCounterexampleSpec, VerificationReport,
@@ -295,6 +296,33 @@ def test_embedding_inequality_holds_on_stable_fixture():
     assert rep.decision == "pass" and rep.statistic <= rep.threshold
     with pytest.raises(ValueError):
         embedding_inequality_check(chars, GaussianFunction(center=(0.0,), scale=1.0))
+    # f vanishes on a domain away from its support: both sides are 0
+    away = embedding_inequality_check(chars, f, Region.from_intervals([(2.0, 3.0)]))
+    assert away.decision == "pass" and away.statistic == 0.0
+
+
+@pytest.mark.parametrize("kern", [CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.5)),
+                                  StableKernel(1.3, 0.7, 0.3)], ids=lambda k: type(k).__name__)
+def test_embedding_check_integrates_a_simple_function_piece_by_piece(kern):
+    # three diagonal squares, checked on the square they span: each side is
+    # integrated over the pieces only, where f is constant, so every
+    # quadrature settles and the threshold is the bare 1e-8 (1 + |rhs|) slack
+    pieces = [(1.5, (-0.8, -0.3)), (-1.2, (-0.3, 0.2)), (0.7, (0.2, 0.9))]
+    f = SimpleFunction(tuple((c, Region.from_intervals([span, span])) for c, span in pieces))
+    chars = Characteristics(2, gamma=DriftComponent(Density(0.4)),
+                            sigma=DiffusionComponent(Density(0.6)), nu=JumpComponent(kern))
+    rep = embedding_inequality_check(chars, f, Region.from_intervals([(-0.8, 0.9)] * 2))
+    assert rep.decision == "pass" and rep.threshold < 1e-4
+    # f is constant on each piece: both sides are sums of area times a point value
+    ell = 0.4 + 0.6 + kern.quad_mass()
+    want = 0.0
+    for c, (lo, hi) in pieces:
+        u, area = abs(c), (hi - lo) ** 2
+        lhs = modular_integrand(chars, lambda p: np.full(len(p), u))(np.zeros((1, 2)))[0]
+        rhs = (u * ell + 11.0 * u * u * ell + 9.0 * kern.compact_moment(u)
+               + u * kern.abs_annulus_first_moment(np.array([1.0 / u]))[0])
+        want += area * (lhs - rhs)
+    assert rep.statistic == pytest.approx(want, rel=1e-9)
 
 
 def test_stationary_increments_null_gaussian():
