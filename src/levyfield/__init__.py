@@ -15,8 +15,8 @@ from .characteristics import (Atom, Characteristics, ControlMeasureValue,
                               Density, DiffusionComponent,
                               DivergentControlMeasureError, DriftComponent,
                               JumpComponent, LevySymbolValue)
-from .config import (ConfigError, ExperimentConfig, function_from_config,
-                     load_config, parse_config)
+from .config import (ConfigError, ExperimentConfig, characteristics_from_config,
+                     function_from_config, load_config, parse_config)
 from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                     Product1D, ProductBump, SimpleFunction, SumFunction,
                     TestFunction)

@@ -20,7 +20,7 @@ import numpy as np
 from .characteristics import Characteristics
 from .funcs import PolynomialDecay, effective_domain
 from .kernels import JumpKernel, NonConvergenceError
-from .quadrature import region_integral, shell_region
+from .quadrature import last_rung, region_integral, shell_region
 from .regions import Region
 
 
@@ -162,6 +162,7 @@ def lm_membership(chars: Characteristics, f,
         return MembershipResult("indeterminate", note=f"core cube: {exc}")
     shells: list[float] = []
     ratios: list[float] = []
+    atoms_end = last_rung(chars.atom_reach)
     for k in range(MAX_SHELLS):
         try:
             sk, e = modular_integral(chars, f, shell_region(chars.dim, k))
@@ -183,7 +184,7 @@ def lm_membership(chars: Characteristics, f,
             prev = shells[-2]
             ratios.append(sk / prev if prev > 0.0 else (np.inf if sk > 0.0 else 0.0))
         total += sk
-        if 2.0 ** (k + 1) < chars.atom_reach:
+        if k < atoms_end:
             continue  # no member verdict before the ladder has passed every atom
         if len(shells) >= 2 and max(shells[-2:]) <= 1e-12 * (1.0 + total):
             return MembershipResult("member", total, err + sk, tuple(shells),

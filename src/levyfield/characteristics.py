@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .funcs import effective_domain
-from .kernels import JumpKernel, kernel_from_config
+from .kernels import JumpKernel
 from .quadrature import region_integral
 from .regions import Region
 
@@ -345,23 +345,3 @@ class Characteristics:
             cfg["nu"] = {"kernel": self.nu.kernel.to_config(),
                          "modulation": self.nu.modulation.to_config()}
         return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Characteristics":
-        def comp(block, klass):
-            if block is None:
-                return None
-            atoms = tuple(Atom(tuple(a["point"]), a["weight"])
-                          for a in block.get("atoms", ()))
-            return klass(Density(block.get("density", 0.0)), atoms)
-
-        nu = None
-        if "nu" in cfg:
-            nu = JumpComponent(kernel_from_config(cfg["nu"]["kernel"]),
-                               Density(cfg["nu"].get("modulation", 1.0)))
-        return cls(
-            dim=int(cfg["dimension"]),
-            gamma=comp(cfg.get("gamma"), DriftComponent),
-            sigma=comp(cfg.get("sigma"), DiffusionComponent),
-            nu=nu,
-        )

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import yaml
 
 from .analysis import besov_classify, lm_membership, tempered_test
-from .characteristics import Characteristics
+from .characteristics import (Atom, Characteristics, Density, DiffusionComponent,
+                              DriftComponent, JumpComponent)
 from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                     ProductBump, SimpleFunction)
 from .integrate import NotIntegrableError, integrate
 from .io import (atomic_write_text, write_cf_csv, write_frames,
                  write_jump_records, write_sheet_csv)
+from .kernels import kernel_from_config
 from .presets import PRESET_NAMES, preset
 from .regions import Region
 from .sampler import SamplerConfig, sample_field
@@ -106,11 +108,6 @@ def _finish(data: dict, path: str) -> None:
         raise ConfigError(path, f"unknown keys: {keys}")
 
 
-def _known(data: dict, path: str, keys) -> None:
-    """Reject keys of ``data`` outside ``keys``; the caller reads the rest."""
-    _finish({k: None for k in data if k not in keys}, path)
-
-
 def _region(data: dict, key: str, path: str, dim: int) -> Region:
     """The required field ``key``: a list of [lo, hi] spans, one per axis."""
     value, path = _any(data, key, path), f"{path}.{key}"
@@ -174,13 +171,28 @@ def function_from_config(value, path: str, dim: int):
 # Blocks
 # --------------------------------------------------------------------------
 
-def _parse_characteristics(value, path: str) -> Characteristics:
+def _component(value, path: str, klass):
+    """A gamma or Sigma block (None if absent): a constant density and point atoms."""
+    if value is None:
+        return None
+    block, atoms = _mapping(value, path), []
+    for i, atom in enumerate(_pop(block, "atoms", path, lambda v: isinstance(v, list), "a list",
+                                  default=[])):
+        apath, atom = f"{path}.atoms[{i}]", _mapping(atom, f"{path}.atoms[{i}]")
+        point = _pop(atom, "point", apath, _is_nums, "a list of numbers", required=True)
+        atoms.append(Atom(point, _num(atom, "weight", apath, required=True)))
+        _finish(atom, apath)
+    density = Density(_num(block, "density", path, default=0.0))
+    _finish(block, path)
+    return klass(density, tuple(atoms))
+
+
+def characteristics_from_config(value, path: str = "characteristics") -> Characteristics:
+    """A preset or the explicit triple; the inverse of ``Characteristics.to_config``."""
     data = _mapping(value, path)
     if "preset" in data:
-        name = _pop(data, "preset", path, lambda v: isinstance(v, str),
-                    "a string", required=True)
-        params = _mapping(_pop(data, "params", path,
-                               lambda v: isinstance(v, dict), "a mapping",
+        name = _pop(data, "preset", path, lambda v: isinstance(v, str), "a string", required=True)
+        params = _mapping(_pop(data, "params", path, lambda v: isinstance(v, dict), "a mapping",
                                default={}), f"{path}.params")
         _finish(data, path)
         if name not in PRESET_NAMES:
@@ -189,23 +201,25 @@ def _parse_characteristics(value, path: str) -> Characteristics:
         try:
             return preset(name, **params)
         except KeyError as exc:
-            raise ConfigError(f"{path}.params",
-                              f"missing required parameter {exc}") from None
+            raise ConfigError(f"{path}.params", f"missing required parameter {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.params", str(exc)) from None
-    _known(data, path, ("dimension", "gamma", "sigma", "nu"))
-    for name, keys in (("gamma", ("density", "atoms")), ("sigma", ("density", "atoms")),
-                       ("nu", ("kernel", "modulation"))):
-        block = data.get(name)
-        if isinstance(block, dict):
-            _known(block, f"{path}.{name}", keys)
-            atoms = block.get("atoms")
-            for i, atom in enumerate(atoms if isinstance(atoms, list) else ()):
-                if isinstance(atom, dict):
-                    _known(atom, f"{path}.{name}.atoms[{i}]", ("point", "weight"))
     try:
-        return Characteristics.from_config(data)
+        dim = _int(data, "dimension", path, required=True)
+        gamma = _component(data.pop("gamma", None), f"{path}.gamma", DriftComponent)
+        sigma = _component(data.pop("sigma", None), f"{path}.sigma", DiffusionComponent)
+        nu, npath = data.pop("nu", None), f"{path}.nu"
+        if nu is not None:
+            nu = _mapping(nu, npath)
+            kernel = kernel_from_config(_any(nu, "kernel", npath))
+            mod = Density(_num(nu, "modulation", npath, default=1.0))
+            _finish(nu, npath)
+            nu = JumpComponent(kernel, mod)
+        _finish(data, path)
+        return Characteristics(dim, gamma, sigma, nu)
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(path, f"invalid explicit characteristics: {exc}") from None
 
 
@@ -516,8 +530,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     output = _pop(data, "output", "<config>",
                   lambda v: isinstance(v, str) and v, "a nonempty string",
                   default="out")
-    chars = _parse_characteristics(_any(data, "characteristics", "<config>"),
-                                   "characteristics")
+    chars = characteristics_from_config(_any(data, "characteristics", "<config>"))
     sampler = _parse_sampler(_any(data, "sampler", "<config>"), "sampler",
                              seed, chars.dim)
     tasks_raw = _pop(data, "tasks", "<config>",

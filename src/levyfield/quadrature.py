@@ -76,6 +76,12 @@ def shell_region(dim: int, k: int) -> Region:
     return Region(dim, tuple(outer.subtract(inner)))
 
 
+def last_rung(reach: float) -> int:
+    """The last rung that can hold a point of sup-norm ``<= reach``: the least k >= -1 with
+    ``2^(k+1) > reach``, since rungs are half-open and ``-2^(k+1)`` lies in rung k + 1."""
+    return max(int(np.frexp(reach)[1]) - 1, -1)
+
+
 def ladder_integral(integral, dim: int, reach: float) -> tuple[float, float]:
     """Sum of ``integral(region) -> (value, error)`` over the core cube and the shells,
     up to the first negligible shell past ``reach`` (at most 30), for decaying integrands."""
@@ -84,6 +90,6 @@ def ladder_integral(integral, dim: int, reach: float) -> tuple[float, float]:
         inc, e = integral(shell_region(dim, k))
         err += e
         val += inc
-        if k >= 0 and 2.0 ** (k + 1) >= reach and abs(inc) <= max(1e-10, 1e-8 * abs(val)):
+        if k >= max(last_rung(reach), 0) and abs(inc) <= max(1e-10, 1e-8 * abs(val)):
             return val, err
     raise ArithmeticError("integral over R^d did not converge on expanding cubes")

@@ -426,7 +426,7 @@ def embedding_inequality_check(chars: Characteristics, f,
     """
     domain = effective_domain(f, domain)
     if domain is None:
-        raise ValueError("need a bounded domain with finite control measure")
+        raise ValueError("f has no bounded support: give a bounded domain")
     prov = ("modular bound with proof constants 1, 11, 9 plus the "
             "large-jump linear tail term")
     try:
@@ -458,7 +458,7 @@ def embedding_inequality_check(chars: Characteristics, f,
                                   0, None, prov, (str(exc),))
     tol = 1e-8 * (1.0 + abs(rhs)) + 10.0 * err
     decision = "pass" if lhs <= rhs + tol else "fail"
-    notes = (f"lhs={lhs:.6g} rhs={rhs:.6g} lambda(domain)={lam.value:.6g}",)
+    notes = (f"lhs={lhs:.6g} rhs={rhs:.6g} lambda(domain & supp f)={lam.value:.6g}",)
     return VerificationReport("embedding-inequality", float(lhs - rhs), float(tol), decision,
                               0, None, prov, notes)
 

@@ -12,6 +12,7 @@ from levyfield import (Atom, Characteristics, Density, DiffusionComponent,
                        SamplerConfig, SimpleFunction, StableKernel, interval,
                        preset, sample_field, stable_symbol_constant)
 from levyfield.analysis import lm_membership
+from levyfield.config import characteristics_from_config
 from levyfield.funcs import GaussianFunction
 from levyfield.integrate import cylindrical_characteristics, integrate
 from levyfield.quadrature import region_integral
@@ -280,6 +281,12 @@ def test_walks_over_r_d_pass_every_atom_before_they_stop():
     assert (cyl.a, cyl.qf) == (2.0, 3.0 * at(f, -9.0) ** 2)
     res = lm_membership(far, f)
     assert res.verdict == "member" and res.value == 2.0 + 3.0 * at(f, -9.0) ** 2
+    # an atom at -2^j lies in the shell past the one whose outer cube reaches 2^j
+    for point in (-2.0, -8.0):
+        edge = Characteristics(1, gamma=DriftComponent(Density(0.0), (Atom((point,), 2.0),)))
+        assert cylindrical_characteristics(edge, f).a == 2.0 * at(f, point)
+        res = lm_membership(edge, f)
+        assert res.verdict == "member" and res.value == 2.0 * at(f, point)
 
 
 def test_control_measure_integrates_a_function_against_each_part():
@@ -297,7 +304,7 @@ def test_control_measure_integrates_a_function_against_each_part():
 
 def test_config_round_trip():
     chars = preset("balan-stable", alpha=1.4, p=0.6, q=0.4)
-    back = Characteristics.from_config(chars.to_config())
+    back = characteristics_from_config(chars.to_config())
     assert back.dim == chars.dim
     r = Region.from_intervals([(0.0, 2.0)])
     assert back.control_measure(r).value == pytest.approx(

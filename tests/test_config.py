@@ -75,8 +75,15 @@ def test_unknown_keys_carry_dotted_paths():
         bad = {k: dict(v) if isinstance(v, dict) else v for k, v in triple.items()}
         (bad if block is None else bad[block])[key] = 2.0
         assert err(base(characteristics=bad)) == f"{where}: unknown keys: {key}"
-    bad = dict(triple, sigma={"density": 1.0, "atoms": [{"point": [0.5], "weigth": 0.2}]})
+    atom = {"point": [0.5], "weight": 0.2, "weigth": 0.2}
+    bad = dict(triple, sigma={"density": 1.0, "atoms": [atom]})
     assert err(base(characteristics=bad)) == "characteristics.sigma.atoms[0]: unknown keys: weigth"
+    del atom["weight"]
+    assert err(base(characteristics=bad)) == (
+        "characteristics.sigma.atoms[0].weight: required field is missing")
+    # a missing kernel is named at its own path
+    bad = dict(triple, nu={"modulation": 2.0})
+    assert err(base(characteristics=bad)) == "characteristics.nu.kernel: required field is missing"
 
 
 def test_preset_block_validation():

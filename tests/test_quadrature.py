@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from levyfield.quadrature import (box_integral, gauss_box, ladder_integral, region_integral,
-                                  shell_region)
+from levyfield.quadrature import (box_integral, gauss_box, ladder_integral, last_rung,
+                                  region_integral, shell_region)
 from levyfield.regions import Box, Region
 
 
@@ -68,3 +68,20 @@ def test_ladder_integral_walks_until_the_increments_vanish():
 
     assert ladder_integral(bump_at_40, 1, 0.0) == (0.0, 0.0)
     assert ladder_integral(bump_at_40, 1, 40.0) == (1.0, 0.0)
+    # -2^j lies in the rung past the one whose outer cube reaches 2^j
+    for point in (-2.0, -8.0):
+        def bump(region, point=point):
+            return (1.0, 0.0) if region.contains(np.array([[point]]))[0] else (0.0, 0.0)
+
+        assert ladder_integral(bump, 1, -point) == (1.0, 0.0)
+
+
+def test_last_rung_holds_every_point_within_the_reach():
+    assert [last_rung(r) for r in (0.0, 0.5, 1.0, 1.5, 2.0, 8.0, 9.0)] == [-1, -1, 0, 0, 1, 3, 3]
+    for reach in (0.0, 0.3, 1.0, 2.0, 3.0, 8.0, 9.0, 1024.0):
+        k = last_rung(reach)
+        for dim in (1, 2):
+            # -reach lies in rung k itself, +reach in rung k or below
+            low, high = np.full((1, dim), -reach), np.full((1, dim), reach)
+            assert shell_region(dim, k).contains(low)[0]
+            assert any(shell_region(dim, j).contains(high)[0] for j in range(-1, k + 1))
