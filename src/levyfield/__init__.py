@@ -16,7 +16,7 @@ from .characteristics import (Atom, Characteristics, ControlMeasureValue,
                               DivergentControlMeasureError, DriftComponent,
                               JumpComponent, LevySymbolValue)
 from .config import (ConfigError, ExperimentConfig, characteristics_from_config,
-                     function_from_config, load_config, parse_config)
+                     function_from_config, kernel_from_config, load_config, parse_config)
 from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
                     Product1D, ProductBump, SimpleFunction, SumFunction,
                     TestFunction)
@@ -27,12 +27,12 @@ from .integrate import (CylindricalCharacteristics, IntegralValue,
 from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
                       JumpSizeDistribution, NonConvergenceError, NormalJumps,
                       StableKernel, TabulatedKernel, TemperedStableKernel,
-                      UniformJumps, kernel_from_config, stable_symbol_constant)
+                      UniformJumps, stable_symbol_constant)
 from .presets import PRESET_NAMES, preset, spectrally_positive_scale
 from .regions import Box, Region, interval
 from .sampler import (FieldRealization, InfiniteActivityError, LevyItoSpec,
                       OutOfWindowError, SamplerConfig, levy_ito_spec,
-                      sample_field, sample_marginals, sample_spectrally_positive,
+                      sample_field, sample_marginals,
                       sample_stable_marginal_oracle)
 from .sheets import (BoxIncrement, DualityResult, LampReport, SheetRealization,
                      box_increment, duality_check, lamp_grid_check)

@@ -25,7 +25,8 @@ from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
 from .integrate import NotIntegrableError, integrate
 from .io import (atomic_write_text, write_cf_csv, write_frames,
                  write_jump_records, write_sheet_csv)
-from .kernels import kernel_from_config
+from .kernels import (CompoundPoissonKernel, DiscreteJumps, NormalJumps, StableKernel,
+                      TabulatedKernel, TemperedStableKernel, UniformJumps)
 from .presets import PRESET_NAMES, preset
 from .regions import Region
 from .sampler import SamplerConfig, sample_field
@@ -171,6 +172,43 @@ def function_from_config(value, path: str, dim: int):
 # Blocks
 # --------------------------------------------------------------------------
 
+# kind -> (class, required fields, optional numbers): a required field is a number, a list of
+# numbers or a jump-law block (its table); an optional number left out takes the class default
+_NUM, _NUMS = (_is_num, "a number"), (_is_nums, "a list of numbers")
+_LAWS = {"discrete": (DiscreteJumps, {"values": _NUMS, "probs": _NUMS}, ()),
+         "normal": (NormalJumps, {}, ("mu", "sigma")),
+         "uniform": (UniformJumps, {"a": _NUM, "b": _NUM}, ())}
+_KERNELS = {"stable": (StableKernel, {"alpha": _NUM}, ("p", "q", "scale")),
+            "compound-poisson": (CompoundPoissonKernel, {"rate": _NUM, "jumps": _LAWS}, ()),
+            "tempered-stable": (TemperedStableKernel, {"alpha": _NUM, "cutoff": _NUM}, ("scale",)),
+            "tabulated": (TabulatedKernel, {"grid": _NUMS, "values": _NUMS}, ())}
+
+
+def _family(value, path: str, table: dict):
+    """A kernel or jump-law block; the inverse of its ``to_config``."""
+    data = _mapping(value, path)
+    kind = _pop(data, "kind", path, lambda v: isinstance(v, str), "a string", required=True)
+    if kind not in table:
+        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; known: {', '.join(table)}")
+    make, required, optional = table[kind]
+    args = {key: _family(_any(data, key, path), f"{path}.{key}", field) if isinstance(field, dict)
+            else _pop(data, key, path, *field, required=True) for key, field in required.items()}
+    args.update((key, _pop(data, key, path, *_NUM)) for key in optional if key in data)
+    _finish(data, path)
+    try:
+        return make(**args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def kernel_from_config(value, path: str = "kernel"):
+    return _family(value, path, _KERNELS)
+
+
+def jump_distribution_from_config(value, path: str = "jumps"):
+    return _family(value, path, _LAWS)
+
+
 def _component(value, path: str, klass):
     """A gamma or Sigma block (None if absent): a constant density and point atoms."""
     if value is None:
@@ -211,7 +249,7 @@ def characteristics_from_config(value, path: str = "characteristics") -> Charact
         nu, npath = data.pop("nu", None), f"{path}.nu"
         if nu is not None:
             nu = _mapping(nu, npath)
-            kernel = kernel_from_config(_any(nu, "kernel", npath))
+            kernel = kernel_from_config(_any(nu, "kernel", npath), f"{npath}.kernel")
             mod = Density(_num(nu, "modulation", npath, default=1.0))
             _finish(nu, npath)
             nu = JumpComponent(kernel, mod)

@@ -70,7 +70,8 @@ def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
 
 
-_CHUNK_JUMPS = 1 << 20  # draws per marginal sample_tail call and per rejection block
+_REJECTION_CAP = 1 << 20  # most draws in one rejection block of JumpSizeDistribution.sample_tail
+_TRANSFORM_BLOCK = 1 << 14  # stable jumps per fill-and-map pass: 128 KiB stays in L2
 
 SMALL_CF_RTOL = 1e-10
 # Terms m = 1..12 of the cosine and sine series; at |c y| <= 1 the first
@@ -415,32 +416,39 @@ class StableKernel(JumpKernel):
         return mass * a * (c ** (1.0 - a) - 1.0) / (1.0 - a)
 
     def sample_tail(self, rng, n, eps):
-        """Inverse-CDF map of n uniforms; a side without mass gets no jumps."""
-        u = rng.random(n)
+        """Inverse-CDF map of n uniforms, filled and mapped in cache-sized blocks."""
+        out, buf = np.empty(n), np.empty(min(n, _TRANSFORM_BLOCK))
+        for lo in range(0, n, _TRANSFORM_BLOCK):
+            u = out[lo:lo + _TRANSFORM_BLOCK]
+            rng.random(out=u)
+            self._inverse_cdf(u, buf[:u.size], eps)
+        return out
+
+    def _inverse_cdf(self, u, buf, eps):
+        """Map uniforms ``u`` to jumps in place, ``buf`` a scratch of its size."""
         inv = -1.0 / self.alpha
         if self.symmetric:
             # |2(u - 1/2)|^(-1/a) * eps with the factor 2 folded into the scale;
             # a = 3/2 avoids np.power: |c|^(-2/3) = 1 / cbrt(c^2).
-            scale = eps * 2.0 ** inv
             u -= 0.5
+            scale, sign = eps * 2.0 ** inv, u
             if self.alpha == 1.5:
-                mag = np.multiply(u, u)
-                np.maximum(mag, 1e-300, out=mag)
-                np.cbrt(mag, out=mag)
-                np.divide(scale, mag, out=mag)
-            else:
-                mag = np.abs(u)
-                np.maximum(mag, 1e-300, out=mag)
-                np.power(mag, inv, out=mag)
-                mag *= scale
-            return np.copysign(mag, u, out=mag)
-        p, q = self.p, self.q
-        sgn = p - u
-        v = np.where(sgn > 0.0, sgn / max(p, 1e-300), -sgn / max(q, 1e-300))
-        np.clip(v, 1e-300, 1.0, out=v)
-        np.power(v, inv, out=v)
-        v *= eps
-        return np.copysign(v, sgn)
+                np.multiply(u, u, out=buf)
+                np.maximum(buf, 1e-300, out=buf)
+                np.cbrt(buf, out=buf)
+                np.divide(scale, buf, out=buf)
+                np.copysign(buf, u, out=u)
+                return
+            np.abs(u, out=buf)
+        else:
+            # positive exactly where u < p, so a side without mass gets no jumps
+            scale, sign = eps, np.where(u < self.p, max(self.p, 1e-300), -max(self.q, 1e-300))
+            np.subtract(self.p, u, out=buf)
+            np.divide(buf, sign, out=buf)
+        np.clip(buf, 1e-300, 1.0, out=buf)
+        np.power(buf, inv, out=buf)
+        buf *= scale
+        np.copysign(buf, sign, out=u)
 
     def scale_image(self, c):
         if c == 0.0:
@@ -505,7 +513,7 @@ class JumpSizeDistribution:
         for _ in range(10_000):
             if out.size >= n:
                 break
-            block = self.sample(rng, min(_CHUNK_JUMPS, max(64, int(1.3 * (n - out.size) / acc))))
+            block = self.sample(rng, min(_REJECTION_CAP, max(64, int(1.3 * (n - out.size) / acc))))
             out = np.concatenate([out, block[np.abs(block) > eps]])
         if out.size < n:
             raise RuntimeError(f"{self!r}: rejection kept {out.size} of {n} jumps beyond "
@@ -1029,31 +1037,3 @@ class TabulatedKernel(JumpKernel):
 
     def __hash__(self):
         return hash((tuple(self.grid), tuple(self.values)))
-
-
-def jump_distribution_from_config(cfg: dict) -> JumpSizeDistribution:
-    kind = cfg.get("kind")
-    body = {k: v for k, v in cfg.items() if k != "kind"}
-    if kind == "discrete":
-        return DiscreteJumps(tuple(body["values"]), tuple(body["probs"]))
-    if kind == "normal":
-        return NormalJumps(**body)
-    if kind == "uniform":
-        return UniformJumps(**body)
-    raise ValueError(f"unknown jump distribution kind: {kind!r}")
-
-
-def kernel_from_config(cfg: dict) -> JumpKernel:
-    """Inverse of ``JumpKernel.to_config`` (used by the config layer)."""
-    kind = cfg.get("kind")
-    body = {k: v for k, v in cfg.items() if k != "kind"}
-    if kind == "stable":
-        return StableKernel(**body)
-    if kind == "compound-poisson":
-        dist = jump_distribution_from_config(body.pop("jumps"))
-        return CompoundPoissonKernel(jumps=dist, **body)
-    if kind == "tempered-stable":
-        return TemperedStableKernel(**body)
-    if kind == "tabulated":
-        return TabulatedKernel(cfg["grid"], cfg["values"])
-    raise ValueError(f"unknown kernel kind: {kind!r}")

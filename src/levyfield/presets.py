@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent, DriftComponent, JumpComponent
-from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpSizeDistribution,
-                      StableKernel, jump_distribution_from_config)
+from .kernels import CompoundPoissonKernel, DiscreteJumps, JumpSizeDistribution, StableKernel
 
 PRESET_NAMES = ("gaussian-white-noise", "balan-stable", "mytnik-positive", "impulsive")
 
@@ -69,6 +68,7 @@ def preset(name: str, **params) -> Characteristics:
         if jumps is None:
             jumps = DiscreteJumps((1.0, -1.0), (0.5, 0.5))
         elif isinstance(jumps, dict):
+            from .config import jump_distribution_from_config  # config imports this module
             jumps = jump_distribution_from_config(jumps)
         elif not isinstance(jumps, JumpSizeDistribution):
             raise ValueError("jumps must be a distribution or a config mapping")

@@ -15,10 +15,10 @@ and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 marginals M(T, A): it skips jump records entirely and reduces each replicate
 to a segment sum of its jump sizes, which is what makes 1e5 replicates of an
 alpha = 1.5 run at eps = 1e-3 (about 3e9 jumps) feasible.  The jumps of all
-replicates form one flat stream, drawn in chunks of at most ``_CHUNK_JUMPS``
-by the kernel's own ``sample_tail``; a chunk holds whole replicates, and only
-a replicate with more jumps than a chunk is split, so memory grows with the
-chunk, not with the number of jumps.
+replicates form one flat stream, drawn by the kernel's own ``sample_tail`` in
+chunks of at most ``_CHUNK_JUMPS`` (2^20) that hold whole replicates (only a
+bigger replicate is split), so memory grows with the chunk, not with the
+number of jumps.  A stable kernel maps each chunk 2^14 jumps at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField, root_masses
-from .kernels import _CHUNK_JUMPS  # jumps per sample_tail call; bounds the transform's memory
 from .regions import Region
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
@@ -39,6 +38,7 @@ _STREAM_JUMPS = 1
 _STREAM_GAUSS = 2
 _STREAM_SUBSTITUTE = 3
 _STREAM_MARGINALS = 4
+_CHUNK_JUMPS = 1 << 20  # jumps per sample_tail call of sample_marginals; bounds its memory
 # decompositions kept by levy_ito_spec, most recently used first
 _SPECS = 8
 
@@ -392,21 +392,3 @@ def sample_stable_marginal_oracle(alpha: float, beta: float, scale: float,
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
     return scale * _cms(rng, alpha, beta, n)
-
-
-def sample_spectrally_positive(alpha: float, t: float, region, n: int,
-                               seed: int) -> np.ndarray:
-    """Marginals whose log-Laplace transform is ``t * u^alpha * leb(A)``.
-
-    ``region`` may be a Region or a Lebesgue measure directly.
-    """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (1, 2)")
-    leb = region.volume if isinstance(region, Region) else float(region)
-    if t < 0.0 or leb < 0.0:
-        raise ValueError("time and measure must be nonnegative")
-    if t * leb == 0.0:
-        return np.zeros(n)
-    sigma = (t * leb * abs(math.cos(math.pi * alpha / 2.0))) ** (1.0 / alpha)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
-    return sigma * _cms(rng, alpha, 1.0, n)

@@ -110,6 +110,11 @@ tasks: []
 """)
     assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "characteristics.nu: unknown keys: modulaton" in capsys.readouterr().err
+    # so did an unknown key of a kernel block
+    cfg = write_cfg(tmp_path, Path(cfg).read_text().replace(
+        "alpha: 1.5}, modulaton", "alpha: 1.5, bogus: 3}, modulation"))
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "characteristics.nu.kernel: unknown keys: bogus" in capsys.readouterr().err
 
 
 def test_run_duality_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,31 @@ def test_unknown_keys_carry_dotted_paths():
     # a missing kernel is named at its own path
     bad = dict(triple, nu={"modulation": 2.0})
     assert err(base(characteristics=bad)) == "characteristics.nu.kernel: required field is missing"
+    # kernel and jump-law blocks: each family parses, and an unknown key is
+    # rejected at the block that holds it
+    laws = [{"kind": "discrete", "values": [1.0, -1.0], "probs": [0.5, 0.5]},
+            {"kind": "normal"}, {"kind": "uniform", "a": -1.0, "b": 2.0}]
+    kernels = [{"kind": "stable", "alpha": 1.5},
+               {"kind": "tempered-stable", "alpha": 0.9, "cutoff": 1.0},
+               {"kind": "tabulated", "grid": [0, 1, 2], "values": [1, 1, 0]}]
+    kernels += [{"kind": "compound-poisson", "rate": 2.0, "jumps": law} for law in laws]
+    for kernel in kernels:
+        parse_config(base(characteristics=dict(triple, nu={"kernel": kernel})))
+        bad = dict(triple, nu={"kernel": dict(kernel, bogus=3)})
+        assert err(base(characteristics=bad)) == "characteristics.nu.kernel: unknown keys: bogus"
+    for law in laws:
+        kernel = {"kind": "compound-poisson", "rate": 2.0, "jumps": dict(law, bogus=1)}
+        assert err(base(characteristics=dict(triple, nu={"kernel": kernel}))) == (
+            "characteristics.nu.kernel.jumps: unknown keys: bogus")
+    bad = dict(triple, nu={"kernel": {"kind": "stable", "alpha": 1.5, "q": "half"}})
+    assert err(base(characteristics=bad)) == (
+        "characteristics.nu.kernel.q: expected a number, got 'half'")
+    bad = dict(triple, nu={"kernel": {"kind": "compound-poisson", "rate": 2.0}})
+    assert err(base(characteristics=bad)) == (
+        "characteristics.nu.kernel.jumps: required field is missing")
+    bad = dict(triple, nu={"kernel": {"kind": "stable", "alpha": 1.5, "p": 0.7}})
+    assert err(base(characteristics=bad)) == (
+        "characteristics.nu.kernel: need p, q >= 0 with p + q = 1")
 
 
 def test_preset_block_validation():
@@ -103,8 +128,10 @@ def test_explicit_characteristics_round_trip():
     got = cfg.characteristics.control_measure(region).value
     want = chars.control_measure(region).value
     assert got == pytest.approx(want, rel=1e-12)
-    assert "invalid explicit characteristics" in err(
-        base(characteristics={"dimension": 1, "nu": {"kernel": {"type": "wat"}}}))
+    assert err(base(characteristics={"dimension": 1, "nu": {"kernel": {"type": "wat"}}})) == (
+        "characteristics.nu.kernel.kind: required field is missing")
+    msg = err(base(characteristics={"dimension": 1, "nu": {"kernel": {"kind": "wat"}}}))
+    assert msg.startswith("characteristics.nu.kernel.kind: unknown kind 'wat'; known: stable")
 
 
 def test_window_validation():

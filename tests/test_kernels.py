@@ -110,6 +110,44 @@ def test_one_sided_stable_sample_tail_has_one_sign(p, sign):
     assert stat.pvalue > 0.01
 
 
+@pytest.mark.parametrize("p, sign", [(0.0, -1.0), (1.0, 1.0)])
+def test_one_sided_stable_jump_at_u_equal_to_p_lands_where_the_mass_is(p, sign):
+    # for p = 0, u = 0 is u = p: p - u is +0.0 there, and its sign once made
+    # the jump +5.9e227 on the side without mass
+    class Zeros:
+        def random(self, out):
+            out[:] = 0.0
+
+    y = StableKernel(1.3, p, 1.0 - p).sample_tail(Zeros(), 5, 1e-3)
+    assert np.all(sign * y >= 1e-3)
+
+
+def _one_pass_sample_tail(k, rng, n, eps):
+    """The stable inverse-CDF map over one ``rng.random(n)``; signs as u < p except at u == p."""
+    u = rng.random(n)
+    inv = -1.0 / k.alpha
+    if k.symmetric:
+        c, scale = u - 0.5, eps * 2.0 ** inv
+        if k.alpha == 1.5:
+            return np.copysign(scale / np.cbrt(np.maximum(c * c, 1e-300)), c)
+        return np.copysign(np.maximum(np.abs(c), 1e-300) ** inv * scale, c)
+    sgn = k.p - u
+    v = np.where(sgn > 0.0, sgn / max(k.p, 1e-300), -sgn / max(k.q, 1e-300))
+    return np.copysign(np.clip(v, 1e-300, 1.0) ** inv * eps, sgn)
+
+
+@pytest.mark.parametrize("kern", [StableKernel(1.5), StableKernel(0.8),
+                                  StableKernel(1.2, 0.7, 0.3), StableKernel(1.3, 1.0, 0.0)])
+def test_stable_blocked_transform_is_bit_identical_to_one_pass(kern):
+    b = kernels._TRANSFORM_BLOCK
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        got_rng, want_rng = np.random.default_rng(n + 11), np.random.default_rng(n + 11)
+        got = kern.sample_tail(got_rng, n, 0.02)
+        want = _one_pass_sample_tail(kern, want_rng, n, 0.02)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
 def test_stable_cf_integrand_zero_frequency():
     k = StableKernel(1.4, 0.6, 0.4)
     assert k.cf_integrand(0.0) == 0.0
@@ -377,6 +415,7 @@ def test_tabulated_kernel_sample_tail_distribution():
     CompoundPoissonKernel(1.0, NormalJumps(0.1, 0.5)),
     CompoundPoissonKernel(2.0, UniformJumps(-1.0, 1.0)),
     TemperedStableKernel(0.9, cutoff=1.5, scale=2.0),
+    TabulatedKernel([-1.0, 0.0, 2.0], [0.5, 1.0, 0.0]),
 ])
 def test_kernel_config_round_trip(kern):
     back = kernel_from_config(kern.to_config())
@@ -607,14 +646,14 @@ def test_rejection_blocks_are_capped_and_the_rounds_bounded(monkeypatch):
     # one jump beyond 5 sigma used to ask for 2.3e6 draws in one block (6.6e8 at 6)
     asked.clear()
     y = law.sample_tail(np.random.default_rng(3), 1, 5.0)
-    assert abs(y[0]) > 5.0 and max(asked) == kernels._CHUNK_JUMPS
+    assert abs(y[0]) > 5.0 and max(asked) == kernels._REJECTION_CAP
     # negligible tail mass: a stub that never lands beyond eps runs out of rounds
     asked.clear()
     monkeypatch.setattr(NormalJumps, "sample",
                         lambda self, rng, n: asked.append(n) or np.zeros(1))
     with pytest.raises(RuntimeError, match=r"eps=20\.0"):
         law.sample_tail(np.random.default_rng(3), 1, 20.0)
-    assert len(asked) == 10_000 and max(asked) == kernels._CHUNK_JUMPS
+    assert len(asked) == 10_000 and max(asked) == kernels._REJECTION_CAP
 
 
 def test_tabulated_rejection_caps_each_clipped_piece():

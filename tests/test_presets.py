@@ -88,6 +88,8 @@ def test_impulsive_jump_config_mapping():
     assert isinstance(chars.nu.kernel.jumps, DiscreteJumps)
     with pytest.raises(ValueError):
         preset("impulsive", rate=2.0, jumps=3.5)
+    with pytest.raises(ValueError, match="jumps: unknown keys: bogus"):
+        preset("impulsive", jumps={"kind": "normal", "sigma": 0.5, "bogus": 1})
 
 
 def test_impulsive_modulated_drift_follows_zeta():

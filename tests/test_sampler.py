@@ -11,8 +11,7 @@ import scipy.stats as sps
 from levyfield import (Box, Characteristics, Density, InfiniteActivityError,
                        JumpComponent, Region, SamplerConfig, StableKernel,
                        TemperedStableKernel, interval, preset,
-                       sample_field, sample_marginals,
-                       sample_spectrally_positive, sample_stable_marginal_oracle,
+                       sample_field, sample_marginals, sample_stable_marginal_oracle,
                        stable_symbol_constant)
 from levyfield import gaussian, sampler
 from levyfield.characteristics import DiffusionComponent
@@ -184,14 +183,6 @@ def test_oracle_rejects_bad_parameters():
         sample_stable_marginal_oracle(1.0, 0.5, 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         sample_stable_marginal_oracle(1.5, 0.0, -1.0, 10, seed=0)
-
-
-def test_spectrally_positive_laplace_transform():
-    x = sample_spectrally_positive(1.5, 1.0, WIN, 40000, seed=17)
-    for u in (0.3, 0.7):
-        emp = np.exp(-u * x).mean()
-        se = np.exp(-u * x).std(ddof=1) / math.sqrt(len(x))
-        assert abs(emp - math.exp(u ** 1.5)) < 4 * se
 
 
 def test_marginal_stream_is_separate_from_paths():
