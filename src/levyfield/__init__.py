@@ -17,9 +17,8 @@ from .characteristics import (Atom, Characteristics, ControlMeasureValue,
                               JumpComponent, LevySymbolValue)
 from .config import (ConfigError, ExperimentConfig, characteristics_from_config,
                      function_from_config, kernel_from_config, load_config, parse_config)
-from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay,
-                    Product1D, ProductBump, SimpleFunction, SumFunction,
-                    TestFunction)
+from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay, ProductBump,
+                    SimpleFunction, SumFunction, TestFunction)
 from .gaussian import WhiteNoiseField
 from .integrate import (CylindricalCharacteristics, IntegralValue,
                         NotIntegrableError, cylindrical_characteristics,
@@ -31,12 +30,12 @@ from .kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
 from .presets import PRESET_NAMES, preset, spectrally_positive_scale
 from .regions import Box, Region, interval
 from .sampler import (FieldRealization, InfiniteActivityError, LevyItoSpec,
-                      OutOfWindowError, SamplerConfig, levy_ito_spec,
-                      sample_field, sample_marginals,
+                      OutOfWindowError, PathBatch, SamplerConfig, levy_ito_spec,
+                      sample_field, sample_fields, sample_marginals,
                       sample_stable_marginal_oracle)
 from .sheets import (BoxIncrement, DualityResult, LampReport, SheetRealization,
                      box_increment, duality_check, lamp_grid_check)
 from .verify import (OnbCounterexampleSpec, VerificationReport, cf_match_test,
-                     distance_covariance, embedding_inequality_check,
+                     embedding_inequality_check,
                      independence_test, onb_counterexample,
                      stationary_increment_test, summary_table)

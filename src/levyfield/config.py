@@ -29,7 +29,7 @@ from .kernels import (CompoundPoissonKernel, DiscreteJumps, NormalJumps, StableK
                       TabulatedKernel, TemperedStableKernel, UniformJumps)
 from .presets import PRESET_NAMES, preset
 from .regions import Region
-from .sampler import SamplerConfig, sample_field
+from .sampler import SamplerConfig, replicate_blocks, sample_field, sample_fields
 from .sheets import SheetRealization, duality_check
 from .verify import (OnbCounterexampleSpec, cf_match_test, independence_test,
                      onb_counterexample, paired_evaluations)
@@ -236,6 +236,8 @@ def characteristics_from_config(value, path: str = "characteristics") -> Charact
         if name not in PRESET_NAMES:
             raise ConfigError(f"{path}.preset",
                               f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+        if isinstance(params.get("jumps"), dict):  # a jump law reports at its own path
+            params["jumps"] = jump_distribution_from_config(params["jumps"], f"{path}.params.jumps")
         try:
             return preset(name, **params)
         except KeyError as exc:
@@ -312,12 +314,13 @@ def _parse_sample(data, path, chars, sampler):
 
 
 def _run_sample(cfg, task, prefix, emit, reports, failures):
-    for k in range(task["replicates"]):
-        real = sample_field(cfg.characteristics, cfg.sampler, replicate=k)
-        if "jsonl" in task["formats"]:
-            emit(f"{prefix}-r{k}.jsonl", lambda p, r=real: write_jump_records(p, r))
-        if "frames" in task["formats"]:
-            emit(f"{prefix}-r{k}.bin", lambda p, r=real: write_frames(p, r))
+    for reps in replicate_blocks(cfg.characteristics, cfg.sampler, task["replicates"]):
+        batch = sample_fields(cfg.characteristics, cfg.sampler, reps)
+        for k, real in zip(reps, map(batch.member, range(len(reps)))):
+            if "jsonl" in task["formats"]:
+                emit(f"{prefix}-r{k}.jsonl", lambda p, r=real: write_jump_records(p, r))
+            if "frames" in task["formats"]:
+                emit(f"{prefix}-r{k}.bin", lambda p, r=real: write_frames(p, r))
 
 
 def _parse_integrate(data, path, chars, sampler):

@@ -15,8 +15,9 @@ That order is the same whether the planes arrive one per query or all at
 once, so identical query sequences replay bit-identically.
 
 Fields with one plane layout and intensity (the white noises of many paths
-over one window) refine as one stack, values with a leading field axis;
-each still draws from its own stream, the same count in the same order.
+over one window) refine and answer queries as one stack, values with a
+leading field axis; each still draws from its own stream, the same count in
+the same order, and a field gives the same values alone or in a stack.
 """
 
 from __future__ import annotations
@@ -32,20 +33,11 @@ from .regions import Box, Region
 class WhiteNoiseField:
     """Gaussian part ``W((t0, t1] x A)`` of a sampled field."""
 
-    def __init__(self, sigma: DiffusionComponent | None, window: Region,
-                 horizon: float, seed_seq: np.random.SeedSequence):
-        self._plant(sigma, window, root_masses(sigma, window), horizon, seed_seq)
-
-    @classmethod
-    def rooted(cls, sigma: DiffusionComponent | None, window: Region, masses: tuple,
-               horizon: float, seed_seq: np.random.SeedSequence) -> "WhiteNoiseField":
-        """The field over root cells of spatial ``masses = root_masses(sigma,
-        window)``, computed once for all the fields of a window."""
-        field = cls.__new__(cls)
-        field._plant(sigma, window, masses, horizon, seed_seq)
-        return field
-
-    def _plant(self, sigma, window, masses, horizon, seed_seq) -> None:
+    def __init__(self, sigma: DiffusionComponent | None, window: Region, horizon: float,
+                 seed_seq: np.random.SeedSequence, masses: tuple | None = None):
+        """``masses`` are ``root_masses(sigma, window)``, if computed once for
+        all the fields of a window."""
+        masses = root_masses(sigma, window) if masses is None else masses
         self._sigma = sigma
         self._horizon = float(horizon)
         self._rng = None if sigma is None else np.random.default_rng(seed_seq)
@@ -64,21 +56,7 @@ class WhiteNoiseField:
     # -- queries ---------------------------------------------------------
     def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> float:
         """``W((t0, t1] x region)``, exact over the refined grid."""
-        boxes = region.boxes if isinstance(region, Region) else (region,)
-        if self._sigma is None or t1 <= t0 or not boxes:  # a new time plane draws
-            return 0.0
-        _ensure_planes([self], t0, t1, boxes)
-        total = 0.0
-        for patch in self._patches:
-            for b in boxes:
-                piece = patch["box"].intersect(b)
-                if piece is None:
-                    continue
-                idx = [_span(patch["axes"][0], t0, t1)]
-                idx += [_span(patch["axes"][i + 1], piece.lo[i], piece.hi[i])
-                        for i in range(piece.dim)]
-                total += float(patch["values"][tuple(idx)].sum())
-        return total
+        return float(_stack_values([self], t1, region, t0)[0])
 
     def grid_values(self, t1: float, box: Box, edges: list[np.ndarray],
                     t0: float = 0.0) -> np.ndarray:
@@ -94,6 +72,25 @@ class WhiteNoiseField:
         for i, e in enumerate(edges):
             _refine([self], i + 1, e)
         return _mesh_cells([self], t1, box, edges, t0)[0]
+
+
+def _stack_values(fields, t1: float, region: Region | Box, t0: float = 0.0) -> np.ndarray:
+    """``value`` of each field of a stack with one plane layout."""
+    boxes = region.boxes if isinstance(region, Region) else (region,)
+    total = np.zeros(len(fields))
+    if getattr(fields[0], "_sigma", None) is None or t1 <= t0 or not boxes:  # a plane draws
+        return total
+    _ensure_planes(fields, t0, t1, boxes)
+    for n, patch in enumerate(fields[0]._patches):
+        for b in boxes:
+            piece = patch["box"].intersect(b)
+            if piece is None:
+                continue
+            idx = (_span(patch["axes"][0], t0, t1),) + tuple(
+                _span(patch["axes"][i + 1], piece.lo[i], piece.hi[i]) for i in range(piece.dim))
+            cells = np.stack([field._patches[n]["values"][idx] for field in fields])
+            total += cells.reshape(len(fields), -1).sum(axis=1)
+    return total
 
 
 def _refine(fields, axis: int, coords) -> None:

@@ -9,10 +9,10 @@ and cell values stay additive under refinement, so the limit is the
 defining one.  The pairing's reported error is the random difference
 between the sums at the last two levels, not a bound.
 
-``_integrate_paths`` integrates many paths of one sampler config, computing
-drift and compensator once and pairing the white noises of a block of paths
-as one stack per mesh level, so a non-simple integrand in ``verify``'s CF
-test costs one ``sample_field`` per path plus batched pairings.
+``_integrate_paths`` integrates the paths of batches of one sampler config
+(``sampler.sample_fields``), computing drift and compensator once, the jump
+sums of a batch with one mask and one evaluation of f, and pairing the white
+noises of consecutive paths as one stack per mesh level.
 Deterministic terms integrate f against their measures over
 ``effective_domain(f)``, or over R^d by ``ladder_integral``.
 """
@@ -37,9 +37,9 @@ _PUSH_GRID_DECADES = (-8, 8)
 _PUSH_PER_DECADE = 8
 # dyadic mesh level of white-noise pairings per dimension (4 above 2-D)
 PAIRING_LEVELS = {1: 8, 2: 6}
-# finest-level cells of the white noises paired as one stack: 32 paths in
-# 1-D, 2 in 2-D, so a batch of paths needs no more memory than one path
-_STACK_CELLS = 1 << 13
+# finest-level cells of the white noises paired as one stack: 128 paths in
+# 1-D, 8 in 2-D: 256 KB of values per time cell at the finest level
+_STACK_CELLS = 1 << 15
 
 
 class NotIntegrableError(ValueError):
@@ -93,14 +93,12 @@ def _pairing(fields, f, t: float, box: Box) -> tuple[np.ndarray, np.ndarray]:
     return sums[-1], np.abs(sums[-1] - sums[-2])
 
 
-def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
+def _integrate_paths(chars: Characteristics, config, batches, f, t: float,
                      region: Region | None = None, *, check_membership: bool = False):
-    """Values and errors of ``int f dM(t, .)`` for paths of one sampler config.
-
-    ``reals`` may be a generator: a path is kept only for its jump sum and
-    white noises, until its block of paths is paired.  Per path the terms
-    add in the order a lone call would.
-    """
+    """Values and errors of ``int f dM(t, .)`` for the members of path batches
+    of one sampler config, in order.  ``batches`` may be a generator: of a
+    batch only the white noises are kept, until their stack is paired.  Per
+    path the terms add as a lone call adds them, so its bits hold in any batch."""
     domain = effective_domain(f, config.window if region is None else region)
     if check_membership:
         # f of unbounded support must be a member on all of R^d
@@ -108,7 +106,7 @@ def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
         if verdict.verdict == "non-member":
             raise NotIntegrableError(f"integrand is not integrable: {verdict.note}")
     if domain.is_empty:
-        n = sum(1 for _ in reals)
+        n = sum(len(batch.replicates) for batch in batches)
         return np.zeros(n), np.zeros(n)
 
     value = err = comp = 0.0
@@ -123,31 +121,29 @@ def _integrate_paths(chars: Characteristics, config, reals, f, t: float,
         v, e = chars.nu.modulation.integral(domain, f)
         comp = t * rate * v
         err += t * abs(rate) * e
-    # paths in blocks: jump sums one by one, then one stacked pairing per block
+    # jump sums batch by batch; white noises in stacks of ``step`` paths
     step = max(1, _STACK_CELLS >> (PAIRING_LEVELS.get(chars.dim, 4) * chars.dim))
-    values, errors, reals = [], [], iter(reals)
-    while True:
-        jumps, noises = [], []
-        for real in itertools.islice(reals, step):
-            real._check_query(t, domain, 0.0)
-            i1 = int(np.searchsorted(real.jump_times, t, side="right"))
-            locs = real.jump_locations[:i1]
-            mask = domain.contains(locs)
-            jumps.append(float((f(locs[mask]) * real.jump_sizes[:i1][mask]).sum())
-                         if mask.any() else 0.0)
-            noises.append((real.gaussian, real.substitute))
-        if not jumps:
-            return np.concatenate(values), np.concatenate(errors)
-        # value is never -0.0, so a 0.0 jump sum or compensator leaves it exact
-        values.append(value + np.array(jumps) - comp)
-        errors.append(np.full(len(jumps), err))
-        for fields in zip(*noises):
-            if fields[0] is None or fields[0]._sigma is None:
-                continue
-            for b in domain.boxes:
-                v, e = _pairing(fields, f, t, b)
-                values[-1] += v
-                errors[-1] += e
+    values, pairings, pending = [], [], []
+    for batch in itertools.chain(batches, (None,)):
+        if batch is not None:
+            batch._check_query(t, domain, 0.0)
+            keep = batch._kept(t, domain)
+            locs = batch.jump_locations[keep]
+            jumps = f(locs) * batch.jump_sizes[keep] if len(locs) else np.empty(0)
+            # value is never -0.0, so a 0.0 jump sum or compensator leaves it exact
+            values.append(value + batch._member_sums(jumps, keep) - comp)
+            pending += zip(batch.gaussians, batch.substitutes)
+        while len(pending) >= step or (batch is None and pending):
+            stack, pending = pending[:step], pending[step:]
+            pairings.append([_pairing(fields, f, t, b) for fields in zip(*stack)
+                             if getattr(fields[0], "_sigma", None) is not None
+                             for b in domain.boxes])
+    values = np.concatenate(values)
+    errors = np.full(values.size, err)
+    for terms in zip(*pairings):  # term by term (field, then box), as a lone path adds them
+        values += np.concatenate([v for v, _ in terms])
+        errors += np.concatenate([e for _, e in terms])
+    return values, errors
 
 
 def integrate(real, f, t: float, region: Region | None = None, *,

@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy.special import (exp1 as _exp1, gamma as _gamma, gammainc as _gammainc,
-                           gammaincc as _gammaincc, spherical_jn as _spherical_jn)
-from scipy.stats import norm as _norm
+                           gammaincc as _gammaincc, ndtr as _ndtr,
+                           spherical_jn as _spherical_jn)
 
 SUP_TOL = 1e-9
 SUP_MAX_LEVEL = 11
@@ -84,12 +83,18 @@ _FACT_ODD = np.array([math.factorial(2 * m + 1) for m in _M], dtype=float)
 
 def _quad_checked(f, a, b):
     """``quad`` of a one-signed integrand to ``SMALL_CF_RTOL``, or ``ArithmeticError``."""
-    val, err, *_ = _sint.quad(f, a, b, limit=400, epsabs=0.0,
-                              epsrel=SMALL_CF_RTOL / 100, full_output=1)
+    from scipy import integrate  # slow to import; only the quadrature fallbacks need it
+    val, err, *_ = integrate.quad(f, a, b, limit=400, epsabs=0.0,
+                                  epsrel=SMALL_CF_RTOL / 100, full_output=1)
     if not err <= SMALL_CF_RTOL * abs(val):
         raise ArithmeticError(f"quad on ({a:g}, {b:g}] reached error {err:.3g} "
                               f"on a value of {val:.6g}")
     return val
+
+
+def _phi(z):
+    """The standard normal density, as ``scipy.stats.norm.pdf`` computes it."""
+    return np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _reciprocal(u: np.ndarray) -> np.ndarray:
@@ -628,27 +633,26 @@ class NormalJumps(JumpSizeDistribution):
         return rng.normal(self.mu, self.sigma, n)
 
     def pdf(self, y):
-        return _norm(self.mu, self.sigma).pdf(y)
+        return _phi((y - self.mu) / self.sigma) / self.sigma
 
     def prob_tails(self, c):
-        d = _norm(self.mu, self.sigma)
-        return _value(d.sf(c)), _value(d.cdf(-c))
+        return (_value(_ndtr(-((c - self.mu) / self.sigma))),
+                _value(_ndtr((-c - self.mu) / self.sigma)))
 
     def _partial_mean(self, a, b):
         # E[Y; a < Y <= b] for a normal, via the standard truncated identities.
         za, zb = (a - self.mu) / self.sigma, (b - self.mu) / self.sigma
         with np.errstate(over="ignore"):  # phi(z) at huge |z| is 0
-            return self.mu * (_norm.cdf(zb) - _norm.cdf(za)) - self.sigma * (
-                _norm.pdf(zb) - _norm.pdf(za))
+            return self.mu * (_ndtr(zb) - _ndtr(za)) - self.sigma * (_phi(zb) - _phi(za))
 
     def second_moment_below(self, c):
         # E[Y^2; -c < Y <= c] from the second truncated moment; z phi(z) is 0 at infinite z
         za, zb = (-c - self.mu) / self.sigma, (c - self.mu) / self.sigma
         with np.errstate(over="ignore", invalid="ignore"):
-            dphi = _norm.pdf(zb) - _norm.pdf(za)
-            zphi = (np.where(np.isfinite(zb), zb * _norm.pdf(zb), 0.0)
-                    - np.where(np.isfinite(za), za * _norm.pdf(za), 0.0))
-        dPhi = _norm.cdf(zb) - _norm.cdf(za)
+            dphi = _phi(zb) - _phi(za)
+            zphi = (np.where(np.isfinite(zb), zb * _phi(zb), 0.0)
+                    - np.where(np.isfinite(za), za * _phi(za), 0.0))
+        dPhi = _ndtr(zb) - _ndtr(za)
         return _value((self.mu ** 2 + self.sigma ** 2) * dPhi
                       - 2.0 * self.mu * self.sigma * dphi - self.sigma ** 2 * zphi)
 
@@ -658,9 +662,10 @@ class NormalJumps(JumpSizeDistribution):
 
     def char_fn_tail(self, c, eps):
         """``char_fn`` less its smooth part on [-eps, eps], one ``quad_vec``."""
+        from scipy.integrate import quad_vec  # slow to import; see _quad_checked
         c = np.asarray(c, dtype=float)
-        inner, _, info = _sint.quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
-                                        epsabs=1e-13, epsrel=1e-11, full_output=True)
+        inner, _, info = quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
+                                  epsabs=1e-13, epsrel=1e-11, full_output=True)
         if not info.success:
             raise ArithmeticError(f"quad_vec on [-{eps:g}, {eps:g}]: {info.message}")
         out = self.char_fn(c) - inner
@@ -875,13 +880,14 @@ class TemperedStableKernel(JumpKernel):
             upper_gamma(1.0 - a, th) - upper_gamma(1.0 - a, th * c))
 
     def cf_integrand(self, c, eps: float = 0.0):
+        from scipy import integrate  # slow to import; see _quad_checked
         c_arr = np.atleast_1d(np.asarray(c, dtype=float))
         a, th = self.alpha, self.cutoff
         out = np.empty(c_arr.shape, dtype=complex)
         for i, ci in enumerate(c_arr):
             f = lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0) * np.exp(-th * y)
-            v = _sint.quad(f, max(eps, 0.0), 1.0, limit=400)[0] if eps < 1.0 else 0.0
-            v += _sint.quad(f, max(eps, 1.0), np.inf, limit=400)[0]
+            v = integrate.quad(f, max(eps, 0.0), 1.0, limit=400)[0] if eps < 1.0 else 0.0
+            v += integrate.quad(f, max(eps, 1.0), np.inf, limit=400)[0]
             out[i] = self.scale * v  # symmetric: purely real
         return out if np.ndim(c) else complex(out[0])
 

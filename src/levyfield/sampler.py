@@ -11,6 +11,15 @@ Every constant of the decomposition depends on the characteristics and the
 config but not on the seed: ``levy_ito_spec`` builds them once per config,
 and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 
+``sample_fields`` draws a batch of paths, ``sample_field`` its batch of one.
+Replicate k draws from its own streams ``SeedSequence((seed, k, stream))``,
+its jumps in this order: the count n; n uniform times, sorted in place; the
+box of each jump (``rng.choice``; one box just spends its n uniforms); n
+locations; n sizes.  Locations and sizes stay in draw order: iid and
+independent of the times, whose sort gives the uniform order statistics,
+they keep the law of the Poisson process (Devroye, "Non-Uniform Random
+Variate Generation", 1986, ch. V).
+
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
 to a segment sum of its jump sizes, which is what makes 1e5 replicates of an
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
-from .gaussian import WhiteNoiseField, root_masses
+from .gaussian import WhiteNoiseField, _stack_values, root_masses
 from .regions import Region
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
@@ -39,6 +48,7 @@ _STREAM_GAUSS = 2
 _STREAM_SUBSTITUTE = 3
 _STREAM_MARGINALS = 4
 _CHUNK_JUMPS = 1 << 20  # jumps per sample_tail call of sample_marginals; bounds its memory
+_BLOCK_JUMPS = 1 << 16  # expected jumps per batch of replicate_blocks; bounds its memory
 # decompositions kept by levy_ito_spec, most recently used first
 _SPECS = 8
 
@@ -156,24 +166,29 @@ class SamplerConfig:
             raise ValueError("need 0 <= t0 <= t <= horizon")
 
 
-class FieldRealization:
-    """One sampled path of the random measure over (0, horizon] x window."""
+class PathBatch:
+    """Paths ``replicates`` of one sampler config over (0, horizon] x window.
+    Member i has rows ``offsets[i]:offsets[i + 1]`` of the jump arrays (times
+    ascending) and the white noises ``gaussians[i]``, ``substitutes[i]`` (or
+    None).  A query gives each member the value it would give alone."""
 
-    def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicate: int,
-                 times: np.ndarray, locations: np.ndarray, sizes: np.ndarray,
-                 gaussian: WhiteNoiseField, substitute: WhiteNoiseField | None):
-        self.spec = spec
-        self.chars = spec.chars
-        self.config = config
-        self.replicate = replicate
-        for a in (times, locations, sizes):
+    def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicates, offsets,
+                 times, locations, sizes, gaussians: list, substitutes: list):
+        for a in (offsets, times, locations, sizes):
             a.setflags(write=False)
-        self.jump_times = times
-        self.jump_locations = locations
-        self.jump_sizes = sizes
-        self.gaussian = gaussian
-        self.substitute = substitute
+        self.spec, self.chars, self.config = spec, spec.chars, config
+        self.replicates, self.offsets = tuple(replicates), offsets
+        self.jump_times, self.jump_locations, self.jump_sizes = times, locations, sizes
+        self.gaussians, self.substitutes = gaussians, substitutes
         self._mod_cache: dict[Region, float] = {}
+
+    def member(self, i: int) -> FieldRealization:
+        """Member i as a path of its own; its white noises stay the batch's."""
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return FieldRealization(self.spec, self.config, self.replicates[i:i + 1],
+                                np.array([0, b - a]), self.jump_times[a:b],
+                                self.jump_locations[a:b], self.jump_sizes[a:b],
+                                self.gaussians[i:i + 1], self.substitutes[i:i + 1])
 
     # -- structure -------------------------------------------------------
     def _check_query(self, t: float, region: Region, t0: float) -> None:
@@ -184,14 +199,24 @@ class FieldRealization:
             raise OutOfWindowError("query region is not covered by the sampled window")
 
     def _per_modulation(self, rate: float, t: float, region: Region, t0: float) -> float:
-        """``(t - t0) m(region) rate``; m(region) is kept for this path only."""
+        """``(t - t0) m(region) rate``; m(region) is kept for this batch only."""
         if not rate:
             return 0.0
         if region not in self._mod_cache:
             self._mod_cache[region] = self.chars.nu.spatial_mass(region)[0]
         return (t - t0) * self._mod_cache[region] * rate
 
-    # -- exact accessors -------------------------------------------------
+    def _kept(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
+        """The flat mask of the jumps in (t0, t] x region."""
+        keep = (self.jump_times > t0) & (self.jump_times <= t)
+        keep[keep] = region.contains(self.jump_locations[keep])
+        return keep
+
+    def _member_sums(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Per member, the sum of ``values``, the jump quantities at ``keep``."""
+        return _segment_sums(values, np.diff(np.concatenate([[0], np.cumsum(keep)])[self.offsets]))
+
+    # -- exact accessors, the same for every member ----------------------
     def drift(self, t: float, region: Region, t0: float = 0.0) -> float:
         return (t - t0) * self.chars.gamma_measure(region)
 
@@ -204,36 +229,44 @@ class FieldRealization:
         return self._per_modulation(self.spec.small_moment, t, region, t0)
 
     # -- evaluation ------------------------------------------------------
-    def jump_sum(self, t: float, region: Region, t0: float = 0.0) -> tuple[float, float]:
-        """(large-jump sum, retained-small-jump sum) over (t0, t] x region."""
-        i0 = int(np.searchsorted(self.jump_times, t0, side="right"))
-        i1 = int(np.searchsorted(self.jump_times, t, side="right"))
-        if i0 == i1:
-            return 0.0, 0.0
-        mask = region.contains(self.jump_locations[i0:i1])
-        vals = self.jump_sizes[i0:i1][mask]
-        big = np.abs(vals) > 1.0
-        return float(vals[big].sum()), float(vals[~big].sum())
+    def jump_sums(self, t: float, region: Region, t0: float = 0.0) -> tuple[np.ndarray, ...]:
+        """Per member: (large-jump sum, retained-small-jump sum) over (t0, t] x region."""
+        keep, big = self._kept(t, region, t0), np.abs(self.jump_sizes) > 1.0
+        return tuple(self._member_sums(self.jump_sizes[m], m) for m in (keep & big, keep & ~big))
 
-    def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
-        """M over (t0, t] x region for this path: the sum of its components."""
-        c = self.components(t, region, t0)
+    def evaluate(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
+        """M over (t0, t] x region per member: the sum of its components."""
+        c = PathBatch.components(self, t, region, t0)  # arrays, in a FieldRealization too
         return (c["drift"] + c["large_jumps"] + c["small_jumps"] - c["compensator"]
                 + c["gaussian"] + c["substitute"])
 
     def components(self, t: float, region: Region, t0: float = 0.0) -> dict:
+        """Per member; drift, compensator and bound are one float for all."""
         self._check_query(t, region, t0)
-        big, small = self.jump_sum(t, region, t0)
+        big, small = self.jump_sums(t, region, t0)
         return {
             "drift": self.drift(t, region, t0),
-            "gaussian": self.gaussian.value(t, region, t0),
-            "substitute": (self.substitute.value(t, region, t0)
-                           if self.substitute is not None else 0.0),
-            "large_jumps": big,
-            "small_jumps": small,
+            "gaussian": _stack_values(self.gaussians, t, region, t0),
+            "substitute": _stack_values(self.substitutes, t, region, t0),
+            "large_jumps": big, "small_jumps": small,
             "compensator": self.compensator(t, region, t0),
             "small_jump_bound": self.small_jump_bound(t, region, t0),
         }
+
+
+class FieldRealization(PathBatch):
+    """One sampled path of the random measure: a batch of one, queried as floats."""
+
+    replicate = property(lambda self: self.replicates[0])
+    gaussian = property(lambda self: self.gaussians[0])
+    substitute = property(lambda self: self.substitutes[0])
+
+    def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
+        return float(PathBatch.evaluate(self, t, region, t0)[0])
+
+    def components(self, t: float, region: Region, t0: float = 0.0) -> dict:
+        parts = PathBatch.components(self, t, region, t0)
+        return {k: float(np.ravel(v)[0]) for k, v in parts.items()}
 
 
 # --------------------------------------------------------------------------
@@ -245,11 +278,14 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
     if box_p is None:
         raise ValueError("jump modulation has no mass on the window")
     boxes = window.boxes
-    pick = rng.choice(len(boxes), size=n, p=box_p)
+    # one box takes every jump: its "pick" only spends the n uniforms that
+    # rng.choice would draw, so that seeded paths keep their locations
+    one = len(boxes) == 1
+    pick = rng.random(n) if one else rng.choice(len(boxes), size=n, p=box_p)
     pts = np.empty((n, window.dim))
     for i, b in enumerate(boxes):
-        sel = pick == i
-        k = int(sel.sum())
+        sel = slice(None) if one else pick == i
+        k = n if one else int(np.count_nonzero(sel))
         if k == 0:
             continue
         lo, hi = np.asarray(b.lo), np.asarray(b.hi)
@@ -276,32 +312,45 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
     return pts
 
 
-def sample_field(chars: Characteristics, config: SamplerConfig,
-                 replicate: int = 0) -> FieldRealization:
-    """Path ``replicate`` of the config's Levy-Ito decomposition: Poisson jumps
-    above eps + white noise + drift."""
+def replicate_blocks(chars: Characteristics, config: SamplerConfig, n: int) -> list[range]:
+    """Replicates 0..n-1 in blocks of at most ``_BLOCK_JUMPS`` expected jumps
+    (a bigger replicate alone), a path counting as 64 jumps at least."""
+    step = max(1, int(_BLOCK_JUMPS // max(levy_ito_spec(chars, config).jump_rate, 64.0)))
+    return [range(k, min(n, k + step)) for k in range(0, n, step)]
+
+
+def sample_fields(chars: Characteristics, config: SamplerConfig, replicates) -> PathBatch:
+    """Paths ``replicates`` (indices) of the config's Levy-Ito decomposition:
+    Poisson jumps above eps + white noise + drift.  Each draws from its own
+    streams, so member i is ``sample_field(chars, config, replicates[i])``."""
     spec = levy_ito_spec(chars, config)
     T, window = config.horizon, config.window
-    times = np.empty(0)
-    locs = np.empty((0, chars.dim))
-    sizes = np.empty(0)
-    if chars.nu is not None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, replicate, _STREAM_JUMPS)))
-        n = int(rng.poisson(spec.jump_rate))
-        times = rng.uniform(0.0, T, n)
-        locs = _sample_locations(rng, chars.nu.modulation, window, spec.box_p, n)
-        sizes = chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0)
-        order = np.argsort(times, kind="stable")
-        times, locs, sizes = times[order], locs[order], sizes[order]
-    def noise(sigma, roots, stream):
-        return WhiteNoiseField.rooted(sigma, window, roots, T, np.random.SeedSequence(
-            (config.seed, replicate, stream)))
+    counts = np.zeros(len(replicates) + 1, dtype=np.intp)
+    times, locs, sizes = [np.empty(0)], [np.empty((0, chars.dim))], [np.empty(0)]
+    for i, k in enumerate(replicates if chars.nu is not None else ()):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, k, _STREAM_JUMPS)))
+        n = counts[i + 1] = int(rng.poisson(spec.jump_rate))
+        times.append(rng.uniform(0.0, T, n))
+        times[-1].sort()
+        locs.append(_sample_locations(rng, chars.nu.modulation, window, spec.box_p, n))
+        sizes.append(chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0))
 
-    substitute = (None if spec.substitute is None
-                  else noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
-    return FieldRealization(spec, config, replicate, times, locs, sizes,
-                            noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS), substitute)
+    def noise(sigma, roots, stream):
+        return [WhiteNoiseField(sigma, window, T, np.random.SeedSequence((config.seed, k, stream)),
+                                roots) for k in replicates]
+
+    substitutes = ([None] * len(replicates) if spec.substitute is None
+                   else noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
+    return PathBatch(spec, config, replicates, np.cumsum(counts), np.concatenate(times),
+                     np.concatenate(locs), np.concatenate(sizes),
+                     noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS), substitutes)
+
+
+def sample_field(chars: Characteristics, config: SamplerConfig,
+                 replicate: int = 0) -> FieldRealization:
+    """Path ``replicate`` of the config's Levy-Ito decomposition: the batch of
+    one of ``sample_fields``."""
+    return sample_fields(chars, config, (replicate,)).member(0)
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,9 @@ bit-exactly from its report line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .analysis import modular_integral
 from .characteristics import Characteristics
@@ -22,7 +21,8 @@ from .funcs import IndicatorFunction, effective_domain
 from .integrate import _integrate_paths, empirical_cf
 from .kernels import DiscreteJumps, JumpSizeDistribution
 from .regions import Region
-from .sampler import SamplerConfig, _segment_sums, sample_field, sample_marginals
+from .sampler import (SamplerConfig, _segment_sums, replicate_blocks, sample_fields,
+                      sample_marginals)
 
 _DECISIONS = ("pass", "fail", "indeterminate")
 
@@ -47,16 +47,7 @@ class VerificationReport:
         return self.decision == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def summary_table(reports) -> str:
@@ -85,8 +76,8 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
     truncation-bias term ``|exp(t Psi_eps) - exp(t Psi)|`` per frequency, so
     dropped small jumps are accounted for analytically rather than blamed on
     the sampler.  Simple functions route through the fast marginal sampler;
-    anything else samples one path per replicate, keeps its jump sum and
-    white noise, and pairs the white noises of many paths as one stack.
+    anything else samples paths in batches, keeps their jump sums and white
+    noises, and pairs the white noises of many paths as one stack.
     """
     if n < 1000:
         raise ValueError("cf test needs at least 1000 replicates")
@@ -106,8 +97,8 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
             samples += coef * sample_marginals(chars, cfg, region)
     else:
         cfg = SamplerConfig(seed=seed, window=window, horizon=t, eps=eps)
-        paths = (sample_field(chars, cfg, replicate=k) for k in range(n))
-        samples = _integrate_paths(chars, cfg, paths, f, t)[0]
+        batches = (sample_fields(chars, cfg, reps) for reps in replicate_blocks(chars, cfg, n))
+        samples = _integrate_paths(chars, cfg, batches, f, t)[0]
 
     emp, radius = empirical_cf(samples, u)
     notes = []
@@ -143,21 +134,6 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
 # Rows times points per chunk of the Fenwick scan in ``_dcov_v_statistics``:
 # its working arrays stay a few MB whatever the sample size.
 _DCOV_CHUNK = 1 << 15
-
-
-def distance_covariance(x, y) -> float:
-    """Squared sample distance covariance (V-statistic form), in O(n log n).
-
-    The mean of the x-sorted and the y-sorted evaluation, so that it is
-    exactly symmetric in its arguments.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError("paired samples must have equal length")
-    ident = np.arange(x.size)[None, :]
-    return float(_dcov_v_statistics(x, y, ident)[0]
-                 + _dcov_v_statistics(y, x, ident)[0]) / 2.0
 
 
 def _mean_abs_differences(v: np.ndarray) -> np.ndarray:
@@ -309,17 +285,19 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
                               (f"dcov2={obs:.4e} permutations={permutations}", *notes))
 
 
+def _evaluations(path_sampler, chars: Characteristics, config: SamplerConfig, n: int,
+                 queries) -> np.ndarray:
+    """``M(t, region)`` of paths 0..n-1 drawn by ``path_sampler`` in blocks,
+    one row per query ``(t, region)``."""
+    batches = (path_sampler(chars, config, reps) for reps in replicate_blocks(chars, config, n))
+    return np.concatenate([[b.evaluate(t, r) for t, r in queries] for b in batches], axis=1)
+
+
 def paired_evaluations(chars: Characteristics, config: SamplerConfig,
-                       region_a: Region, region_b: Region, n: int,
-                       path_sampler=sample_field) -> tuple[np.ndarray, np.ndarray]:
+                       region_a: Region, region_b: Region, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n paired values (M(T, A), M(T, B)) from common paths."""
     t = config.horizon
-    va, vb = np.empty(n), np.empty(n)
-    for k in range(n):
-        real = path_sampler(chars, config, replicate=k)
-        va[k] = real.evaluate(t, region_a)
-        vb[k] = real.evaluate(t, region_b)
-    return va, vb
+    return tuple(_evaluations(sample_fields, chars, config, n, ((t, region_a), (t, region_b))))
 
 
 # --------------------------------------------------------------------------
@@ -471,17 +449,18 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
                               n: int, seed: int, *, level: float = 0.01,
                               eps: float = 1e-3,
                               small_jump_mode: str = "drop-with-bound",
-                              path_sampler=sample_field) -> VerificationReport:
+                              path_sampler=sample_fields) -> VerificationReport:
     """KS + independence checks of temporal increments over a fixed region.
 
     For each (s, t) pair: a two-sample KS test between M(t,A) - M(s,A) from
     one batch of paths and M(t-s, A) from an independent batch, plus a
     distance-covariance test between M(s,A) and the increment.  Thresholds
     are Bonferroni-corrected across all sub-tests, and one undecided
-    sub-test (e.g. a constant sample) makes the report indeterminate;
-    ``path_sampler`` is injectable so planted time-inhomogeneous samplers
-    can exercise the fail arm.
+    sub-test (e.g. a constant sample) makes the report indeterminate.  The
+    batch sampler ``path_sampler`` (``sample_fields``) is injectable so
+    planted time-inhomogeneous samplers can exercise the fail arm.
     """
+    from scipy.stats import ks_2samp  # scipy.stats is slow to import; only this test needs it
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not pairs:
         raise ValueError("need at least one (s, t) pair")
@@ -497,16 +476,10 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
         # two seeds of one config: both batches share its decomposition
         cfg1, cfg2 = (SamplerConfig(seed=_child_seed(seed, i, j), window=region, horizon=t,
                                     eps=eps, small_jump_mode=small_jump_mode) for j in (0, 1))
-        at_s, at_t = np.empty(n), np.empty(n)
-        for k in range(n):
-            real = path_sampler(chars, cfg1, replicate=k)
-            at_s[k] = real.evaluate(s, region)
-            at_t[k] = real.evaluate(t, region)
-        fresh = np.empty(n)
-        for k in range(n):
-            fresh[k] = path_sampler(chars, cfg2, replicate=k).evaluate(t - s, region)
+        at_s, at_t = _evaluations(path_sampler, chars, cfg1, n, ((s, region), (t, region)))
+        fresh = _evaluations(path_sampler, chars, cfg2, n, ((t - s, region),))[0]
         incr = at_t - at_s
-        ks_p = float(sp_stats.ks_2samp(incr, fresh).pvalue)
+        ks_p = float(ks_2samp(incr, fresh).pvalue)
         dep = independence_test(at_s, incr, level=cutoff,
                                 seed=_child_seed(seed, i, 2))
         undecided = undecided or math.isnan(ks_p) or dep.decision == "indeterminate"

@@ -115,6 +115,12 @@ tasks: []
         "alpha: 1.5}, modulaton", "alpha: 1.5, bogus: 3}, modulation"))
     assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "characteristics.nu.kernel: unknown keys: bogus" in capsys.readouterr().err
+    # and an unknown key of a jump law given as a preset parameter
+    cfg = write_cfg(tmp_path, Path(cfg).read_text().replace(
+        "  dimension: 1\n  nu: {kernel: {kind: stable, alpha: 1.5, bogus: 3}, modulation: 2.0}",
+        "  preset: impulsive\n  params: {jumps: {kind: normal, bogus: 1}}"))
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "characteristics.params.jumps: unknown keys: bogus" in capsys.readouterr().err
 
 
 def test_run_duality_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -109,6 +109,11 @@ def test_unknown_keys_carry_dotted_paths():
     bad = dict(triple, nu={"kernel": {"kind": "stable", "alpha": 1.5, "p": 0.7}})
     assert err(base(characteristics=bad)) == (
         "characteristics.nu.kernel: need p, q >= 0 with p + q = 1")
+    # a jump law given as a preset parameter reports at its own path too
+    bad = {"preset": "impulsive", "params": {"jumps": {"kind": "normal", "bogus": 1}}}
+    assert err(base(characteristics=bad)) == "characteristics.params.jumps: unknown keys: bogus"
+    parse_config(base(characteristics={"preset": "impulsive",
+                                       "params": {"jumps": {"kind": "normal", "mu": 0.5}}}))
 
 
 def test_preset_block_validation():

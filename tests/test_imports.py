@@ -1,6 +1,9 @@
 """Every module-level import in the package is used by its module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,14 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(d)\n")
     assert imported_names(tree) == {"os": 1, "b": 2, "d": 2}
     assert set(imported_names(tree)) - used_names(tree) == {"os", "b"}
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_integrate():
+    # both are slow to import; the package imports them where they are called
+    code = ("import sys, levyfield; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    paths = [str(PACKAGE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate as spi
 
-from levyfield import Region, SamplerConfig, interval, preset, sample_field
+from levyfield import Region, SamplerConfig, interval, preset, sample_field, sample_fields
 from levyfield.characteristics import (Characteristics, Density, DiffusionComponent,
                                        DriftComponent, JumpComponent)
 from levyfield.funcs import (GaussianFunction, IndicatorFunction,
@@ -215,3 +215,29 @@ def test_batched_paths_equal_one_integrate_per_path(chars, window, f, t, mode, m
     assert np.array_equal(values, [w.value for w in want])
     assert np.array_equal(errors, [w.error for w in want])
     assert len(set(values)) == n
+
+
+def _in_batches(chars, cfg, n, size):
+    return (sample_fields(chars, cfg, range(k, min(n, k + size))) for k in range(0, n, size))
+
+
+def test_a_path_integrates_to_the_same_bits_in_any_batch():
+    chars = _triple(1)
+    cfg = SamplerConfig(seed=12, window=SYMMETRIC, horizon=1.0, eps=0.05)
+    runs = [_integrate_paths(chars, cfg, _in_batches(chars, cfg, 200, size), BUMP, 1.0)
+            for size in (1, 7, 200)]
+    for values, errors in runs[1:]:
+        assert np.array_equal(values, runs[0][0]) and np.array_equal(errors, runs[0][1])
+    assert len(set(runs[0][0])) == 200
+
+
+def test_white_noise_pairings_do_not_depend_on_the_stack_size(monkeypatch):
+    chars = Characteristics(1, sigma=DiffusionComponent(Density(1.0)))
+    cfg = SamplerConfig(seed=13, window=SYMMETRIC, horizon=1.0, eps=0.05)
+    runs = []
+    for stack in (1, 32, 128):
+        monkeypatch.setattr(integrate_module, "_STACK_CELLS", stack << PAIRING_LEVELS[1])
+        runs.append(_integrate_paths(chars, cfg, _in_batches(chars, cfg, 150, 150), BUMP, 1.0))
+    for values, errors in runs[1:]:
+        assert np.array_equal(values, runs[0][0]) and np.array_equal(errors, runs[0][1])
+    assert np.all(runs[0][1] > 0.0) and len(set(runs[0][0])) == 150

@@ -729,3 +729,17 @@ def test_tempered_compact_moment_is_the_generic_one():
             got = kern.compact_moment(u)
             assert got == pytest.approx(former(kern, u), rel=1e-14, abs=0.0), (alpha, cutoff)
             assert kern.compact_moment(0.0) == 0.0
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 1.2)])
+def test_normal_law_is_scipy_stats_norm_bit_for_bit(mu, sigma):
+    # the package computes the normal law without importing scipy.stats
+    x = np.concatenate([np.linspace(-40.0, 40.0, 100_001), [0.0, np.inf, -np.inf]])
+    law, ref = NormalJumps(mu, sigma), sps.norm(mu, sigma)
+    assert law.pdf(x).tobytes() == ref.pdf(x).tobytes()
+    pos, neg = law.prob_tails(x)
+    assert pos.tobytes() == ref.sf(x).tobytes()
+    assert neg.tobytes() == ref.cdf(-x).tobytes()
+    # the standard forms inside the truncated moments
+    assert kernels._phi(x).tobytes() == sps.norm.pdf(x).tobytes()
+    assert kernels._ndtr(x).tobytes() == sps.norm.cdf(x).tobytes()

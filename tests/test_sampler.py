@@ -11,7 +11,8 @@ import scipy.stats as sps
 from levyfield import (Box, Characteristics, Density, InfiniteActivityError,
                        JumpComponent, Region, SamplerConfig, StableKernel,
                        TemperedStableKernel, interval, preset,
-                       sample_field, sample_marginals, sample_stable_marginal_oracle,
+                       sample_field, sample_fields, sample_marginals,
+                       sample_stable_marginal_oracle,
                        stable_symbol_constant)
 from levyfield import gaussian, sampler
 from levyfield.characteristics import DiffusionComponent
@@ -314,3 +315,83 @@ def test_a_config_is_set_up_once_for_all_its_paths(monkeypatch):
     # the white-noise root cells of sigma and of the small-jump substitute
     assert sum(1 for key in calls if key[0] == "root") == 2 * len(TWO_BOXES.boxes)
     assert set(calls.values()) == {1}
+
+
+# --------------------------------------------------------------------------
+# Batches of paths
+# --------------------------------------------------------------------------
+
+BATCH_WINDOWS = {1: Region(1, (interval(0.0, 0.4), interval(0.4, 1.0))), 2: TWO_BOXES}
+
+
+def _batch_case(kind, dim):
+    """A triple of each kind over a window of two boxes."""
+    config = cfg(32, window=BATCH_WINDOWS[dim], eps=0.1, small_jump_mode="gaussian-substitute")
+    if kind == "stable":
+        return Characteristics(dim, sigma=DiffusionComponent(Density(0.8)),
+                               nu=JumpComponent(StableKernel(1.5), Density(1.5))), config
+    if kind == "compound-poisson":
+        return preset("impulsive", rate=20.0, dim=dim), config
+    return Characteristics(dim, sigma=DiffusionComponent(Density(1.2))), config
+
+
+def _queried_members(batch):
+    """What ``_queried`` gives each member alone, from queries of the whole batch."""
+    probe, window = PROBES[batch.chars.dim], batch.config.window
+    rows = []
+    for t, t0 in ((0.7, 0.0), (1.0, 0.3), (0.45, 0.2)):
+        for region in (probe, window):
+            c = batch.components(t, region, t0)
+            rows.append(np.stack([c["gaussian"], c["substitute"],
+                                  batch.evaluate(t, region, t0)], axis=1))
+    edges = zip(batch.offsets[:-1], batch.offsets[1:])
+    return [[batch.jump_times[a:b], batch.jump_locations[a:b], batch.jump_sizes[a:b]]
+            + [row[i] for row in rows] for i, (a, b) in enumerate(edges)]
+
+
+@pytest.mark.parametrize("kind", ["stable", "compound-poisson", "gaussian"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_batch_member_is_the_lone_path_bit_for_bit(kind, dim):
+    chars, config = _batch_case(kind, dim)
+    members = _queried_members(sample_fields(chars, config, range(10)))
+    assert len(members) == 10
+    for k, got in enumerate(members):
+        want = _queried(sample_field(chars, config, k))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    counts = [len(m[0]) for m in members]
+    assert (sum(counts) > 0) == (kind != "gaussian")
+    assert len({m[0].tobytes() + m[-1].tobytes() for m in members}) == 10  # distinct paths
+
+
+def test_jump_times_ascend_within_each_member():
+    batch = sample_fields(IMP, cfg(33, window=BATCH_WINDOWS[1]), range(40))
+    edges = list(zip(batch.offsets[:-1], batch.offsets[1:]))
+    assert sum(b - a for a, b in edges) > 500
+    for a, b in edges:
+        assert np.all(np.diff(batch.jump_times[a:b]) >= 0.0)
+    # a member keeps its own rows of the flat arrays
+    real = batch.member(7)
+    a, b = edges[7]
+    assert real.replicate == 7 and np.array_equal(real.jump_sizes, batch.jump_sizes[a:b])
+
+
+class _NoChoice:
+    """A generator that fails when asked for ``choice``."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        if name == "choice":
+            raise AssertionError("rng.choice was called")
+        return getattr(self.rng, name)
+
+
+def test_a_one_box_window_picks_no_boxes():
+    pts = sampler._sample_locations(_NoChoice(3), Density(1.0), WIN, (1.0,), 500)
+    want = np.random.default_rng(3)
+    want.random(500)  # the uniforms a pick of box 0 spends: seeded paths keep their locations
+    np.testing.assert_array_equal(pts, want.random((500, 1)))
+    with pytest.raises(AssertionError, match="choice"):
+        sampler._sample_locations(_NoChoice(3), Density(1.0), BATCH_WINDOWS[1], (0.4, 0.6), 5)

@@ -10,7 +10,7 @@ import scipy.integrate as spi
 
 import levyfield.verify as lv
 from levyfield import (Characteristics, Density, Region, SamplerConfig,
-                       preset, sample_field)
+                       preset, sample_field, sample_fields)
 from levyfield.characteristics import (DiffusionComponent, DriftComponent,
                                        JumpComponent)
 from levyfield.analysis import modular_integrand
@@ -19,7 +19,7 @@ from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
 from levyfield.verify import (OnbCounterexampleSpec, VerificationReport,
                               _trig_coefficients,
-                              cf_match_test, distance_covariance,
+                              cf_match_test,
                               embedding_inequality_check, independence_test,
                               onb_counterexample, paired_evaluations,
                               stationary_increment_test, summary_table)
@@ -50,16 +50,6 @@ def test_summary_table_one_line_per_report():
     lines = txt.splitlines()
     assert len(lines) == 3 and "decision" in lines[0]
     assert "alpha" in lines[1] and "fail" in lines[2]
-
-
-def test_distance_covariance_basics():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(400)
-    y = rng.standard_normal(400)
-    indep = distance_covariance(x, y)
-    coupled = distance_covariance(x, x + 0.1 * y)
-    assert distance_covariance(x, y) == distance_covariance(y, x)
-    assert coupled > 10 * indep > 0.0
 
 
 def test_independence_test_null_planted_degenerate():
@@ -336,14 +326,14 @@ def test_stationary_increments_catch_time_warp():
     chars = preset("gaussian-white-noise")
 
     class Warped:
-        def __init__(self, real):
-            self.real = real
+        def __init__(self, batch):
+            self.batch = batch
 
         def evaluate(self, t, region, t0=0.0):
-            return (1.0 + 2.0 * t) * self.real.evaluate(t, region, t0)
+            return (1.0 + 2.0 * t) * self.batch.evaluate(t, region, t0)
 
-    def warped_sampler(ch, cfg, replicate=0):
-        return Warped(sample_field(ch, cfg, replicate=replicate))
+    def warped_sampler(ch, cfg, replicates):
+        return Warped(sample_fields(ch, cfg, replicates))
 
     rep = stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 300, seed=2,
                                     path_sampler=warped_sampler)
