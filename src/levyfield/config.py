@@ -29,7 +29,7 @@ from .kernels import (CompoundPoissonKernel, DiscreteJumps, NormalJumps, StableK
                       TabulatedKernel, TemperedStableKernel, UniformJumps)
 from .presets import PRESET_NAMES, preset
 from .regions import Region
-from .sampler import SamplerConfig, replicate_blocks, sample_field, sample_fields
+from .sampler import SamplerConfig, path_batches, sample_field
 from .sheets import SheetRealization, duality_check
 from .verify import (OnbCounterexampleSpec, cf_match_test, independence_test,
                      onb_counterexample, paired_evaluations)
@@ -314,9 +314,8 @@ def _parse_sample(data, path, chars, sampler):
 
 
 def _run_sample(cfg, task, prefix, emit, reports, failures):
-    for reps in replicate_blocks(cfg.characteristics, cfg.sampler, task["replicates"]):
-        batch = sample_fields(cfg.characteristics, cfg.sampler, reps)
-        for k, real in zip(reps, map(batch.member, range(len(reps)))):
+    for batch in path_batches(cfg.characteristics, cfg.sampler, task["replicates"]):
+        for k, real in zip(batch.replicates, map(batch.member, range(len(batch.replicates)))):
             if "jsonl" in task["formats"]:
                 emit(f"{prefix}-r{k}.jsonl", lambda p, r=real: write_jump_records(p, r))
             if "frames" in task["formats"]:

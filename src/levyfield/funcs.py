@@ -149,6 +149,31 @@ class IndicatorFunction(TestFunction):
         raise ValueError("indicator functions have no classical mixed partial")
 
 
+class Product1D(TestFunction):
+    """Tensor product of user-supplied 1-d factors with their derivatives."""
+
+    def __init__(self, factors, derivatives):
+        if len(factors) != len(derivatives) or not factors:
+            raise ValueError("factors and derivatives must be nonempty and aligned")
+        self.factors = list(factors)
+        self.derivatives = list(derivatives)
+        self.dim = len(factors)
+
+    def __call__(self, x):
+        x = self._coerce(x)
+        out = np.ones(x.shape[0])
+        for i, f in enumerate(self.factors):
+            out = out * np.asarray(f(x[:, i]), dtype=float)
+        return out
+
+    def mixed_partial(self, x):
+        x = self._coerce(x)
+        out = np.ones(x.shape[0])
+        for i, df in enumerate(self.derivatives):
+            out = out * np.asarray(df(x[:, i]), dtype=float)
+        return out
+
+
 class SumFunction(TestFunction):
     """Sum of test functions with pairwise disjoint supports."""
 

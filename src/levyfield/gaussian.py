@@ -35,8 +35,7 @@ class WhiteNoiseField:
 
     def __init__(self, sigma: DiffusionComponent | None, window: Region, horizon: float,
                  seed_seq: np.random.SeedSequence, masses: tuple | None = None):
-        """``masses`` are ``root_masses(sigma, window)``, if computed once for
-        all the fields of a window."""
+        """``masses``: ``root_masses(sigma, window)``, if computed once for a window."""
         masses = root_masses(sigma, window) if masses is None else masses
         self._sigma = sigma
         self._horizon = float(horizon)
@@ -75,11 +74,14 @@ class WhiteNoiseField:
 
 
 def _stack_values(fields, t1: float, region: Region | Box, t0: float = 0.0) -> np.ndarray:
-    """``value`` of each field of a stack with one plane layout."""
+    """``value`` of each field of a stack: stacked if they share one plane
+    layout, else (a field was queried on its own) one field at a time."""
     boxes = region.boxes if isinstance(region, Region) else (region,)
     total = np.zeros(len(fields))
     if getattr(fields[0], "_sigma", None) is None or t1 <= t0 or not boxes:  # a plane draws
         return total
+    if not _one_layout(fields):
+        return np.array([_stack_values([field], t1, region, t0)[0] for field in fields])
     _ensure_planes(fields, t0, t1, boxes)
     for n, patch in enumerate(fields[0]._patches):
         for b in boxes:
@@ -102,13 +104,9 @@ def _refine(fields, axis: int, coords) -> None:
     split it in rounds, the r-th new plane of every cell in round r, so each
     cell is still split left to right.
     """
+    if not _one_layout(fields):
+        raise ValueError("a stack of white-noise fields must share one plane layout")
     layout = fields[0]._patches
-    shared = [a for patch in layout for a in patch["axes"] + [patch["smass"]]]
-    for field in fields[1:]:
-        mine = [a for patch in field._patches for a in patch["axes"] + [patch["smass"]]]
-        if len(mine) != len(shared) or not all(
-                a is b or np.array_equal(a, b) for a, b in zip(mine, shared)):
-            raise ValueError("a stack of white-noise fields must share one plane layout")
     coords = np.unique(np.asarray(coords, dtype=float))
     fresh, per = [], []
     for patch in layout:
@@ -172,6 +170,14 @@ def _refine(fields, axis: int, coords) -> None:
         patch["axes"][axis] = merged
         for field, row in zip(fields, values):
             field._patches[n].update(axes=list(patch["axes"]), smass=smass, values=row)
+
+
+def _one_layout(fields) -> bool:
+    """Whether the fields share their planes and cell masses."""
+    shared, *rest = ([a for patch in field._patches for a in patch["axes"] + [patch["smass"]]]
+                     for field in fields)
+    return all(len(mine) == len(shared) and all(a is b or np.array_equal(a, b)
+                                                for a, b in zip(mine, shared)) for mine in rest)
 
 
 def _ensure_planes(fields, t0: float, t1: float, boxes) -> None:

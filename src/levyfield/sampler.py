@@ -12,12 +12,11 @@ config but not on the seed: ``levy_ito_spec`` builds them once per config,
 and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 
 ``sample_fields`` draws a batch of paths, ``sample_field`` its batch of one.
-Replicate k draws from its own streams ``SeedSequence((seed, k, stream))``,
-its jumps in this order: the count n; n uniform times, sorted in place; the
-box of each jump (``rng.choice``; one box just spends its n uniforms); n
-locations; n sizes.  Locations and sizes stay in draw order: iid and
-independent of the times, whose sort gives the uniform order statistics,
-they keep the law of the Poisson process (Devroye, "Non-Uniform Random
+Replicate k draws from its own streams ``SeedSequence((seed, k, stream))``:
+the count n; n uniform times, sorted in place; each jump's box (``rng.choice``;
+one box spends n uniforms instead); n locations; n sizes.  The marks stay in
+draw order: iid and independent of the times, whose sort gives the uniform
+order statistics, they keep the Poisson law (Devroye, "Non-Uniform Random
 Variate Generation", 1986, ch. V).
 
 ``sample_marginals`` is a law-identical fast path for replicated one-set
@@ -48,7 +47,7 @@ _STREAM_GAUSS = 2
 _STREAM_SUBSTITUTE = 3
 _STREAM_MARGINALS = 4
 _CHUNK_JUMPS = 1 << 20  # jumps per sample_tail call of sample_marginals; bounds its memory
-_BLOCK_JUMPS = 1 << 16  # expected jumps per batch of replicate_blocks; bounds its memory
+_BLOCK_JUMPS = 1 << 16  # expected jumps per batch of path_batches; bounds its memory
 # decompositions kept by levy_ito_spec, most recently used first
 _SPECS = 8
 
@@ -174,16 +173,18 @@ class PathBatch:
 
     def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicates, offsets,
                  times, locations, sizes, gaussians: list, substitutes: list):
-        for a in (offsets, times, locations, sizes):
-            a.setflags(write=False)
         self.spec, self.chars, self.config = spec, spec.chars, config
         self.replicates, self.offsets = tuple(replicates), offsets
+        self._owner = np.repeat(np.arange(len(self.replicates)), np.diff(offsets))  # row's member
+        for a in (offsets, times, locations, sizes, self._owner):
+            a.setflags(write=False)
         self.jump_times, self.jump_locations, self.jump_sizes = times, locations, sizes
         self.gaussians, self.substitutes = gaussians, substitutes
         self._mod_cache: dict[Region, float] = {}
 
     def member(self, i: int) -> FieldRealization:
-        """Member i as a path of its own; its white noises stay the batch's."""
+        """Member i as a path of its own; its white noises stay the batch's,
+        and once it is queried alone the batch queries them one at a time."""
         a, b = self.offsets[i], self.offsets[i + 1]
         return FieldRealization(self.spec, self.config, self.replicates[i:i + 1],
                                 np.array([0, b - a]), self.jump_times[a:b],
@@ -208,13 +209,12 @@ class PathBatch:
 
     def _kept(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
         """The flat mask of the jumps in (t0, t] x region."""
-        keep = (self.jump_times > t0) & (self.jump_times <= t)
-        keep[keep] = region.contains(self.jump_locations[keep])
-        return keep
+        times = self.jump_times
+        return (times > t0) & (times <= t) & region.contains(self.jump_locations)
 
     def _member_sums(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Per member, the sum of ``values``, the jump quantities at ``keep``."""
-        return _segment_sums(values, np.diff(np.concatenate([[0], np.cumsum(keep)])[self.offsets]))
+        """Per member, the sum in jump order of ``values``, the quantities at ``keep``."""
+        return np.bincount(self._owner[keep], values, len(self.replicates))
 
     # -- exact accessors, the same for every member ----------------------
     def drift(self, t: float, region: Region, t0: float = 0.0) -> float:
@@ -231,8 +231,11 @@ class PathBatch:
     # -- evaluation ------------------------------------------------------
     def jump_sums(self, t: float, region: Region, t0: float = 0.0) -> tuple[np.ndarray, ...]:
         """Per member: (large-jump sum, retained-small-jump sum) over (t0, t] x region."""
-        keep, big = self._kept(t, region, t0), np.abs(self.jump_sizes) > 1.0
-        return tuple(self._member_sums(self.jump_sizes[m], m) for m in (keep & big, keep & ~big))
+        keep = self._kept(t, region, t0)
+        sizes = self.jump_sizes[keep]
+        label = 2 * self._owner[keep] + (np.abs(sizes) <= 1.0)  # 2i: large, 2i + 1: small
+        sums = np.bincount(label, sizes, 2 * len(self.replicates))  # in jump order
+        return sums[0::2], sums[1::2]
 
     def evaluate(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
         """M over (t0, t] x region per member: the sum of its components."""
@@ -312,13 +315,6 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
     return pts
 
 
-def replicate_blocks(chars: Characteristics, config: SamplerConfig, n: int) -> list[range]:
-    """Replicates 0..n-1 in blocks of at most ``_BLOCK_JUMPS`` expected jumps
-    (a bigger replicate alone), a path counting as 64 jumps at least."""
-    step = max(1, int(_BLOCK_JUMPS // max(levy_ito_spec(chars, config).jump_rate, 64.0)))
-    return [range(k, min(n, k + step)) for k in range(0, n, step)]
-
-
 def sample_fields(chars: Characteristics, config: SamplerConfig, replicates) -> PathBatch:
     """Paths ``replicates`` (indices) of the config's Levy-Ito decomposition:
     Poisson jumps above eps + white noise + drift.  Each draws from its own
@@ -351,6 +347,15 @@ def sample_field(chars: Characteristics, config: SamplerConfig,
     """Path ``replicate`` of the config's Levy-Ito decomposition: the batch of
     one of ``sample_fields``."""
     return sample_fields(chars, config, (replicate,)).member(0)
+
+
+def path_batches(chars: Characteristics, config: SamplerConfig, n: int,
+                 sampler=sample_fields):
+    """Paths 0..n-1 in batches ``sampler(chars, config, replicates)`` of at most
+    ``_BLOCK_JUMPS`` expected jumps (a path counts 64 at least; a bigger one alone)."""
+    step = max(1, int(_BLOCK_JUMPS // max(levy_ito_spec(chars, config).jump_rate, 64.0)))
+    for k in range(0, n, step):
+        yield sampler(chars, config, range(k, min(n, k + step)))
 
 
 # --------------------------------------------------------------------------

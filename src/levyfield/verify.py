@@ -11,7 +11,7 @@ bit-exactly from its report line.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .funcs import IndicatorFunction, effective_domain
 from .integrate import _integrate_paths, empirical_cf
 from .kernels import DiscreteJumps, JumpSizeDistribution
 from .regions import Region
-from .sampler import (SamplerConfig, _segment_sums, replicate_blocks, sample_fields,
-                      sample_marginals)
+from .sampler import SamplerConfig, _segment_sums, path_batches, sample_fields, sample_marginals
 
 _DECISIONS = ("pass", "fail", "indeterminate")
 
@@ -47,7 +46,16 @@ class VerificationReport:
         return self.decision == "pass"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        return {
+            "name": self.name,
+            "statistic": self.statistic,
+            "threshold": self.threshold,
+            "decision": self.decision,
+            "sample_size": self.sample_size,
+            "seed": self.seed,
+            "provenance": self.provenance,
+            "notes": list(self.notes),
+        }
 
 
 def summary_table(reports) -> str:
@@ -97,8 +105,7 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
             samples += coef * sample_marginals(chars, cfg, region)
     else:
         cfg = SamplerConfig(seed=seed, window=window, horizon=t, eps=eps)
-        batches = (sample_fields(chars, cfg, reps) for reps in replicate_blocks(chars, cfg, n))
-        samples = _integrate_paths(chars, cfg, batches, f, t)[0]
+        samples = _integrate_paths(chars, cfg, path_batches(chars, cfg, n), f, t)[0]
 
     emp, radius = empirical_cf(samples, u)
     notes = []
@@ -285,12 +292,10 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
                               (f"dcov2={obs:.4e} permutations={permutations}", *notes))
 
 
-def _evaluations(path_sampler, chars: Characteristics, config: SamplerConfig, n: int,
-                 queries) -> np.ndarray:
-    """``M(t, region)`` of paths 0..n-1 drawn by ``path_sampler`` in blocks,
-    one row per query ``(t, region)``."""
-    batches = (path_sampler(chars, config, reps) for reps in replicate_blocks(chars, config, n))
-    return np.concatenate([[b.evaluate(t, r) for t, r in queries] for b in batches], axis=1)
+def _evaluations(path_sampler, chars, config: SamplerConfig, n: int, queries) -> np.ndarray:
+    """``M(t, region)`` of paths 0..n-1 (columns) per query ``(t, region)`` (rows)."""
+    return np.concatenate([[b.evaluate(t, r) for t, r in queries]
+                           for b in path_batches(chars, config, n, path_sampler)], axis=1)
 
 
 def paired_evaluations(chars: Characteristics, config: SamplerConfig,

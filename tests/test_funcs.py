@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from levyfield import (GaussianFunction, IndicatorFunction, PolynomialDecay,
-                       ProductBump, Region, SimpleFunction, SumFunction, interval)
+                       Product1D, ProductBump, Region, SimpleFunction,
+                       SumFunction, interval)
 from levyfield.funcs import effective_domain
 
 
@@ -74,6 +75,14 @@ def test_wrong_dimension_rejected():
     b = ProductBump((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         b(np.zeros((3, 3)))
+
+
+def test_product1d():
+    f = Product1D([np.sin, np.cos], [np.cos, lambda t: -np.sin(t)])
+    x = np.array([[0.3, 1.1], [1.0, 0.1]])
+    np.testing.assert_allclose(f(x), np.sin(x[:, 0]) * np.cos(x[:, 1]))
+    np.testing.assert_allclose(f.mixed_partial(x),
+                               np.cos(x[:, 0]) * -np.sin(x[:, 1]))
 
 
 def test_sum_function_requires_disjoint_supports():

@@ -364,6 +364,18 @@ def test_a_batch_member_is_the_lone_path_bit_for_bit(kind, dim):
     assert len({m[0].tobytes() + m[-1].tobytes() for m in members}) == 10  # distinct paths
 
 
+def test_a_batch_answers_after_a_member_was_queried_alone():
+    chars, config = _batch_case("stable", 1)
+    batch = sample_fields(chars, config, range(5))
+    first = batch.member(2).evaluate(0.5, PROBES[1], 0.1)  # new planes in one field only
+    got = batch.evaluate(0.7, config.window)
+    for k in range(5):
+        real = sample_field(chars, config, k)
+        if k == 2:
+            assert real.evaluate(0.5, PROBES[1], 0.1) == first
+        assert real.evaluate(0.7, config.window) == got[k]
+
+
 def test_jump_times_ascend_within_each_member():
     batch = sample_fields(IMP, cfg(33, window=BATCH_WINDOWS[1]), range(40))
     edges = list(zip(batch.offsets[:-1], batch.offsets[1:]))
