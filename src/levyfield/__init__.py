@@ -17,8 +17,8 @@ from .characteristics import (Atom, Characteristics, ControlMeasureValue,
                               JumpComponent, LevySymbolValue)
 from .config import (ConfigError, ExperimentConfig, characteristics_from_config,
                      function_from_config, kernel_from_config, load_config, parse_config)
-from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay, Product1D,
-                    ProductBump, SimpleFunction, SumFunction, TestFunction)
+from .funcs import (GaussianFunction, IndicatorFunction, PolynomialDecay, ProductBump,
+                    SimpleFunction, TestFunction)
 from .gaussian import WhiteNoiseField
 from .integrate import (CylindricalCharacteristics, IntegralValue,
                         NotIntegrableError, cylindrical_characteristics,

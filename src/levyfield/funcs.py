@@ -149,56 +149,6 @@ class IndicatorFunction(TestFunction):
         raise ValueError("indicator functions have no classical mixed partial")
 
 
-class Product1D(TestFunction):
-    """Tensor product of user-supplied 1-d factors with their derivatives."""
-
-    def __init__(self, factors, derivatives):
-        if len(factors) != len(derivatives) or not factors:
-            raise ValueError("factors and derivatives must be nonempty and aligned")
-        self.factors = list(factors)
-        self.derivatives = list(derivatives)
-        self.dim = len(factors)
-
-    def __call__(self, x):
-        x = self._coerce(x)
-        out = np.ones(x.shape[0])
-        for i, f in enumerate(self.factors):
-            out = out * np.asarray(f(x[:, i]), dtype=float)
-        return out
-
-    def mixed_partial(self, x):
-        x = self._coerce(x)
-        out = np.ones(x.shape[0])
-        for i, df in enumerate(self.derivatives):
-            out = out * np.asarray(df(x[:, i]), dtype=float)
-        return out
-
-
-class SumFunction(TestFunction):
-    """Sum of test functions with pairwise disjoint supports."""
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("need at least one part")
-        self.parts = parts
-        self.dim = parts[0].dim
-        boxes = []
-        for p in parts:
-            if p.dim != self.dim:
-                raise ValueError("dimension mismatch between parts")
-            if p.support_region is None:
-                raise ValueError("summands must have bounded support")
-            boxes.extend(p.support_region.boxes)
-        self.support_region = Region(self.dim, tuple(boxes))  # checks disjointness
-
-    def __call__(self, x):
-        return sum(p(x) for p in self.parts)
-
-    def mixed_partial(self, x):
-        return sum(p.mixed_partial(x) for p in self.parts)
-
-
 @dataclass(frozen=True)
 class SimpleFunction:
     """``sum_k coef_k 1_{A_k}`` with pairwise disjoint regions A_k."""

@@ -1,4 +1,4 @@
-"""White-noise Gaussian component of a field realization.
+"""White-noise Gaussian component of field realizations.
 
 Values live on a tensor grid of (time x space) cells per window box.  Each
 root cell value is N(0, mass); query boundaries that fall inside a cell
@@ -7,21 +7,21 @@ sub-masses (m_l, m_r) is drawn from N(v m_l/m, m_l m_r/m) and the right share
 is defined as v minus the left share.  Additivity over the grid is therefore
 exact by construction, no matter how often the grid is refined.
 
-Refinement draws come from the realization's dedicated stream.  A query
-inserts its new planes one axis at a time, and per axis the draw order is
-ascending planes, coordinate-major over patches: for each new plane, the
-patches it is new to in window order, each filling its cells in C order.
-That order is the same whether the planes arrive one per query or all at
-once, so identical query sequences replay bit-identically.
-
-Fields with one plane layout and intensity (the white noises of many paths
-over one window) refine and answer queries as one stack, values with a
-leading field axis; each still draws from its own stream, the same count in
-the same order, and a field gives the same values alone or in a stack.
+A ``WhiteNoiseField`` is a stack of such fields of one intensity over one
+window (the white noises of a batch of paths): it holds the plane layout
+once per window box, its cell values carry a leading field axis, and field
+k draws from its own stream.  A query inserts its new planes one axis at a
+time, and per axis the draw order is ascending planes, coordinate-major
+over patches: for each new plane, the patches it is new to in window order,
+each filling its cells in C order.  That order is the same whether the
+planes arrive one per query or all at once, and a field draws the same
+count in a stack of any size, so identical query sequences replay
+bit-identically and a field answers in a stack as it does alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -31,161 +31,184 @@ from .regions import Box, Region
 
 
 class WhiteNoiseField:
-    """Gaussian part ``W((t0, t1] x A)`` of a sampled field."""
+    """Gaussian parts ``W((t0, t1] x A)`` of a stack of sampled fields,
+    field k drawing from ``default_rng(seeds[k])``; queries answer per field."""
 
     def __init__(self, sigma: DiffusionComponent | None, window: Region, horizon: float,
-                 seed_seq: np.random.SeedSequence, masses: tuple | None = None):
+                 seeds, masses: tuple | None = None):
         """``masses``: ``root_masses(sigma, window)``, if computed once for a window."""
         masses = root_masses(sigma, window) if masses is None else masses
-        self._sigma = sigma
-        self._horizon = float(horizon)
-        self._rng = None if sigma is None else np.random.default_rng(seed_seq)
+        self._sigma, self._window, self._horizon = sigma, window, float(horizon)
+        self._rngs = [np.random.default_rng(s) for s in seeds]
         self._patches: list[dict] = []
         for box, smass in zip(window.boxes, masses):
             mass = self._horizon * smass
-            value = self._rng.normal(0.0, math.sqrt(mass)) if mass > 0.0 else 0.0
+            roots = [rng.normal(0.0, math.sqrt(mass)) if mass > 0.0 else 0.0 for rng in self._rngs]
             self._patches.append({
                 "box": box,
                 "axes": [np.array([0.0, self._horizon])]
                         + [np.array([lo, hi]) for lo, hi in zip(box.lo, box.hi)],
-                "values": np.full((1,) * (1 + box.dim), value),
+                "values": np.reshape(roots, (-1,) + (1,) * (1 + box.dim)),
                 "smass": np.full((1,) * box.dim, smass),
             })
 
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    # -- stacks ----------------------------------------------------------
+    @staticmethod
+    def join(stacks) -> WhiteNoiseField:
+        """The fields of fresh (never queried) ``stacks`` of one intensity,
+        window and horizon as one stack, which takes over their generators."""
+        first, *rest = stacks
+        if not rest:
+            return first
+        if any((s._sigma, s._window, s._horizon) != (first._sigma, first._window, first._horizon)
+               or any(a.size > 2 for p in s._patches for a in p["axes"]) for s in stacks):
+            raise ValueError("only fresh stacks of one intensity, window and horizon join")
+        joined = copy.copy(first)
+        joined._rngs = [rng for s in stacks for rng in s._rngs]
+        joined._patches = [dict(p, axes=list(p["axes"]),
+                                values=np.concatenate([s._patches[n]["values"] for s in stacks]))
+                           for n, p in enumerate(first._patches)]
+        return joined
+
+    def rows(self, lo: int, hi: int) -> WhiteNoiseField:
+        """Fields lo..hi-1 as a stack of their own, with copies of their
+        generators: from here on the two stacks are queried independently."""
+        part = copy.copy(self)
+        part._rngs = copy.deepcopy(self._rngs[lo:hi])
+        part._patches = [dict(p, axes=list(p["axes"]), values=p["values"][lo:hi].copy())
+                         for p in self._patches]
+        return part
+
     # -- queries ---------------------------------------------------------
-    def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> float:
-        """``W((t0, t1] x region)``, exact over the refined grid."""
-        return float(_stack_values([self], t1, region, t0)[0])
+    def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> np.ndarray:
+        """``W((t0, t1] x region)`` per field, exact over the refined grid."""
+        boxes = region.boxes if isinstance(region, Region) else (region,)
+        total = np.zeros(len(self))
+        if self._sigma is None or t1 <= t0 or not boxes:  # a plane draws
+            return total
+        self._ensure_planes(t0, t1, boxes)
+        for patch in self._patches:
+            for b in boxes:
+                piece = patch["box"].intersect(b)
+                if piece is None:
+                    continue
+                idx = (slice(None), _span(patch["axes"][0], t0, t1)) + tuple(
+                    _span(patch["axes"][i + 1], piece.lo[i], piece.hi[i]) for i in range(piece.dim))
+                total += patch["values"][idx].reshape(len(self), -1).sum(axis=1)
+        return total
 
     def grid_values(self, t1: float, box: Box, edges: list[np.ndarray],
                     t0: float = 0.0) -> np.ndarray:
-        """Cell values of ``W((t0,t1] x .)`` over a tensor mesh inside one box.
+        """Cell values of ``W((t0,t1] x .)`` per field over a tensor mesh
+        inside one box, shape (fields, cells per axis...).
 
         ``edges[i]`` are the mesh edge coordinates along space axis i
         (including both endpoints).  The box must lie inside a single window
         part.
         """
         if self._sigma is None or t1 <= t0:
-            return np.zeros(tuple(len(e) - 1 for e in edges))
-        _ensure_planes([self], t0, t1, (box,))
+            return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
+        self._ensure_planes(t0, t1, (box,))
         for i, e in enumerate(edges):
-            _refine([self], i + 1, e)
-        return _mesh_cells([self], t1, box, edges, t0)[0]
-
-
-def _stack_values(fields, t1: float, region: Region | Box, t0: float = 0.0) -> np.ndarray:
-    """``value`` of each field of a stack: stacked if they share one plane
-    layout, else (a field was queried on its own) one field at a time."""
-    boxes = region.boxes if isinstance(region, Region) else (region,)
-    total = np.zeros(len(fields))
-    if getattr(fields[0], "_sigma", None) is None or t1 <= t0 or not boxes:  # a plane draws
-        return total
-    if not _one_layout(fields):
-        return np.array([_stack_values([field], t1, region, t0)[0] for field in fields])
-    _ensure_planes(fields, t0, t1, boxes)
-    for n, patch in enumerate(fields[0]._patches):
-        for b in boxes:
-            piece = patch["box"].intersect(b)
-            if piece is None:
+            self._refine(i + 1, e)
+        for patch in self._patches:
+            if patch["box"].intersect(box) is None:
                 continue
-            idx = (_span(patch["axes"][0], t0, t1),) + tuple(
-                _span(patch["axes"][i + 1], piece.lo[i], piece.hi[i]) for i in range(piece.dim))
-            cells = np.stack([field._patches[n]["values"][idx] for field in fields])
-            total += cells.reshape(len(fields), -1).sum(axis=1)
-    return total
+            if not all(patch["box"].lo[i] <= box.lo[i] and box.hi[i] <= patch["box"].hi[i]
+                       for i in range(box.dim)):
+                raise ValueError("mesh box must lie within a single window part")
+            arr = patch["values"][:, _span(patch["axes"][0], t0, t1)].sum(axis=1)
+            for i, e in enumerate(edges):
+                planes = patch["axes"][i + 1]
+                lo = int(np.searchsorted(planes, e[0]))
+                starts = np.searchsorted(planes, e[:-1]) - lo
+                arr = np.add.reduceat(
+                    arr[(slice(None),) * (i + 1) + (slice(lo, int(np.searchsorted(planes, e[-1]))),)],
+                    starts, axis=i + 1)
+            return arr
+        return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
 
+    # -- refinement ------------------------------------------------------
+    def _ensure_planes(self, t0: float, t1: float, boxes) -> None:
+        # box by box, so a query over several boxes keeps its draw order
+        self._refine(0, (t0, t1))
+        for b in boxes:
+            for i in range(b.dim):
+                self._refine(i + 1, (b.lo[i], b.hi[i]))
 
-def _refine(fields, axis: int, coords) -> None:
-    """Insert the planes ``coords`` along ``axis`` (0 is time) in every patch.
+    def _refine(self, axis: int, coords) -> None:
+        """Insert the planes ``coords`` along ``axis`` (0 is time) in every patch.
 
-    Each field of the stack draws its normals from its own stream, ordered
-    as inserting the planes one at a time in ascending order would consume
-    them (see the module docstring).  Several new planes in one old cell
-    split it in rounds, the r-th new plane of every cell in round r, so each
-    cell is still split left to right.
-    """
-    if not _one_layout(fields):
-        raise ValueError("a stack of white-noise fields must share one plane layout")
-    layout = fields[0]._patches
-    coords = np.unique(np.asarray(coords, dtype=float))
-    fresh, per = [], []
-    for patch in layout:
-        planes = patch["axes"][axis]
-        new = (coords > planes[0]) & (coords < planes[-1])
-        new[new] = planes[np.searchsorted(planes, coords[new])] != coords[new]
-        fresh.append(new)
-        per.append(patch["values"].size // patch["values"].shape[axis])
-    counts = (np.array(fresh, dtype=int).T * per).ravel()  # coordinate-major
-    if not counts.any():
-        return
-    draws = np.stack([field._rng.standard_normal(int(counts.sum())) for field in fields])
-    starts = (np.cumsum(counts) - counts).reshape(coords.size, -1)
-    at, k = (slice(None),) * (axis + 1), axis - 1  # behind the field axis
-    closed_form = fields[0]._sigma.density.is_constant and not fields[0]._sigma.atoms
-    for n, (patch, mask) in enumerate(zip(layout, fresh)):
-        if not mask.any():
-            continue
-        planes, smass = patch["axes"][axis], patch["smass"]
-        values = np.stack([field._patches[n]["values"] for field in fields])
-        z = draws[:, starts[mask, n][:, None] + np.arange(per[n])]
-        new = coords[mask]
-        j = np.searchsorted(planes, new)       # new[q] cuts old cell j[q] - 1
-        pos = j + np.arange(new.size)          # its index among the merged planes
-        merged = np.insert(planes, j, new)
-        rank = np.arange(new.size) - np.searchsorted(j, j)
-        lo, hi = merged[pos - 1], planes[j]    # the cell it cuts, after earlier rounds
-        grow = np.bincount(j - 1, minlength=planes.size - 1) + 1
-        rest = values.shape[1:axis + 1] + values.shape[axis + 2:]
-        z = np.moveaxis(z.reshape((len(fields), new.size) + rest), 1, axis + 1)
-        values = np.repeat(values, grow, axis=axis + 1)
-        if axis:
-            smass = np.repeat(smass, grow, axis=k)
-            dt = np.diff(patch["axes"][0]).reshape((-1,) + (1,) * smass.ndim)
-        for r in range(int(rank.max()) + 1):
-            sel = np.flatnonzero(rank == r)
-            c, cl, ch, p = new[sel], lo[sel], hi[sel], pos[sel]
-            v = values[at + (p - 1,)]
-            if axis == 0:
-                along = (-1,) + (1,) * smass.ndim
-                ratio = ((c - cl) / (ch - cl)).reshape(along)
-                var = smass[None, ...] * ((c - cl) * (ch - c) / (ch - cl)).reshape(along)
-            else:
-                sm = smass[at[2:] + (p - 1,)]
-                if closed_form:
-                    sm_l = sm * ((c - cl) / (ch - cl)).reshape((-1,) + (1,) * (sm.ndim - axis))
+        Each field draws its normals from its own stream, ordered as
+        inserting the planes one at a time in ascending order would consume
+        them (see the module docstring).  Several new planes in one old cell
+        split it in rounds, the r-th new plane of every cell in round r, so
+        each cell is still split left to right.
+        """
+        coords = np.unique(np.asarray(coords, dtype=float))
+        fresh, per = [], []
+        for patch in self._patches:
+            planes = patch["axes"][axis]
+            new = (coords > planes[0]) & (coords < planes[-1])
+            new[new] = planes[np.searchsorted(planes, coords[new])] != coords[new]
+            fresh.append(new)
+            per.append(patch["values"][0].size // patch["values"].shape[axis + 1])
+        counts = (np.array(fresh, dtype=int).T * per).ravel()  # coordinate-major
+        if not counts.any():
+            return
+        draws = np.stack([rng.standard_normal(int(counts.sum())) for rng in self._rngs])
+        starts = (np.cumsum(counts) - counts).reshape(coords.size, -1)
+        at, k = (slice(None),) * (axis + 1), axis - 1  # behind the field axis
+        closed_form = self._sigma.density.is_constant and not self._sigma.atoms
+        for n, (patch, mask) in enumerate(zip(self._patches, fresh)):
+            if not mask.any():
+                continue
+            planes, smass, values = patch["axes"][axis], patch["smass"], patch["values"]
+            z = draws[:, starts[mask, n][:, None] + np.arange(per[n])]
+            new = coords[mask]
+            j = np.searchsorted(planes, new)       # new[q] cuts old cell j[q] - 1
+            pos = j + np.arange(new.size)          # its index among the merged planes
+            merged = np.insert(planes, j, new)
+            rank = np.arange(new.size) - np.searchsorted(j, j)
+            lo, hi = merged[pos - 1], planes[j]    # the cell it cuts, after earlier rounds
+            grow = np.bincount(j - 1, minlength=planes.size - 1) + 1
+            rest = values.shape[1:axis + 1] + values.shape[axis + 2:]
+            z = np.moveaxis(z.reshape((len(self), new.size) + rest), 1, axis + 1)
+            values = np.repeat(values, grow, axis=axis + 1)
+            if axis:
+                smass = np.repeat(smass, grow, axis=k)
+                dt = np.diff(patch["axes"][0]).reshape((-1,) + (1,) * smass.ndim)
+            for r in range(int(rank.max()) + 1):
+                sel = np.flatnonzero(rank == r)
+                c, cl, ch, p = new[sel], lo[sel], hi[sel], pos[sel]
+                v = values[at + (p - 1,)]
+                if axis == 0:
+                    along = (-1,) + (1,) * smass.ndim
+                    ratio = ((c - cl) / (ch - cl)).reshape(along)
+                    var = smass[None, ...] * ((c - cl) * (ch - c) / (ch - cl)).reshape(along)
                 else:
-                    sm_l = np.empty_like(sm)
-                    for idx in np.ndindex(sm.shape):
-                        cell = [(ax[i], ax[i + 1]) for ax, i in zip(patch["axes"][1:], idx)]
-                        cell[k] = (cl[idx[k]], c[idx[k]])
-                        sm_l[idx] = _space_mass(fields[0]._sigma, Box(*zip(*cell)))
-                sm_r = sm - sm_l
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(sm > 0.0, sm_l / sm, 0.0)[None, ...]
-                    var = np.where(sm > 0.0, sm_l * sm_r / sm, 0.0)[None, ...]
-                var = np.maximum(var, 0.0) * dt
-                smass[at[2:] + (p - 1,)], smass[at[2:] + (p,)] = sm_l, sm_r
-            left = v * ratio + np.sqrt(var) * z[at + (sel,)]
-            values[at + (p - 1,)], values[at + (p,)] = left, v - left
-        patch["axes"][axis] = merged
-        for field, row in zip(fields, values):
-            field._patches[n].update(axes=list(patch["axes"]), smass=smass, values=row)
-
-
-def _one_layout(fields) -> bool:
-    """Whether the fields share their planes and cell masses."""
-    shared, *rest = ([a for patch in field._patches for a in patch["axes"] + [patch["smass"]]]
-                     for field in fields)
-    return all(len(mine) == len(shared) and all(a is b or np.array_equal(a, b)
-                                                for a, b in zip(mine, shared)) for mine in rest)
-
-
-def _ensure_planes(fields, t0: float, t1: float, boxes) -> None:
-    # box by box, so a query over several boxes keeps its draw order
-    _refine(fields, 0, (t0, t1))
-    for b in boxes:
-        for i in range(b.dim):
-            _refine(fields, i + 1, (b.lo[i], b.hi[i]))
+                    sm = smass[at[2:] + (p - 1,)]
+                    if closed_form:
+                        sm_l = sm * ((c - cl) / (ch - cl)).reshape((-1,) + (1,) * (sm.ndim - axis))
+                    else:
+                        sm_l = np.empty_like(sm)
+                        for idx in np.ndindex(sm.shape):
+                            cell = [(ax[i], ax[i + 1]) for ax, i in zip(patch["axes"][1:], idx)]
+                            cell[k] = (cl[idx[k]], c[idx[k]])
+                            sm_l[idx] = _space_mass(self._sigma, Box(*zip(*cell)))
+                    sm_r = sm - sm_l
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ratio = np.where(sm > 0.0, sm_l / sm, 0.0)[None, ...]
+                        var = np.where(sm > 0.0, sm_l * sm_r / sm, 0.0)[None, ...]
+                    var = np.maximum(var, 0.0) * dt
+                    smass[at[2:] + (p - 1,)], smass[at[2:] + (p,)] = sm_l, sm_r
+                left = v * ratio + np.sqrt(var) * z[at + (sel,)]
+                values[at + (p - 1,)], values[at + (p,)] = left, v - left
+            patch["axes"][axis] = merged
+            patch.update(smass=smass, values=values)
 
 
 def _space_mass(sigma: DiffusionComponent, box: Box) -> float:
@@ -200,29 +223,5 @@ def root_masses(sigma: DiffusionComponent | None, window: Region) -> tuple:
     return () if sigma is None else tuple(_space_mass(sigma, box) for box in window.boxes)
 
 
-def _mesh_cells(fields, t1: float, box: Box, edges: list[np.ndarray],
-                t0: float = 0.0) -> np.ndarray:
-    """``grid_values`` of a stack of fields, one row per field, on a mesh
-    whose edges are already planes of their shared layout."""
-    for n, patch in enumerate(fields[0]._patches):
-        if patch["box"].intersect(box) is None:
-            continue
-        if not all(patch["box"].lo[i] <= box.lo[i] and box.hi[i] <= patch["box"].hi[i]
-                   for i in range(box.dim)):
-            raise ValueError("mesh box must lie within a single window part")
-        span = _span(patch["axes"][0], t0, t1)
-        arr = np.stack([field._patches[n]["values"][span] for field in fields]).sum(axis=1)
-        for i, e in enumerate(edges):
-            planes = patch["axes"][i + 1]
-            lo = int(np.searchsorted(planes, e[0]))
-            starts = np.searchsorted(planes, e[:-1]) - lo
-            arr = np.add.reduceat(
-                arr[(slice(None),) * (i + 1) + (slice(lo, int(np.searchsorted(planes, e[-1]))),)],
-                starts, axis=i + 1)
-        return arr
-    return np.zeros((len(fields),) + tuple(len(e) - 1 for e in edges))
-
-
 def _span(planes: np.ndarray, lo: float, hi: float) -> slice:
     return slice(int(np.searchsorted(planes, lo)), int(np.searchsorted(planes, hi)))
-

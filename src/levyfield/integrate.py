@@ -12,7 +12,7 @@ between the sums at the last two levels, not a bound.
 ``_integrate_paths`` integrates the paths of batches of one sampler config
 (``sampler.sample_fields``), computing drift and compensator once, the jump
 sums of a batch with one mask and one evaluation of f, and pairing the white
-noises of consecutive paths as one stack per mesh level.
+noises of consecutive paths, across batches, as one stack per mesh level.
 Deterministic terms integrate f against their measures over
 ``effective_domain(f)``, or over R^d by ``ladder_integral``.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import lm_membership
 from .characteristics import Characteristics
 from .funcs import IndicatorFunction, SimpleFunction, effective_domain
-from .gaussian import _ensure_planes, _mesh_cells, _refine
+from .gaussian import WhiteNoiseField
 from .kernels import JumpKernel
 from .quadrature import ladder_integral
 from .regions import Box, Region
@@ -67,29 +67,26 @@ def integrate_simple(real, f: SimpleFunction, t: float,
     return total
 
 
-def _pairing(fields, f, t: float, box: Box) -> tuple[np.ndarray, np.ndarray]:
+def _pairing(stack: WhiteNoiseField, f, t: float, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint pairing sums of a stack of white-noise fields at one dyadic level.
 
-    Every coarser level is refined first: that order fixes the draws.  The
+    Every coarser level is queried first: that order fixes the draws.  The
     next coarser level is read before the last splits its cells, as split
     shares need not add back bit for bit.  The error is the difference to
     that level's sum, a random number and not a bound.
     """
     if t <= 0.0:
-        return np.zeros(len(fields)), np.zeros(len(fields))
+        return np.zeros(len(stack)), np.zeros(len(stack))
     top = PAIRING_LEVELS.get(box.dim, 4)
-    _ensure_planes(fields, 0.0, t, (box,))
     sums = []
     for level in range(top + 1):
         edges = [np.linspace(lo, hi, 2 ** level + 1)
                  for lo, hi in zip(box.lo, box.hi)]
-        for i, e in enumerate(edges):
-            _refine(fields, i + 1, e)
+        cells = stack.grid_values(t, box, edges)
         if level >= top - 1:
             centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
             pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, box.dim)
-            cells = _mesh_cells(fields, t, box, edges)
-            sums.append((f(pts) * cells.reshape(len(fields), -1)).sum(axis=1))
+            sums.append((f(pts) * cells.reshape(len(stack), -1)).sum(axis=1))
     return sums[-1], np.abs(sums[-1] - sums[-2])
 
 
@@ -132,12 +129,15 @@ def _integrate_paths(chars: Characteristics, config, batches, f, t: float,
             jumps = f(locs) * batch.jump_sizes[keep] if len(locs) else np.empty(0)
             # value is never -0.0, so a 0.0 jump sum or compensator leaves it exact
             values.append(value + batch._member_sums(jumps, keep) - comp)
-            pending += zip(batch.gaussians, batch.substitutes)
-        while len(pending) >= step or (batch is None and pending):
-            stack, pending = pending[:step], pending[step:]
-            pairings.append([_pairing(fields, f, t, b) for fields in zip(*stack)
-                             if getattr(fields[0], "_sigma", None) is not None
-                             for b in domain.boxes])
+            pending.append([s for s in (batch.gaussian, batch.substitute) if s is not None])
+        count = sum(len(p[0]) for p in pending if p)
+        cut = count if batch is None else count - count % step
+        if cut:
+            stacks = [WhiteNoiseField.join(kind) for kind in zip(*pending)]
+            pending = [[s.rows(cut, count) for s in stacks]] if cut < count else []
+            for lo in range(0, cut, step):  # one piece needs no copy
+                part = stacks if count <= step else [s.rows(lo, lo + step) for s in stacks]
+                pairings.append([_pairing(s, f, t, b) for s in part for b in domain.boxes])
     values = np.concatenate(values)
     errors = np.full(values.size, err)
     for terms in zip(*pairings):  # term by term (field, then box), as a lone path adds them

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
-from .gaussian import WhiteNoiseField, _stack_values, root_masses
+from .gaussian import WhiteNoiseField, root_masses
 from .regions import Region
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
@@ -168,28 +168,29 @@ class SamplerConfig:
 class PathBatch:
     """Paths ``replicates`` of one sampler config over (0, horizon] x window.
     Member i has rows ``offsets[i]:offsets[i + 1]`` of the jump arrays (times
-    ascending) and the white noises ``gaussians[i]``, ``substitutes[i]`` (or
-    None).  A query gives each member the value it would give alone."""
+    ascending) and field i of the white-noise stacks ``gaussian``, ``substitute``
+    (or None).  A query gives each member the value it would give alone."""
 
     def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicates, offsets,
-                 times, locations, sizes, gaussians: list, substitutes: list):
+                 times, locations, sizes, gaussian, substitute):
         self.spec, self.chars, self.config = spec, spec.chars, config
         self.replicates, self.offsets = tuple(replicates), offsets
         self._owner = np.repeat(np.arange(len(self.replicates)), np.diff(offsets))  # row's member
         for a in (offsets, times, locations, sizes, self._owner):
             a.setflags(write=False)
         self.jump_times, self.jump_locations, self.jump_sizes = times, locations, sizes
-        self.gaussians, self.substitutes = gaussians, substitutes
+        self.gaussian, self.substitute = gaussian, substitute
         self._mod_cache: dict[Region, float] = {}
 
     def member(self, i: int) -> FieldRealization:
-        """Member i as a path of its own; its white noises stay the batch's,
-        and once it is queried alone the batch queries them one at a time."""
+        """Member i as a path of its own, with a copy of its white noises:
+        from here on the member and the batch are queried independently."""
         a, b = self.offsets[i], self.offsets[i + 1]
         return FieldRealization(self.spec, self.config, self.replicates[i:i + 1],
                                 np.array([0, b - a]), self.jump_times[a:b],
                                 self.jump_locations[a:b], self.jump_sizes[a:b],
-                                self.gaussians[i:i + 1], self.substitutes[i:i + 1])
+                                *(None if s is None else s.rows(i, i + 1)
+                                  for s in (self.gaussian, self.substitute)))
 
     # -- structure -------------------------------------------------------
     def _check_query(self, t: float, region: Region, t0: float) -> None:
@@ -247,10 +248,11 @@ class PathBatch:
         """Per member; drift, compensator and bound are one float for all."""
         self._check_query(t, region, t0)
         big, small = self.jump_sums(t, region, t0)
+        noise = [np.zeros(len(self.replicates)) if s is None else s.value(t, region, t0)
+                 for s in (self.gaussian, self.substitute)]
         return {
             "drift": self.drift(t, region, t0),
-            "gaussian": _stack_values(self.gaussians, t, region, t0),
-            "substitute": _stack_values(self.substitutes, t, region, t0),
+            "gaussian": noise[0], "substitute": noise[1],
             "large_jumps": big, "small_jumps": small,
             "compensator": self.compensator(t, region, t0),
             "small_jump_bound": self.small_jump_bound(t, region, t0),
@@ -261,8 +263,6 @@ class FieldRealization(PathBatch):
     """One sampled path of the random measure: a batch of one, queried as floats."""
 
     replicate = property(lambda self: self.replicates[0])
-    gaussian = property(lambda self: self.gaussians[0])
-    substitute = property(lambda self: self.substitutes[0])
 
     def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
         return float(PathBatch.evaluate(self, t, region, t0)[0])
@@ -332,14 +332,13 @@ def sample_fields(chars: Characteristics, config: SamplerConfig, replicates) -> 
         sizes.append(chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0))
 
     def noise(sigma, roots, stream):
-        return [WhiteNoiseField(sigma, window, T, np.random.SeedSequence((config.seed, k, stream)),
-                                roots) for k in replicates]
+        return None if sigma is None else WhiteNoiseField(sigma, window, T, [
+            np.random.SeedSequence((config.seed, k, stream)) for k in replicates], roots)
 
-    substitutes = ([None] * len(replicates) if spec.substitute is None
-                   else noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
     return PathBatch(spec, config, replicates, np.cumsum(counts), np.concatenate(times),
                      np.concatenate(locs), np.concatenate(sizes),
-                     noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS), substitutes)
+                     noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS),
+                     noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
 
 
 def sample_field(chars: Characteristics, config: SamplerConfig,

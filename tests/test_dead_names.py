@@ -79,6 +79,14 @@ def test_merged_integration_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_the_white_noise_layout_helpers_are_gone():
+    # a WhiteNoiseField stack holds its plane layout once; its methods may
+    # keep these names, the module may not
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"_one_layout", "_stack_values", "_mesh_cells", "_refine", "_ensure_planes"}
+    assert defined & gone == set()
+
+
 def test_the_scan_sees_a_dead_name():
     package = ("def used():\n    pass\n"
                "def dead():\n    pass\n"
@@ -151,3 +159,30 @@ def test_the_scan_sees_a_support_reader():
               "def b(f):\n    return getattr(f, 'support_region', None)\n"
               "def c(f):\n    return effective_domain(f)\n")
     assert support_readers(source) == [2, 4]
+
+
+def private_gaussian_names(text: str) -> list[str]:
+    """Underscore names taken from the ``gaussian`` module, by import or attribute."""
+    names = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "gaussian":
+            names += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "gaussian" and node.attr.startswith("_")):
+            names.append(node.attr)
+    return sorted(names)
+
+
+def test_the_white_noise_layout_stays_in_its_module():
+    names = {p.name: private_gaussian_names(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "gaussian.py"}
+    assert {name: found for name, found in names.items() if found} == {}
+
+
+def test_the_scan_sees_a_private_gaussian_import():
+    source = ("from .gaussian import WhiteNoiseField, _refine\n"
+              "from levyfield.gaussian import _span\n"
+              "from .regions import _private\n"
+              "from . import gaussian\n"
+              "def f(w):\n    return gaussian._mesh_cells(w), gaussian.root_masses, w._rngs\n")
+    assert private_gaussian_names(source) == ["_mesh_cells", "_refine", "_span"]

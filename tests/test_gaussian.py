@@ -6,19 +6,24 @@ import scipy.stats as sps
 
 from levyfield import Density, DiffusionComponent, Region
 from levyfield.characteristics import Atom
-from levyfield.gaussian import WhiteNoiseField, _refine
+from levyfield.gaussian import WhiteNoiseField
 from levyfield.regions import Box, interval
 
 WIN = Region.from_intervals([(0.0, 1.0)])
 
 
-def make_field(seed, window=WIN, horizon=1.0, density=1.0):
+def make_stack(seeds, window=WIN, horizon=1.0, density=1.0):
     return WhiteNoiseField(DiffusionComponent(Density(density)), window, horizon,
-                           np.random.SeedSequence((seed, 7)))
+                           [np.random.SeedSequence((seed, 7)) for seed in seeds])
+
+
+def make_field(seed, window=WIN, horizon=1.0, density=1.0):
+    """A lone field: a stack of one, answering arrays of one value."""
+    return make_stack((seed,), window, horizon, density)
 
 
 def test_marginal_law():
-    vals = np.array([make_field(s).value(1.0, WIN) for s in range(4000)])
+    vals = np.array([make_field(s).value(1.0, WIN)[0] for s in range(4000)])
     # W((0,1] x (0,1]) ~ N(0, 1)
     assert abs(vals.mean()) < 4 / np.sqrt(len(vals))
     assert sps.kstest(vals, "norm").pvalue > 0.01
@@ -57,8 +62,8 @@ def test_determinism_and_seed_sensitivity():
 def test_disjoint_values_uncorrelated():
     left = Region.from_intervals([(0.0, 0.5)])
     right = Region.from_intervals([(0.5, 1.0)])
-    pairs = np.array([[ (w := make_field(s)).value(1.0, left),
-                        w.value(1.0, right)] for s in range(2500)])
+    pairs = np.array([[ (w := make_field(s)).value(1.0, left)[0],
+                        w.value(1.0, right)[0]] for s in range(2500)])
     r = np.corrcoef(pairs.T)[0, 1]
     # each marginal has variance 1/2; null sd of r is ~ 1/sqrt(n)
     assert abs(r) < 4 / np.sqrt(len(pairs))
@@ -66,19 +71,17 @@ def test_disjoint_values_uncorrelated():
 
 def test_conditional_split_variance():
     # querying the sub-cell (0, 1/4] of a unit cell: marginal variance 1/4
-    vals = np.array([make_field(s).value(1.0, Region.from_intervals([(0.0, 0.25)]))
+    vals = np.array([make_field(s).value(1.0, Region.from_intervals([(0.0, 0.25)]))[0]
                      for s in range(4000)])
     assert sps.kstest(vals, "norm", args=(0.0, 0.5)).pvalue > 0.01
 
 
 def test_nonconstant_density_mass():
     dens = Density(lambda x: 2.0 * x[:, 0] if x.ndim > 1 else 2.0 * x)
-    w = WhiteNoiseField(DiffusionComponent(dens), WIN, 1.0,
-                        np.random.SeedSequence(0))
     vals = np.array([
         WhiteNoiseField(DiffusionComponent(dens), WIN, 1.0,
-                        np.random.SeedSequence((s, 1))).value(
-            1.0, Region.from_intervals([(0.5, 1.0)]))
+                        [np.random.SeedSequence((s, 1))]).value(
+            1.0, Region.from_intervals([(0.5, 1.0)]))[0]
         for s in range(3000)])
     # mass over (1/2, 1] is int 2x dx = 3/4
     assert sps.kstest(vals, "norm", args=(0.0, np.sqrt(0.75))).pvalue > 0.01
@@ -87,7 +90,7 @@ def test_nonconstant_density_mass():
 def test_two_dim_box_additivity():
     win = Region.from_intervals([(0.0, 1.0), (0.0, 1.0)])
     w = WhiteNoiseField(DiffusionComponent(Density(1.0)), win, 1.0,
-                        np.random.SeedSequence(42))
+                        [np.random.SeedSequence(42)])
     q11 = w.value(1.0, Region(2, (Box((0.0, 0.0), (0.5, 0.5)),)))
     q12 = w.value(1.0, Region(2, (Box((0.0, 0.5), (0.5, 1.0)),)))
     q21 = w.value(1.0, Region(2, (Box((0.5, 0.0), (1.0, 0.5)),)))
@@ -99,14 +102,14 @@ def test_grid_values_consistent_with_point_queries():
     w = make_field(77)
     edges = [np.array([0.0, 0.3, 0.7, 1.0])]
     cells = w.grid_values(1.0, WIN.boxes[0], edges)
-    assert cells.shape == (3,)
+    assert cells.shape == (1, 3)
     for k, (a, b) in enumerate(zip(edges[0][:-1], edges[0][1:])):
-        assert cells[k] == w.value(1.0, Region(1, (interval(float(a), float(b)),)))
+        assert cells[0, k] == w.value(1.0, Region(1, (interval(float(a), float(b)),)))[0]
 
 
 def test_none_sigma_is_zero():
-    w = WhiteNoiseField(None, WIN, 1.0, np.random.SeedSequence(1))
-    assert w.value(1.0, WIN) == 0.0
+    w = WhiteNoiseField(None, WIN, 1.0, [np.random.SeedSequence(1)])
+    assert w.value(1.0, WIN)[0] == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -114,10 +117,11 @@ def test_none_sigma_is_zero():
 # exactly as adding them one query at a time
 # --------------------------------------------------------------------------
 
-def _state(w):
-    return ([([a.tobytes() for a in p["axes"]], p["values"].tobytes(),
+def _state(w, k=0):
+    """Planes, cell values and masses, and generator state of field k of a stack."""
+    return ([([a.tobytes() for a in p["axes"]], p["values"][k].tobytes(),
               p["smass"].tobytes()) for p in w._patches],
-            w._rng.bit_generator.state)
+            w._rngs[k].bit_generator.state)
 
 
 def _one_plane_per_query(w, box, axis, coords, t=1.0):
@@ -130,7 +134,7 @@ def _one_plane_per_query(w, box, axis, coords, t=1.0):
 
 def _twins(window, density=1.0, atoms=(), horizon=1.0, seed=4):
     sigma = DiffusionComponent(Density(density), atoms)
-    return [WhiteNoiseField(sigma, window, horizon, np.random.SeedSequence(seed))
+    return [WhiteNoiseField(sigma, window, horizon, [np.random.SeedSequence(seed)])
             for _ in range(2)]
 
 
@@ -189,22 +193,62 @@ def test_batched_planes_match_one_per_query_2d_two_boxes():
     assert len(b._patches[1]["axes"][1]) == len(set(xs) | set(fine))
 
 
+# --------------------------------------------------------------------------
+# stacks: one plane layout, a generator per field
+# --------------------------------------------------------------------------
+
+def _queries(w):
+    """A fixed query sequence over both query kinds; its answers, in order."""
+    return [w.grid_values(1.0, WIN.boxes[0], [np.linspace(0.0, 1.0, 6)]),
+            w.value(0.6, interval(0.15, 0.7), 0.2),
+            w.grid_values(0.6, interval(0.2, 0.8), [np.linspace(0.2, 0.8, 7)], 0.1),
+            w.value(1.0, WIN)]
+
+
 def test_a_stack_refines_each_field_as_alone():
-    alone = [make_field(s) for s in (1, 2, 3)]
-    stack = [make_field(s) for s in (1, 2, 3)]
-    edges = np.linspace(0.0, 1.0, 6)
-    for w in alone:
-        w.grid_values(1.0, WIN.boxes[0], [edges])
-    _refine(stack, 1, edges)
-    assert [_state(w) for w in stack] == [_state(w) for w in alone]
+    seeds = (1, 2, 3)
+    fields = [make_field(s) for s in seeds]
+    alone = [_queries(w) for w in fields]
+    stack = make_stack(seeds)
+    for got, *want in zip(_queries(stack), *alone):
+        assert np.array_equal(got, np.concatenate(want))
+    assert [_state(stack, k) for k in range(3)] == [_state(w) for w in fields]
 
 
-def test_a_stack_with_different_layouts_is_refused():
-    a, b = make_field(1), make_field(2)
-    a.value(1.0, interval(0.0, 0.3))  # a plane at 0.3 that b lacks
-    with pytest.raises(ValueError, match="one plane layout"):
-        _refine([a, b], 1, [0.5])
-    # same planes, different cell masses
-    c = make_field(3, density=2.0)
-    with pytest.raises(ValueError, match="one plane layout"):
-        _refine([make_field(4), c], 1, [0.5])
+def test_rows_leave_their_source_unchanged():
+    stack = make_stack((1, 2, 3, 4))
+    stack.value(0.5, interval(0.0, 0.3))
+    before = [_state(stack, k) for k in range(4)]
+    rows = stack.rows(1, 3)
+    assert len(rows) == 2
+    got = _queries(rows)
+    assert [_state(stack, k) for k in range(4)] == before
+    for k, seed in enumerate((2, 3)):
+        w = make_field(seed)
+        w.value(0.5, interval(0.0, 0.3))
+        assert all(np.array_equal(a[k], b[0]) for a, b in zip(got, _queries(w)))
+        assert _state(rows, k) == _state(w)
+    # and the source goes on as before, as its fields alone
+    got = _queries(stack)
+    w = make_field(4)
+    w.value(0.5, interval(0.0, 0.3))
+    assert all(np.array_equal(a[3], b[0]) for a, b in zip(got, _queries(w)))
+
+
+def test_fresh_stacks_join_and_refined_ones_do_not():
+    sigma = DiffusionComponent(Density(1.0))
+
+    def stack(*seeds):  # the stacks of one config share its intensity
+        return WhiteNoiseField(sigma, WIN, 1.0, [np.random.SeedSequence((s, 7)) for s in seeds])
+
+    joined = WhiteNoiseField.join([stack(1, 2), stack(3)])
+    assert len(joined) == 3
+    want = _queries(make_stack((1, 2, 3)))
+    assert all(np.array_equal(a, b) for a, b in zip(_queries(joined), want))
+    refined = stack(2)
+    refined.value(1.0, interval(0.0, 0.3))
+    with pytest.raises(ValueError, match="fresh"):
+        WhiteNoiseField.join([stack(1), refined])
+    with pytest.raises(ValueError, match="fresh"):  # another intensity
+        WhiteNoiseField.join([stack(1), make_field(2, density=2.0)])
+    assert WhiteNoiseField.join([refined]) is refined

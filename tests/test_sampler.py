@@ -264,9 +264,9 @@ def _queried(real):
     probe, window = PROBES[real.chars.dim], real.config.window
     for t, t0 in ((0.7, 0.0), (1.0, 0.3), (0.45, 0.2)):
         for region in (probe, window):
-            noise = real.substitute.value(t, region, t0) if real.substitute else 0.0
-            out.append(np.array([real.gaussian.value(t, region, t0), noise,
-                                 real.evaluate(t, region, t0)]))
+            gauss, sub = (0.0 if w is None else w.value(t, region, t0)[0]
+                          for w in (real.gaussian, real.substitute))
+            out.append(np.array([gauss, sub, real.evaluate(t, region, t0)]))
     return out
 
 
@@ -365,15 +365,17 @@ def test_a_batch_member_is_the_lone_path_bit_for_bit(kind, dim):
 
 
 def test_a_batch_answers_after_a_member_was_queried_alone():
+    # a member holds a copy of its white noises: its queries leave the batch alone
     chars, config = _batch_case("stable", 1)
     batch = sample_fields(chars, config, range(5))
-    first = batch.member(2).evaluate(0.5, PROBES[1], 0.1)  # new planes in one field only
+    member = batch.member(2)
+    first = member.evaluate(0.5, PROBES[1], 0.1)  # new planes in the member only
     got = batch.evaluate(0.7, config.window)
+    lone = sample_field(chars, config, 2)
+    assert lone.evaluate(0.5, PROBES[1], 0.1) == first
+    assert member.evaluate(0.7, config.window) == lone.evaluate(0.7, config.window)
     for k in range(5):
-        real = sample_field(chars, config, k)
-        if k == 2:
-            assert real.evaluate(0.5, PROBES[1], 0.1) == first
-        assert real.evaluate(0.7, config.window) == got[k]
+        assert sample_field(chars, config, k).evaluate(0.7, config.window) == got[k]
 
 
 def test_jump_times_ascend_within_each_member():
