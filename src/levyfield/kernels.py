@@ -218,21 +218,27 @@ class JumpKernel:
         A grid settles on an interior maximum only quadratically, or stalls on
         it, so rows whose best point is interior, or that still move, then zoom
         in on it, 16 times finer a step, until steps agree, else
-        ``NonConvergenceError``.  A non-finite maximum is returned as is.
+        ``NonConvergenceError``.  A non-finite maximum is returned as is.  Each
+        row refines until its own levels (and steps) agree, so its value does
+        not depend on the rows evaluated beside it.
         """
         out = np.zeros_like(u)
         for start in range(0, u.size, 256):
             a, b, w = a0[start:start + 256], mod[start:start + 256], u[start:start + 256]
-            prev = None
+            cur, best = np.full(w.size, np.nan), np.zeros(w.size)
+            level, settled = np.zeros(w.size, dtype=int), np.zeros(w.size, dtype=bool)
+            live = np.arange(w.size)
             for m in range(4, SUP_MAX_LEVEL + 1):
-                cur, best = self._grid_sup(a, b, w[:, None] * np.linspace(0.0, 1.0, 2 ** m + 1)[1:])
-                moved = np.inf if prev is None else np.abs(cur - prev)
-                if np.all(moved <= SUP_TOL * (1.0 + cur)) or not np.all(np.isfinite(cur)):
+                new, best[live] = self._grid_sup(
+                    a[live], b[live], w[live, None] * np.linspace(0.0, 1.0, 2 ** m + 1)[1:])
+                settled[live] = np.abs(new - cur[live]) <= SUP_TOL * (1.0 + new)
+                cur[live], level[live] = new, m
+                live = live[~settled[live] & np.isfinite(new)]
+                if not live.size:
                     break
-                prev = cur
-            z = ((best < w) | ~(moved <= SUP_TOL * (1.0 + cur))) & np.isfinite(cur)
+            z = ((best < w) | ~settled) & np.isfinite(cur)
             if z.any():
-                cur[z] = self._zoom_sup(a[z], b[z], w[z], best[z], cur[z], w[z] / 2.0 ** m)
+                cur[z] = self._zoom_sup(a[z], b[z], w[z], best[z], cur[z], w[z] / 2.0 ** level[z])
             out[start:start + 256] = cur
         return out
 
@@ -244,14 +250,20 @@ class JumpKernel:
         return h[at], v[at]
 
     def _zoom_sup(self, a0, mod, u, best, cur, width):
+        """Per row, grids of 33 points around ``best``, 16 times narrower each
+        step, until two steps agree; updates ``best``, ``cur`` and ``width``."""
+        live = np.arange(cur.size)
         for _ in range(SUP_MAX_LEVEL):
-            v = np.clip(best[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 33), 0.0, u[:, None])
-            new, best = self._grid_sup(a0, mod, v)
-            moved = np.abs(new - cur)
-            if np.all(moved <= SUP_TOL * (1.0 + new)):
-                return new
-            cur, width = new, width / 16.0
-        raise NonConvergenceError(f"drift sup still moved by {np.max(moved):.3g} "
+            v = np.clip(best[live, None] + width[live, None] * np.linspace(-1.0, 1.0, 33),
+                        0.0, u[live, None])
+            new, best[live] = self._grid_sup(a0[live], mod[live], v)
+            moved = np.abs(new - cur[live])
+            cur[live], width[live] = new, width[live] / 16.0
+            unsettled = ~(moved <= SUP_TOL * (1.0 + new))
+            live = live[unsettled]
+            if not live.size:
+                return cur
+        raise NonConvergenceError(f"drift sup still moved by {np.max(moved[unsettled]):.3g} "
                                   f"after {SUP_MAX_LEVEL} zoom steps")
 
     def abs_annulus_first_moment(self, c) -> np.ndarray:

@@ -3,12 +3,19 @@
 Tensor Gauss-Legendre over boxes with order escalation; the returned error
 estimate is the last escalation difference.  Escalation stops once that
 difference is within ``max(ABS_TOL, REL_TOL * |value|)``: the tolerances are
-module constants, the same for every caller.  All evaluation points are fed to
-the integrand as a single (n, d) array, so vectorized integrands stay fast.
+module constants, the same for every caller.  Per order, the nodes of every
+unsettled box of the region are fed to the integrand as one (n, d) array (at
+most ``MAX_POINTS`` of them, or one box's), so vectorized integrands stay fast.
+Each box still escalates, stops and is reduced on its own, so where the
+integrand's value at a point does not depend on the other points of the call,
+a region's value and error are bit for bit those of integrating box by box.
 Outside this module only ``Density.integral`` and ``modular_integral`` call it.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -16,8 +23,11 @@ from .regions import Box, Region
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
+ORDERS = (8, 16, 32, 64, 96)
+MAX_POINTS = 2 ** 16   # integrand points per call, unless one box has more
 
 _rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_grid_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _rule(order: int):
@@ -26,46 +36,82 @@ def _rule(order: int):
     return _rule_cache[order]
 
 
+def _grid(order: int, d: int) -> np.ndarray:
+    """The order-``order`` tensor nodes on [-1, 1]^d, shape (order^d, d), C order."""
+    if (order, d) not in _grid_cache:
+        mesh = np.meshgrid(*[_rule(order)[0]] * d, indexing="ij")
+        _grid_cache[order, d] = np.stack([m.ravel() for m in mesh], axis=-1)
+    return _grid_cache[order, d]
+
+
+def _tensor_sums(f, mid: np.ndarray, half: np.ndarray, order: int) -> list[float]:
+    """Tensor Gauss-Legendre sums of ``f`` over the boxes ``mid[i] +- half[i]`` (arrays
+    of shape (boxes, d)), evaluating ``f`` on the nodes of as many boxes at once as
+    ``MAX_POINTS`` allows; each sum is reduced axis by axis as for a lone box."""
+    d = mid.shape[1]
+    ref, weights = _grid(order, d), _rule(order)[1]
+    per = max(1, MAX_POINTS // len(ref))
+    sums = []
+    for start in range(0, len(mid), per):
+        m, h = mid[start:start + per], half[start:start + per]
+        pts = (m[:, None, :] + h[:, None, :] * ref).reshape(-1, d)
+        vals = np.asarray(f(pts), dtype=float).reshape((len(m),) + (order,) * d)
+        for v, axis_weights in zip(vals, h[:, ::-1, None] * weights):
+            for w in axis_weights:
+                v = v @ w
+            sums.append(float(v))
+    return sums
+
+
+def _box_integrals(f, boxes) -> list[tuple[float, float]]:
+    """Adaptive-order (value, error) per box: every box escalates through
+    ``ORDERS`` until it settles, and the boxes still unsettled share each call."""
+    lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    prev = _tensor_sums(f, mid, half, ORDERS[0])
+    out: list = [None] * len(prev)
+    live = list(range(len(prev)))
+    for order in ORDERS[1:]:
+        if not live:
+            break
+        part = (mid, half) if len(live) == len(mid) else (mid[live], half[live])
+        still = []
+        for i, cur in zip(live, _tensor_sums(f, *part, order)):
+            err = abs(cur - prev[i])
+            if not math.isfinite(cur):
+                raise ArithmeticError("integral is not finite")
+            out[i] = (cur, err)   # final once it settles, or after the last order
+            if not err <= max(ABS_TOL, REL_TOL * abs(cur)):
+                prev[i] = cur
+                still.append(i)
+        live = still
+    return out
+
+
 def gauss_box(f, lo, hi, order: int) -> float:
     """Tensor Gauss-Legendre of ``f`` over the box [lo, hi] at a fixed order."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    d = lo.size
-    nodes, weights = _rule(order)
-    axes_pts = [0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in zip(lo, hi)]
-    axes_wts = [0.5 * (b - a) * weights for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.asarray(f(pts), dtype=float).reshape([len(nodes)] * d)
-    for w in reversed(axes_wts):
-        vals = vals @ w
-    return float(vals)
+    lo = np.asarray(lo, dtype=float).reshape(1, -1)
+    hi = np.asarray(hi, dtype=float).reshape(1, -1)
+    return _tensor_sums(f, 0.5 * (lo + hi), 0.5 * (hi - lo), order)[0]
 
 
 def box_integral(f, box: Box) -> tuple[float, float]:
     """Adaptive-order integral over a box; returns (value, error estimate)."""
-    prev = gauss_box(f, box.lo, box.hi, 8)
-    for order in (16, 32, 64, 96):
-        cur = gauss_box(f, box.lo, box.hi, order)
-        err = abs(cur - prev)
-        if not np.isfinite(cur):
-            raise ArithmeticError("integral is not finite")
-        if err <= max(ABS_TOL, REL_TOL * abs(cur)):
-            return cur, err
-        prev = cur
-    return prev, err
+    return _box_integrals(f, (box,))[0]
 
 
 def region_integral(f, region: Region) -> tuple[float, float]:
-    """Sum of ``box_integral`` over the region's boxes: (value, error)."""
+    """Sum over the region's boxes, in box order, of each box's adaptive-order
+    integral: (value, error)."""
     total, err = 0.0, 0.0
-    for b in region.boxes:
-        v, e = box_integral(f, b)
-        total += v
-        err += e
+    if region.boxes:
+        for v, e in _box_integrals(f, region.boxes):
+            total += v
+            err += e
     return total, err
 
 
+@functools.lru_cache(maxsize=None)
 def shell_region(dim: int, k: int) -> Region:
     """The dyadic sup-norm shell ``2^k < |x|_inf <= 2^(k+1)`` as a region; k = -1 is
     the core cube ``(-1, 1]^d``, so rungs -1, 0, 1, ... partition R^d."""

@@ -111,6 +111,21 @@ def test_drift_sup_zooms_in_on_an_interior_maximum():
         assert g == pytest.approx(brute, rel=1e-9)
 
 
+def test_drift_sup_of_a_row_does_not_depend_on_the_rows_beside_it():
+    # rows that settle at different levels, at the endpoint or inside [0, u]:
+    # quadrature stacks the nodes of several boxes into one call
+    kern = CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.7))
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.uniform(0.05, 3.0, 300), [0.0, 0.8, 1.9]])
+    a0 = np.concatenate([rng.uniform(-1.0, 1.0, 300), [0.4, 0.4, 0.4]])
+    mod = np.concatenate([rng.uniform(0.5, 2.0, 300), [1.0, 1.0, 1.0]])
+    batch = kern.drift_sup(a0, mod, u)
+    alone = [kern.drift_sup(a0[i:i + 1], mod[i:i + 1], u[i:i + 1])[0] for i in range(u.size)]
+    assert np.array_equal(batch, alone)
+    tail = kern.drift_sup(a0[::-1], mod[::-1], u[::-1])
+    assert np.array_equal(tail[::-1], batch)
+
+
 class UnsettledKernel(JumpKernel):
     """Unit mass whose truncation drift below v = 0.1 flips sign at every call.
 

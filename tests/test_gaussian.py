@@ -235,6 +235,21 @@ def test_rows_leave_their_source_unchanged():
     assert all(np.array_equal(a[3], b[0]) for a, b in zip(got, _queries(w)))
 
 
+def test_copied_rows_draw_as_the_batch_and_apart_from_it():
+    stack = make_stack((5, 6, 7))
+    stack.value(0.4, interval(0.1, 0.6))
+    rows = stack.rows(0, 2)
+    source = [stack._rngs[k].bit_generator.state for k in range(3)]
+    got = _queries(rows)
+    # the rows drew on generators of their own: the batch's did not advance
+    assert [stack._rngs[k].bit_generator.state for k in range(3)] == source
+    copied = [rows._rngs[k].bit_generator.state for k in range(2)]
+    want = _queries(stack)
+    assert [rows._rngs[k].bit_generator.state for k in range(2)] == copied
+    assert all(np.array_equal(a, b[:2]) for a, b in zip(got, want))
+    assert [_state(rows, k) for k in range(2)] == [_state(stack, k) for k in range(2)]
+
+
 def test_fresh_stacks_join_and_refined_ones_do_not():
     sigma = DiffusionComponent(Density(1.0))
 

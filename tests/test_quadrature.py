@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from levyfield import SimpleFunction, quadrature
+from levyfield.analysis import modular_integrand
+from levyfield.characteristics import (Characteristics, Density, DiffusionComponent,
+                                       DriftComponent, JumpComponent)
+from levyfield.kernels import CompoundPoissonKernel, UniformJumps
 from levyfield.quadrature import (box_integral, gauss_box, ladder_integral, last_rung,
                                   region_integral, shell_region)
 from levyfield.regions import Box, Region
@@ -85,3 +90,159 @@ def test_last_rung_holds_every_point_within_the_reach():
             low, high = np.full((1, dim), -reach), np.full((1, dim), reach)
             assert shell_region(dim, k).contains(low)[0]
             assert any(shell_region(dim, j).contains(high)[0] for j in range(-1, k + 1))
+
+
+# --------------------------------------------------------------------------
+# batched regions: every unsettled box of a region in one integrand call per
+# order, with the values and errors of integrating box by box
+# --------------------------------------------------------------------------
+
+def _lone_box_sum(f, lo, hi, order):
+    """One box's tensor Gauss-Legendre sum, its nodes built and reduced on their own."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    axes_pts = [0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes_pts, indexing="ij")
+    vals = np.asarray(f(np.stack([m.ravel() for m in mesh], axis=-1)),
+                      dtype=float).reshape([order] * len(lo))
+    for a, b in reversed(list(zip(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))):
+        vals = vals @ (0.5 * (b - a) * weights)
+    return float(vals)
+
+
+def _serial(f, region, settled_at=None):
+    """Box by box: each box escalates 8, 16, 32, 64, 96 on its own; the sum in box order."""
+    total = err = 0.0
+    for box in region.boxes:
+        prev = _lone_box_sum(f, box.lo, box.hi, 8)
+        for order in (16, 32, 64, 96):
+            cur = _lone_box_sum(f, box.lo, box.hi, order)
+            e = abs(cur - prev)
+            if not np.isfinite(cur):
+                raise ArithmeticError("integral is not finite")
+            if e <= max(quadrature.ABS_TOL, quadrature.REL_TOL * abs(cur)):
+                break
+            prev = cur
+        else:
+            cur = prev
+            order = None
+        if settled_at is not None:
+            settled_at.append(order)
+        total += cur
+        err += e
+    return total, err
+
+
+def _counted(f, sizes):
+    def g(x):
+        sizes.append(len(x))
+        return f(x)
+    return g
+
+
+def gauss_bell(x):
+    return np.exp(-0.5 * (x * x).sum(axis=1))
+
+
+def test_region_integral_equals_the_box_by_box_sum():
+    two = Region(1, (Box((0.0,), (1.0,)), Box((2.0,), (3.5,))))
+    for f, region in [(lambda x: np.exp(-x[:, 0] ** 2), two),
+                      (lambda x: np.cos(3.0 * x[:, 0]) / (1.0 + x[:, 0] ** 2), two),
+                      (gauss_bell, shell_region(2, 1)),
+                      (lambda x: np.sin(x[:, 0] * x[:, 1]) + x[:, 1] ** 2, shell_region(2, 0))]:
+        assert region_integral(f, region) == _serial(f, region)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_modular_integrand_integrates_as_box_by_box(dim):
+    # piecewise constant |f| against a skewed uniform-jump law: the drift sup of
+    # the stacked nodes takes the generic route, refined row by row
+    chars = Characteristics(dim, gamma=DriftComponent(Density(0.4)),
+                            sigma=DiffusionComponent(Density(0.6)),
+                            nu=JumpComponent(CompoundPoissonKernel(0.75, UniformJumps(0.26, 1.77))))
+    cuts = (-0.92, -0.43, -0.25, 0.73)
+    pieces = [Region.from_intervals([(a, b)] * dim) for a, b in zip(cuts, cuts[1:])]
+    f = SimpleFunction(tuple(zip((1.08, 1.95, 1.25), pieces)))
+    region = Region(dim, tuple(p.boxes[0] for p in pieces))
+    g = modular_integrand(chars, f)
+    assert region_integral(g, region) == _serial(g, region)
+
+
+def test_boxes_that_settle_at_different_orders():
+    # a cubic and a tail settle at once, a bump at order 96; its box goes on alone
+    region = Region(1, (Box((0.0,), (1.0,)), Box((1.0,), (3.0,)), Box((3.0,), (4.0,))))
+
+    def f(x):
+        t = x[:, 0]
+        return np.where(t <= 1.0, t ** 3, 1.0 / (1.0 + 25.0 * (t - 2.0) ** 2))
+
+    orders = []
+    want = _serial(f, region, orders)
+    assert orders == [16, 96, 16]
+    sizes = []
+    assert region_integral(_counted(f, sizes), region) == want
+    assert sizes == [3 * 8, 3 * 16, 32, 64, 96]
+
+
+def test_a_box_that_never_settles_keeps_its_last_two_orders():
+    f = lambda x: 1.0 / np.sqrt(x[:, 0])   # x^(-1/2) at 0: Gauss-Legendre crawls
+    region = Region(1, (Box((0.0,), (1.0,)), Box((1.0,), (2.0,))))
+    orders = []
+    want = _serial(f, region, orders)
+    assert orders == [None, 16]
+    val, err = region_integral(f, region)
+    assert (val, err) == want
+    s96, s64 = _lone_box_sum(f, (0.0,), (1.0,), 96), _lone_box_sum(f, (0.0,), (1.0,), 64)
+    assert box_integral(f, region.boxes[0]) == (s96, abs(s96 - s64))
+    assert err > quadrature.REL_TOL * abs(val)
+
+
+def test_a_non_finite_box_raises():
+    region = Region(1, (Box((0.0,), (1.0,)), Box((2.0,), (3.0,))))
+    for bad in (np.inf, np.nan):
+        f = lambda x, bad=bad: np.where(x[:, 0] > 2.5, bad, 1.0)
+        for integral in (region_integral, _serial):
+            with pytest.raises(ArithmeticError, match="not finite"):
+                integral(f, region)
+
+
+def test_a_shell_takes_one_integrand_call_per_order():
+    sizes = []
+    shell = shell_region(2, 1)
+    assert len(shell.boxes) == 4
+    assert region_integral(_counted(gauss_bell, sizes), shell) == _serial(gauss_bell, shell)
+    assert 2 <= len(sizes) <= len(quadrature.ORDERS)
+    assert sizes[0] == 4 * 8 ** 2
+
+
+@pytest.mark.parametrize("cap, calls", [
+    (None, [6 * 8 ** 3, 6 * 16 ** 3] + [2 * 32 ** 3] * 3),   # 2^16 points: two boxes at 32
+    (2000, [3 * 8 ** 3] * 2 + [16 ** 3] * 6 + [32 ** 3] * 6),
+])
+def test_no_call_holds_more_points_than_the_cap_or_one_box(monkeypatch, cap, calls):
+    if cap is not None:
+        monkeypatch.setattr(quadrature, "MAX_POINTS", cap)
+    shell = shell_region(3, 0)
+    assert len(shell.boxes) == 6
+    f = lambda x: np.cos(6.0 * x[:, 0]) * np.exp(-x[:, 1] ** 2) + x[:, 2] ** 2
+    orders, sizes = [], []
+    want = _serial(f, shell, orders)
+    assert orders == [32] * 6
+    assert region_integral(_counted(f, sizes), shell) == want
+    assert sizes == calls
+    assert all(any(n % o ** 3 == 0 and n <= max(quadrature.MAX_POINTS, o ** 3)
+                   for o in quadrature.ORDERS) for n in sizes)
+
+
+def test_one_box_helpers_are_the_batched_routine():
+    f = lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1])
+    for order in (3, 4, 8, 33):
+        assert gauss_box(f, (0.0, -1.0), (1.0, 0.5), order) == _lone_box_sum(
+            f, (0.0, -1.0), (1.0, 0.5), order)
+    box = Box((0.0, -1.0), (1.0, 0.5))
+    assert box_integral(f, box) == _serial(f, Region.from_box(box))
+    assert region_integral(f, Region(2, ())) == (0.0, 0.0)
+
+
+def test_shell_regions_are_built_once():
+    assert shell_region(2, 3) is shell_region(2, 3)
+    assert shell_region(1, -1) is not shell_region(2, -1)
