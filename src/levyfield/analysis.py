@@ -40,11 +40,19 @@ def drift_correction_sup(chars: Characteristics, x: np.ndarray, u) -> np.ndarray
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.broadcast_to(np.abs(np.asarray(u, dtype=float)), (x.shape[0],)).astype(float)
+    return _drift_sup(chars, x, u, chars.jump_modulation(x))
+
+
+def _drift_sup(chars: Characteristics, x: np.ndarray, u: np.ndarray,
+               mod: np.ndarray | None) -> np.ndarray:
+    """``drift_correction_sup`` at points ``x`` of shape (n, d) with ``u >= 0`` of
+    shape (n,), both float; ``mod`` is the jump modulation at ``x`` (None without
+    a jump part)."""
     a0 = chars.drift_density(x)
     kern = chars.nu.kernel if chars.nu is not None else None
     if kern is None or kern.symmetric:
         return np.abs(a0) * u
-    return kern.drift_sup(a0, chars.jump_modulation(x), u)
+    return kern.drift_sup(a0, mod, u)
 
 
 # --------------------------------------------------------------------------
@@ -61,11 +69,12 @@ def modular_integrand(chars: Characteristics, f):
 
     def integrand(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        u = np.abs(f(x))
-        out = drift_correction_sup(chars, x, u)
+        u = np.abs(np.asarray(f(x), dtype=float))
+        mod = chars.jump_modulation(x) if kern is not None else None
+        out = _drift_sup(chars, x, u, mod)
         out += u * u * chars.diffusion_density(x)
         if kern is not None:
-            out += chars.jump_modulation(x) * kern.compact_moment(u)
+            out += mod * kern.compact_moment(u)
         return out
 
     return integrand

@@ -13,11 +13,11 @@ and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 
 ``sample_fields`` draws a batch of paths, ``sample_field`` its batch of one.
 Replicate k draws from its own streams ``SeedSequence((seed, k, stream))``:
-the count n; n uniform times, sorted in place; each jump's box (``rng.choice``;
-one box spends n uniforms instead); n locations; n sizes.  The marks stay in
-draw order: iid and independent of the times, whose sort gives the uniform
-order statistics, they keep the Poisson law (Devroye, "Non-Uniform Random
-Variate Generation", 1986, ch. V).
+the count n; n uniform times, sorted in place; each jump's box (as
+``rng.choice`` draws it; one box spends n uniforms instead); n locations; n
+sizes.  The marks stay in draw order: iid and independent of the times, whose
+sort gives the uniform order statistics, they keep the Poisson law (Devroye,
+"Non-Uniform Random Variate Generation", 1986, ch. V).
 
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
@@ -39,6 +39,7 @@ import numpy as np
 
 from .characteristics import Characteristics, Density, DiffusionComponent
 from .gaussian import WhiteNoiseField, root_masses
+from .kernels import choice_indices
 from .regions import Region
 
 # stream tags appended to (seed, replicate) so sub-streams never collide
@@ -282,9 +283,9 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
         raise ValueError("jump modulation has no mass on the window")
     boxes = window.boxes
     # one box takes every jump: its "pick" only spends the n uniforms that
-    # rng.choice would draw, so that seeded paths keep their locations
+    # choice_indices would draw, so that seeded paths keep their locations
     one = len(boxes) == 1
-    pick = rng.random(n) if one else rng.choice(len(boxes), size=n, p=box_p)
+    pick = rng.random(n) if one else choice_indices(rng, box_p, n)
     pts = np.empty((n, window.dim))
     for i, b in enumerate(boxes):
         sel = slice(None) if one else pick == i

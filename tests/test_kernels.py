@@ -37,7 +37,63 @@ def test_stable_symbol_constant_via_quadrature():
 
 
 def test_stable_symbol_constant_alpha_three_halves():
-    assert stable_symbol_constant(1.5) == pytest.approx(math.sqrt(2 * math.pi), abs=1e-14)
+    assert stable_symbol_constant(1.5) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-15)
+
+
+# --------------------------------------------------------------------------
+# the scalar Gamma is math.gamma: the closed forms against scipy.special.gamma
+# --------------------------------------------------------------------------
+
+def _scipy_upper_gamma(s, x):
+    """``upper_gamma`` with scipy's Gamma, and the sum of the absolute values of
+    its recurrence's terms (the scale a rounding error in one term is seen at)."""
+    if s > 0:
+        v = scipy.special.gamma(s) * scipy.special.gammaincc(s, x)
+        return v, v
+    if s == 0:
+        v = scipy.special.exp1(x)
+        return v, v
+    up, size = _scipy_upper_gamma(s + 1.0, x)
+    return (up - x ** s * np.exp(-x)) / s, (size + x ** s * np.exp(-x)) / abs(s)
+
+
+def test_stable_symbol_constant_matches_scipy_gamma():
+    alphas = np.linspace(0.01, 1.99, 199)
+    for a in alphas[alphas != 1.0]:
+        want = scipy.special.gamma(2.0 - a) / (1.0 - a) * math.cos(math.pi * a / 2.0)
+        assert stable_symbol_constant(a) == pytest.approx(want, rel=1e-14, abs=0.0), a
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7, 0.95, 1.05, 1.3, 1.8])
+def test_one_sided_laplace_integrand_matches_scipy_gamma(a):
+    # both terms of the closed form nearly cancel where it changes sign, so the
+    # difference is measured against the size of the terms
+    kern, s = StableKernel(a, 1.0, 0.0, scale=0.8), 0.8
+    u = np.logspace(-4, 4, 33)
+    if a > 1.0:
+        gam, lin = s * a * scipy.special.gamma(-a) * u ** a, s * u * a / (a - 1.0)
+    else:
+        gam, lin = -s * scipy.special.gamma(1.0 - a) * u ** a, -s * u * a / (1.0 - a)
+    got = kern.laplace_integrand(u)
+    assert np.all(np.abs(got - (gam - lin)) <= 1e-14 * (np.abs(gam) + np.abs(lin)))
+    assert kern.laplace_integrand(1.0) == got[16]  # u = 10**0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("cutoff", [0.1, 1.0, 7.0])
+def test_tempered_gamma_forms_match_scipy_gamma(alpha, cutoff):
+    kern, scale = TemperedStableKernel(alpha, cutoff, scale=1.3), 1.3
+    c = np.logspace(-3, 2, 26)
+    a, th = alpha, cutoff
+    want = (scale * a * th ** (a - 2.0) * scipy.special.gamma(2.0 - a)
+            * scipy.special.gammainc(2.0 - a, th * c))
+    assert kern.second_moment_below(c) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # the recurrence of upper_gamma cancels at large th*c: measured against its terms
+    up, size = _scipy_upper_gamma(-a, th * c)
+    pos, neg = kern.tail_masses(c)
+    assert np.array_equal(pos, neg)
+    assert np.all(np.abs(pos - scale * 0.5 * a * th ** a * up)
+                  <= 1e-14 * scale * 0.5 * a * th ** a * size)
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +270,33 @@ def test_discrete_jumps_sampler_frequencies():
     x = d.sample(rng, 20000)
     assert set(np.unique(x)) <= {1.0, -1.0}
     assert sps.binomtest(int((x > 0).sum()), len(x), 0.7).pvalue > 0.01
+
+
+@pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.5, 0.3), (0.5, 1e-13, 0.5 - 1e-13),
+                                   (0.05, 0.6, 1e-300, 0.15, 0.2),
+                                   (1e-9, 0.25, 0.25, 0.25, 0.25 - 1e-9)])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_choice_indices_is_rng_choice(probs, n):
+    # the same indices and the same generator state after: seeded draws do not move
+    for seed in range(20):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(len(probs), size=n, p=probs)
+        got = kernels.choice_indices(got_rng, probs, n)
+        assert np.array_equal(got, want) and got.shape == (n,)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_discrete_sample_tail_is_rng_choice_beyond_eps():
+    d = DiscreteJumps((2.0, -0.5, 0.3, -0.05), (0.4, 0.3, 0.2, 0.1))
+    v, p = np.asarray(d.values), np.asarray(d.probs)
+    m = np.abs(v) > 0.1
+    for seed in range(50):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(v[m], size=20, p=p[m] / p[m].sum())
+        assert d.sample_tail(got_rng, 20, 0.1).tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+    with pytest.raises(ValueError, match="no mass beyond 5"):
+        d.sample_tail(np.random.default_rng(0), 3, 5.0)
 
 
 def test_normal_jumps_mean_annulus_vs_quad():

@@ -390,22 +390,26 @@ def test_jump_times_ascend_within_each_member():
     assert real.replicate == 7 and np.array_equal(real.jump_sizes, batch.jump_sizes[a:b])
 
 
-class _NoChoice:
-    """A generator that fails when asked for ``choice``."""
+def test_a_one_box_window_picks_no_boxes(monkeypatch):
+    def no_pick(*args):
+        raise AssertionError("a box pick was drawn")
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def __getattr__(self, name):
-        if name == "choice":
-            raise AssertionError("rng.choice was called")
-        return getattr(self.rng, name)
-
-
-def test_a_one_box_window_picks_no_boxes():
-    pts = sampler._sample_locations(_NoChoice(3), Density(1.0), WIN, (1.0,), 500)
+    monkeypatch.setattr(sampler, "choice_indices", no_pick)
+    rng = np.random.default_rng(3)
+    pts = sampler._sample_locations(rng, Density(1.0), WIN, (1.0,), 500)
     want = np.random.default_rng(3)
     want.random(500)  # the uniforms a pick of box 0 spends: seeded paths keep their locations
     np.testing.assert_array_equal(pts, want.random((500, 1)))
-    with pytest.raises(AssertionError, match="choice"):
-        sampler._sample_locations(_NoChoice(3), Density(1.0), BATCH_WINDOWS[1], (0.4, 0.6), 5)
+    with pytest.raises(AssertionError, match="box pick"):
+        sampler._sample_locations(rng, Density(1.0), BATCH_WINDOWS[1], (0.4, 0.6), 5)
+
+
+def test_a_multi_box_pick_draws_as_rng_choice():
+    # the box of each jump, then its location in the box, as rng.choice drew them
+    rng, want = np.random.default_rng(11), np.random.default_rng(11)
+    pts = sampler._sample_locations(rng, Density(1.0), BATCH_WINDOWS[1], (0.4, 0.6), 50)
+    pick = want.choice(2, size=50, p=(0.4, 0.6))
+    for i, (lo, hi) in enumerate(((0.0, 0.4), (0.4, 1.0))):
+        k = int(np.count_nonzero(pick == i))
+        np.testing.assert_array_equal(pts[pick == i, 0], lo + want.random((k, 1))[:, 0] * (hi - lo))
+    assert rng.random() == want.random()
