@@ -88,13 +88,6 @@ def _box_integrals(f, boxes) -> list[tuple[float, float]]:
     return out
 
 
-def gauss_box(f, lo, hi, order: int) -> float:
-    """Tensor Gauss-Legendre of ``f`` over the box [lo, hi] at a fixed order."""
-    lo = np.asarray(lo, dtype=float).reshape(1, -1)
-    hi = np.asarray(hi, dtype=float).reshape(1, -1)
-    return _tensor_sums(f, 0.5 * (lo + hi), 0.5 * (hi - lo), order)[0]
-
-
 def box_integral(f, box: Box) -> tuple[float, float]:
     """Adaptive-order integral over a box; returns (value, error estimate)."""
     return _box_integrals(f, (box,))[0]

@@ -450,6 +450,46 @@ def embedding_inequality_check(chars: Characteristics, f,
 # Temporal increment stationarity
 # --------------------------------------------------------------------------
 
+MAX_EXACT_KS_N = 10_000   # ks_2samp's exact limit in its default method="auto"
+
+
+def _smirnov_exact(a: np.ndarray, b: np.ndarray) -> float:
+    """P(D >= observed D) for two sorted samples of one size n: Hodges' alternating
+    sum (Ark. Mat. 3, 1958) over the largest gap h between the ECDF counts, in
+    scipy's Horner form and operation order."""
+    n, pooled = len(a), np.concatenate([a, b])
+    h = int(np.abs(np.searchsorted(a, pooled, side="right")
+                   - np.searchsorted(b, pooled, side="right")).max())
+    if h == 0:
+        return 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        p = term * (1.0 - p)
+    return 2 * p
+
+
+def _ks_pvalue(a, b) -> float:
+    """Two-sided two-sample KS p-value, bit for bit ``scipy.stats.ks_2samp(a, b).pvalue``.
+
+    Two samples of one size n <= ``MAX_EXACT_KS_N`` get the exact p-value here,
+    and a NaN in either sample gives NaN.  Other sizes, and an exact sum that
+    rounds outside [0, 1] (a few n = 5 cases), take scipy's own path: the only
+    place the package imports ``scipy.stats``.
+    """
+    a, b = np.sort(a), np.sort(b)
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
+    exact = len(b) == len(a) and 0 < len(a) <= MAX_EXACT_KS_N
+    p = _smirnov_exact(a, b) if exact else math.nan
+    if 0.0 <= p <= 1.0:
+        return p
+    from scipy.stats import ks_2samp  # slow to import; off the exact path only
+    return float(ks_2samp(a, b).pvalue)
+
+
 def stationary_increment_test(chars: Characteristics, region: Region, pairs,
                               n: int, seed: int, *, level: float = 0.01,
                               eps: float = 1e-3,
@@ -465,7 +505,6 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
     batch sampler ``path_sampler`` (``sample_fields``) is injectable so
     planted time-inhomogeneous samplers can exercise the fail arm.
     """
-    from scipy.stats import ks_2samp  # scipy.stats is slow to import; only this test needs it
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not pairs:
         raise ValueError("need at least one (s, t) pair")
@@ -484,7 +523,7 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
         at_s, at_t = _evaluations(path_sampler, chars, cfg1, n, ((s, region), (t, region)))
         fresh = _evaluations(path_sampler, chars, cfg2, n, ((t - s, region),))[0]
         incr = at_t - at_s
-        ks_p = float(ks_2samp(incr, fresh).pvalue)
+        ks_p = _ks_pvalue(incr, fresh)
         dep = independence_test(at_s, incr, level=cutoff,
                                 seed=_child_seed(seed, i, 2))
         undecided = undecided or math.isnan(ks_p) or dep.decision == "indeterminate"

@@ -99,6 +99,26 @@ def test_a_stable_run_loads_no_scipy_special(tmp_path):
     assert "scipy.special" not in loaded
 
 
+def test_the_dependence_checks_load_no_scipy_stats(tmp_path):
+    # the calls of the benchmark's dependence workload: the stationarity test's
+    # KS p-value is exact in verify, so only n > 10,000 would need scipy.stats
+    code = (
+        "from levyfield import Region, SamplerConfig, preset\n"
+        "from levyfield.verify import (OnbCounterexampleSpec, independence_test,\n"
+        "    onb_counterexample, paired_evaluations, stationary_increment_test)\n"
+        "chars = preset('impulsive', rate=20.0)\n"
+        "unit = Region.from_intervals([(0.0, 1.0)])\n"
+        "halves = (Region.from_intervals([(0.0, 0.5)]), Region.from_intervals([(0.5, 1.0)]))\n"
+        "cfg = SamplerConfig(seed=3, window=unit, horizon=1.0, eps=0.0,\n"
+        "                    small_jump_mode='gaussian-substitute')\n"
+        "independence_test(*paired_evaluations(chars, cfg, *halves, 600), permutations=20)\n"
+        "onb_counterexample(OnbCounterexampleSpec(truncation=8, shared=True), 600, 5,\n"
+        "                   permutations=20)\n"
+        "rep = stationary_increment_test(chars, unit, [(0.4, 0.9)], 600, 11)\n"
+        "assert rep.decision != 'indeterminate', rep")
+    assert "scipy.stats" not in _modules_after(code, tmp_path)
+
+
 def _module_level_imports(tree: ast.Module):
     """Import statements that run when the module is imported (function bodies excluded)."""
     todo = list(tree.body)

@@ -3,10 +3,12 @@ embedding bound, stationary increments."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate as spi
+from scipy.stats import ks_2samp
 
 import levyfield.verify as lv
 from levyfield import (Characteristics, Density, Region, SamplerConfig,
@@ -18,7 +20,7 @@ from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump, Si
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
 from levyfield.verify import (OnbCounterexampleSpec, VerificationReport,
-                              _trig_coefficients,
+                              _ks_pvalue, _trig_coefficients,
                               cf_match_test,
                               embedding_inequality_check, independence_test,
                               onb_counterexample, paired_evaluations,
@@ -348,6 +350,90 @@ def test_stationary_increments_indeterminate_when_a_subtest_is():
     assert rep.decision == "indeterminate"
     assert math.isnan(rep.statistic)
     assert "indep_p=nan" in rep.notes[0]
+
+
+def test_stationary_increments_indeterminate_on_a_nan_increment():
+    # a NaN in the increments makes the KS p-value NaN, as ks_2samp's does,
+    # and the report undecided
+    chars = preset("gaussian-white-noise")
+
+    class Holed:
+        def __init__(self, batch):
+            self.batch = batch
+
+        def evaluate(self, t, region, t0=0.0):
+            values = np.array(self.batch.evaluate(t, region, t0))
+            if t > 0.5:   # M(0.9, A): the increment, not the fresh batch at 0.5
+                values[0] = np.nan
+            return values
+
+    def holed_sampler(ch, cfg, replicates):
+        return Holed(sample_fields(ch, cfg, replicates))
+
+    rep = stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 100, seed=2,
+                                    path_sampler=holed_sampler)
+    assert rep.decision == "indeterminate"
+    assert math.isnan(rep.statistic)
+    assert "ks_p=nan" in rep.notes[0]
+
+
+def _exact_sum_fails(a, b) -> bool:
+    """Whether ks_2samp's exact sum falls outside [0, 1], so that it warns and
+    falls back to its asymptotic path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ks_2samp(a, b)
+    return any("Exact calculation unsuccessful" in str(w.message) for w in caught)
+
+
+def _ks_grid():
+    """(a, b) pairs over sizes, shifts, ties, identical samples and NaN."""
+    rng = np.random.default_rng(1958)
+    for n in (1, 2, 5, 7, 100, 600, 2000, 10000):
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        holed = a.copy()
+        holed[n // 2] = np.nan
+        yield pytest.param(a, b, id=f"n{n}-null")
+        yield pytest.param(a, b + 0.5, id=f"n{n}-shifted")
+        yield pytest.param(np.round(a, 1), np.round(b + 0.1, 1), id=f"n{n}-ties")
+        yield pytest.param(a, a.copy(), id=f"n{n}-identical")
+        yield pytest.param(holed, b, id=f"n{n}-nan-first")
+        yield pytest.param(a, holed, id=f"n{n}-nan-second")
+    yield pytest.param(rng.normal(size=10001), rng.normal(size=10001) + 0.02,
+                       id="n10001-asymptotic")
+
+
+@pytest.mark.parametrize("a, b", list(_ks_grid()))
+def test_ks_pvalue_is_ks_2samp_bit_for_bit(a, b):
+    want = ks_2samp(a, b).pvalue
+    got = _ks_pvalue(a, b)
+    assert isinstance(got, float)
+    if np.isnan(a).any() or np.isnan(b).any():
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert got == want
+
+
+@pytest.fixture(scope="module")
+def n5_fallback_pairs():
+    """n = 5 pairs whose exact sum passes 1, found by a seed scan."""
+    pairs = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=5), rng.normal(size=5)
+        if _exact_sum_fails(a, b):
+            pairs.append((a, b))
+    return pairs
+
+
+def test_ks_pvalue_takes_scipys_fallback_where_the_exact_sum_passes_one(n5_fallback_pairs):
+    assert n5_fallback_pairs, "the seed scan hit no n = 5 fallback case"
+    for a, b in n5_fallback_pairs:
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            want = ks_2samp(a, b).pvalue
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            got = _ks_pvalue(a, b)
+        assert got == want
 
 
 def test_stationary_increment_pair_validation():
