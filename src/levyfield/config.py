@@ -406,6 +406,10 @@ def _parse_verify_independence(data, path, chars, sampler):
             "permutations": _int(data, "permutations", path, default=200)}
     if task["n"] < 100:
         raise ConfigError(f"{path}.n", "independence test needs n >= 100")
+    if task["permutations"] < 1:
+        raise ConfigError(f"{path}.permutations", "need at least 1 permutation")
+    if not 0.0 < task["level"] < 1.0:
+        raise ConfigError(f"{path}.level", "level must lie in (0, 1)")
     return task
 
 

@@ -138,8 +138,7 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
 # Distance-covariance independence test
 # --------------------------------------------------------------------------
 
-# Rows times points per chunk of the Fenwick scan in ``_dcov_v_statistics``:
-# its working arrays stay a few MB whatever the sample size.
+# Rows times points per chunk of ``_dcov_v_statistics``: a few MB whatever n.
 _DCOV_CHUNK = 1 << 15
 
 
@@ -153,25 +152,43 @@ def _mean_abs_differences(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fenwick_paths(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Query and update node paths of a Fenwick tree over the ranks 0..n-1.
+def _dominance_sums(rank: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
+    """Per column of the (n, p) ``rank`` and ``z``: the count ``c_i`` of the j < i
+    with ``rank_j < rank_i`` and the sum ``s_i`` of their ``z_j``, as (2, n, p).
 
-    Row r of the query paths lists the nodes whose sum covers the ranks below
-    r, padded with node 0, which stays empty; row r of the update paths lists
-    the nodes that cover rank r, padded with node n + 1, which is never read.
+    With steps cut into blocks and ranks into buckets of ``width``, such a j
+    is in an earlier block and a lower bucket (a 2-D prefix sum of the
+    (block, bucket) histogram), in the same block (step order), or in an
+    earlier block and the same bucket (rank order): about (n/width)^2 +
+    2 n width work per column, one loop pass per offset within a block.
     """
-    depth = max(1, n.bit_length())
-    query = np.empty((n, depth), dtype=np.int32)
-    update = np.empty((n, depth), dtype=np.int32)
-    node = np.arange(n)
-    for k in range(depth):
-        query[:, k] = node
-        node &= node - 1
-    node = np.arange(1, n + 1)
-    for k in range(depth):
-        update[:, k] = np.minimum(node, n + 1)
-        node += node & -node
-    return query, update
+    n, p = rank.shape
+    nb = -(-n // width)
+    m = nb * width
+    # 1-based cells: the prefix sum at cell - (nb + 2) skips the own block and bucket
+    cell = ((np.arange(p) * (nb + 1) + np.arange(n)[:, None] // width + 1) * (nb + 1)
+            + rank // width + 1).ravel()
+    size = p * (nb + 1) ** 2
+    hist = np.stack([np.bincount(cell, minlength=size),
+                     np.bincount(cell, z.ravel(), size)]).reshape(2, p, nb + 1, nb + 1)
+    np.cumsum(hist, axis=2, out=hist)
+    np.cumsum(hist, axis=3, out=hist)
+    # same block in step order, same bucket in rank order; padding precedes no point
+    at_rank = np.zeros((m, p), dtype=np.intp)
+    np.put_along_axis(at_rank, rank, np.arange(n)[:, None], axis=0)
+    zpad = np.pad(z, ((0, m - n), (0, 0)))
+    by_step, by_rank = np.zeros((2, 2, nb, width, p))
+    for key, w, acc in ((np.pad(rank, ((0, m - n), (0, 0))), zpad, by_step),
+                        (at_rank // width, np.take_along_axis(zpad, at_rank, axis=0), by_rank)):
+        key, w = key.reshape(nb, width, p), w.reshape(nb, width, p)
+        for d in range(1, width):
+            hit = key[:, d:] > key[:, :-d]
+            acc[0, :, d:] += hit
+            acc[1, :, d:] += hit * w[:, :-d]
+    out = hist.reshape(2, -1)[:, cell - (nb + 2)].reshape(2, n, p)
+    out += by_step.reshape(2, m, p)[:, :n]
+    out += np.take_along_axis(by_rank.reshape(2, m, p), rank[None], axis=1)
+    return out
 
 
 def _dcov_v_statistics(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -180,64 +197,35 @@ def _dcov_v_statistics(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.nda
     With a, b the distance matrices of x and of y reordered by the row r,
     the statistic is ``S1 + S2 - 2 S3`` (Huo & Szekely, Technometrics 58(4),
     2016): ``S2 = mean(a) mean(b)`` and ``S3 = mean_i abar_i bbar_{r(i)}``
-    come from the row means, and ``S1 = mean(a * b)`` from
-    ``_ordered_cross_sums``.  Rows go in chunks, so no array grows like n^2.
+    come from the row means.  With xs ascending and z the y values in its
+    order, ``n^2 S1 / 2 = sum_{j<i} (xs_i - xs_j)|z_i - z_j|
+    = sum_i xs_i (2 L_i - n bbar_{y(i)})``, and ``L_i = sum_{j<i} |z_i - z_j|``
+    needs only the two sums of ``_dominance_sums``.  Rows go in chunks, so
+    no array grows like n^2.
     """
     n = x.size
     abar = _mean_abs_differences(x)
     bbar = _mean_abs_differences(y)
     s2 = abar.mean() * bbar.mean()
     order = np.argsort(x, kind="stable")
-    xs = (x - x.mean())[order]
+    xs = (x - x.mean())[order, None]
     yc = y - y.mean()
     rank = np.empty(n, dtype=np.int32)
     rank[np.argsort(y, kind="stable")] = np.arange(n)
-    paths = _fenwick_paths(n)
+    width = int(2.0 * n ** (1.0 / 3.0))          # fastest near this for n = 600..4000
     out = np.empty(rows.shape[0])
     chunk = max(1, _DCOV_CHUNK // n)
     for lo in range(0, rows.shape[0], chunk):
         block = rows[lo:lo + chunk]
         steps = block[:, order].T                   # (n, p): y index at each step
-        s1 = _ordered_cross_sums(xs, yc[steps], rank[steps], *paths)
+        z = yc[steps]
+        c, s = _dominance_sums(rank[steps], z, width)
+        # a tie in z may count as lower or not: its term is 0 either way
+        lsum = z * (2.0 * c - np.arange(n)[:, None]) + (np.cumsum(z, axis=0) - z) - 2.0 * s
+        s1 = (xs * (2.0 * lsum - n * bbar[steps])).sum(axis=0)
         s3 = (abar * bbar[block]).mean(axis=1)
         out[lo:lo + chunk] = 2.0 * s1 / (n * n) + s2 - 2.0 * s3
     return out
-
-
-def _ordered_cross_sums(xs, z, rank, query, update) -> np.ndarray:
-    """``sum_{j<i} (xs_i - xs_j)|z_ip - z_jp|`` over all pairs, per column p of z.
-
-    ``xs`` is ascending and ``rank[i, p]`` is the rank of ``z[i, p]`` in
-    its column.  Step i needs, over the earlier j with ``z_jp < z_ip``, the
-    sums of ``1, xs_j, z_jp, xs_j z_jp``: one Fenwick tree per column,
-    indexed by rank, gives them in O(log n), and all columns advance
-    together, so the Python loop runs n times.  Ties in z may fall on either
-    side, as their term is 0.
-    """
-    n, p = z.shape
-    offset = (np.arange(p, dtype=np.int32) * (n + 2))[:, None]
-    q = query[rank]
-    q += offset
-    u = update[rank]
-    u += offset
-    xc = xs[:, None]
-    w = np.empty((n, p, 4))
-    w[..., 0] = 1.0
-    w[..., 1] = xc
-    w[..., 2] = z
-    w[..., 3] = xc * z
-    tree = np.zeros((p * (n + 2), 4))
-    g = np.empty((n, p, 4))
-    for qi, ui, wi, gi in zip(q, u, w[:, :, None, :], g):
-        np.add.reduce(tree.take(qi, axis=0), axis=1, out=gi)
-        nodes = tree.take(ui, axis=0)
-        nodes += wi
-        tree[ui] = nodes
-    # the sums over z_j < z_i count with +, the rest of j < i with -; the
-    # running totals may include j = i, whose term is 0
-    g *= 2.0
-    g -= np.cumsum(w, axis=0, out=w)
-    return (xc * (z * g[..., 0] - g[..., 2]) - z * g[..., 1] + g[..., 3]).sum(axis=0)
 
 
 def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
@@ -249,13 +237,15 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
 
     Distance covariance is sensitive to nonlinear and tail dependence, which
     correlation-based tests miss for heavy-tailed laws.  The observed and
-    all permuted statistics come from one O(P n log n) pass with memory
-    linear in n (P = permutations + 1).  Samples larger than ``max_points``
-    are still subsampled (seeded): dropping the subsample would change the
-    p-values at fixed seeds, which is a decision of its own.  A subsampled
-    report keeps ``sample_size`` = n and says so in a note.  A NaN or an
-    infinity in either sample gives ``indeterminate``.  Passing means
-    independence was *not* rejected.
+    all permuted statistics come from blocked dominance sums: about P n^(4/3)
+    work, memory linear in n (P = permutations + 1).  Samples larger than
+    ``max_points`` are still subsampled (seeded): dropping the subsample
+    would change the p-values at fixed seeds, which is a decision of its
+    own.  A subsampled report keeps ``sample_size`` = n and says so in a
+    note.  A NaN or an infinity in either sample gives ``indeterminate``, as
+    does a test that cannot reject, ``(1 + permutations) * level < 1`` (the
+    smallest p-value is 1/(1 + permutations)); it keeps its p-value and a
+    note.  Passing means independence was *not* rejected.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -263,6 +253,8 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
         raise ValueError("paired samples must have equal length")
     if x.size < 100:
         raise ValueError("need at least 100 pairs")
+    if permutations < 0:
+        raise ValueError("permutations must be >= 0")
     n = x.size
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return VerificationReport(name, math.nan, level, "indeterminate",
@@ -287,6 +279,9 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
     exceed = int(np.count_nonzero(stats[1:] >= obs))
     pvalue = (1.0 + exceed) / (1.0 + permutations)
     decision = "pass" if pvalue > level else "fail"
+    if (1.0 + permutations) * level < 1.0:
+        decision = "indeterminate"
+        notes.append(f"cannot reject: min p-value 1/{1 + permutations} > level {level:g}")
     return VerificationReport(name, float(pvalue), float(level), decision, n,
                               seed, provenance,
                               (f"dcov2={obs:.4e} permutations={permutations}", *notes))
@@ -524,8 +519,9 @@ def stationary_increment_test(chars: Characteristics, region: Region, pairs,
         fresh = _evaluations(path_sampler, chars, cfg2, n, ((t - s, region),))[0]
         incr = at_t - at_s
         ks_p = _ks_pvalue(incr, fresh)
-        dep = independence_test(at_s, incr, level=cutoff,
-                                seed=_child_seed(seed, i, 2))
+        # enough permutations that the smallest p-value is below the cutoff
+        dep = independence_test(at_s, incr, permutations=max(200, math.ceil(1.0 / cutoff)),
+                                level=cutoff, seed=_child_seed(seed, i, 2))
         undecided = undecided or math.isnan(ks_p) or dep.decision == "indeterminate"
         worst = min(worst, ks_p, dep.statistic)
         notes.append(f"(s,t)=({s:g},{t:g}): ks_p={ks_p:.4g} indep_p={dep.statistic:.4g}")

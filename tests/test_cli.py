@@ -97,6 +97,17 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 2
 
 
+@pytest.mark.parametrize("bad, path", [("permutations: 0", "permutations"),
+                                       ("level: 1.0", "level")])
+def test_run_dcov_task_that_cannot_test_exits_2(tmp_path, capsys, bad, path):
+    cfg = write_cfg(tmp_path, MINIMAL.split("tasks:")[0] + "tasks:\n"
+                    "  - {kind: verify-independence, region_a: [[0.0, 0.5]],\n"
+                    f"     region_b: [[0.5, 1.0]], n: 100, {bad}}}\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert f"tasks[0].{path}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_unknown_triple_key_exits_2(tmp_path, capsys):
     # a misspelt modulation used to parse, and the run used modulation 1
     cfg = write_cfg(tmp_path, """\

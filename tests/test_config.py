@@ -160,6 +160,18 @@ def test_verify_cf_task_requirements():
         {"kind": "verify-cf", "u": [], "n": 2000, "region": [[0, 1]]}]))
 
 
+def test_verify_independence_task_bounds():
+    t = {"kind": "verify-independence", "region_a": [[0, 0.5]], "region_b": [[0.5, 1]]}
+    task = parse_config(base(tasks=[t])).tasks[0]
+    assert task["permutations"] == 200 and task["level"] == 0.01
+    assert parse_config(base(tasks=[dict(t, permutations=1)])).tasks[0]["permutations"] == 1
+    for perms in (0, -3):
+        msg = err(base(tasks=[dict(t, permutations=perms)]))
+        assert msg.startswith("tasks[0].permutations:")
+    for level in (0, 0.0, 1, 1.5, -0.01):
+        assert err(base(tasks=[dict(t, level=level)])).startswith("tasks[0].level:")
+
+
 def test_sheet_axes_forms():
     explicit = {"kind": "sheet", "axes": [[0.25, 0.5, 0.75]]}
     cfg = parse_config(base(tasks=[explicit]))

@@ -87,6 +87,12 @@ def test_the_white_noise_layout_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_the_fenwick_scan_is_gone():
+    # distance covariance reads two blocked dominance sums (verify._dominance_sums)
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    assert defined & {"_fenwick_paths", "_ordered_cross_sums"} == set()
+
+
 def test_the_scan_sees_a_dead_name():
     package = ("def used():\n    pass\n"
                "def dead():\n    pass\n"

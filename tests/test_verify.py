@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate as spi
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import levyfield.verify as lv
@@ -89,12 +91,73 @@ def test_independence_test_notes_a_subsample():
         rep = independence_test(x, y, permutations=20, max_points=max_points)
         assert rep.sample_size == 600
         assert not any("subsampled" in note for note in rep.notes)
-    rep = independence_test(x, y, permutations=20, max_points=599)
+    rep = independence_test(x, y, permutations=99, max_points=599)
     assert rep.sample_size == 600 and rep.decision in ("pass", "fail")
     assert "subsampled 599 of 600 pairs" in rep.notes
     flat = independence_test(np.ones(600), y, permutations=20, max_points=200)
     assert flat.decision == "indeterminate"
     assert "subsampled 200 of 600 pairs" in flat.notes
+
+
+def test_independence_test_that_cannot_reject_is_indeterminate():
+    # the smallest p-value is 1/(1 + permutations): at level 0.01 fewer than
+    # 99 permutations cannot reject even a perfectly dependent pair
+    x = np.random.default_rng(4).standard_normal(200)
+    for permutations, pvalue in ((0, 1.0), (50, 1.0 / 51)):
+        rep = independence_test(x, x, permutations=permutations)
+        assert rep.decision == "indeterminate" and rep.statistic == pvalue
+        assert f"cannot reject: min p-value 1/{1 + permutations} > level 0.01" in rep.notes
+        assert rep.notes[0].startswith("dcov2=")
+    assert independence_test(x, x, level=0.0).decision == "indeterminate"
+    rep = independence_test(x, x, permutations=99)
+    assert rep.decision == "fail" and rep.statistic == 0.01
+    assert not any("cannot reject" in note for note in rep.notes)
+    assert independence_test(x, x, permutations=4, level=0.2).decision == "fail"
+    with pytest.raises(ValueError, match="permutations must be >= 0"):
+        independence_test(x, x, permutations=-3)
+
+
+def _brute_dominance_sums(rank, z):
+    c, s = np.zeros(z.shape), np.zeros(z.shape)
+    for i in range(z.shape[0]):
+        lower = rank[:i] < rank[i]
+        c[i], s[i] = lower.sum(axis=0), (lower * z[:i]).sum(axis=0)
+    return c, s
+
+
+def _column_ranks(z):
+    rank = np.empty(z.shape, dtype=np.int32)
+    for k in range(z.shape[1]):
+        rank[np.argsort(z[:, k], kind="stable"), k] = np.arange(z.shape[0])
+    return rank
+
+
+@pytest.mark.parametrize("width", [3, 16])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 100, 257, 601])
+@pytest.mark.parametrize("columns", [1, 9])
+def test_dominance_sums_match_the_quadratic_count(width, n, columns):
+    rng = np.random.default_rng(n)
+    for z in (rng.standard_t(1.5, (n, columns)), np.round(rng.standard_normal((n, columns)))):
+        rank = _column_ranks(z)
+        c, s = lv._dominance_sums(rank, z, width)
+        c_ref, s_ref = _brute_dominance_sums(rank, z)
+        assert np.array_equal(c, c_ref)
+        assert np.allclose(s, s_ref, rtol=0.0, atol=1e-12 * (1.0 + np.abs(z).sum()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(
+           st.lists(st.lists(st.integers(-4, 4), min_size=p, max_size=p), min_size=1,
+                    max_size=70),
+           st.integers(1, 12))))
+def test_dominance_sums_property(case):
+    rows, width = case
+    z = np.array(rows, dtype=float)
+    rank = _column_ranks(z)
+    c, s = lv._dominance_sums(rank, z, width)
+    c_ref, s_ref = _brute_dominance_sums(rank, z)
+    # small integers sum exactly in any order
+    assert np.array_equal(c, c_ref) and np.array_equal(s, s_ref)
 
 
 def _mean_distances(v):
@@ -124,6 +187,19 @@ def test_dcov_v_statistics_match_the_dense_reference(n):
         got = lv._dcov_v_statistics(xx, yy, rows)
         for stat, row in zip(got, rows):
             assert abs(stat - _dense_dcov(xx, yy[row])) <= 1e-10 * scale
+
+
+def test_dcov_v_statistics_with_a_last_chunk_cut_short(monkeypatch):
+    # 600 points and 2**12 per chunk: 6 rows a chunk, so 23 rows end in a 5-row chunk
+    monkeypatch.setattr(lv, "_DCOV_CHUNK", 1 << 12)
+    rng = np.random.default_rng(23)
+    x, y = rng.standard_normal(600), np.round(rng.standard_t(2.0, 600), 1)
+    rows = np.stack([np.arange(600)] + [rng.permutation(600) for _ in range(22)])
+    scale = _mean_distances(x).mean() * _mean_distances(y).mean()
+    got = lv._dcov_v_statistics(x, y, rows)
+    assert got.shape == (23,)
+    for stat, row in zip(got, rows):
+        assert abs(stat - _dense_dcov(x, y[row])) <= 1e-10 * scale
 
 
 def _dense_pvalue(x, y, *, permutations, seed, max_points):
@@ -324,22 +400,51 @@ def test_stationary_increments_null_gaussian():
     assert rep.statistic > rep.threshold
 
 
+class _Warped:
+    """A batch whose values scale with time: increments that are neither
+    stationary nor independent of the past."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def evaluate(self, t, region, t0=0.0):
+        return (1.0 + 2.0 * t) * self.batch.evaluate(t, region, t0)
+
+
+def _warped_sampler(ch, cfg, replicates):
+    return _Warped(sample_fields(ch, cfg, replicates))
+
+
 def test_stationary_increments_catch_time_warp():
     chars = preset("gaussian-white-noise")
 
-    class Warped:
-        def __init__(self, batch):
-            self.batch = batch
-
-        def evaluate(self, t, region, t0=0.0):
-            return (1.0 + 2.0 * t) * self.batch.evaluate(t, region, t0)
-
-    def warped_sampler(ch, cfg, replicates):
-        return Warped(sample_fields(ch, cfg, replicates))
-
     rep = stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 300, seed=2,
-                                    path_sampler=warped_sampler)
+                                    path_sampler=_warped_sampler)
     assert rep.decision == "fail"
+
+
+def test_stationary_increments_permute_enough_for_their_cutoff(monkeypatch):
+    # one pair keeps 200 permutations; two pairs halve the cutoff to 0.0025,
+    # which 200 permutations (smallest p-value 1/201) could never reach
+    chars = preset("gaussian-white-noise")
+
+    seen = []
+    real = lv.independence_test
+
+    def spy(*args, **kw):
+        seen.append(kw["permutations"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lv, "independence_test", spy)
+    stationary_increment_test(chars, UNIT, [(0.4, 0.9)], 100, seed=2)
+    assert seen == [200]
+    rep = stationary_increment_test(chars, UNIT, [(0.2, 0.5), (0.4, 0.9)], 300, seed=2,
+                                    path_sampler=_warped_sampler)
+    assert seen[1:] == [400, 400] and rep.threshold == 0.0025
+    assert rep.decision == "fail"
+    # the warp couples each increment with the past: every dcov sub-test rejects
+    indep = [float(note.split("indep_p=")[1]) for note in rep.notes]
+    assert all(p < rep.threshold for p in indep)
 
 
 def test_stationary_increments_indeterminate_when_a_subtest_is():
