@@ -20,7 +20,7 @@ import numpy as np
 from .characteristics import Characteristics
 from .funcs import PolynomialDecay, effective_domain
 from .kernels import JumpKernel, NonConvergenceError
-from .quadrature import last_rung, region_integral, shell_region
+from .quadrature import last_rung, region_integrals, shell_region
 from .regions import Region
 
 
@@ -63,7 +63,7 @@ def modular_integrand(chars: Characteristics, f):
     """Vectorized ``x -> Phi(|f(x)|, x) * control_density(x)``.
 
     Integrating this against Lebesgue gives the membership integral
-    ``int Phi(|f|, x) lambda(dx)`` off the atoms (``modular_integral`` adds them).
+    ``int Phi(|f|, x) lambda(dx)`` off the atoms (``modular_integrals`` adds them).
     """
     kern = chars.nu.kernel if chars.nu is not None else None
 
@@ -80,16 +80,18 @@ def modular_integrand(chars: Characteristics, f):
     return integrand
 
 
-def modular_integral(chars: Characteristics, f, region: Region) -> tuple[float, float]:
-    """``(int_region Phi(|f|, x) lambda(dx), quadrature error)``: the quadrature of
-    ``modular_integrand`` plus ``|f w_gamma| + f^2 w_sigma`` at each atom in the region."""
-    atoms = 0.0
-    if chars.gamma is not None:
-        atoms += chars.gamma.atom_sum(lambda p: np.abs(f(p)), region, absolute=True)
-    if chars.sigma is not None:
-        atoms += chars.sigma.atom_sum(lambda p: f(p) ** 2, region)
-    val, err = region_integral(modular_integrand(chars, f), region)
-    return val + atoms, err
+def modular_integrals(chars: Characteristics, f, regions) -> list[tuple[float, float]]:
+    """Per region, ``(int_region Phi(|f|, x) lambda(dx), quadrature error)``: the
+    quadrature of ``modular_integrand`` plus ``|f w_gamma| + f^2 w_sigma`` at each atom
+    in the region.  The boxes of all the regions share each integrand call."""
+    atoms = [0.0] * len(regions)
+    for i, region in enumerate(regions):
+        if chars.gamma is not None:
+            atoms[i] += chars.gamma.atom_sum(lambda p: np.abs(f(p)), region, absolute=True)
+        if chars.sigma is not None:
+            atoms[i] += chars.sigma.atom_sum(lambda p: f(p) ** 2, region)
+    quad = region_integrals(modular_integrand(chars, f), regions)
+    return [(val + a, err) for (val, err), a in zip(quad, atoms)]
 
 
 def phi_m(chars: Characteristics, u: float, x) -> float:
@@ -154,7 +156,7 @@ def lm_membership(chars: Characteristics, f,
         if bounded.is_empty:
             return MembershipResult("member", 0.0, 0.0, note="empty effective domain")
         try:
-            val, err = modular_integral(chars, f, bounded)
+            val, err = modular_integrals(chars, f, (bounded,))[0]
         except NonConvergenceError as exc:
             return MembershipResult("indeterminate", note=str(exc))
         except ArithmeticError:
@@ -165,8 +167,19 @@ def lm_membership(chars: Characteristics, f,
         return MembershipResult("member", val, err)
 
     # Unbounded domain: the ladder of R^d; an atom counts in the rung holding it.
+    # The core cube and shells 0 .. MIN_SHELLS - 1 are one batch; if it fails, they
+    # are walked one rung at a time like every later shell, so the failing rung is named.
+    def rung(k: int) -> tuple[float, float]:
+        return first[k + 1] if k + 1 < len(first) else modular_integrals(
+            chars, f, (shell_region(chars.dim, k),))[0]
+
     try:
-        total, err = modular_integral(chars, f, shell_region(chars.dim, -1))
+        first = modular_integrals(chars, f, [shell_region(chars.dim, k)
+                                             for k in range(-1, MIN_SHELLS)])
+    except ArithmeticError:   # NonConvergenceError included
+        first = []
+    try:
+        total, err = rung(-1)
     except NonConvergenceError as exc:
         return MembershipResult("indeterminate", note=f"core cube: {exc}")
     shells: list[float] = []
@@ -174,7 +187,7 @@ def lm_membership(chars: Characteristics, f,
     atoms_end = last_rung(chars.atom_reach)
     for k in range(MAX_SHELLS):
         try:
-            sk, e = modular_integral(chars, f, shell_region(chars.dim, k))
+            sk, e = rung(k)
             err += e
         except NonConvergenceError as exc:
             # an unsettled value is no evidence of divergence

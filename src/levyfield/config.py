@@ -516,6 +516,8 @@ def _parse_counterexample(data, path, chars, sampler):
         raise ConfigError(path, str(exc)) from None
     if task["n"] < 100:
         raise ConfigError(f"{path}.n", "counterexample needs n >= 100")
+    if not 0.0 < task["level"] < 1.0:
+        raise ConfigError(f"{path}.level", "level must lie in (0, 1)")
     return task
 
 

@@ -18,7 +18,11 @@ from .regions import Box, Region
 
 
 class TestFunction:
-    """Callable on point arrays of shape (n, d); knows dim, support, partials."""
+    """Callable on point arrays of shape (n, d); knows dim, support, partials.
+
+    Sums and products over the d coordinates run column by column: for d <= 7
+    that is numpy's ``axis=1`` reduction bit for bit, and far faster for small d.
+    """
 
     dim: int
     support_region: Region | None = None  # None means unbounded support
@@ -81,12 +85,12 @@ class ProductBump(TestFunction):
     def __call__(self, x):
         x = self._coerce(x)
         t = (x - self.center) / self.radius
-        return np.prod(self._profile(t), axis=1)
+        return math.prod(self._profile(t).T)
 
     def mixed_partial(self, x):
         x = self._coerce(x)
         t = (x - self.center) / self.radius
-        return np.prod(self._profile_deriv(t) / self.radius, axis=1)
+        return math.prod((self._profile_deriv(t) / self.radius).T)
 
 
 class GaussianFunction(TestFunction):
@@ -103,13 +107,13 @@ class GaussianFunction(TestFunction):
     def __call__(self, x):
         x = self._coerce(x)
         z = (x - self.center) / self.scale
-        return np.exp(-0.5 * (z * z).sum(axis=1))
+        return np.exp(-0.5 * sum(c * c for c in z.T))
 
     def mixed_partial(self, x):
         x = self._coerce(x)
         z = (x - self.center) / self.scale
         g = np.exp(-0.5 * z * z)
-        return np.prod(g * (-z / self.scale), axis=1)
+        return math.prod((g * (-z / self.scale)).T)
 
 
 class PolynomialDecay(TestFunction):
@@ -124,14 +128,14 @@ class PolynomialDecay(TestFunction):
 
     def __call__(self, x):
         x = self._coerce(x)
-        return (1.0 + (x * x).sum(axis=1)) ** (-self.r)
+        return (1.0 + sum(c * c for c in x.T)) ** (-self.r)
 
     def mixed_partial(self, x):
         # d applications of d/dx_i give (-2)^d r(r+1)...(r+d-1) x_1...x_d (1+|x|^2)^{-r-d}
         x = self._coerce(x)
         rising = math.prod(self.r + j for j in range(self.dim))
-        s = 1.0 + (x * x).sum(axis=1)
-        return (-2.0) ** self.dim * rising * np.prod(x, axis=1) * s ** (-self.r - self.dim)
+        s = 1.0 + sum(c * c for c in x.T)
+        return (-2.0) ** self.dim * rising * math.prod(x.T) * s ** (-self.r - self.dim)
 
 
 class IndicatorFunction(TestFunction):

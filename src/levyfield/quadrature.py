@@ -3,13 +3,14 @@
 Tensor Gauss-Legendre over boxes with order escalation; the returned error
 estimate is the last escalation difference.  Escalation stops once that
 difference is within ``max(ABS_TOL, REL_TOL * |value|)``: the tolerances are
-module constants, the same for every caller.  Per order, the nodes of every
-unsettled box of the region are fed to the integrand as one (n, d) array (at
-most ``MAX_POINTS`` of them, or one box's), so vectorized integrands stay fast.
-Each box still escalates, stops and is reduced on its own, so where the
-integrand's value at a point does not depend on the other points of the call,
-a region's value and error are bit for bit those of integrating box by box.
-Outside this module only ``Density.integral`` and ``modular_integral`` call it.
+module constants, the same for every caller.  ``region_integrals`` integrates
+several regions at once: per order, the nodes of every unsettled box of them all,
+built axis by axis, go to the integrand as one (n, d) array (at most
+``MAX_POINTS`` of them, or one box's).  Each box still escalates, stops and is
+reduced on its own, so where the integrand's value at a point does not depend on
+the other points of the call, each region's value and error are bit for bit those
+of integrating its boxes one by one.  Outside this module only ``Density.integral``
+(through ``region_integral``, the one-region case) and ``modular_integrals`` call it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ ORDERS = (8, 16, 32, 64, 96)
 MAX_POINTS = 2 ** 16   # integrand points per call, unless one box has more
 
 _rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_grid_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _rule(order: int):
@@ -36,26 +36,22 @@ def _rule(order: int):
     return _rule_cache[order]
 
 
-def _grid(order: int, d: int) -> np.ndarray:
-    """The order-``order`` tensor nodes on [-1, 1]^d, shape (order^d, d), C order."""
-    if (order, d) not in _grid_cache:
-        mesh = np.meshgrid(*[_rule(order)[0]] * d, indexing="ij")
-        _grid_cache[order, d] = np.stack([m.ravel() for m in mesh], axis=-1)
-    return _grid_cache[order, d]
-
-
 def _tensor_sums(f, mid: np.ndarray, half: np.ndarray, order: int) -> list[float]:
     """Tensor Gauss-Legendre sums of ``f`` over the boxes ``mid[i] +- half[i]`` (arrays
     of shape (boxes, d)), evaluating ``f`` on the nodes of as many boxes at once as
-    ``MAX_POINTS`` allows; each sum is reduced axis by axis as for a lone box."""
+    ``MAX_POINTS`` allows; each sum is reduced axis by axis as for a lone box.  Axis
+    j's nodes ``mid[:, j] + half[:, j] * node`` are broadcast over the grid (C order)."""
     d = mid.shape[1]
-    ref, weights = _grid(order, d), _rule(order)[1]
-    per = max(1, MAX_POINTS // len(ref))
+    nodes, weights = _rule(order)
+    per = max(1, MAX_POINTS // order ** d)
     sums = []
     for start in range(0, len(mid), per):
         m, h = mid[start:start + per], half[start:start + per]
-        pts = (m[:, None, :] + h[:, None, :] * ref).reshape(-1, d)
-        vals = np.asarray(f(pts), dtype=float).reshape((len(m),) + (order,) * d)
+        pts = np.empty((len(m),) + (order,) * d + (d,))
+        for j in range(d):
+            pts[..., j] = (m[:, j, None] + h[:, j, None] * nodes).reshape(
+                (len(m),) + (1,) * j + (order,) + (1,) * (d - 1 - j))
+        vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(pts.shape[:-1])
         for v, axis_weights in zip(vals, h[:, ::-1, None] * weights):
             for w in axis_weights:
                 v = v @ w
@@ -93,15 +89,25 @@ def box_integral(f, box: Box) -> tuple[float, float]:
     return _box_integrals(f, (box,))[0]
 
 
-def region_integral(f, region: Region) -> tuple[float, float]:
-    """Sum over the region's boxes, in box order, of each box's adaptive-order
-    integral: (value, error)."""
-    total, err = 0.0, 0.0
-    if region.boxes:
-        for v, e in _box_integrals(f, region.boxes):
+def region_integrals(f, regions) -> list[tuple[float, float]]:
+    """Per region, the sum over its boxes, in box order, of each box's adaptive-order
+    integral: (value, error).  The boxes of all the regions escalate together."""
+    boxes = [b for region in regions for b in region.boxes]
+    results = iter(_box_integrals(f, boxes) if boxes else ())
+    out = []
+    for region in regions:
+        total, err = 0.0, 0.0
+        for _ in region.boxes:
+            v, e = next(results)
             total += v
             err += e
-    return total, err
+        out.append((total, err))
+    return out
+
+
+def region_integral(f, region: Region) -> tuple[float, float]:
+    """``region_integrals`` of one region."""
+    return region_integrals(f, (region,))[0]
 
 
 @functools.lru_cache(maxsize=None)

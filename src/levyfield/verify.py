@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import modular_integral
+from .analysis import modular_integrals
 from .characteristics import Characteristics
 from .funcs import IndicatorFunction, effective_domain
 from .integrate import _integrate_paths, empirical_cf
@@ -413,7 +413,7 @@ def embedding_inequality_check(chars: Characteristics, f,
         def fl(x):
             return np.abs(np.asarray(f(x)))
 
-        lhs, err = modular_integral(chars, f, domain)
+        lhs, err = modular_integrals(chars, f, (domain,))[0]
         l1 = chars.control_measure(domain, fl)
         l2 = chars.control_measure(domain, lambda x: fl(x) ** 2)
         err += l1.error_bound + l2.error_bound

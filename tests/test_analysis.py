@@ -8,15 +8,16 @@ import pytest
 import scipy.integrate as spi
 
 from levyfield import (Characteristics, Density, JumpComponent, Region,
-                       StableKernel, preset)
+                       StableKernel, analysis, preset)
 from levyfield.analysis import (TemperedResult, UndefinedDensityError, besov_classify,
                                 drift_correction_sup, lm_membership,
                                 modular_integrand, phi_m, stationarity_check,
                                 tempered_test)
-from levyfield.characteristics import Atom, DriftComponent
+from levyfield.characteristics import Atom, DiffusionComponent, DriftComponent
 from levyfield.funcs import GaussianFunction, PolynomialDecay, ProductBump
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps, JumpKernel,
                                NonConvergenceError, TabulatedKernel, UniformJumps)
+from levyfield.quadrature import ORDERS
 from levyfield.verify import embedding_inequality_check
 
 
@@ -321,3 +322,99 @@ def test_besov_monotone_in_smoothness():
         taus = np.linspace(-2.0, 2.0, 41)
         ranks = [order[besov_classify(alpha, dim, p, t, rho)] for t in taus]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+
+
+# --------------------------------------------------------------------------
+# the ladder's first block (core cube and shells 0 .. MIN_SHELLS - 1) is one
+# quadrature batch, with the verdict of walking it one rung at a time
+# --------------------------------------------------------------------------
+
+def rung_by_rung(monkeypatch, chars, f):
+    """``lm_membership`` with every batch of several regions refused, so the ladder
+    falls back to integrating one rung at a time."""
+    batched = analysis.modular_integrals
+
+    def one_at_a_time(chars, f, regions):
+        if len(regions) > 1:
+            raise ArithmeticError("batch refused")
+        return batched(chars, f, regions)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "modular_integrals", one_at_a_time)
+        return lm_membership(chars, f)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name, params", [
+    ("balan-stable", {"alpha": 1.3}), ("balan-stable", {"alpha": 0.7, "p": 0.8, "q": 0.2}),
+    ("mytnik-positive", {"alpha": 1.6}), ("impulsive", {"rate": 4.0})])
+def test_the_batched_ladder_is_the_rung_by_rung_walk(monkeypatch, dim, name, params):
+    chars = preset(name, dim=dim, **params)
+    verdicts = set()
+    for r in (0.2, 0.5, 1.0, 3.0):
+        f = PolynomialDecay(r, dim)
+        got = lm_membership(chars, f)
+        assert got == rung_by_rung(monkeypatch, chars, f), r
+        verdicts.add(got.verdict)
+    assert "member" in verdicts
+
+
+def test_the_batched_ladder_counts_atoms_outside_the_core_in_their_rungs(monkeypatch):
+    chars = Characteristics(
+        1, gamma=DriftComponent(Density(0.2), (Atom((3.0,), -4.0), Atom((0.5,), 1.0))),
+        sigma=DiffusionComponent(Density(0.5), (Atom((-20.0,), 2.0),)),
+        nu=JumpComponent(StableKernel(1.5)))
+    for r in (0.5, 2.0):
+        got = lm_membership(chars, PolynomialDecay(r, 1))
+        assert got == rung_by_rung(monkeypatch, chars, PolynomialDecay(r, 1))
+        assert got.verdict == "member" and len(got.shells) >= 6
+    # the atom at -20 lies in shell 4: |f| w at 3 and f^2 w at -20 count there
+    f = PolynomialDecay(0.5, 1)
+    bare = lm_membership(Characteristics(1, gamma=DriftComponent(Density(0.2)),
+                                         sigma=DiffusionComponent(Density(0.5)),
+                                         nu=chars.nu), f)
+    core, shells = bare.shells, lm_membership(chars, f).shells
+    assert shells[1] - core[1] == pytest.approx(4.0 / math.sqrt(10.0), rel=1e-12)
+    assert shells[4] - core[4] == pytest.approx(2.0 / 401.0, rel=1e-9)
+
+
+def test_a_non_finite_shell_in_the_batch_is_named_by_the_walk(monkeypatch):
+    def zeta(x):   # infinite jump intensity on shell 3 only
+        r = np.abs(x).max(axis=1)
+        return np.where((r > 8.0) & (r <= 16.0), np.inf, 1.0)
+
+    for dim in (1, 2):
+        chars = preset("impulsive", rate=3.0, zeta=zeta, dim=dim)
+        for r in (0.3, 2.0):
+            got = lm_membership(chars, PolynomialDecay(r, dim))
+            assert got == rung_by_rung(monkeypatch, chars, PolynomialDecay(r, dim))
+            assert got.note.endswith("shell 3") or "at shell 3" in got.note
+            assert len(got.shells) == 4 and got.shells[3] == np.inf
+
+
+def test_a_non_converging_drift_sup_in_the_batch_is_named_by_the_walk(monkeypatch):
+    for r in (1.0, 4.0):
+        want = rung_by_rung(monkeypatch, UNSETTLED, PolynomialDecay(r, 1))
+        got = lm_membership(UNSETTLED, PolynomialDecay(r, 1))
+        assert got == want
+        assert got.note.startswith("shell 1: " if r == 1.0 else "core cube: ")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_six_shell_verdict_takes_one_call_per_order(monkeypatch, dim):
+    calls = []
+    base = PolynomialDecay(1.0, dim)
+
+    class Counted(PolynomialDecay):
+        def __call__(self, x):
+            calls.append(len(x))
+            return base(x)
+
+    chars = preset("balan-stable", alpha=1.5, dim=dim)
+    got = lm_membership(chars, Counted(1.0, dim))
+    assert got.verdict == "member" and len(got.shells) == analysis.MIN_SHELLS
+    assert got == lm_membership(chars, base)
+    assert 2 <= len(calls) <= len(ORDERS)
+    calls.clear()
+    rung_by_rung(monkeypatch, chars, Counted(1.0, dim))
+    assert len(calls) >= 2 * (1 + analysis.MIN_SHELLS)

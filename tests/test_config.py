@@ -211,6 +211,13 @@ def test_counterexample_task_spec():
     assert "disjoint" in err(base(tasks=[overlap]))
 
 
+def test_counterexample_task_level_bounds():
+    t = {"kind": "counterexample", "n": 500}
+    assert parse_config(base(tasks=[dict(t, level=0.2)])).tasks[0]["level"] == 0.2
+    for level in (0, 1, 1.5, -0.01):
+        assert err(base(tasks=[dict(t, level=level)])).startswith("tasks[0].level:")
+
+
 def test_besov_task_alpha_inference():
     t = {"kind": "classify-besov", "p": "inf", "tau": -1.0, "rho_growth": -3.0}
     task = parse_config(base(tasks=[t])).tasks[0]

@@ -7,7 +7,7 @@ in the text, so string hooks (``perfbench/tracer.py`` patches by name) and
 attribute access both count as uses.
 
 Spatial integrals go through their measure (``Density.integral``) and the
-modular through ``modular_integral``, so only those two call the region
+modular through ``modular_integrals``, so only those two call the region
 quadrature (``QUADRATURE_CALLERS``).  Where f lives is read in one place,
 ``funcs.effective_domain``: no other module reads ``support_region``.
 """
@@ -87,6 +87,13 @@ def test_the_white_noise_layout_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_the_tensor_node_grid_is_gone():
+    # the quadrature builds its nodes per axis (quadrature._tensor_sums)
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    assert "_grid" not in defined
+    assert "_grid_cache" not in (PACKAGE / "quadrature.py").read_text(encoding="utf-8")
+
+
 def test_the_fenwick_scan_is_gone():
     # distance covariance reads two blocked dominance sums (verify._dominance_sums)
     defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
@@ -105,12 +112,13 @@ def test_the_scan_sees_a_dead_name():
     assert dead_names([package], [package, other]) == {"dead", "K.unused", "Unused"}
 
 
-# enclosing function -> calls of region_integral/box_integral outside quadrature.py
-QUADRATURE_CALLERS = {"Density.integral": 1, "modular_integral": 1}
+# enclosing function -> calls of the region/box quadrature outside quadrature.py
+QUADRATURE_CALLERS = {"Density.integral": 1, "modular_integrals": 1}
+QUADRATURE_ENTRIES = ("region_integral", "region_integrals", "box_integral")
 
 
 def quadrature_calls(text: str) -> Counter:
-    """Calls of ``region_integral``/``box_integral`` per top-level function or method."""
+    """Calls of a ``QUADRATURE_ENTRIES`` name per top-level function or method."""
     counts = Counter()
     for node in ast.parse(text).body:
         if isinstance(node, ast.ClassDef):
@@ -122,7 +130,7 @@ def quadrature_calls(text: str) -> Counter:
             for call in ast.walk(unit):
                 if isinstance(call, ast.Call) and (
                         getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                ) in ("region_integral", "box_integral"):
+                ) in QUADRATURE_ENTRIES:
                     counts[name] += 1
     return counts
 
@@ -135,16 +143,19 @@ def test_spatial_integrals_go_through_their_measure():
 
 
 def test_the_scan_counts_quadrature_calls():
-    source = ("from .quadrature import box_integral, region_integral\n"
+    source = ("from .quadrature import box_integral, region_integral, region_integrals\n"
               "from . import quadrature\n"
               "def direct(f, r):\n    return region_integral(f, r)[0] + box_integral(f, r)[0]\n"
+              "def batch(f, rs):\n    return region_integrals(f, rs)\n"
               "class M:\n"
               "    def integral(self, r):\n"
               "        def inner(p):\n            return p\n"
               "        return quadrature.region_integral(inner, r)\n"
+              "    def integrals(self, rs):\n        return quadrature.region_integrals(len, rs)\n"
               "    def other(self):\n        return 0.0\n"
               "x = region_integral(len, None)\n")
-    assert quadrature_calls(source) == Counter({"direct": 2, "M.integral": 1})
+    assert quadrature_calls(source) == Counter({"direct": 2, "batch": 1, "M.integral": 1,
+                                                "M.integrals": 1})
 
 
 def support_readers(text: str) -> list[int]:

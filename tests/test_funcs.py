@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,29 @@ def test_effective_domain_is_where_f_can_be_nonzero():
                              (-1.0, Region.from_intervals([(4.0, 5.0)]))))
     assert effective_domain(simple, window).boxes == (interval(0.2, 1.0),)
     assert effective_domain(simple, Region.from_intervals([(1.5, 3.5)])).is_empty
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_column_reductions_are_numpys_axis_reductions(d):
+    # the test functions sum and multiply their d columns one by one; up to seven
+    # columns that is bit for bit numpy's sum(axis=1) / prod(axis=1)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4000, d)) * np.exp(rng.uniform(-6.0, 6.0, (4000, d)))
+    c, s = rng.uniform(-1.0, 1.0, d), 0.7
+    bump = ProductBump(c, rng.uniform(0.5, 3.0, d), smoothness=2)
+    inner = c + rng.uniform(-1.0, 1.0, (4000, d)) * bump.radius
+    t = (inner - bump.center) / bump.radius
+    assert np.array_equal(bump(inner), np.prod(bump._profile(t), axis=1))
+    assert np.array_equal(bump.mixed_partial(inner),
+                          np.prod(bump._profile_deriv(t) / bump.radius, axis=1))
+    z = (x - c) / s
+    gauss = GaussianFunction(c, s)
+    assert np.array_equal(gauss(x), np.exp(-0.5 * (z * z).sum(axis=1)))
+    assert np.array_equal(gauss.mixed_partial(x),
+                          np.prod(np.exp(-0.5 * z * z) * (-z / s), axis=1))
+    decay = PolynomialDecay(0.75, d)
+    q = 1.0 + (x * x).sum(axis=1)
+    assert np.array_equal(decay(x), q ** -0.75)
+    rising = math.prod(0.75 + j for j in range(d))
+    assert np.array_equal(decay.mixed_partial(x),
+                          (-2.0) ** d * rising * np.prod(x, axis=1) * q ** (-0.75 - d))

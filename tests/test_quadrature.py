@@ -7,7 +7,7 @@ from levyfield.characteristics import (Characteristics, Density, DiffusionCompon
                                        DriftComponent, JumpComponent)
 from levyfield.kernels import CompoundPoissonKernel, UniformJumps
 from levyfield.quadrature import (box_integral, ladder_integral, last_rung,
-                                  region_integral, shell_region)
+                                  region_integral, region_integrals, shell_region)
 from levyfield.regions import Box, Region
 
 
@@ -148,8 +148,22 @@ def test_region_integral_equals_the_box_by_box_sum():
     for f, region in [(lambda x: np.exp(-x[:, 0] ** 2), two),
                       (lambda x: np.cos(3.0 * x[:, 0]) / (1.0 + x[:, 0] ** 2), two),
                       (gauss_bell, shell_region(2, 1)),
-                      (lambda x: np.sin(x[:, 0] * x[:, 1]) + x[:, 1] ** 2, shell_region(2, 0))]:
+                      (lambda x: np.sin(x[:, 0] * x[:, 1]) + x[:, 1] ** 2, shell_region(2, 0)),
+                      (lambda x: np.exp(x[:, 0] - x[:, 1] ** 2) * np.cos(2.0 * x[:, 2]),
+                       Region.from_box(Box((-0.5, 0.0, 1.0), (1.0, 0.75, 3.0))))]:
         assert region_integral(f, region) == _serial(f, region)
+
+
+def test_region_integrals_are_each_regions_integral():
+    # the boxes of all the regions escalate together; each region keeps its own sum
+    regions = [shell_region(2, k) for k in range(-1, 4)] + [Region(2, ())]
+    sizes = []
+    got = region_integrals(_counted(gauss_bell, sizes), regions)
+    assert got == [_serial(gauss_bell, r) for r in regions]
+    assert got == [region_integral(gauss_bell, r) for r in regions]
+    assert got[-1] == (0.0, 0.0) and len(sizes) <= len(quadrature.ORDERS)
+    assert sizes[0] == 17 * 8 ** 2
+    assert region_integrals(gauss_bell, []) == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
