@@ -33,8 +33,8 @@ from .sampler import (FieldRealization, InfiniteActivityError, LevyItoSpec,
                       OutOfWindowError, PathBatch, SamplerConfig, levy_ito_spec,
                       sample_field, sample_fields, sample_marginals,
                       sample_stable_marginal_oracle)
-from .sheets import (BoxIncrement, DualityResult, LampReport, SheetRealization,
-                     box_increment, duality_check, lamp_grid_check)
+from .sheets import (BoxIncrement, DualityResult, SheetRealization, box_increment,
+                     duality_check)
 from .verify import (OnbCounterexampleSpec, VerificationReport, cf_match_test,
                      embedding_inequality_check,
                      independence_test, onb_counterexample,

@@ -46,8 +46,6 @@ class ProductBump(TestFunction):
 
     ``smoothness=None`` gives the C-infinity profile ``exp(-1/(1-t^2))``;
     an integer k >= 1 gives the spline profile ``(1-t^2)^k`` (C^{k-1}).
-    The function vanishes outside the ball of radius ``support_radius``
-    around the center (the support box is inscribed in that ball).
     """
 
     def __init__(self, center, radius, smoothness: int | None = None):
@@ -62,10 +60,6 @@ class ProductBump(TestFunction):
         self.dim = self.center.size
         self.support_region = Region.from_box(
             Box(tuple(self.center - self.radius), tuple(self.center + self.radius)))
-
-    @property
-    def support_radius(self) -> float:
-        return float(np.sqrt((self.radius ** 2).sum()))
 
     def _profile(self, t):
         inside = np.abs(t) < 1.0

@@ -31,7 +31,7 @@ from .regions import Box, Region
 
 
 class WhiteNoiseField:
-    """Gaussian parts ``W((t0, t1] x A)`` of a stack of sampled fields,
+    """Gaussian parts ``W((0, t] x A)`` of a stack of sampled fields,
     field k drawing from ``default_rng(seeds[k])``; queries answer per field."""
 
     def __init__(self, sigma: DiffusionComponent | None, window: Region, horizon: float,
@@ -83,35 +83,34 @@ class WhiteNoiseField:
         return part
 
     # -- queries ---------------------------------------------------------
-    def value(self, t1: float, region: Region | Box, t0: float = 0.0) -> np.ndarray:
-        """``W((t0, t1] x region)`` per field, exact over the refined grid."""
+    def value(self, t: float, region: Region | Box) -> np.ndarray:
+        """``W((0, t] x region)`` per field, exact over the refined grid."""
         boxes = region.boxes if isinstance(region, Region) else (region,)
         total = np.zeros(len(self))
-        if self._sigma is None or t1 <= t0 or not boxes:  # a plane draws
+        if self._sigma is None or t <= 0.0 or not boxes:  # a plane draws
             return total
-        self._ensure_planes(t0, t1, boxes)
+        self._ensure_planes(t, boxes)
         for patch in self._patches:
             for b in boxes:
                 piece = patch["box"].intersect(b)
                 if piece is None:
                     continue
-                idx = (slice(None), _span(patch["axes"][0], t0, t1)) + tuple(
+                idx = (slice(None), _span(patch["axes"][0], 0.0, t)) + tuple(
                     _span(patch["axes"][i + 1], piece.lo[i], piece.hi[i]) for i in range(piece.dim))
                 total += patch["values"][idx].reshape(len(self), -1).sum(axis=1)
         return total
 
-    def grid_values(self, t1: float, box: Box, edges: list[np.ndarray],
-                    t0: float = 0.0) -> np.ndarray:
-        """Cell values of ``W((t0,t1] x .)`` per field over a tensor mesh
+    def grid_values(self, t: float, box: Box, edges: list[np.ndarray]) -> np.ndarray:
+        """Cell values of ``W((0, t] x .)`` per field over a tensor mesh
         inside one box, shape (fields, cells per axis...).
 
         ``edges[i]`` are the mesh edge coordinates along space axis i
         (including both endpoints).  The box must lie inside a single window
         part.
         """
-        if self._sigma is None or t1 <= t0:
+        if self._sigma is None or t <= 0.0:
             return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
-        self._ensure_planes(t0, t1, (box,))
+        self._ensure_planes(t, (box,))
         for i, e in enumerate(edges):
             self._refine(i + 1, e)
         for patch in self._patches:
@@ -120,7 +119,7 @@ class WhiteNoiseField:
             if not all(patch["box"].lo[i] <= box.lo[i] and box.hi[i] <= patch["box"].hi[i]
                        for i in range(box.dim)):
                 raise ValueError("mesh box must lie within a single window part")
-            arr = patch["values"][:, _span(patch["axes"][0], t0, t1)].sum(axis=1)
+            arr = patch["values"][:, _span(patch["axes"][0], 0.0, t)].sum(axis=1)
             for i, e in enumerate(edges):
                 planes = patch["axes"][i + 1]
                 lo = int(np.searchsorted(planes, e[0]))
@@ -132,9 +131,9 @@ class WhiteNoiseField:
         return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
 
     # -- refinement ------------------------------------------------------
-    def _ensure_planes(self, t0: float, t1: float, boxes) -> None:
+    def _ensure_planes(self, t: float, boxes) -> None:
         # box by box, so a query over several boxes keeps its draw order
-        self._refine(0, (t0, t1))
+        self._refine(0, (t,))
         for b in boxes:
             for i in range(b.dim):
                 self._refine(i + 1, (b.lo[i], b.hi[i]))

@@ -123,7 +123,7 @@ def _integrate_paths(chars: Characteristics, config, batches, f, t: float,
     values, pairings, pending = [], [], []
     for batch in itertools.chain(batches, (None,)):
         if batch is not None:
-            batch._check_query(t, domain, 0.0)
+            batch._check_query(t, domain)
             keep = batch._kept(t, domain)
             locs = batch.jump_locations[keep]
             jumps = f(locs) * batch.jump_sizes[keep] if len(locs) else np.empty(0)

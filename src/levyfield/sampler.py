@@ -160,17 +160,18 @@ class SamplerConfig:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 
-    def check_times(self, t: float, t0: float) -> None:
-        """The one check of a query's time span (t0, t] against the horizon."""
-        if not 0.0 <= t0 <= t <= self.horizon * (1 + 1e-12):
-            raise ValueError("need 0 <= t0 <= t <= horizon")
+    def check_times(self, t: float) -> None:
+        """The one check of a query's time span (0, t] against the horizon."""
+        if not 0.0 <= t <= self.horizon * (1 + 1e-12):
+            raise ValueError("need 0 <= t <= horizon")
 
 
 class PathBatch:
     """Paths ``replicates`` of one sampler config over (0, horizon] x window.
     Member i has rows ``offsets[i]:offsets[i + 1]`` of the jump arrays (times
     ascending) and field i of the white-noise stacks ``gaussian``, ``substitute``
-    (or None).  A query gives each member the value it would give alone."""
+    (or None).  A query covers (0, t] and gives each member the value it
+    would give alone."""
 
     def __init__(self, spec: LevyItoSpec, config: SamplerConfig, replicates, offsets,
                  times, locations, sizes, gaussian, substitute):
@@ -194,69 +195,68 @@ class PathBatch:
                                   for s in (self.gaussian, self.substitute)))
 
     # -- structure -------------------------------------------------------
-    def _check_query(self, t: float, region: Region, t0: float) -> None:
-        self.config.check_times(t, t0)
+    def _check_query(self, t: float, region: Region) -> None:
+        self.config.check_times(t)
         if region.dim != self.chars.dim:
             raise ValueError("region dimension mismatch")
         if not region.is_empty and not self.config.window.covers_region(region):
             raise OutOfWindowError("query region is not covered by the sampled window")
 
-    def _per_modulation(self, rate: float, t: float, region: Region, t0: float) -> float:
-        """``(t - t0) m(region) rate``; m(region) is kept for this batch only."""
+    def _per_modulation(self, rate: float, t: float, region: Region) -> float:
+        """``t m(region) rate``; m(region) is kept for this batch only."""
         if not rate:
             return 0.0
         if region not in self._mod_cache:
             self._mod_cache[region] = self.chars.nu.spatial_mass(region)[0]
-        return (t - t0) * self._mod_cache[region] * rate
+        return t * self._mod_cache[region] * rate
 
-    def _kept(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
-        """The flat mask of the jumps in (t0, t] x region."""
-        times = self.jump_times
-        return (times > t0) & (times <= t) & region.contains(self.jump_locations)
+    def _kept(self, t: float, region: Region) -> np.ndarray:
+        """The flat mask of the jumps in (0, t] x region."""
+        return (self.jump_times <= t) & region.contains(self.jump_locations)
 
     def _member_sums(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Per member, the sum in jump order of ``values``, the quantities at ``keep``."""
         return np.bincount(self._owner[keep], values, len(self.replicates))
 
     # -- exact accessors, the same for every member ----------------------
-    def drift(self, t: float, region: Region, t0: float = 0.0) -> float:
-        return (t - t0) * self.chars.gamma_measure(region)
+    def drift(self, t: float, region: Region) -> float:
+        return t * self.chars.gamma_measure(region)
 
-    def compensator(self, t: float, region: Region, t0: float = 0.0) -> float:
+    def compensator(self, t: float, region: Region) -> float:
         """Subtracted mean of the retained compensated jumps (eps < |y| <= 1)."""
-        return self._per_modulation(self.spec.compensator_rate, t, region, t0)
+        return self._per_modulation(self.spec.compensator_rate, t, region)
 
-    def small_jump_bound(self, t: float, region: Region, t0: float = 0.0) -> float:
-        """L2 bound on the dropped small-jump part: (t-t0) int_{|y|<=eps} y^2 nu."""
-        return self._per_modulation(self.spec.small_moment, t, region, t0)
+    def small_jump_bound(self, t: float, region: Region) -> float:
+        """L2 bound on the dropped small-jump part: t int_{|y|<=eps} y^2 nu."""
+        return self._per_modulation(self.spec.small_moment, t, region)
 
     # -- evaluation ------------------------------------------------------
-    def jump_sums(self, t: float, region: Region, t0: float = 0.0) -> tuple[np.ndarray, ...]:
-        """Per member: (large-jump sum, retained-small-jump sum) over (t0, t] x region."""
-        keep = self._kept(t, region, t0)
+    def jump_sums(self, t: float, region: Region) -> tuple[np.ndarray, ...]:
+        """Per member: (large-jump sum, retained-small-jump sum) over (0, t] x region."""
+        keep = self._kept(t, region)
         sizes = self.jump_sizes[keep]
         label = 2 * self._owner[keep] + (np.abs(sizes) <= 1.0)  # 2i: large, 2i + 1: small
         sums = np.bincount(label, sizes, 2 * len(self.replicates))  # in jump order
         return sums[0::2], sums[1::2]
 
-    def evaluate(self, t: float, region: Region, t0: float = 0.0) -> np.ndarray:
-        """M over (t0, t] x region per member: the sum of its components."""
-        c = PathBatch.components(self, t, region, t0)  # arrays, in a FieldRealization too
+    def evaluate(self, t: float, region: Region) -> np.ndarray:
+        """M over (0, t] x region per member: the sum of its components."""
+        c = PathBatch.components(self, t, region)  # arrays, in a FieldRealization too
         return (c["drift"] + c["large_jumps"] + c["small_jumps"] - c["compensator"]
                 + c["gaussian"] + c["substitute"])
 
-    def components(self, t: float, region: Region, t0: float = 0.0) -> dict:
+    def components(self, t: float, region: Region) -> dict:
         """Per member; drift, compensator and bound are one float for all."""
-        self._check_query(t, region, t0)
-        big, small = self.jump_sums(t, region, t0)
-        noise = [np.zeros(len(self.replicates)) if s is None else s.value(t, region, t0)
+        self._check_query(t, region)
+        big, small = self.jump_sums(t, region)
+        noise = [np.zeros(len(self.replicates)) if s is None else s.value(t, region)
                  for s in (self.gaussian, self.substitute)]
         return {
-            "drift": self.drift(t, region, t0),
+            "drift": self.drift(t, region),
             "gaussian": noise[0], "substitute": noise[1],
             "large_jumps": big, "small_jumps": small,
-            "compensator": self.compensator(t, region, t0),
-            "small_jump_bound": self.small_jump_bound(t, region, t0),
+            "compensator": self.compensator(t, region),
+            "small_jump_bound": self.small_jump_bound(t, region),
         }
 
 
@@ -265,11 +265,11 @@ class FieldRealization(PathBatch):
 
     replicate = property(lambda self: self.replicates[0])
 
-    def evaluate(self, t: float, region: Region, t0: float = 0.0) -> float:
-        return float(PathBatch.evaluate(self, t, region, t0)[0])
+    def evaluate(self, t: float, region: Region) -> float:
+        return float(PathBatch.evaluate(self, t, region)[0])
 
-    def components(self, t: float, region: Region, t0: float = 0.0) -> dict:
-        parts = PathBatch.components(self, t, region, t0)
+    def components(self, t: float, region: Region) -> dict:
+        parts = PathBatch.components(self, t, region)
         return {k: float(np.ravel(v)[0]) for k, v in parts.items()}
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .funcs import TestFunction, effective_domain
 from .integrate import integrate
 from .regions import Box, Region
-from .sampler import FieldRealization, OutOfWindowError
+from .sampler import FieldRealization
 
 _CACHE_LIMIT = 1 << 16
 
@@ -50,33 +50,26 @@ class SheetRealization:
     def dim(self) -> int:
         return self.source.chars.dim
 
-    def corner_region(self, x) -> tuple[Region | None, int]:
-        """Signed corner region of ``x`` with its orientation sign."""
-        box, sign = _corner_box(np.asarray(x, dtype=float).reshape(-1))
-        if box is None:
-            return None, sign
-        return Region.from_box(box), sign
-
-    def value(self, t: float, x, t0: float = 0.0) -> float:
-        """``X(t, x)`` — the field evaluated on the signed corner box of x."""
+    def value(self, t: float, x) -> float:
+        """``X(t, x)`` — the field over (0, t] x the signed corner box of x."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"point has dimension {x.size}, sheet has {self.dim}")
-        key = (float(t), float(t0), tuple(x))
+        key = (float(t), tuple(x))
         if key in self._cache:
             return self._cache[key]
-        region, sign = self.corner_region(x)
-        if region is None:
-            self.source.config.check_times(t, t0)
+        box, sign = _corner_box(x)
+        if box is None:
+            self.source.config.check_times(t)
             out = 0.0
         else:
-            out = sign * self.source.evaluate(t, region, t0)
+            out = sign * self.source.evaluate(t, Region.from_box(box))
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = out
         return out
 
-    def corner_grid(self, t: float, axes, t0: float = 0.0) -> np.ndarray:
+    def corner_grid(self, t: float, axes) -> np.ndarray:
         """Sheet values on the tensor lattice ``axes[0] x ... x axes[d-1]``.
 
         Uses a vectorized evaluation when the realization is pure-jump with
@@ -86,13 +79,13 @@ class SheetRealization:
         axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
         if len(axes) != self.dim:
             raise ValueError("need one coordinate array per axis")
-        fast = _fast_grid(self.source, t, axes, t0)
+        fast = _fast_grid(self.source, t, axes)
         if fast is not None:
             return fast
         shape = tuple(a.size for a in axes)
         out = np.empty(shape)
         for idx in np.ndindex(shape):
-            out[idx] = self.value(t, [axes[i][idx[i]] for i in range(self.dim)], t0)
+            out[idx] = self.value(t, [axes[i][idx[i]] for i in range(self.dim)])
         return out
 
 
@@ -110,8 +103,7 @@ class BoxIncrement:
         return self.value
 
 
-def box_increment(sheet: SheetRealization, t: float, a, b,
-                  t0: float = 0.0) -> BoxIncrement:
+def box_increment(sheet: SheetRealization, t: float, a, b) -> BoxIncrement:
     """Alternating 2^d corner sum of the sheet over the box (a, b].
 
     Degenerate boxes (``a_j == b_j`` on some axis) give exactly zero; the sum
@@ -130,7 +122,7 @@ def box_increment(sheet: SheetRealization, t: float, a, b,
     for bits in itertools.product((0, 1), repeat=d):
         corner = np.where(np.asarray(bits, dtype=bool), b, a)
         sign = -1.0 if (d - sum(bits)) % 2 else 1.0
-        terms.append(sign * sheet.value(t, corner, t0))
+        terms.append(sign * sheet.value(t, corner))
     return BoxIncrement(tuple(a), tuple(b), math.fsum(terms))
 
 
@@ -138,8 +130,7 @@ def box_increment(sheet: SheetRealization, t: float, a, b,
 # Fast lattice evaluation (pure-jump, constant densities)
 # --------------------------------------------------------------------------
 
-def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray],
-               t0: float) -> np.ndarray | None:
+def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray]) -> np.ndarray | None:
     """Vectorized corner-grid evaluation, or None when inapplicable.
 
     Applies when the deterministic part of M(t, .), drift minus the
@@ -152,22 +143,21 @@ def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray],
     if (gamma is not None and not gamma.density.is_constant
             or nu is not None and not nu.modulation.is_constant):
         return None
-    real.config.check_times(t, t0)
+    real.config.check_times(t)
     rate = 0.0 if gamma is None else gamma.density.const
     if nu is not None:
         rate -= nu.modulation.const * real.spec.compensator_rate
     d = len(axes)
-    i0 = int(np.searchsorted(real.jump_times, t0, side="right"))
     i1 = int(np.searchsorted(real.jump_times, t, side="right"))
-    locs = real.jump_locations[i0:i1]
-    sizes = real.jump_sizes[i0:i1]
+    locs = real.jump_locations[:i1]
+    sizes = real.jump_sizes[:i1]
 
-    out = (t - t0) * rate * reduce(np.multiply.outer, axes)
+    out = t * rate * reduce(np.multiply.outer, axes)
     if chars.gamma is not None:
         for atom in chars.gamma.atoms:
             factors = [_axis_indicator_matrix(np.array([atom.point[i]]), axes[i])[0]
                        for i in range(d)]
-            out += (t - t0) * atom.weight * reduce(np.multiply.outer, factors)
+            out += t * atom.weight * reduce(np.multiply.outer, factors)
     if sizes.size:
         mats = [_axis_indicator_matrix(locs[:, i], axes[i]) for i in range(d)]
         if d == 1:
@@ -279,96 +269,3 @@ def _pair_mixed(real: FieldRealization, sheet: SheetRealization,
     sign = -1.0 if d % 2 else 1.0
     total = sign * math.fsum((fdot * values * weight).ravel())
     return total, int(values.size)
-
-
-# --------------------------------------------------------------------------
-# Grid-resolution continuity report
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LampViolation:
-    jump_index: int
-    side: str  # 'at', 'upper', or 'lower'
-    point: tuple[float, ...]
-    delta: float
-
-
-@dataclass(frozen=True)
-class LampReport:
-    checked: int
-    skipped: int
-    violations: tuple[LampViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def lamp_grid_check(sheet: SheetRealization, t: float, grid) -> LampReport:
-    """Grid-resolution check of the sheet's one-sided limit conventions.
-
-    For every retained jump, the sheet value at the jump location, at the
-    nearest lattice point in the upper-right orthant, and at the nearest
-    strictly-lower lattice point are each reconciled against the exact
-    decomposition (deterministic part + signed jump count).  A jump counted
-    on the wrong side of its own coordinate shows up as a violation of size
-    about the jump height.  Jumps with no admissible neighbor on the grid
-    are skipped, so a one-point grid passes vacuously.
-    """
-    grid = [np.sort(np.asarray(g, dtype=float).reshape(-1)) for g in grid]
-    if len(grid) != sheet.dim:
-        raise ValueError("need one coordinate array per axis")
-    src = sheet.source
-    i1 = int(np.searchsorted(src.jump_times, t, side="right"))
-    checked = skipped = 0
-    violations = []
-    for j in range(i1):
-        g = src.jump_locations[j]
-        upper, lower = [], []
-        ok = True
-        for i in range(sheet.dim):
-            k = int(np.searchsorted(grid[i], g[i], side="left"))
-            if k == grid[i].size or k == 0:
-                ok = False
-                break
-            upper.append(grid[i][k])
-            lower.append(grid[i][k - 1])
-        if not ok or np.any(g == 0.0):
-            skipped += 1
-            continue
-        checked += 1
-        for side, point in (("at", tuple(g)), ("upper", tuple(upper)),
-                            ("lower", tuple(lower))):
-            delta = _decomposition_residual(sheet, t, np.asarray(point))
-            if delta is None:
-                skipped += 1
-                continue
-            if abs(delta) > 1e-9 * (1.0 + float(np.abs(src.jump_sizes[:i1]).sum())):
-                violations.append(LampViolation(j, side, point, delta))
-    return LampReport(checked, skipped, tuple(violations))
-
-
-def _decomposition_residual(sheet: SheetRealization, t: float,
-                            x: np.ndarray) -> float | None:
-    """Sheet value minus its exact decomposition at one point.
-
-    The jump part is recomputed from the signed-indicator formula, the
-    deterministic and diffuse parts from the component accessors, so a
-    closure mismatch in the region-based evaluator cannot cancel out.
-    """
-    src = sheet.source
-    region, sign = sheet.corner_region(x)
-    if region is None:
-        return sheet.value(t, x)
-    try:
-        comps = src.components(t, region)
-    except OutOfWindowError:
-        return None
-    i1 = int(np.searchsorted(src.jump_times, t, side="right"))
-    factors = np.ones(i1)
-    for i in range(sheet.dim):
-        factors *= _axis_indicator_matrix(src.jump_locations[:i1, i], x[i:i + 1])[:, 0]
-    formula_jumps = float(src.jump_sizes[:i1] @ factors)
-    rest = sign * (comps["drift"] - comps["compensator"] + comps["gaussian"]
-                   + comps["substitute"])
-    return sheet.value(t, x) - rest - formula_jumps

@@ -229,20 +229,16 @@ def _dcov_v_statistics(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.nda
 
 
 def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
-                      seed: int = 0, max_points: int = 2000,
-                      name: str = "independence",
+                      seed: int = 0, name: str = "independence",
                       provenance: str = "distance-covariance permutation test"
                       ) -> VerificationReport:
     """Permutation test of independence between two paired samples.
 
     Distance covariance is sensitive to nonlinear and tail dependence, which
     correlation-based tests miss for heavy-tailed laws.  The observed and
-    all permuted statistics come from blocked dominance sums: about P n^(4/3)
-    work, memory linear in n (P = permutations + 1).  Samples larger than
-    ``max_points`` are still subsampled (seeded): dropping the subsample
-    would change the p-values at fixed seeds, which is a decision of its
-    own.  A subsampled report keeps ``sample_size`` = n and says so in a
-    note.  A NaN or an infinity in either sample gives ``indeterminate``, as
+    all permuted statistics come from blocked dominance sums over all n
+    pairs: about P n^(4/3) work, memory linear in n (P = permutations + 1).
+    A NaN or an infinity in either sample gives ``indeterminate``, as
     does a test that cannot reject, ``(1 + permutations) * level < 1`` (the
     smallest p-value is 1/(1 + permutations)); it keeps its p-value and a
     note.  Passing means independence was *not* rejected.
@@ -260,25 +256,20 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
         return VerificationReport(name, math.nan, level, "indeterminate",
                                   n, seed, provenance,
                                   ("non-finite value in a sample; dcov undefined",))
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
-    notes = []
-    if n > max_points:
-        idx = rng.choice(n, size=max_points, replace=False)
-        x, y = x[idx], y[idx]
-        notes.append(f"subsampled {max_points} of {n} pairs")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return VerificationReport(name, math.nan, level, "indeterminate",
-                                  n, seed, provenance,
-                                  ("constant marginal; dcov undefined", *notes))
-    rows = np.empty((permutations + 1, x.size), dtype=np.intp)
-    rows[0] = np.arange(x.size)
+                                  n, seed, provenance, ("constant marginal; dcov undefined",))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
+    rows = np.empty((permutations + 1, n), dtype=np.intp)
+    rows[0] = np.arange(n)
     for row in rows[1:]:
-        row[:] = rng.permutation(x.size)
+        row[:] = rng.permutation(n)
     stats = _dcov_v_statistics(x, y, rows)
     obs = float(stats[0])
     exceed = int(np.count_nonzero(stats[1:] >= obs))
     pvalue = (1.0 + exceed) / (1.0 + permutations)
     decision = "pass" if pvalue > level else "fail"
+    notes = []
     if (1.0 + permutations) * level < 1.0:
         decision = "indeterminate"
         notes.append(f"cannot reject: min p-value 1/{1 + permutations} > level {level:g}")

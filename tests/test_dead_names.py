@@ -1,10 +1,11 @@
 """Every function, class and method of the package is named somewhere else.
 
 A top-level function or class, or a non-dunder method, of ``src/levyfield``
-whose name appears in ``src``, ``tests`` and ``perfbench`` only at its own
-definitions has no caller and should go.  Names are matched as whole words
-in the text, so string hooks (``perfbench/tracer.py`` patches by name) and
-attribute access both count as uses.
+that no code in ``src``, ``tests`` and ``perfbench`` names has no caller and
+should go.  Code names it as a variable, an attribute, an imported name or a
+keyword, or as a word of a string that is not a docstring, so string hooks
+(``perfbench/tracer.py`` patches by name) count; comments and docstrings do
+not.
 
 Spatial integrals go through their measure (``Density.integral``) and the
 modular through ``modular_integrals``, so only those two call the region
@@ -37,13 +38,32 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def code_names(text: str):
+    """The names that the code of ``text`` uses, as listed in the module docstring."""
+    tree = ast.parse(text)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *DEF_NODES)) and node.body
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
+
+
 def dead_names(package: list[str], corpus: list[str]) -> set[str]:
-    """Qualified names defined in ``package`` sources that ``corpus`` names only where defined."""
-    mentions = Counter(w for text in corpus for w in re.findall(r"\w+", text))
-    defs = Counter(node.name for text in corpus for node in ast.walk(ast.parse(text))
-                   if isinstance(node, DEF_NODES))
+    """Qualified names defined in ``package`` sources that no code of ``corpus`` names."""
+    used = {name for text in corpus for name in code_names(text)}
     return {qualified for text in package for qualified, name in definitions(ast.parse(text))
-            if mentions[name] <= defs[name]}
+            if name not in used}
 
 
 def package_sources() -> list[str]:
@@ -110,6 +130,22 @@ def test_the_scan_sees_a_dead_name():
                "class Unused:\n    pass\n")
     other = "used()\nK()\nHOOKS = ['hooked']\ndef dead():\n    pass\n"
     assert dead_names([package], [package, other]) == {"dead", "K.unused", "Unused"}
+
+
+def test_the_scan_reads_code_not_prose():
+    package = ("class K:\n"
+               "    \"\"\"Names radius() in its own docstring.\"\"\"\n"
+               "    def radius(self):\n        pass\n"
+               "    def attr(self):\n        pass\n"
+               "    def keyed(self):\n        pass\n"
+               "    def imported(self):\n        pass\n")
+    other = ("\"\"\"K.radius, named in a module docstring.\"\"\"\n"
+             "from pkg import imported\n"
+             "def f(k):\n"
+             "    \"\"\"k.radius(), named in a function docstring.\"\"\"\n"
+             "    # k.radius(), named in a comment\n"
+             "    return k.attr, K(keyed=1)\n")
+    assert dead_names([package], [package, other]) == {"K.radius"}
 
 
 # enclosing function -> calls of the region/box quadrature outside quadrature.py

@@ -84,9 +84,8 @@ def test_an_empty_region_query_draws_no_white_noise(query):
 def test_time_slicing():
     real = sample_field(IMP, cfg(4))
     full = real.evaluate(1.0, WIN)
-    first = real.evaluate(0.6, WIN)
-    rest = real.evaluate(1.0, WIN, t0=0.6)
-    assert first + rest == pytest.approx(full, abs=1e-12)
+    real.evaluate(0.4, WIN)  # a cut at 0.4 leaves M(1, .) as it was
+    assert real.evaluate(1.0, WIN) == pytest.approx(full, abs=1e-12)
 
 
 def test_out_of_window_rejected():
@@ -262,11 +261,11 @@ def _queried(real):
     """Jump records, then white-noise values and M after a fixed query sequence."""
     out = [real.jump_times, real.jump_locations, real.jump_sizes]
     probe, window = PROBES[real.chars.dim], real.config.window
-    for t, t0 in ((0.7, 0.0), (1.0, 0.3), (0.45, 0.2)):
+    for t in (0.7, 1.0, 0.45):
         for region in (probe, window):
-            gauss, sub = (0.0 if w is None else w.value(t, region, t0)[0]
+            gauss, sub = (0.0 if w is None else w.value(t, region)[0]
                           for w in (real.gaussian, real.substitute))
-            out.append(np.array([gauss, sub, real.evaluate(t, region, t0)]))
+            out.append(np.array([gauss, sub, real.evaluate(t, region)]))
     return out
 
 
@@ -280,7 +279,7 @@ def test_a_path_does_not_depend_on_the_paths_drawn_before_it(dim, densities, mod
     after_draws = _queried(sample_field(chars, config, 3))
     for k, real in enumerate(others):  # refine the others on other planes
         cut = Region.from_box(Box((0.05 * (k + 1),) * dim, (0.9, 0.45)[:dim]))
-        real.evaluate(0.2 * (k + 1), cut, 0.1)
+        real.evaluate(0.2 * (k + 1), cut)
         real.evaluate(0.95, config.window)
         if dim == 1:
             real.gaussian.grid_values(0.8, WIN.boxes[0], [np.linspace(0.0, 1.0, 9)])
@@ -339,11 +338,11 @@ def _queried_members(batch):
     """What ``_queried`` gives each member alone, from queries of the whole batch."""
     probe, window = PROBES[batch.chars.dim], batch.config.window
     rows = []
-    for t, t0 in ((0.7, 0.0), (1.0, 0.3), (0.45, 0.2)):
+    for t in (0.7, 1.0, 0.45):
         for region in (probe, window):
-            c = batch.components(t, region, t0)
+            c = batch.components(t, region)
             rows.append(np.stack([c["gaussian"], c["substitute"],
-                                  batch.evaluate(t, region, t0)], axis=1))
+                                  batch.evaluate(t, region)], axis=1))
     edges = zip(batch.offsets[:-1], batch.offsets[1:])
     return [[batch.jump_times[a:b], batch.jump_locations[a:b], batch.jump_sizes[a:b]]
             + [row[i] for row in rows] for i, (a, b) in enumerate(edges)]
@@ -369,10 +368,10 @@ def test_a_batch_answers_after_a_member_was_queried_alone():
     chars, config = _batch_case("stable", 1)
     batch = sample_fields(chars, config, range(5))
     member = batch.member(2)
-    first = member.evaluate(0.5, PROBES[1], 0.1)  # new planes in the member only
+    first = member.evaluate(0.5, PROBES[1])  # new planes in the member only
     got = batch.evaluate(0.7, config.window)
     lone = sample_field(chars, config, 2)
-    assert lone.evaluate(0.5, PROBES[1], 0.1) == first
+    assert lone.evaluate(0.5, PROBES[1]) == first
     assert member.evaluate(0.7, config.window) == lone.evaluate(0.7, config.window)
     for k in range(5):
         assert sample_field(chars, config, k).evaluate(0.7, config.window) == got[k]

@@ -1,4 +1,4 @@
-"""Sheet view: corner boxes, box increments, lattice checks, duality."""
+"""Sheet view: corner boxes, jump sides, box increments, duality."""
 
 import math
 
@@ -12,8 +12,7 @@ from levyfield.funcs import GaussianFunction, ProductBump
 from levyfield.integrate import integrate
 from levyfield.kernels import CompoundPoissonKernel, DiscreteJumps
 from levyfield.regions import Box
-from levyfield.sheets import (SheetRealization, box_increment, duality_check,
-                              lamp_grid_check)
+from levyfield.sheets import SheetRealization, box_increment, duality_check
 
 WIN2 = Region.from_intervals([(-1.0, 1.0), (-1.0, 1.0)])
 
@@ -112,7 +111,7 @@ def test_corner_grid_fallback_with_varying_drift():
         seed=3, window=Region.from_intervals([(-1.0, 1.0)]), eps=0.0))
     sheet = SheetRealization(real)
     from levyfield.sheets import _fast_grid
-    assert _fast_grid(real, 1.0, [np.array([0.5])], 0.0) is None
+    assert _fast_grid(real, 1.0, [np.array([0.5])]) is None
     x = 0.6
     n = int(np.searchsorted(real.jump_times, 1.0, side="right"))
     locs = real.jump_locations[:n, 0]
@@ -121,29 +120,53 @@ def test_corner_grid_fallback_with_varying_drift():
     assert sheet.corner_grid(1.0, [np.array([x])])[0] == pytest.approx(want, rel=1e-10)
 
 
-def test_lamp_grid_check_clean_realization():
-    _, sheet = planar(seed=17, rate=30.0)
-    grid = [np.linspace(-1.0, 1.0, 21)] * 2
-    report = lamp_grid_check(sheet, 1.0, grid)
-    assert report.passed and report.checked > 0
-    # one-point grid: nothing to reconcile, vacuous pass
-    tiny = lamp_grid_check(sheet, 1.0, [np.array([0.5]), np.array([0.5])])
-    assert tiny.passed and tiny.checked == 0
+def signed_count(real, t, x):
+    """Jumps of (0, t] times their signed corner factors: ``1{0 < g_i <= x_i}``
+    for ``x_i > 0``, ``-1{x_i <= g_i < 0}`` for ``x_i < 0``, 0 for ``x_i = 0``."""
+    n = int(np.searchsorted(real.jump_times, t, side="right"))
+    factor = np.ones(n)
+    for g, c in zip(real.jump_locations[:n].T, x):
+        factor *= ((0.0 < g) & (g <= c)).astype(float) - ((c <= g) & (g < 0.0))
+    return float(real.jump_sizes[:n] @ factor)
 
 
-def test_lamp_grid_check_flags_wrong_sided_sheet():
-    class WrongSide(SheetRealization):
-        # miscount jumps sitting exactly on the query coordinates
-        def value(self, t, x, t0=0.0):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            return super().value(t, x - 1e-9 * np.sign(x), t0)
+def jump_side_misses(sheet, real, t, grid):
+    """(side, point, sheet value minus ``signed_count``) wherever they differ, at
+    each jump's own coordinates and at the nearest lattice points above and below
+    it.  The symmetric impulsive preset has no drift and no compensator."""
+    n = int(np.searchsorted(real.jump_times, t, side="right"))
+    misses = []
+    for g in real.jump_locations[:n]:
+        k = np.searchsorted(grid, g)
+        assert np.all((k > 0) & (k < grid.size))
+        for side, x in (("at", g), ("upper", grid[k]), ("lower", grid[k - 1])):
+            delta = sheet.value(t, x) - signed_count(real, t, x)
+            if abs(delta) > 1e-12:
+                misses.append((side, tuple(x), delta))
+    return misses
 
+
+GRID = np.linspace(-1.0, 1.0, 21)
+
+
+class WrongSide(SheetRealization):
+    # miscount jumps sitting exactly on the query coordinates
+    def value(self, t, x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return super().value(t, x - 1e-9 * np.sign(x))
+
+
+def test_sheet_counts_each_jump_on_its_own_side():
+    real, sheet = planar(seed=17, rate=30.0)
+    assert real.jump_times.size > 20
+    assert jump_side_misses(sheet, real, 1.0, GRID) == []
+
+
+def test_the_jump_side_check_fails_a_wrong_sided_sheet():
     real, _ = planar(seed=17, rate=30.0)
-    bad = WrongSide(real)
-    report = lamp_grid_check(bad, 1.0, [np.linspace(-1.0, 1.0, 21)] * 2)
-    assert not report.passed
-    assert any(v.side == "at" for v in report.violations)
-    assert max(abs(v.delta) for v in report.violations) > 0.5
+    misses = jump_side_misses(WrongSide(real), real, 1.0, GRID)
+    assert {side for side, _, _ in misses} == {"at"}
+    assert min(abs(delta) for _, _, delta in misses) > 0.5
 
 
 def line_field(seed=5, rate=10.0):

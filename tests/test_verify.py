@@ -84,21 +84,6 @@ def test_independence_test_non_finite_sample_is_indeterminate(bad, permutations)
         assert any("non-finite" in note for note in rep.notes)
 
 
-def test_independence_test_notes_a_subsample():
-    rng = np.random.default_rng(12)
-    x, y = rng.standard_normal(600), rng.standard_normal(600)
-    for max_points in (600, 5000):
-        rep = independence_test(x, y, permutations=20, max_points=max_points)
-        assert rep.sample_size == 600
-        assert not any("subsampled" in note for note in rep.notes)
-    rep = independence_test(x, y, permutations=99, max_points=599)
-    assert rep.sample_size == 600 and rep.decision in ("pass", "fail")
-    assert "subsampled 599 of 600 pairs" in rep.notes
-    flat = independence_test(np.ones(600), y, permutations=20, max_points=200)
-    assert flat.decision == "indeterminate"
-    assert "subsampled 200 of 600 pairs" in flat.notes
-
-
 def test_independence_test_that_cannot_reject_is_indeterminate():
     # the smallest p-value is 1/(1 + permutations): at level 0.01 fewer than
     # 99 permutations cannot reject even a perfectly dependent pair
@@ -202,28 +187,22 @@ def test_dcov_v_statistics_with_a_last_chunk_cut_short(monkeypatch):
         assert abs(stat - _dense_dcov(x, y[row])) <= 1e-10 * scale
 
 
-def _dense_pvalue(x, y, *, permutations, seed, max_points):
+def _dense_pvalue(x, y, *, permutations, seed):
     """The permutation loop on dense matrices, with independence_test's draws."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
-    if x.size > max_points:
-        idx = rng.choice(x.size, size=max_points, replace=False)
-        x, y = x[idx], y[idx]
     obs = _dense_dcov(x, y)
     exceed = sum(_dense_dcov(x, y[rng.permutation(x.size)]) >= obs
                  for _ in range(permutations))
     return (1.0 + exceed) / (1.0 + permutations)
 
 
-@pytest.mark.parametrize("max_points", [2000, 250])
-def test_independence_test_pvalues_equal_the_dense_loop(max_points):
+def test_independence_test_pvalues_equal_the_dense_loop():
     rng = np.random.default_rng(3)
     x = rng.standard_t(1.5, 400)
     for y in (0.05 * x + rng.standard_t(1.5, 400), np.round(rng.standard_normal(400))):
         for seed in (1, 2):
-            rep = independence_test(x, y, permutations=100, seed=seed,
-                                    max_points=max_points)
-            assert rep.statistic == _dense_pvalue(x, y, permutations=100, seed=seed,
-                                                  max_points=max_points)
+            rep = independence_test(x, y, permutations=100, seed=seed)
+            assert rep.statistic == _dense_pvalue(x, y, permutations=100, seed=seed)
 
 
 def test_independence_test_memory_is_linear_in_n():
@@ -232,7 +211,7 @@ def test_independence_test_memory_is_linear_in_n():
     x, y = rng.standard_normal(4000), rng.standard_normal(4000)
     tracemalloc.start()
     try:
-        rep = independence_test(x, y, max_points=4000)
+        rep = independence_test(x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,8 +386,8 @@ class _Warped:
     def __init__(self, batch):
         self.batch = batch
 
-    def evaluate(self, t, region, t0=0.0):
-        return (1.0 + 2.0 * t) * self.batch.evaluate(t, region, t0)
+    def evaluate(self, t, region):
+        return (1.0 + 2.0 * t) * self.batch.evaluate(t, region)
 
 
 def _warped_sampler(ch, cfg, replicates):
@@ -466,8 +445,8 @@ def test_stationary_increments_indeterminate_on_a_nan_increment():
         def __init__(self, batch):
             self.batch = batch
 
-        def evaluate(self, t, region, t0=0.0):
-            values = np.array(self.batch.evaluate(t, region, t0))
+        def evaluate(self, t, region):
+            values = np.array(self.batch.evaluate(t, region))
             if t > 0.5:   # M(0.9, A): the increment, not the fresh batch at 0.5
                 values[0] = np.nan
             return values
