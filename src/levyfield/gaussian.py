@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .characteristics import DiffusionComponent
+from .kernels import copy_rng
 from .regions import Box, Region
 
 
@@ -77,7 +78,7 @@ class WhiteNoiseField:
         """Fields lo..hi-1 as a stack of their own, with copies of their
         generators: from here on the two stacks are queried independently."""
         part = copy.copy(self)
-        part._rngs = [_copy_rng(rng) for rng in self._rngs[lo:hi]]
+        part._rngs = [copy_rng(rng) for rng in self._rngs[lo:hi]]
         part._patches = [dict(p, axes=list(p["axes"]), values=p["values"][lo:hi].copy())
                          for p in self._patches]
         return part
@@ -208,14 +209,6 @@ class WhiteNoiseField:
                 values[at + (p - 1,)], values[at + (p,)] = left, v - left
             patch["axes"][axis] = merged
             patch.update(smass=smass, values=values)
-
-
-def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
-    """A generator that draws what ``rng`` would draw next, on a bit generator of its own:
-    a fresh one of the same type given ``rng``'s state (cheaper than ``copy.deepcopy``)."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    return np.random.Generator(bits)
 
 
 def _space_mass(sigma: DiffusionComponent, box: Box) -> float:

@@ -30,6 +30,8 @@ import, so the functions that need them import them when called.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +84,32 @@ def choice_indices(rng: np.random.Generator, p, n: int) -> np.ndarray:
     return cdf.searchsorted(rng.random(n), side="right")
 
 
+def copy_rng(rng: np.random.Generator, draws: int = 0) -> np.random.Generator:
+    """The generator that draws what ``rng`` draws after ``draws`` 64-bit draws,
+    on a bit generator of its own: a fresh one of the same type given ``rng``'s
+    state (cheaper than ``copy.deepcopy``), then ``advance``d.  ``advance``
+    clears the buffered 32-bit half, which 64-bit draws leave alone, so it is
+    put back."""
+    bits = type(rng.bit_generator)()
+    bits.state = state = rng.bit_generator.state
+    if draws:
+        bits.advance(draws)
+        bits.state = dict(bits.state, has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    return np.random.Generator(bits)
+
+
+def _cpu_width() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 _REJECTION_CAP = 1 << 20  # most draws in one rejection block of JumpSizeDistribution.sample_tail
 _TRANSFORM_BLOCK = 1 << 14  # stable jumps per fill-and-map pass: 128 KiB stays in L2
+# Fewest blocks per part of a split StableKernel.sample_tail.  A helper
+# thread's start and join cost about 0.13 ms, a block's fill and map about
+# 0.17 ms; on 2 vCPUs two parts of 4 blocks broke even with one pass, and two
+# of 8 took 0.78 of its time.
+_SPLIT_BLOCKS = 8
 
 SMALL_CF_RTOL = 1e-10
 # Terms m = 1..12 of the cosine and sine series; at |c y| <= 1 the first
@@ -452,17 +478,73 @@ class StableKernel(JumpKernel):
         return mass * a * (c ** (1.0 - a) - 1.0) / (1.0 - a)
 
     def sample_tail(self, rng, n, eps):
-        """Inverse-CDF map of n uniforms, filled and mapped in cache-sized blocks."""
-        out, buf = np.empty(n), np.empty(min(n, _TRANSFORM_BLOCK))
-        for lo in range(0, n, _TRANSFORM_BLOCK):
+        """Inverse-CDF map of n uniforms, filled and mapped in cache-sized blocks.
+
+        With a jumpable bit generator and at least ``_SPLIT_BLOCKS`` blocks per
+        CPU part, the parts run at once: this thread maps the first with
+        ``rng``, and a helper thread each later one with a copy of ``rng``
+        advanced to its start.  The map is elementwise and each uniform is one
+        64-bit draw, so the jumps and ``rng``'s state after the call are bit for
+        bit those of one pass, whatever the number of parts.
+        """
+        out = np.empty(n)
+        blocks = -(-n // _TRANSFORM_BLOCK)
+        parts = 1
+        # PCG64's advance(k) skips k 64-bit draws (Philox's skips k blocks of
+        # four; SFC64 and MT19937 have none); np.random is named here, not at
+        # import, where it would load 2 MB
+        if blocks >= 2 * _SPLIT_BLOCKS and isinstance(
+                getattr(rng, "bit_generator", None), (np.random.PCG64, np.random.PCG64DXSM)):
+            parts = min(_cpu_width(), blocks // _SPLIT_BLOCKS)
+        if parts < 2:
+            self._map_blocks(rng, out, eps)
+            return out
+        cuts = [blocks * i // parts * _TRANSFORM_BLOCK for i in range(parts)] + [n]
+        gens = [copy_rng(rng, lo) for lo in cuts[1:-1]]
+        errors = []
+
+        def helper(gen, part):
+            try:
+                self._map_blocks(gen, part, eps)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+
+        threads = []
+        try:
+            for gen, lo, hi in zip(gens, cuts[1:], cuts[2:]):
+                t = threading.Thread(target=helper, args=(gen, out[lo:hi]))
+                t.start()
+                threads.append(t)
+            self._map_blocks(rng, out[:cuts[1]], eps)
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
+        rng.bit_generator.state = gens[-1].bit_generator.state
+        return out
+
+    def _map_blocks(self, rng, out, eps):
+        """Fill ``out`` from ``rng`` and map it, ``_TRANSFORM_BLOCK`` at a time."""
+        buf = np.empty(min(out.size, _TRANSFORM_BLOCK))
+        for lo in range(0, out.size, _TRANSFORM_BLOCK):
             u = out[lo:lo + _TRANSFORM_BLOCK]
             rng.random(out=u)
             self._inverse_cdf(u, buf[:u.size], eps)
-        return out
 
     def _inverse_cdf(self, u, buf, eps):
         """Map uniforms ``u`` to jumps in place, ``buf`` a scratch of its size."""
         inv = -1.0 / self.alpha
+        if self.p == 1.0 or (self.q == 1.0 and self.p == 0.0):
+            # one-sided: every u < p = 1, or none < p = 0, so the sign is fixed
+            # and the magnitude's uniform is 1 - u or u, bit for bit the
+            # general (p - u)/p and (u - p)/q below
+            if self.p == 1.0:
+                np.subtract(1.0, u, out=u)
+            np.clip(u, 1e-300, 1.0, out=u)
+            np.power(u, inv, out=u)
+            u *= eps if self.p == 1.0 else -eps
+            return
         if self.symmetric:
             # |2(u - 1/2)|^(-1/a) * eps with the factor 2 folded into the scale;
             # a = 3/2 avoids np.power: |c|^(-2/3) = 1 / cbrt(c^2).

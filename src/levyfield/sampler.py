@@ -26,7 +26,11 @@ alpha = 1.5 run at eps = 1e-3 (about 3e9 jumps) feasible.  The jumps of all
 replicates form one flat stream, drawn by the kernel's own ``sample_tail`` in
 chunks of at most ``_CHUNK_JUMPS`` (2^20) that hold whole replicates (only a
 bigger replicate is split), so memory grows with the chunk, not with the
-number of jumps.  A stable kernel maps each chunk 2^14 jumps at a time.
+number of jumps.  A stable kernel maps each chunk 2^14 jumps at a time, and
+splits a chunk of a PCG64 stream into one part per CPU (at least 8 blocks
+each): the calling thread maps the first, helper threads the rest from copies
+advanced to their offsets, so the jumps and the generator's state after are
+bit for bit those of one pass.
 """
 
 from __future__ import annotations

@@ -59,6 +59,18 @@ def test_import_loads_neither_scipy_stats_nor_scipy_integrate():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_executor_logger_or_numpy_random():
+    # the stable tail's helper threads are plain threading.Thread; an executor,
+    # a logger or numpy.random (2 MB) would only add to every run's start-up
+    code = ("import sys, levyfield; print(sorted(m for m in "
+            "('concurrent.futures', 'logging', 'numpy.random') if m in sys.modules))")
+    paths = [str(PACKAGE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _modules_after(code: str, cwd) -> list[str]:
     """The scipy submodules in ``sys.modules`` after ``code`` in a fresh interpreter."""
     code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"

@@ -1,6 +1,7 @@
 """Jump kernels: moments against quadrature, sampling against known laws."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -192,8 +193,11 @@ def _one_pass_sample_tail(k, rng, n, eps):
     return np.copysign(np.clip(v, 1e-300, 1.0) ** inv * eps, sgn)
 
 
-@pytest.mark.parametrize("kern", [StableKernel(1.5), StableKernel(0.8),
-                                  StableKernel(1.2, 0.7, 0.3), StableKernel(1.3, 1.0, 0.0)])
+_STABLE_MAPS = [StableKernel(1.5), StableKernel(0.8), StableKernel(1.2, 0.7, 0.3),
+                StableKernel(1.3, 1.0, 0.0), StableKernel(1.3, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("kern", _STABLE_MAPS)
 def test_stable_blocked_transform_is_bit_identical_to_one_pass(kern):
     b = kernels._TRANSFORM_BLOCK
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
@@ -202,6 +206,67 @@ def test_stable_blocked_transform_is_bit_identical_to_one_pass(kern):
         want = _one_pass_sample_tail(kern, want_rng, n, 0.02)
         assert got.shape == (n,) and got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+@pytest.mark.parametrize("kern", _STABLE_MAPS)
+def test_split_sample_tail_is_bit_identical_to_one_pass(kern, width, monkeypatch):
+    # parts on helper threads draw from copies advanced to their offsets; the
+    # jumps and the caller's generator (its buffered 32-bit half too) are one pass's
+    monkeypatch.setattr(kernels, "_cpu_width", lambda: width)
+    b, s = kernels._TRANSFORM_BLOCK, kernels._SPLIT_BLOCKS
+    for n in (2 * s * b - 1, 2 * s * b, 2 * s * b + 1, 3 * s * b + 5, 7 * s * b + 12345):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for r in (got_rng, want_rng):  # leaves a buffered 32-bit half
+            r.integers(1 << 20, dtype=np.uint32)
+        got = kern.sample_tail(got_rng, n, 0.02)
+        want = _one_pass_sample_tail(kern, want_rng, n, 0.02)
+        assert got.tobytes() == want.tobytes(), n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
+def test_copy_rng_draws_what_the_generator_draws_after_k_draws():
+    rng = np.random.default_rng(4)
+    rng.integers(7, dtype=np.uint32)  # leaves a buffered 32-bit half
+    ahead, same = kernels.copy_rng(rng, 1000), kernels.copy_rng(rng)
+    assert same.bit_generator.state == rng.bit_generator.state
+    drawn = rng.random(1500)
+    assert ahead.random(500).tobytes() == drawn[1000:].tobytes()
+    assert ahead.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.Philox])
+def test_sample_tail_on_a_generator_without_exact_advance_is_one_pass(bits, monkeypatch):
+    # SFC64 cannot advance, and Philox advances by blocks of four draws
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(kernels, "_cpu_width", lambda: 2)
+    monkeypatch.setattr(kernels.threading, "Thread", no_thread)
+    n = 2 * kernels._SPLIT_BLOCKS * kernels._TRANSFORM_BLOCK + 3
+    kern = StableKernel(1.2, 0.7, 0.3)
+    got_rng, want_rng = np.random.Generator(bits(9)), np.random.Generator(bits(9))
+    got = kern.sample_tail(got_rng, n, 0.02)
+    assert got.tobytes() == _one_pass_sample_tail(kern, want_rng, n, 0.02).tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+def test_a_failing_helper_thread_fails_sample_tail(monkeypatch):
+    map_blocks = StableKernel._map_blocks
+
+    def fail_off_the_caller(self, rng, out, eps):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        map_blocks(self, rng, out, eps)
+
+    monkeypatch.setattr(kernels, "_cpu_width", lambda: 3)
+    monkeypatch.setattr(StableKernel, "_map_blocks", fail_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        StableKernel(1.5).sample_tail(np.random.default_rng(0),
+                                      3 * kernels._SPLIT_BLOCKS * kernels._TRANSFORM_BLOCK, 0.02)
+    assert threading.active_count() == before
 
 
 def test_stable_cf_integrand_zero_frequency():
