@@ -180,7 +180,7 @@ def lm_membership(chars: Characteristics, f,
         first = []
     try:
         total, err = rung(-1)
-    except NonConvergenceError as exc:
+    except ArithmeticError as exc:   # not finite, or NonConvergenceError
         return MembershipResult("indeterminate", note=f"core cube: {exc}")
     shells: list[float] = []
     ratios: list[float] = []

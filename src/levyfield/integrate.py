@@ -15,10 +15,16 @@ sums of a batch with one mask and one evaluation of f, and pairing the white
 noises of consecutive paths, across batches, as one stack per mesh level.
 Deterministic terms integrate f against their measures over
 ``effective_domain(f)``, or over R^d by ``ladder_integral``.
+
+``cylindrical_characteristics`` gives the triple of the scalar noise ``f . M``
+by the same quadratures.  Its image measure of the jumps, ``Pushforward``, is
+computed by quadrature too, for every integrand and at each ``s`` asked for:
+there is no table of tail masses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,15 +32,12 @@ import numpy as np
 
 from .analysis import lm_membership
 from .characteristics import Characteristics
-from .funcs import IndicatorFunction, SimpleFunction, effective_domain
+from .funcs import SimpleFunction, effective_domain
 from .gaussian import WhiteNoiseField
-from .kernels import JumpKernel
 from .quadrature import ladder_integral
 from .regions import Box, Region
 from .sampler import levy_ito_spec
 
-_PUSH_GRID_DECADES = (-8, 8)
-_PUSH_PER_DECADE = 8
 # dyadic mesh level of white-noise pairings per dimension (4 above 2-D)
 PAIRING_LEVELS = {1: 8, 2: 6}
 # finest-level cells of the white noises paired as one stack: 128 paths in
@@ -59,6 +62,7 @@ def integrate_simple(real, f: SimpleFunction, t: float,
                      region: Region | None = None) -> float:
     """``sum_k coef_k M(t, region & A_k)`` evaluated pathwise-exactly."""
     region = real.config.window if region is None else region
+    real.config.check_times(t)  # also when no piece meets the region
     total = 0.0
     for coef, part in f.terms:
         piece = region.intersect(part)
@@ -103,6 +107,7 @@ def _integrate_paths(chars: Characteristics, config, batches, f, t: float,
         if verdict.verdict == "non-member":
             raise NotIntegrableError(f"integrand is not integrable: {verdict.note}")
     if domain.is_empty:
+        config.check_times(t)
         n = sum(len(batch.replicates) for batch in batches)
         return np.zeros(n), np.zeros(n)
 
@@ -158,77 +163,59 @@ def integrate(real, f, t: float, region: Region | None = None, *,
 # Cylindrical characteristics
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PushforwardMixture:
-    """Image of the jump measure as a weighted mixture of scaled kernels."""
-
-    parts: tuple[tuple[float, JumpKernel], ...]
-
-    def compact_mass(self) -> float:
-        return sum(w * k.quad_mass() for w, k in self.parts)
-
-    def tail_mass(self, s: float) -> float:
-        return sum(w * k.tail_mass(s) for w, k in self.parts)
+def _over_support(chars: Characteristics, f, integral) -> tuple[float, float]:
+    """``integral(region) -> (value, error)`` over f's effective domain, or over
+    R^d by ``ladder_integral`` when f's support is unbounded."""
+    support = effective_domain(f)
+    return (integral(support) if support is not None
+            else ladder_integral(integral, chars.dim, chars.atom_reach))
 
 
 @dataclass(frozen=True)
-class PushforwardTable:
-    """Tail-mass tabulation of the image measure on a log grid."""
+class Pushforward:
+    """Image of the jump measure ``m(x) dx k(dy)`` under ``(x, y) -> f(x) y``;
+    each mass is one quadrature of m against a kernel integral at ``f(x)``."""
 
-    s_grid: np.ndarray        # increasing, positive
-    tails: np.ndarray         # mu({|v| > s}) at the grid points
+    chars: Characteristics
+    f: object
 
-    def tail_mass(self, s: float) -> float:
-        if s >= self.s_grid[-1]:
+    def _integral(self, g) -> float:
+        """``int m(x) g(k, f(x)) dx`` for the kernel k, or 0 without a jump part."""
+        nu = self.chars.nu
+        if nu is None:
             return 0.0
-        if s <= self.s_grid[0]:
-            return float(self.tails[0])
-        return float(np.exp(np.interp(np.log(s), np.log(self.s_grid),
-                                      np.log(np.maximum(self.tails, 1e-300)))))
+        return _over_support(self.chars, self.f, lambda r: nu.modulation.integral(
+            r, lambda x: g(nu.kernel, self.f(x))))[0]
+
+    def tail_mass(self, s: float) -> float:
+        """``mu(|v| > s) = int m(x) k(|y| > s/|f(x)|) dx``."""
+
+        def tail(kern, fx):
+            out = np.zeros(len(fx))
+            nz = fx != 0.0
+            with np.errstate(over="ignore"):  # s/|f| -> inf means tail 0
+                out[nz] = kern.tail_mass(s / np.abs(fx[nz]))
+            return out
+
+        return self._integral(tail)
 
     def compact_mass(self) -> float:
-        """``int (s^2 ^ 1) d mu = int_0^1 2 s mu(|v| > s) ds`` from the table."""
-        total = 0.0
-        grid, tails = self.s_grid, self.tails
-        for a, b, ta, tb in zip(grid[:-1], grid[1:], tails[:-1], tails[1:]):
-            if a >= 1.0:
-                break
-            if ta <= 0.0 or tb <= 0.0:
-                continue
-            # log-log power interpolation on [a, b], integrated up to min(b, 1)
-            g = np.log(tb / ta) / np.log(b / a)
-            top = min(b, 1.0)
-            if abs(g + 2.0) < 1e-9:
-                total += 2.0 * ta * a ** (-g) * np.log(top / a)
-            else:
-                total += 2.0 * ta * a ** (-g) * (top ** (g + 2.0) - a ** (g + 2.0)) / (g + 2.0)
-        # power continuation below the grid
-        if tails[0] > 0.0 and tails[1] > 0.0 and grid[0] < 1.0:
-            g = np.log(tails[1] / tails[0]) / np.log(grid[1] / grid[0])
-            if g + 2.0 > 1e-9:
-                total += 2.0 * tails[0] * grid[0] ** 2 / (g + 2.0)
-        return float(total)
+        """``int (1 ^ v^2) d mu = int m(x) compact_moment(f(x)) dx``."""
+        return self._integral(lambda kern, fx: kern.compact_moment(fx))
 
 
 @dataclass(frozen=True)
 class CylindricalCharacteristics:
     a: float
     qf: float
-    pushforward: PushforwardMixture | PushforwardTable
+    pushforward: Pushforward
     a_error: float = 0.0
     qf_error: float = 0.0
 
 
 def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharacteristics:
     """The triple (a(f), <Qf,f>, image of nu under (x,y) -> f(x)y)."""
-    if isinstance(f, IndicatorFunction):
-        f = SimpleFunction(((1.0, f.region),))
-    support = effective_domain(f)
-
-    def total(integral):
-        return (integral(support) if support is not None
-                else ladder_integral(integral, chars.dim, chars.atom_reach))
-
+    total = functools.partial(_over_support, chars, f)
     # a(f) = int f d gamma + int m(x) f(x) int y (1{|f y|<=1} - 1{|y|<=1}) nu
     a_val = a_err = 0.0
     if chars.gamma is not None:
@@ -250,33 +237,7 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
     if qf_val < -1e-9:
         raise ArithmeticError("quadratic form came out negative")
     qf_val = max(qf_val, 0.0)
-    # pushforward
-    if chars.nu is None:
-        push = PushforwardMixture(())
-    elif isinstance(f, SimpleFunction):
-        parts = []
-        for coef, part in f.terms:
-            if coef == 0.0:
-                continue
-            mass, _ = chars.nu.spatial_mass(part)
-            parts.append((mass, chars.nu.kernel.scale_image(coef)))
-        push = PushforwardMixture(tuple(parts))
-    else:
-        lo, hi = _PUSH_GRID_DECADES
-        s_grid = np.logspace(lo, hi, (hi - lo) * _PUSH_PER_DECADE + 1)
-
-        def tail_at(x, s):
-            fx = f(x)
-            out = np.zeros(len(fx))
-            nz = fx != 0.0
-            if nz.any():
-                with np.errstate(over="ignore"):  # s/|f| -> inf means tail 0
-                    out[nz] = kern.tail_mass(s / np.abs(fx[nz]))
-            return out
-
-        tails = np.array([total(lambda r: mod.integral(r, lambda x: tail_at(x, s)))[0]
-                          for s in s_grid])
-        push = PushforwardTable(s_grid, tails)
+    push = Pushforward(chars, f)
     if not np.isfinite(push.compact_mass()):
         raise ArithmeticError("pushforward has infinite truncated second moment")
     return CylindricalCharacteristics(a_val, qf_val, push, a_err, qf_err)

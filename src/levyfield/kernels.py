@@ -149,12 +149,7 @@ def _reciprocal(u: np.ndarray) -> np.ndarray:
 
 
 def _pow(x, e):
-    """``x ** e`` by libm's ``pow`` for scalars and arrays; overflow gives inf silently."""
-    if not isinstance(x, np.ndarray):
-        try:
-            return float(x) ** e
-        except OverflowError:
-            return math.inf
+    """``x ** e`` elementwise by libm's ``pow``; overflow gives inf silently."""
     with np.errstate(divide="ignore", over="ignore"):
         return np.float_power(x, e)
 
@@ -323,10 +318,6 @@ class JumpKernel:
         """Draw n sizes from the kernel conditioned on ``|y| > eps``."""
         raise NotImplementedError
 
-    def scale_image(self, c: float) -> "JumpKernel":
-        """Pushforward of the kernel under ``y -> c y`` (c != 0)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class StableKernel(JumpKernel):
@@ -366,16 +357,12 @@ class StableKernel(JumpKernel):
         return np.where(y > 0, self.p * mag, np.where(y < 0, self.q * mag, 0.0))
 
     def tail_masses(self, c):
-        if not isinstance(c, np.ndarray) and c == 0.0:
-            return (math.inf if self.p else 0.0), (math.inf if self.q else 0.0)
-        t = self.scale * _pow(c, -self.alpha)
-        if isinstance(c, np.ndarray):  # a side without mass stays 0 where t is inf
-            return tuple(w * t if w else np.zeros(t.shape) for w in (self.p, self.q))
-        return (self.p * t if self.p else 0.0), (self.q * t if self.q else 0.0)
+        t = self.scale * _pow(c, -self.alpha)  # a side without mass stays 0 where t is inf
+        return tuple(_value(w * t if w else np.zeros(t.shape)) for w in (self.p, self.q))
 
     def second_moment_below(self, c):
         a = self.alpha
-        return self.scale * a / (2.0 - a) * _pow(c, 2.0 - a)
+        return _value(self.scale * a / (2.0 - a) * _pow(c, 2.0 - a))
 
     def annulus_first_moment(self, r1, r2):
         a, b = self.alpha, self.beta
@@ -383,7 +370,7 @@ class StableKernel(JumpKernel):
             return _value(np.zeros(np.broadcast(r1, r2).shape))
         if a <= 1.0 and np.any(np.isinf(r2)):
             raise ValueError("first tail moment diverges for alpha <= 1")
-        return self.scale * b * a / (1.0 - a) * (_pow(r2, 1.0 - a) - _pow(r1, 1.0 - a))
+        return _value(self.scale * b * a / (1.0 - a) * (_pow(r2, 1.0 - a) - _pow(r1, 1.0 - a)))
 
     def indicator_moment_diff(self, v):
         """``s beta alpha/(1 - alpha) (|v|^(alpha - 1) - 1)`` on either annulus, 0 at v = 0."""
@@ -568,12 +555,6 @@ class StableKernel(JumpKernel):
         buf *= scale
         np.copysign(buf, sign, out=u)
 
-    def scale_image(self, c):
-        if c == 0.0:
-            raise ValueError("cannot push a kernel forward by 0")
-        p, q = (self.p, self.q) if c > 0 else (self.q, self.p)
-        return StableKernel(self.alpha, p, q, self.scale * abs(c) ** self.alpha)
-
     def to_config(self):
         cfg = {"kind": "stable", "alpha": self.alpha, "p": self.p, "q": self.q}
         if self.scale != 1.0:
@@ -640,12 +621,14 @@ class JumpSizeDistribution:
 
 
 def _window_sum(w, x, lo, hi):
-    """``w[(x > lo) & (x <= hi)].sum()`` per array cut, each atom set summed once."""
-    s = np.unique(x)
-    table = np.array([[w[(x >= a) & (x <= b)].sum() for b in np.append(-np.inf, s)]
-                      for a in np.append(s, np.inf)])
-    return _value(table[np.searchsorted(s, lo, side="right"),
-                        np.searchsorted(s, hi, side="right")])
+    """``w[(x > lo) & (x <= hi)].sum()`` per cut: cuts that take the same atoms
+    share one sum, so a scalar cut costs one sum."""
+    lo, hi = np.broadcast_arrays(lo, hi)
+    s = np.sort(x)  # a window's atoms are the sorted ones from the first past lo to the last <= hi
+    key = np.searchsorted(s, lo, side="right") * (s.size + 1) + np.searchsorted(s, hi, side="right")
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.array([w[(x > lo.flat[i]) & (x <= hi.flat[i])].sum() for i in first])
+    return _value(sums[inverse].reshape(lo.shape))
 
 
 @dataclass(frozen=True)
@@ -677,17 +660,12 @@ class DiscreteJumps(JumpSizeDistribution):
         v, p = self._arr()
         return v[choice_indices(rng, p, n)]
 
-    # scalar cuts (the sampler's hot path) sum their atoms directly
     def prob_tails(self, c):
         v, p = self._arr()
-        if not isinstance(c, np.ndarray):
-            return float(p[v > c].sum()), float(p[v < -c].sum())
         return _window_sum(p, v, c, np.inf), _window_sum(p, -v, c, np.inf)
 
     def mean_annulus(self, r1, r2):
         v, p = self._arr()
-        if not isinstance(r1, np.ndarray) and not isinstance(r2, np.ndarray):
-            return float((v * p)[(np.abs(v) > r1) & (np.abs(v) <= r2)].sum())
         return _window_sum(v * p, np.abs(v), r1, r2)
 
     def abs_mean_annulus(self, r1, r2):
@@ -696,8 +674,6 @@ class DiscreteJumps(JumpSizeDistribution):
 
     def second_moment_below(self, c):
         v, p = self._arr()
-        if not isinstance(c, np.ndarray):
-            return float((v * v * p)[np.abs(v) <= c].sum())
         return _window_sum(v * v * p, np.abs(v), -np.inf, c)
 
     def char_fn(self, c):
@@ -721,9 +697,6 @@ class DiscreteJumps(JumpSizeDistribution):
         if not m.any():
             raise ValueError(f"jump distribution has no mass beyond {eps}")
         return v[m][choice_indices(rng, p[m] / p[m].sum(), n)]
-
-    def scale_image(self, c):
-        return DiscreteJumps(tuple(c * x for x in self.values), self.probs)
 
     def to_config(self):
         return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
@@ -788,9 +761,6 @@ class NormalJumps(JumpSizeDistribution):
         u = np.asarray(u, dtype=float)
         return np.exp(-u * self.mu + 0.5 * (self.sigma * u) ** 2)
 
-    def scale_image(self, c):
-        return NormalJumps(c * self.mu, abs(c) * self.sigma)
-
     def to_config(self):
         return {"kind": "normal", "mu": self.mu, "sigma": self.sigma}
 
@@ -853,10 +823,6 @@ class UniformJumps(JumpSizeDistribution):
             u == 0.0, 1.0,
             (np.exp(-u * self.a) - np.exp(-u * self.b)) / np.where(u == 0.0, 1.0, u * self._len()))
         return res if res.shape else float(res)
-
-    def scale_image(self, c):
-        lo, hi = sorted((c * self.a, c * self.b))
-        return UniformJumps(lo, hi)
 
     def to_config(self):
         return {"kind": "uniform", "a": self.a, "b": self.b}
@@ -934,9 +900,6 @@ class CompoundPoissonKernel(JumpKernel):
 
     def sample_tail(self, rng, n, eps):
         return self.jumps.sample_tail(rng, n, eps)
-
-    def scale_image(self, c):
-        return CompoundPoissonKernel(self.rate, self.jumps.scale_image(c))
 
     def to_config(self):
         return {"kind": "compound-poisson", "rate": self.rate,
@@ -1022,11 +985,6 @@ class TemperedStableKernel(JumpKernel):
         else:
             raise RuntimeError("tempered tail rejection sampler failed to converge")
         return out[:n]
-
-    def scale_image(self, c):
-        ac = abs(c)
-        return TemperedStableKernel(self.alpha, self.cutoff / ac,
-                                    self.scale * ac ** self.alpha)
 
     def to_config(self):
         cfg = {"kind": "tempered-stable", "alpha": self.alpha, "cutoff": self.cutoff}
@@ -1139,15 +1097,6 @@ class TabulatedKernel(JumpKernel):
                 return out
         raise RuntimeError(f"TabulatedKernel: rejection left {todo.size} of {n} jumps "
                            f"beyond eps={eps} undrawn in 10000 rounds")
-
-    def scale_image(self, c):
-        if c == 0.0:
-            raise ValueError("cannot push a kernel forward by 0")
-        g = self.grid * c
-        v = self.values / abs(c)
-        if c < 0:
-            g, v = g[::-1], v[::-1]
-        return TabulatedKernel(g, v)
 
     def to_config(self):
         return {"kind": "tabulated", "grid": self.grid.tolist(),

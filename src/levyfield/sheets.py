@@ -117,6 +117,7 @@ def box_increment(sheet: SheetRealization, t: float, a, b) -> BoxIncrement:
     if np.any(a > b):
         raise ValueError("need a <= b componentwise")
     if np.any(a == b):
+        sheet.source.config.check_times(t)
         return BoxIncrement(tuple(a), tuple(b), 0.0)
     terms = []
     for bits in itertools.product((0, 1), repeat=d):

@@ -392,6 +392,19 @@ def test_a_non_finite_shell_in_the_batch_is_named_by_the_walk(monkeypatch):
             assert len(got.shells) == 4 and got.shells[3] == np.inf
 
 
+def test_a_non_finite_core_cube_is_indeterminate():
+    # over R^d as on a bounded domain: once an ArithmeticError out of lm_membership
+    infinite = Characteristics(1, gamma=DriftComponent(Density(
+        lambda x: np.where(np.abs(x[:, 0]) < 0.5, np.inf, 1.0))))
+    f = PolynomialDecay(1.0)
+    res = lm_membership(infinite, f)
+    assert res.verdict == "indeterminate" and res.note == "core cube: integral is not finite"
+    assert lm_membership(infinite, f, Region.from_intervals([(-1.0, 1.0)])).verdict \
+        == "indeterminate"
+    res = tempered_test(infinite, r_max=1.0)
+    assert not res.tempered and res.attempts == ((0.5, "indeterminate"), (1.0, "indeterminate"))
+
+
 def test_a_non_converging_drift_sup_in_the_batch_is_named_by_the_walk(monkeypatch):
     for r in (1.0, 4.0):
         want = rung_by_rung(monkeypatch, UNSETTLED, PolynomialDecay(r, 1))

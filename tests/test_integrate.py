@@ -37,6 +37,12 @@ def test_integrate_simple_is_the_defining_sum():
     got = integrate_simple(real, f, 0.7)
     want = 2.0 * real.evaluate(0.7, a) - 1.5 * real.evaluate(0.7, b)
     assert got == want
+    # queries that meet nothing check their time span all the same
+    beyond = Region.from_intervals([(2.0, 3.0)])
+    with pytest.raises(ValueError, match="horizon"):
+        integrate_simple(real, SimpleFunction(((1.0, beyond),)), 2.0)
+    with pytest.raises(ValueError, match="horizon"):
+        integrate(real, ProductBump(center=(2.5,), radius=(0.5,)), 2.0)
 
 
 def test_integrate_indicator_matches_set_evaluation():
@@ -133,24 +139,46 @@ def test_cylindrical_drift_of_a_skewed_stable_kernel_below_alpha_one(modulation)
     assert cyl.a == pytest.approx(want, rel=1e-8)
 
 
-def test_cylindrical_pushforward_table_for_smooth_integrand():
+def test_cylindrical_pushforward_of_a_smooth_bump():
     rate = 12.0
     chars = preset("impulsive", rate=rate)
     bump = ProductBump(center=(0.5,), radius=(0.3,))
     push = cylindrical_characteristics(chars, bump).pushforward
-    # level sets of exp(-1/(1-t^2)) have closed-form width
+    # level sets of exp(-1/(1-t^2)) have closed-form width; the tail integrand
+    # is a step function of x, which the quadrature resolves to about 1e-2
     s = 0.1
     width = 2 * 0.3 * math.sqrt(1.0 - 1.0 / math.log(1.0 / s))
     assert push.tail_mass(s) == pytest.approx(rate * width, rel=0.03)
-    # compact_mass must agree with integrating the table's own tail curve;
-    # against the exact moment it only sees the log-grid resolution (the
-    # spectrum has a hard edge at max f = 1/e that the grid smears out)
-    dense = np.linspace(1e-4, 1.0, 20001)
-    curve = np.array([push.tail_mass(v) for v in dense])
-    assert push.compact_mass() == pytest.approx(
-        np.trapezoid(2.0 * dense * curve, dense), rel=0.02)
-    moment, _ = spi.quad(lambda t: math.exp(-2.0 / (1.0 - t * t)), -1, 1)
-    assert push.compact_mass() == pytest.approx(rate * 0.3 * moment, rel=0.2)
+    # jumps +-1 and f <= 1/e: the compact moment is rate f^2
+    moment, _ = spi.quad(lambda t: math.exp(-2.0 / (1.0 - t * t)), -1, 1,
+                         epsabs=0.0, epsrel=1e-13)
+    assert push.compact_mass() == pytest.approx(rate * 0.3 * moment, rel=1e-10)
+
+
+def test_cylindrical_pushforward_of_a_gaussian_over_the_ladder():
+    # k(|y| > c) = c^-alpha, so mu(|v| > s) = s^-alpha int f^alpha dx, and
+    # int f^alpha dx = scale sqrt(2 pi/alpha) for f = exp(-x^2/(2 scale^2))
+    alpha, scale = 1.3, 0.7
+    chars = Characteristics(1, nu=JumpComponent(StableKernel(alpha)))
+    push = cylindrical_characteristics(chars, GaussianFunction((0.2,), scale)).pushforward
+    power = scale * math.sqrt(2.0 * math.pi / alpha)
+    assert push.compact_mass() == pytest.approx(2.0 / (2.0 - alpha) * power, rel=1e-10)
+    assert push.tail_mass(0.5) == pytest.approx(0.5 ** -alpha * power, rel=1e-10)
+
+
+def test_cylindrical_pushforward_of_a_simple_function_is_the_mixture():
+    kern = StableKernel(1.1, 0.7, 0.3, scale=1.5)
+    chars = Characteristics(1, nu=JumpComponent(kern, Density(2.0)))
+    pieces = (Region.from_intervals([(0.0, 0.4)]), Region.from_intervals([(0.5, 1.2)]),
+              Region.from_intervals([(1.5, 2.0)]))
+    coefs = (2.0, -0.5, 0.0)
+    push = cylindrical_characteristics(chars, SimpleFunction(tuple(zip(coefs, pieces)))).pushforward
+    live = [(2.0 * a.volume, abs(c)) for c, a in zip(coefs, pieces) if c != 0.0]
+    for s in (1e-3, 0.3, 1.0, 7.0):
+        want = sum(m * kern.tail_mass(s / c) for m, c in live)
+        assert push.tail_mass(s) == pytest.approx(want, rel=1e-12)
+    want = sum(m * kern.compact_moment(c) for m, c in live)
+    assert push.compact_mass() == pytest.approx(want, rel=1e-12)
 
 
 def test_empirical_cf_of_standard_normal():

@@ -308,14 +308,6 @@ def test_stable_small_cf_part_matches_closed_form(alpha, beta):
         k._small_cf_part(np.array([1e6]), 0.5)  # 8e4 periods: quad gives up
 
 
-def test_stable_scale_image_pushforward():
-    k = StableKernel(1.1, 0.7, 0.3)
-    km = k.scale_image(-2.0)
-    # image of nu under y -> -2y: mass above c came from y < -c/2
-    assert km.tail_masses(1.0)[0] == pytest.approx(k.tail_masses(0.5)[1])
-    assert km.tail_masses(1.0)[1] == pytest.approx(k.tail_masses(0.5)[0])
-
-
 # --------------------------------------------------------------------------
 # jump-size distributions
 # --------------------------------------------------------------------------

@@ -72,6 +72,8 @@ def test_box_increment_round_trip():
 def test_box_increment_degenerate_and_invalid():
     _, sheet = planar()
     assert box_increment(sheet, 1.0, (0.2, -0.3), (0.2, 0.4)).value == 0.0
+    with pytest.raises(ValueError, match="horizon"):  # the time span is checked all the same
+        box_increment(sheet, 2.0, (0.2, -0.3), (0.2, 0.4))
     with pytest.raises(ValueError):
         box_increment(sheet, 1.0, (0.5, 0.0), (0.2, 0.4))
     with pytest.raises(ValueError):
