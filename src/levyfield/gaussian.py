@@ -17,6 +17,13 @@ each filling its cells in C order.  That order is the same whether the
 planes arrive one per query or all at once, and a field draws the same
 count in a stack of any size, so identical query sequences replay
 bit-identically and a field answers in a stack as it does alone.
+
+A query's steps (its time plane, its box bounds, then its mesh axes) are
+planned together, and each field fills the normals of all of them with one
+draw: consecutive normal draws of a generator concatenate bit for bit, so
+the values are those of the steps drawn one by one.  ``grid_values(...,
+through=meshes)`` refines through coarser meshes first, in order, as if
+each had been queried alone, and reads only the last mesh.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ class WhiteNoiseField:
         total = np.zeros(len(self))
         if self._sigma is None or t <= 0.0 or not boxes:  # a plane draws
             return total
-        self._ensure_planes(t, boxes)
+        self._refine(_bounds(t, boxes))
         for patch in self._patches:
             for b in boxes:
                 piece = patch["box"].intersect(b)
@@ -101,19 +108,22 @@ class WhiteNoiseField:
                 total += patch["values"][idx].reshape(len(self), -1).sum(axis=1)
         return total
 
-    def grid_values(self, t: float, box: Box, edges: list[np.ndarray]) -> np.ndarray:
+    def grid_values(self, t: float, box: Box, edges: list[np.ndarray], *,
+                    through=()) -> np.ndarray:
         """Cell values of ``W((0, t] x .)`` per field over a tensor mesh
         inside one box, shape (fields, cells per axis...).
 
         ``edges[i]`` are the mesh edge coordinates along space axis i
         (including both endpoints).  The box must lie inside a single window
-        part.
+        part.  The meshes ``through`` (edge lists like ``edges``) refine the
+        grid first, in order, as if each had been queried alone; only the
+        last mesh is read.
         """
         if self._sigma is None or t <= 0.0:
             return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
-        self._ensure_planes(t, (box,))
-        for i, e in enumerate(edges):
-            self._refine(i + 1, e)
+        # the bounds of a later mesh are planes already: no step of its own
+        self._refine(_bounds(t, (box,)) + [(i, e) for mesh in (*through, edges)
+                                           for i, e in enumerate(mesh, 1)])
         for patch in self._patches:
             if patch["box"].intersect(box) is None:
                 continue
@@ -132,38 +142,55 @@ class WhiteNoiseField:
         return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
 
     # -- refinement ------------------------------------------------------
-    def _ensure_planes(self, t: float, boxes) -> None:
-        # box by box, so a query over several boxes keeps its draw order
-        self._refine(0, (t,))
-        for b in boxes:
-            for i in range(b.dim):
-                self._refine(i + 1, (b.lo[i], b.hi[i]))
+    def _refine(self, steps) -> None:
+        """Insert the planes of each step ``(axis, coords)`` (axis 0 is time)
+        in every patch, step after step.
 
-    def _refine(self, axis: int, coords) -> None:
-        """Insert the planes ``coords`` along ``axis`` (0 is time) in every patch.
-
-        Each field draws its normals from its own stream, ordered as
-        inserting the planes one at a time in ascending order would consume
-        them (see the module docstring).  Several new planes in one old cell
-        split it in rounds, the r-th new plane of every cell in round r, so
-        each cell is still split left to right.
+        The steps are planned first, against the layout the earlier ones
+        leave, so that each field fills the normals of all of them in one
+        draw: consecutive draws of a generator concatenate bit for bit, and
+        the draws are those of the steps made one by one.
         """
-        coords = np.unique(np.asarray(coords, dtype=float))
-        fresh, per = [], []
-        for patch in self._patches:
-            planes = patch["axes"][axis]
-            new = (coords > planes[0]) & (coords < planes[-1])
-            new[new] = planes[np.searchsorted(planes, coords[new])] != coords[new]
-            fresh.append(new)
-            per.append(patch["values"][0].size // patch["values"].shape[axis + 1])
-        counts = (np.array(fresh, dtype=int).T * per).ravel()  # coordinate-major
-        if not counts.any():
+        layout = [list(p["axes"]) for p in self._patches]
+        plan, total = [], 0
+        for axis, coords in steps:
+            coords = np.unique(np.asarray(coords, dtype=float))
+            fresh, per = [], []
+            for axes in layout:
+                planes = axes[axis]
+                new = (coords > planes[0]) & (coords < planes[-1])
+                new[new] = planes[np.searchsorted(planes, coords[new])] != coords[new]
+                fresh.append(new)
+                per.append(math.prod(a.size - 1 for i, a in enumerate(axes) if i != axis))
+                if new.any():
+                    cut = coords[new]
+                    axes[axis] = np.insert(planes, np.searchsorted(planes, cut), cut)
+            counts = (np.array(fresh, dtype=int).T * per).ravel()  # coordinate-major
+            if not counts.any():
+                continue
+            starts = (total + np.cumsum(counts) - counts).reshape(coords.size, -1)
+            total += int(counts.sum())
+            plan.append((axis, coords, fresh, per, starts, [axes[axis] for axes in layout]))
+        if not plan:
             return
-        draws = np.stack([rng.standard_normal(int(counts.sum())) for rng in self._rngs])
-        starts = (np.cumsum(counts) - counts).reshape(coords.size, -1)
+        draws = np.empty((len(self), total))
+        for rng, row in zip(self._rngs, draws):
+            rng.standard_normal(out=row)
+        for step in plan:
+            self._split(draws, *step)
+
+    def _split(self, draws, axis: int, coords, fresh, per, starts, after) -> None:
+        """Split the cells cut by the fresh planes ``coords`` along ``axis``,
+        patch n taking its normals from ``draws`` at ``starts[:, n]``; its
+        planes along ``axis`` are then ``after[n]``.
+
+        Several new planes in one old cell split it in rounds, the r-th new
+        plane of every cell in round r, so each cell is still split left to
+        right.
+        """
         at, k = (slice(None),) * (axis + 1), axis - 1  # behind the field axis
         closed_form = self._sigma.density.is_constant and not self._sigma.atoms
-        for n, (patch, mask) in enumerate(zip(self._patches, fresh)):
+        for n, (patch, mask, merged) in enumerate(zip(self._patches, fresh, after)):
             if not mask.any():
                 continue
             planes, smass, values = patch["axes"][axis], patch["smass"], patch["values"]
@@ -171,7 +198,6 @@ class WhiteNoiseField:
             new = coords[mask]
             j = np.searchsorted(planes, new)       # new[q] cuts old cell j[q] - 1
             pos = j + np.arange(new.size)          # its index among the merged planes
-            merged = np.insert(planes, j, new)
             rank = np.arange(new.size) - np.searchsorted(j, j)
             lo, hi = merged[pos - 1], planes[j]    # the cell it cuts, after earlier rounds
             grow = np.bincount(j - 1, minlength=planes.size - 1) + 1
@@ -221,6 +247,12 @@ def _space_mass(sigma: DiffusionComponent, box: Box) -> float:
 def root_masses(sigma: DiffusionComponent | None, window: Region) -> tuple:
     """``Sigma(box)`` per window box: the root cells of every field over the window."""
     return () if sigma is None else tuple(_space_mass(sigma, box) for box in window.boxes)
+
+
+def _bounds(t: float, boxes) -> list:
+    """Refinement steps of a query's time plane and box bounds, box by box,
+    so a query over several boxes keeps its draw order."""
+    return [(0, (t,))] + [(i + 1, (b.lo[i], b.hi[i])) for b in boxes for i in range(b.dim)]
 
 
 def _span(planes: np.ndarray, lo: float, hi: float) -> slice:

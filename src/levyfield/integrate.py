@@ -11,8 +11,11 @@ between the sums at the last two levels, not a bound.
 
 ``_integrate_paths`` integrates the paths of batches of one sampler config
 (``sampler.sample_fields``), computing drift and compensator once, the jump
-sums of a batch with one mask and one evaluation of f, and pairing the white
-noises of consecutive paths, across batches, as one stack per mesh level.
+sums of a batch from its kept rows and one evaluation of f, and pairing the
+white noises of consecutive paths, across batches, as one stack.  A pairing
+refines its stack through every level but sums only the last two: one
+``grid_values`` call reads level L - 1 after refining through the coarser
+ones, a second reads level L.
 Deterministic terms integrate f against their measures over
 ``effective_domain(f)``, or over R^d by ``ladder_integral``.
 
@@ -74,23 +77,22 @@ def integrate_simple(real, f: SimpleFunction, t: float,
 def _pairing(stack: WhiteNoiseField, f, t: float, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint pairing sums of a stack of white-noise fields at one dyadic level.
 
-    Every coarser level is queried first: that order fixes the draws.  The
-    next coarser level is read before the last splits its cells, as split
+    Every coarser level refines the grid first: that order fixes the draws.
+    The next coarser level is read before the last splits its cells, as split
     shares need not add back bit for bit.  The error is the difference to
     that level's sum, a random number and not a bound.
     """
     if t <= 0.0:
         return np.zeros(len(stack)), np.zeros(len(stack))
     top = PAIRING_LEVELS.get(box.dim, 4)
+    meshes = [[np.linspace(lo, hi, 2 ** level + 1) for lo, hi in zip(box.lo, box.hi)]
+              for level in range(top + 1)]
     sums = []
-    for level in range(top + 1):
-        edges = [np.linspace(lo, hi, 2 ** level + 1)
-                 for lo, hi in zip(box.lo, box.hi)]
-        cells = stack.grid_values(t, box, edges)
-        if level >= top - 1:
-            centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-            pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, box.dim)
-            sums.append((f(pts) * cells.reshape(len(stack), -1)).sum(axis=1))
+    for edges, through in ((meshes[top - 1], meshes[:top - 1]), (meshes[top], ())):
+        cells = stack.grid_values(t, box, edges, through=through)
+        centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
+        pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, box.dim)
+        sums.append((f(pts) * cells.reshape(len(stack), -1)).sum(axis=1))
     return sums[-1], np.abs(sums[-1] - sums[-2])
 
 
@@ -129,11 +131,8 @@ def _integrate_paths(chars: Characteristics, config, batches, f, t: float,
     for batch in itertools.chain(batches, (None,)):
         if batch is not None:
             batch._check_query(t, domain)
-            keep = batch._kept(t, domain)
-            locs = batch.jump_locations[keep]
-            jumps = f(locs) * batch.jump_sizes[keep] if len(locs) else np.empty(0)
             # value is never -0.0, so a 0.0 jump sum or compensator leaves it exact
-            values.append(value + batch._member_sums(jumps, keep) - comp)
+            values.append(value + batch._jump_integrals(f, t, domain) - comp)
             pending.append([s for s in (batch.gaussian, batch.substitute) if s is not None])
         count = sum(len(p[0]) for p in pending if p)
         cut = count if batch is None else count - count % step
@@ -238,8 +237,10 @@ def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharact
         raise ArithmeticError("quadratic form came out negative")
     qf_val = max(qf_val, 0.0)
     push = Pushforward(chars, f)
-    if not np.isfinite(push.compact_mass()):
-        raise ArithmeticError("pushforward has infinite truncated second moment")
+    try:  # the quadrature raises where the moment is not finite
+        push.compact_mass()
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"pushforward's truncated second moment: {exc}") from exc
     return CylindricalCharacteristics(a_val, qf_val, push, a_err, qf_err)
 
 

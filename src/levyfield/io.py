@@ -66,14 +66,18 @@ def write_jump_records(path: str, real) -> None:
         "eps": float(real.config.eps),
         "horizon": float(real.config.horizon),
     }
-
-    def lines():
-        yield header
-        for s, x, y in zip(real.jump_times, real.jump_locations, real.jump_sizes):
-            yield {"time": float(s), "location": [float(c) for c in x],
-                   "size": float(y), "compensated": bool(abs(y) <= 1.0)}
-
-    write_jsonl(path, lines())
+    times, sizes = real.jump_times, real.jump_sizes
+    finite = (np.isfinite(times) & np.isfinite(real.jump_locations).all(axis=1)
+              & np.isfinite(sizes)).tolist()
+    lines = [_json_line(header) + "\n"]
+    for s, x, y, ok in zip(times.tolist(), real.jump_locations.tolist(), sizes.tolist(), finite):
+        if ok:  # as _json_line prints it: keys sorted, floats by repr
+            lines.append(f'{{"compensated":{"true" if abs(y) <= 1.0 else "false"},'
+                         f'"location":[{",".join(map(repr, x))}],"size":{y!r},"time":{s!r}}}\n')
+        else:
+            lines.append(_json_line({"time": s, "location": x, "size": y,
+                                     "compensated": abs(y) <= 1.0}) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def write_frames(path: str, real) -> None:

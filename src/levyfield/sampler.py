@@ -17,7 +17,8 @@ the count n; n uniform times, sorted in place; each jump's box (as
 ``rng.choice`` draws it; one box spends n uniforms instead); n locations; n
 sizes.  The marks stay in draw order: iid and independent of the times, whose
 sort gives the uniform order statistics, they keep the Poisson law (Devroye,
-"Non-Uniform Random Variate Generation", 1986, ch. V).
+"Non-Uniform Random Variate Generation", 1986, ch. V).  A batch query
+gathers its jumps by ascending row index (``PathBatch._kept``), not by mask.
 
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
@@ -215,12 +216,16 @@ class PathBatch:
         return t * self._mod_cache[region] * rate
 
     def _kept(self, t: float, region: Region) -> np.ndarray:
-        """The flat mask of the jumps in (0, t] x region."""
-        return (self.jump_times <= t) & region.contains(self.jump_locations)
+        """The rows, ascending, of the jumps in (0, t] x region."""
+        return np.flatnonzero((self.jump_times <= t) & region.contains(self.jump_locations))
 
-    def _member_sums(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Per member, the sum in jump order of ``values``, the quantities at ``keep``."""
-        return np.bincount(self._owner[keep], values, len(self.replicates))
+    def _jump_integrals(self, f, t: float, region: Region) -> np.ndarray:
+        """Per member, the sum in jump order of ``f(x) y`` over its jumps in
+        (0, t] x region; the gathered rows are freed on return."""
+        keep = self._kept(t, region)
+        locs = self.jump_locations.take(keep, axis=0)
+        jumps = f(locs) * self.jump_sizes.take(keep) if len(locs) else np.empty(0)
+        return np.bincount(self._owner.take(keep), jumps, len(self.replicates))
 
     # -- exact accessors, the same for every member ----------------------
     def drift(self, t: float, region: Region) -> float:
@@ -238,8 +243,8 @@ class PathBatch:
     def jump_sums(self, t: float, region: Region) -> tuple[np.ndarray, ...]:
         """Per member: (large-jump sum, retained-small-jump sum) over (0, t] x region."""
         keep = self._kept(t, region)
-        sizes = self.jump_sizes[keep]
-        label = 2 * self._owner[keep] + (np.abs(sizes) <= 1.0)  # 2i: large, 2i + 1: small
+        sizes = self.jump_sizes.take(keep)
+        label = 2 * self._owner.take(keep) + (np.abs(sizes) <= 1.0)  # 2i: large, 2i + 1: small
         sums = np.bincount(label, sizes, 2 * len(self.replicates))  # in jump order
         return sums[0::2], sums[1::2]
 

@@ -6,7 +6,9 @@ import scipy.stats as sps
 
 from levyfield import Density, DiffusionComponent, Region
 from levyfield.characteristics import Atom
+from levyfield.funcs import ProductBump
 from levyfield.gaussian import WhiteNoiseField
+from levyfield.integrate import PAIRING_LEVELS, _pairing
 from levyfield.regions import Box, interval
 
 WIN = Region.from_intervals([(0.0, 1.0)])
@@ -266,3 +268,74 @@ def test_fresh_stacks_join_and_refined_ones_do_not():
     with pytest.raises(ValueError, match="fresh"):  # another intensity
         WhiteNoiseField.join([stack(1), make_field(2, density=2.0)])
     assert WhiteNoiseField.join([refined]) is refined
+
+
+# --------------------------------------------------------------------------
+# one query, many steps: ``through`` refines as the meshes queried in turn,
+# and each field fills the normals of a whole query in one draw
+# --------------------------------------------------------------------------
+
+def _stack_state(w):
+    return [_state(w, k) for k in range(len(w))]
+
+
+def _dyadic(box, levels):
+    return [[np.linspace(lo, hi, 2 ** level + 1) for lo, hi in zip(box.lo, box.hi)]
+            for level in levels]
+
+
+def _through_twins(window, density=1.0, atoms=(), horizon=1.0):
+    sigma = DiffusionComponent(Density(density), atoms)
+    seeds = [np.random.SeedSequence((s, 3)) for s in range(3)]
+    return [WhiteNoiseField(sigma, window, horizon, seeds) for _ in range(2)]
+
+
+@pytest.mark.parametrize("window, density, atoms, horizon, t, levels", [
+    # a time plane, and two window boxes refined one after the other
+    (Region(1, (Box((0.0,), (1.0,)), Box((2.0,), (3.0,)))), 1.0, (), 2.0, 1.2, range(5)),
+    (Region(2, (Box((0.0, 0.0), (1.0, 1.0)), Box((0.0, 1.0), (1.0, 2.0)))), 0.7, (), 1.0,
+     1.0, range(4)),
+    # a varying density with an atom: the split that integrates the cell masses
+    (WIN, lambda x: 1.0 + x[:, 0] if x.ndim > 1 else 1.0 + x, (Atom((0.45,), 0.3),), 1.0,
+     0.8, (0, 1, 3)),
+])
+def test_through_refines_as_the_meshes_queried_in_turn(window, density, atoms, horizon, t,
+                                                       levels):
+    a, b = _through_twins(window, density, atoms, horizon)
+    for box in window.boxes:
+        *coarse, last = _dyadic(box, levels)
+        for mesh in coarse:
+            a.grid_values(t, box, mesh)
+        want = a.grid_values(t, box, last)
+        got = b.grid_values(t, box, last, through=coarse)
+        assert got.tobytes() == want.tobytes()
+        assert _stack_state(a) == _stack_state(b)
+
+
+class _CountingRng:
+    """A generator that counts its normal draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("window", [WIN, Region(2, (Box((0.0, 0.0), (1.0, 1.0)),))])
+def test_a_query_draws_once_per_field(window):
+    box = window.boxes[0]
+    stack = make_stack((1, 2, 3, 4), window=window, horizon=2.0)
+    stack._rngs = [_CountingRng(rng) for rng in stack._rngs]
+    *coarse, last = _dyadic(box, range(3))
+    stack.grid_values(1.5, box, last, through=coarse)  # a time plane and three meshes
+    assert [rng.draws for rng in stack._rngs] == [1, 1, 1, 1]
+    stack.value(1.5, window)  # nothing new: no draw
+    assert [rng.draws for rng in stack._rngs] == [1, 1, 1, 1]
+    # a pairing reads two levels, so it makes two queries, not one per level
+    stack = make_stack((1, 2, 3, 4), window=window, horizon=2.0)
+    stack._rngs = [_CountingRng(rng) for rng in stack._rngs]
+    _pairing(stack, ProductBump((0.5,) * box.dim, 0.4), 1.5, box)
+    assert PAIRING_LEVELS[box.dim] > 1
+    assert [rng.draws for rng in stack._rngs] == [2, 2, 2, 2]

@@ -107,6 +107,12 @@ def test_cylindrical_characteristics_gaussian_quadratic_form():
     assert cyl.pushforward.compact_mass() == 0.0
 
 
+def test_a_pushforward_without_a_truncated_second_moment_is_refused():
+    # (1 + x^2)^-0.3 decays too slowly for an alpha = 1.5 stable intensity
+    with pytest.raises(ArithmeticError, match="truncated second moment"):
+        cylindrical_characteristics(preset("balan-stable", alpha=1.5), PolynomialDecay(0.3))
+
+
 def test_cylindrical_pushforward_of_simple_function():
     chars = preset("impulsive", rate=20.0)
     a = Region.from_intervals([(0.2, 0.5)])

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from levyfield import Region, SamplerConfig, preset, sample_field
-from levyfield.io import (FRAME_MAGIC, atomic_write_text, config_hash,
+from levyfield.io import (FRAME_MAGIC, _json_line, atomic_write_text, config_hash,
                           read_frames, read_jsonl, write_cf_csv, write_frames,
                           write_jsonl, write_jump_records, write_manifest,
                           write_sheet_csv)
+from levyfield.sampler import FieldRealization
 
 
 def small_real(dim=2, seed=3):
@@ -62,6 +63,35 @@ def test_jump_records_header_then_rows(tmp_path):
     assert first["time"] == real.jump_times[0]
     assert first["location"] == list(real.jump_locations[0])
     assert first["compensated"] == (abs(real.jump_sizes[0]) <= 1.0)
+
+
+def _edited(real, locations, sizes):
+    n = real.jump_times.size
+    return FieldRealization(real.spec, real.config, real.replicates, np.array([0, n]),
+                            real.jump_times.copy(), locations, sizes, real.gaussian,
+                            real.substitute)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jump_records_print_as_json_dumps(tmp_path, dim):
+    real = small_real(dim=dim, seed=5)
+    assert real.jump_times.size >= 6
+    locs, sizes = real.jump_locations.copy(), real.jump_sizes.copy()
+    locs[0, -1], sizes[1], sizes[2] = -0.0, 1.0, -1.0
+    finite = _edited(real, locs, sizes)
+    locs, sizes = locs.copy(), sizes.copy()
+    locs[3, 0], sizes[4], sizes[5] = np.inf, np.nan, -np.inf
+    for k, edited in enumerate((finite, _edited(real, locs, sizes))):
+        path = tmp_path / f"jumps-{k}.jsonl"
+        write_jump_records(str(path), edited)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        want = [_json_line({"time": float(s), "location": [float(c) for c in x],
+                            "size": float(y), "compensated": bool(abs(y) <= 1.0)}) + "\n"
+                for s, x, y in zip(edited.jump_times, edited.jump_locations, edited.jump_sizes)]
+        assert rows == want
+    assert '"location":[-0.0' in rows[0] or ',-0.0]' in rows[0]
+    assert rows[1].startswith('{"compensated":true,') and rows[2].startswith('{"compensated":true,')
+    assert '"location":[Infinity' in rows[3] and '"size":NaN' in rows[4]
 
 
 def test_cf_csv_columns_and_flags(tmp_path):

@@ -412,3 +412,25 @@ def test_a_multi_box_pick_draws_as_rng_choice():
         k = int(np.count_nonzero(pick == i))
         np.testing.assert_array_equal(pts[pick == i, 0], lo + want.random((k, 1))[:, 0] * (hi - lo))
     assert rng.random() == want.random()
+
+
+def _mask_sums(batch, t, region):
+    """``jump_sums`` gathered through a boolean mask of the jumps."""
+    mask = (batch.jump_times <= t) & region.contains(batch.jump_locations)
+    sizes = batch.jump_sizes[mask]
+    label = 2 * batch._owner[mask] + (np.abs(sizes) <= 1.0)
+    sums = np.bincount(label, sizes, 2 * len(batch.replicates))
+    return sums[0::2], sums[1::2]
+
+
+def test_kept_rows_gather_as_the_mask():
+    batch = sample_fields(preset("balan-stable", alpha=1.5), cfg(41, eps=0.05), range(8))
+    n = batch.jump_times.size
+    sliver = Region.from_intervals([(0.5, 0.5 + 1e-12)])
+    for t, region, count in ((1.0, WIN, n), (1.0, sliver, 0), (0.6, interval(0.2, 0.7), None)):
+        rows = batch._kept(t, region)
+        assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
+        assert count is None or rows.size == count
+        got, want = batch.jump_sums(t, region), _mask_sums(batch, t, region)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert 0 < batch._kept(0.6, interval(0.2, 0.7)).size < n
