@@ -6,37 +6,28 @@ along axis ``i`` is ``(0, x_i]`` when ``x_i > 0`` and ``[x_i, 0)`` when
 ``x_i < 0``, and each negative factor contributes a sign flip.  The sheet is
 zero whenever some coordinate of ``x`` vanishes, and box increments of the
 sheet recover the measure of the box.
+
+Every sheet query is one tensor lattice (``SheetRealization.corner_grid``),
+which contracts each part of the path against the signed corner factors of
+``_axis_indicator_matrix``: a point is a lattice of one point, and a box
+increment the two-point lattice of its corners, differenced axis by axis.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from .characteristics import Density
 from .funcs import TestFunction, effective_domain
 from .integrate import integrate
 from .regions import Box, Region
-from .sampler import FieldRealization
+from .sampler import FieldRealization, OutOfWindowError
 
 _CACHE_LIMIT = 1 << 16
-
-
-def _corner_box(x: np.ndarray) -> tuple[Box | None, int]:
-    """Signed corner box of ``x`` and its orientation sign.
-
-    Returns ``(None, 1)`` when some coordinate vanishes (degenerate box).
-    """
-    if np.any(x == 0.0):
-        return None, 1
-    lo = tuple(min(c, 0.0) for c in x)
-    hi = tuple(max(c, 0.0) for c in x)
-    closed = tuple(c < 0.0 for c in x)
-    sign = -1 if int(np.sum(x < 0.0)) % 2 else 1
-    return Box(lo, hi, closed), sign
 
 
 class SheetRealization:
@@ -51,42 +42,104 @@ class SheetRealization:
         return self.source.chars.dim
 
     def value(self, t: float, x) -> float:
-        """``X(t, x)`` — the field over (0, t] x the signed corner box of x."""
+        """``X(t, x)``: the field over (0, t] x the signed corner box of x, as
+        the one-point lattice of ``corner_grid``; answers are kept."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
-            raise ValueError(f"point has dimension {x.size}, sheet has {self.dim}")
         key = (float(t), tuple(x))
-        if key in self._cache:
-            return self._cache[key]
-        box, sign = _corner_box(x)
-        if box is None:
-            self.source.config.check_times(t)
-            out = 0.0
-        else:
-            out = sign * self.source.evaluate(t, Region.from_box(box))
-        if len(self._cache) >= _CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            if len(self._cache) >= _CACHE_LIMIT:
+                self._cache.clear()
+            self._cache[key] = self.corner_grid(t, x[:, None]).item()
+        return self._cache[key]
 
     def corner_grid(self, t: float, axes) -> np.ndarray:
         """Sheet values on the tensor lattice ``axes[0] x ... x axes[d-1]``.
 
-        Uses a vectorized evaluation when the realization is pure-jump with
-        constant drift and modulation densities; otherwise falls back to
-        point-by-point evaluation.
+        Zero when some axis holds only 0; otherwise the window must cover the
+        hull box ``prod_i [min(0, axes[i]), max(0, axes[i])]``.  Jumps and gamma
+        atoms count by the signed corner factors at their points, constant
+        drift and compensator densities as ``t rate prod_i x_i``.  White noises
+        (one ``grid_values`` read per window part) and varying densities (one
+        ``Density.integral`` per cell) are read on the hull's cells cut at the
+        lattice coordinates, 0 and the parts, and contracted at the cell
+        midpoints, axis by axis.  Axes may be unsorted and repeat values.
         """
+        real, chars = self.source, self.source.chars
         axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
         if len(axes) != self.dim:
             raise ValueError("need one coordinate array per axis")
-        fast = _fast_grid(self.source, t, axes)
-        if fast is not None:
-            return fast
-        shape = tuple(a.size for a in axes)
-        out = np.empty(shape)
-        for idx in np.ndindex(shape):
-            out[idx] = self.value(t, [axes[i][idx[i]] for i in range(self.dim)])
+        real.config.check_times(t)
+        if not all(np.any(a) for a in axes):
+            return np.zeros(tuple(a.size for a in axes))
+        hull = Box(tuple(min(0.0, a.min()) for a in axes), tuple(max(0.0, a.max()) for a in axes))
+        if not real.config.window.covers(hull):
+            raise OutOfWindowError("sheet lattice leaves the sampled window")
+
+        # deterministic part: constant densities in closed form, the rest per cell
+        gamma, nu, comp = chars.gamma, chars.nu, real.spec.compensator_rate
+        rate, varying = 0.0, []  # varying: (factor, density)
+        if gamma is not None:
+            if gamma.density.is_constant:
+                rate = gamma.density.const
+            else:
+                varying.append((1.0, gamma.density))
+        if nu is not None:
+            if nu.modulation.is_constant:
+                rate -= nu.modulation.const * comp
+            elif comp:
+                varying.append((-comp, nu.modulation))
+        density = Density(lambda p: sum(c * g(p) for c, g in varying)) if varying else None
+        i1 = int(np.searchsorted(real.jump_times, t, side="right"))
+        locs, sizes, d = real.jump_locations[:i1], real.jump_sizes[:i1], len(axes)
+
+        out = t * rate * reduce(np.multiply.outer, axes)
+        if gamma is not None:
+            for atom in gamma.atoms:
+                factors = [_axis_indicator_matrix(np.array([atom.point[i]]), axes[i])[0]
+                           for i in range(d)]
+                out += t * atom.weight * reduce(np.multiply.outer, factors)
+        if sizes.size:
+            mats = [_axis_indicator_matrix(locs[:, i], axes[i]) for i in range(d)]
+            if d == 1:
+                out += sizes @ mats[0]
+            elif d == 2:
+                out += (mats[0] * sizes[:, None]).T @ mats[1]
+            else:
+                letters = "abcdefgh"[:d]
+                sub = "j," + ",".join("j" + c for c in letters) + "->" + letters
+                out += np.einsum(sub, sizes, *mats)
+        stacks = [s for s in (real.gaussian, real.substitute) if s is not None]
+        if not (stacks or density):  # pure jumps, constant densities: no cells to read
+            return out
+        for part in real.config.window.boxes:
+            box = hull.intersect(part)
+            if box is None:
+                continue
+            edges = [np.unique(np.clip(np.concatenate([a, [0.0, lo, hi]]), lo, hi))
+                     for a, lo, hi in zip(axes, box.lo, box.hi)]
+            cells = np.zeros(tuple(e.size - 1 for e in edges))
+            for stack in stacks:
+                cells += stack.grid_values(t, box, edges)[0]
+            if density is not None:
+                for idx in np.ndindex(cells.shape):
+                    cell = Box(*zip(*((e[k], e[k + 1]) for e, k in zip(edges, idx))))
+                    cells[idx] += t * density.integral(Region.from_box(cell))[0]
+            for e, a in zip(edges, axes):
+                cells = np.tensordot(cells, _axis_indicator_matrix(0.5 * (e[:-1] + e[1:]), a),
+                                     axes=(0, 0))
+            out += cells
         return out
+
+
+def _axis_indicator_matrix(gs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Signed corner factors ``S[j, k] = 1{0 < g_j <= x_k} - 1{x_k <= g_j < 0}``.
+
+    The product of one axis's factors over all axes counts a point ``g``
+    inside the signed corner box of ``x``, sign included.
+    """
+    pos = (gs[:, None] > 0.0) & (gs[:, None] <= xs[None, :])
+    neg = (gs[:, None] < 0.0) & (gs[:, None] >= xs[None, :])
+    return np.subtract(pos, neg, dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -104,83 +157,19 @@ class BoxIncrement:
 
 
 def box_increment(sheet: SheetRealization, t: float, a, b) -> BoxIncrement:
-    """Alternating 2^d corner sum of the sheet over the box (a, b].
-
-    Degenerate boxes (``a_j == b_j`` on some axis) give exactly zero; the sum
-    telescopes corner values with sign ``(-1)^{#a-coordinates}``.
-    """
+    """The sheet's increment over the box (a, b]: the two-point lattice
+    ``{a_i, b_i}`` per axis, differenced one axis at a time.  A degenerate box
+    (``a_j == b_j`` on some axis) differences two equal values: exactly 0."""
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    d = sheet.dim
-    if a.size != d or b.size != d:
+    if a.size != sheet.dim or b.size != sheet.dim:
         raise ValueError("corner dimension mismatch")
     if np.any(a > b):
         raise ValueError("need a <= b componentwise")
-    if np.any(a == b):
-        sheet.source.config.check_times(t)
-        return BoxIncrement(tuple(a), tuple(b), 0.0)
-    terms = []
-    for bits in itertools.product((0, 1), repeat=d):
-        corner = np.where(np.asarray(bits, dtype=bool), b, a)
-        sign = -1.0 if (d - sum(bits)) % 2 else 1.0
-        terms.append(sign * sheet.value(t, corner))
-    return BoxIncrement(tuple(a), tuple(b), math.fsum(terms))
-
-
-# --------------------------------------------------------------------------
-# Fast lattice evaluation (pure-jump, constant densities)
-# --------------------------------------------------------------------------
-
-def _fast_grid(real: FieldRealization, t: float, axes: list[np.ndarray]) -> np.ndarray | None:
-    """Vectorized corner-grid evaluation, or None when inapplicable.
-
-    Applies when the deterministic part of M(t, .), drift minus the
-    compensator of the retained jumps, has a spatially constant density.
-    """
-    chars = real.chars
-    if chars.sigma is not None or real.substitute is not None:
-        return None
-    gamma, nu = chars.gamma, chars.nu
-    if (gamma is not None and not gamma.density.is_constant
-            or nu is not None and not nu.modulation.is_constant):
-        return None
-    real.config.check_times(t)
-    rate = 0.0 if gamma is None else gamma.density.const
-    if nu is not None:
-        rate -= nu.modulation.const * real.spec.compensator_rate
-    d = len(axes)
-    i1 = int(np.searchsorted(real.jump_times, t, side="right"))
-    locs = real.jump_locations[:i1]
-    sizes = real.jump_sizes[:i1]
-
-    out = t * rate * reduce(np.multiply.outer, axes)
-    if chars.gamma is not None:
-        for atom in chars.gamma.atoms:
-            factors = [_axis_indicator_matrix(np.array([atom.point[i]]), axes[i])[0]
-                       for i in range(d)]
-            out += t * atom.weight * reduce(np.multiply.outer, factors)
-    if sizes.size:
-        mats = [_axis_indicator_matrix(locs[:, i], axes[i]) for i in range(d)]
-        if d == 1:
-            out += sizes @ mats[0]
-        elif d == 2:
-            out += (mats[0] * sizes[:, None]).T @ mats[1]
-        else:
-            letters = "abcdefgh"[:d]
-            sub = "j," + ",".join("j" + c for c in letters) + "->" + letters
-            out += np.einsum(sub, sizes, *mats)
-    return out
-
-
-def _axis_indicator_matrix(gs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Signed corner factors ``S[j, k] = 1{0 < g_j <= x_k} - 1{x_k <= g_j < 0}``.
-
-    The product of one axis's factors over all axes counts a point ``g``
-    inside the signed corner box of ``x``, sign included.
-    """
-    pos = (gs[:, None] > 0.0) & (gs[:, None] <= xs[None, :])
-    neg = (gs[:, None] < 0.0) & (gs[:, None] >= xs[None, :])
-    return pos.astype(float) - neg.astype(float)
+    grid = sheet.corner_grid(t, np.stack([a, b], axis=1))
+    for _ in range(sheet.dim):
+        grid = grid[1] - grid[0]
+    return BoxIncrement(tuple(a), tuple(b), float(grid))
 
 
 # --------------------------------------------------------------------------

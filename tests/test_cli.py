@@ -198,6 +198,18 @@ def test_task_exceptions_fail_the_task_not_the_run(tmp_path, monkeypatch, capsys
     assert sorted(os.listdir(out)) == manifest["artifacts"]
 
 
+def test_a_sheet_past_the_window_fails_the_task(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("LEVY_FIELD_OUTPUT", raising=False)
+    cfg = write_cfg(tmp_path, MINIMAL.replace("{lo: 0.0, hi: 1.0, n: 4}", "[0.5, 1.5]"))
+    out = tmp_path / "out"
+    rc = main(["run", cfg, "--output", str(out)])
+    assert rc == 1
+    assert "FAILED 01-sheet: sheet lattice leaves the sampled window" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "01-sheet.csv" not in manifest["artifacts"]
+    assert sorted(os.listdir(out)) == manifest["artifacts"]
+
+
 def test_output_directory_precedence(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = """\

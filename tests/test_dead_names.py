@@ -94,12 +94,14 @@ def test_merged_set_up_helpers_are_gone():
 def test_merged_integration_helpers_are_gone():
     # the R^d walk is quadrature.ladder_integral; the tempered kernel's modular
     # term is the generic JumpKernel.compact_moment; the image of the jump
-    # measure is one quadrature per mass (integrate.Pushforward)
+    # measure is one quadrature per mass (integrate.Pushforward); every sheet
+    # query is one lattice (sheets.SheetRealization.corner_grid)
     defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
     kernels = ("JumpKernel", "StableKernel", "CompoundPoissonKernel", "TemperedStableKernel",
                "TabulatedKernel", "DiscreteJumps", "NormalJumps", "UniformJumps")
     gone = {"_expanding_quad", "TemperedStableKernel.compact_moment", "PushforwardMixture",
-            "PushforwardTable", *(f"{k}.scale_image" for k in kernels)}
+            "PushforwardTable", *(f"{k}.scale_image" for k in kernels),
+            "_fast_grid", "_corner_box"}
     assert defined & gone == set()
 
 

@@ -1,17 +1,20 @@
 """Sheet view: corner boxes, jump sides, box increments, duality."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from levyfield import (Characteristics, Density, JumpComponent, Region,
                        SamplerConfig, preset, sample_field)
-from levyfield.characteristics import DriftComponent
+from levyfield.characteristics import Atom, DiffusionComponent, DriftComponent
 from levyfield.funcs import GaussianFunction, ProductBump
+from levyfield.gaussian import WhiteNoiseField
 from levyfield.integrate import integrate
-from levyfield.kernels import CompoundPoissonKernel, DiscreteJumps
+from levyfield.kernels import CompoundPoissonKernel, DiscreteJumps, StableKernel
 from levyfield.regions import Box
+from levyfield.sampler import FieldRealization, OutOfWindowError, PathBatch
 from levyfield.sheets import SheetRealization, box_increment, duality_check
 
 WIN2 = Region.from_intervals([(-1.0, 1.0), (-1.0, 1.0)])
@@ -72,6 +75,9 @@ def test_box_increment_round_trip():
 def test_box_increment_degenerate_and_invalid():
     _, sheet = planar()
     assert box_increment(sheet, 1.0, (0.2, -0.3), (0.2, 0.4)).value == 0.0
+    noise = SheetRealization(sample_field(preset("gaussian-white-noise", dim=2),
+                                          SamplerConfig(seed=3, window=WIN2)))
+    assert box_increment(noise, 1.0, (0.2, -0.3), (0.2, 0.4)).value == 0.0
     with pytest.raises(ValueError, match="horizon"):  # the time span is checked all the same
         box_increment(sheet, 2.0, (0.2, -0.3), (0.2, 0.4))
     with pytest.raises(ValueError):
@@ -88,20 +94,119 @@ def test_box_increment_splits_at_a_plane():
     assert whole == pytest.approx(left + right, abs=1e-9)
 
 
-def test_corner_grid_fast_path_matches_point_queries():
-    # constant drift + compensator: eligible for the vectorized lattice
-    real = sample_field(
-        preset("balan-stable", alpha=1.5, p=0.7, q=0.3, dim=2),
-        SamplerConfig(seed=10, window=WIN2, eps=2e-2))
+def corner_measure(real, t, x):
+    """``M((0, t] x corner box of x)`` with its orientation sign, by ``evaluate``."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.0):
+        return 0.0
+    box = Box(tuple(np.minimum(x, 0.0)), tuple(np.maximum(x, 0.0)), tuple(x < 0.0))
+    return (-1.0) ** int(np.sum(x < 0.0)) * real.evaluate(t, Region.from_box(box))
+
+
+LINE = Region.from_intervals([(-1.0, 1.0)])
+AXIS = np.linspace(-0.9, 0.9, 16)
+
+
+def lattice_case(kind):
+    """(realization, axes) of one field kind for the lattice-versus-points check."""
+    if kind == "pure-jump":  # constant drift and compensator densities
+        return sample_field(preset("balan-stable", alpha=1.5, p=0.7, q=0.3, dim=2),
+                            SamplerConfig(seed=10, window=WIN2, eps=2e-2)), \
+            [np.linspace(-0.9, 0.9, 7), np.linspace(-0.8, 0.8, 5)]
+    if kind == "paths-triple":  # the benchmark's triple: constant Sigma
+        chars = Characteristics(1, gamma=DriftComponent(0.3),
+                                sigma=DiffusionComponent(1.0),
+                                nu=JumpComponent(StableKernel(1.5, 0.5, 0.5)))
+        return sample_field(chars, SamplerConfig(seed=41, window=LINE, eps=1e-2)), [AXIS]
+    if kind == "gaussian-substitute":
+        return sample_field(preset("balan-stable", alpha=1.5, p=0.7, q=0.3),
+                            SamplerConfig(seed=2, window=LINE, eps=2e-2,
+                                          small_jump_mode="gaussian-substitute")), [AXIS]
+    if kind == "varying-drift-and-modulation":
+        chars = Characteristics(
+            1, gamma=DriftComponent(Density(lambda x: 1.0 + x[:, 0] ** 2),
+                                    (Atom((0.35,), 0.5), Atom((-0.6,), -0.25))),
+            nu=JumpComponent(StableKernel(1.5, 0.8, 0.2),
+                             Density(lambda x: 1.0 + 0.5 * x[:, 0])))
+        return sample_field(chars, SamplerConfig(seed=7, window=LINE, eps=5e-2)), \
+            [np.append(AXIS, [0.35, -0.6])]
+    if kind == "varying-sigma":
+        chars = Characteristics(
+            1, sigma=DiffusionComponent(Density(lambda x: 1.0 + x[:, 0] ** 2),
+                                        (Atom((-0.4,), 0.3),)))
+        return sample_field(chars, SamplerConfig(seed=5, window=LINE)), \
+            [np.append(AXIS, -0.4)]
+    if kind == "two-part-window":
+        window = Region(1, (Box((-1.0,), (0.2,)), Box((0.2,), (1.0,))))
+        return sample_field(preset("balan-stable", alpha=1.5, p=0.7, q=0.3),
+                            SamplerConfig(seed=3, window=window, eps=2e-2,
+                                          small_jump_mode="gaussian-substitute")), [AXIS]
+    if kind == "planar-sigma":
+        return sample_field(preset("gaussian-white-noise", dim=2),
+                            SamplerConfig(seed=8, window=WIN2)), \
+            [np.linspace(-0.9, 0.9, 7), np.linspace(-0.8, 0.8, 5)]
+    assert kind == "unsorted-axis"  # a repeat and a 0
+    real = sample_field(preset("gaussian-white-noise"), SamplerConfig(seed=9, window=LINE))
+    return real, [np.array([0.5, -0.3, 0.0, 0.5, -0.9, 0.2, -0.3])]
+
+
+@pytest.mark.parametrize("kind", [
+    "pure-jump", "paths-triple", "gaussian-substitute", "varying-drift-and-modulation",
+    "varying-sigma", "two-part-window", "planar-sigma", "unsorted-axis"])
+def test_corner_grid_matches_point_queries(kind):
+    real, axes = lattice_case(kind)
     sheet = SheetRealization(real)
-    axes = [np.linspace(-0.9, 0.9, 7), np.linspace(-0.8, 0.8, 5)]
-    grid = sheet.corner_grid(1.0, axes)
-    for i, x1 in enumerate(axes[0]):
-        for j, x2 in enumerate(axes[1]):
-            assert grid[i, j] == pytest.approx(
-                sheet.value(1.0, [x1, x2]), rel=1e-10, abs=1e-12)
+    grid = sheet.corner_grid(0.8, axes)
+    assert grid.shape == tuple(a.size for a in axes)
+    for idx in np.ndindex(grid.shape):
+        x = [a[k] for a, k in zip(axes, idx)]
+        want = corner_measure(real, 0.8, x)
+        assert grid[idx] == pytest.approx(want, rel=1e-12, abs=1e-12), x
+        assert sheet.value(0.8, x) == pytest.approx(want, rel=1e-12, abs=1e-12), x
     with pytest.raises(ValueError):
-        sheet.corner_grid(1.0, [axes[0]])
+        sheet.corner_grid(0.8, axes + axes)
+
+
+def test_corner_grid_stays_inside_the_window():
+    for dim, axes in ((1, [[0.5, 1.5, 3.0]]), (2, [[0.5], [1.5]])):
+        real = sample_field(preset("balan-stable", alpha=1.5, p=0.7, q=0.3, dim=dim),
+                            SamplerConfig(seed=10, window=WIN2 if dim == 2 else LINE,
+                                          eps=2e-2))
+        sheet = SheetRealization(real)
+        with pytest.raises(OutOfWindowError):
+            sheet.corner_grid(1.0, axes)
+        with pytest.raises(OutOfWindowError):
+            sheet.value(1.0, [a[-1] for a in axes])
+        # an axis of zeros spans no box: the sheet is 0 wherever the other lies
+        assert not sheet.corner_grid(1.0, [[0.0]] + [[5.0]] * (dim - 1)).any()
+
+
+def test_a_lattice_reads_each_noise_stack_once_per_window_part(monkeypatch):
+    chars = Characteristics(1, sigma=DiffusionComponent(1.0),
+                            nu=JumpComponent(StableKernel(1.5, 0.7, 0.3)))
+    window = Region(1, (Box((-1.0,), (0.2,)), Box((0.2,), (1.0,))))
+    real = sample_field(chars, SamplerConfig(seed=4, window=window, eps=2e-2,
+                                             small_jump_mode="gaussian-substitute"))
+    refines, queries = Counter(), Counter()
+    original = WhiteNoiseField._refine
+
+    def refine(stack, steps):
+        refines[id(stack)] += 1
+        return original(stack, steps)
+
+    def no_query(name):
+        def fail(*args, **kwargs):
+            queries[name] += 1
+        return fail
+
+    monkeypatch.setattr(WhiteNoiseField, "_refine", refine)
+    for cls in (PathBatch, FieldRealization):
+        for name in ("evaluate", "components"):
+            monkeypatch.setattr(cls, name, no_query(f"{cls.__name__}.{name}"))
+    grid = SheetRealization(real).corner_grid(1.0, [np.linspace(-0.9, 0.9, 10)])
+    assert np.isfinite(grid).all()
+    assert queries == Counter()
+    assert sorted(refines.values()) == [2, 2]  # Sigma and the substitute, two parts each
 
 
 def test_corner_grid_fallback_with_varying_drift():
@@ -112,8 +217,6 @@ def test_corner_grid_fallback_with_varying_drift():
     real = sample_field(chars, SamplerConfig(
         seed=3, window=Region.from_intervals([(-1.0, 1.0)]), eps=0.0))
     sheet = SheetRealization(real)
-    from levyfield.sheets import _fast_grid
-    assert _fast_grid(real, 1.0, [np.array([0.5])]) is None
     x = 0.6
     n = int(np.searchsorted(real.jump_times, 1.0, side="right"))
     locs = real.jump_locations[:n, 0]
