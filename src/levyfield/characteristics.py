@@ -16,6 +16,7 @@ exponent where it exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,14 +69,11 @@ class Density:
             return np.full(x.shape[0], self.const)
         return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
 
-    def integral(self, region: Region, g=None, absolute: bool = False) -> tuple[float, float]:
-        """``(int_region g density dx, quadrature error)``; ``g=None`` stands for 1
-        and ``absolute`` for ``|density|`` in place of the density."""
+    def integral(self, region: Region, g=None) -> tuple[float, float]:
+        """``(int_region g density dx, quadrature error)``; ``g=None`` stands for 1."""
         if g is None and self.is_constant:
-            c = abs(self.const) if absolute else self.const
-            return c * region.volume, 0.0
-        dens = (lambda p: np.abs(self(p))) if absolute else self
-        return region_integral(dens if g is None else (lambda p: g(p) * dens(p)), region)
+            return self.const * region.volume, 0.0
+        return region_integral(self if g is None else (lambda p: g(p) * self(p)), region)
 
     def to_config(self):
         if not self.is_constant:
@@ -120,15 +118,13 @@ class DriftComponent:
             w = np.asarray(g(pts), dtype=float).reshape(w.size) * w
         return float(w.sum())
 
-    def integral(self, region: Region, g=None, *,
-                 absolute: bool = False) -> tuple[float, float]:
+    def integral(self, region: Region, g=None) -> tuple[float, float]:
         """``(int_region g d mu, quadrature error)``, density part first, then atoms.
 
-        ``g=None`` integrates 1 (the measure of the region); ``absolute``
-        integrates against the total variation ``|mu|``.
+        ``g=None`` integrates 1 (the measure of the region).
         """
-        val, err = self.density.integral(region, g, absolute)
-        return val + self.atom_sum(g, region, absolute=absolute), err
+        val, err = self.density.integral(region, g)
+        return val + self.atom_sum(g, region), err
 
 
 @dataclass(frozen=True)
@@ -161,16 +157,10 @@ class JumpComponent:
 
 @dataclass(frozen=True)
 class ControlMeasureValue:
-    """Control-measure evaluation split into its three contributions."""
+    """``int_A g d lambda`` and its quadrature error."""
 
-    drift_tv: float
-    gaussian_mass: float
-    jump_mass: float
+    value: float
     error_bound: float = 0.0
-
-    @property
-    def value(self) -> float:
-        return self.drift_tv + self.gaussian_mass + self.jump_mass
 
 
 @dataclass(frozen=True)
@@ -227,12 +217,29 @@ class Characteristics:
             return np.zeros(x.shape[0])
         return self.nu.modulation(x)
 
+    @functools.cached_property
+    def control(self) -> DiffusionComponent:
+        """The control measure ``lambda = |gamma| + Sigma + (int 1 ^ y^2 k(dy)) m(x) dx``.
+
+        Its density is ``(|gamma| + Sigma) + quad_mass * m``, a constant when all
+        three parts are; its atoms are gamma's ``|w|`` and Sigma's ``w``, merged by
+        point.  Built once per triple (a frozen dataclass: its fields never change).
+        """
+        gamma = self.gamma if self.gamma is not None else DriftComponent()
+        sigma = self.sigma if self.sigma is not None else DiffusionComponent()
+        drift, diff = gamma.density, sigma.density
+        mod, mass = ((self.nu.modulation, self.nu.kernel.quad_mass()) if self.nu is not None
+                     else (Density(0.0), 0.0))
+        if drift.is_constant and diff.is_constant and mod.is_constant:
+            density = Density(abs(drift.const) + diff.const + mod.const * mass)
+        else:
+            density = Density(lambda x: np.abs(drift(x)) + diff(x) + mod(x) * mass)
+        return DiffusionComponent(density, tuple(Atom(a.point, abs(a.weight))
+                                                 for a in gamma.atoms) + sigma.atoms)
+
     def control_density(self, x: np.ndarray) -> np.ndarray:
         """Lebesgue density of the control measure (atoms excluded)."""
-        out = np.abs(self.drift_density(x)) + self.diffusion_density(x)
-        if self.nu is not None:
-            out = out + self.jump_modulation(x) * self.nu.kernel.quad_mass()
-        return out
+        return self.control.density(x)
 
     @property
     def atom_reach(self) -> float:
@@ -248,26 +255,16 @@ class Characteristics:
         return 0.0 if self.sigma is None else self.sigma.integral(region)[0]
 
     def control_measure(self, region: Region, g=None) -> ControlMeasureValue:
-        """``int_A g d lambda`` (g=None: 1) by part, ``|gamma|``, ``Sigma`` and
-        ``int (1 ^ y^2) nu``, each against its own measure."""
+        """``int_A g d lambda`` (g=None: 1): one integral against ``control``."""
         if region.dim != self.dim:
             raise ValueError("region dimension mismatch")
-        drift_tv = gaussian = jump = err = 0.0
         try:
-            if self.gamma is not None:
-                drift_tv, err = self.gamma.integral(region, g, absolute=True)
-            if self.sigma is not None:
-                gaussian, e = self.sigma.integral(region, g)
-                err += e
-            if self.nu is not None:
-                mass, e = self.nu.modulation.integral(region, g)
-                jump = mass * self.nu.kernel.quad_mass()
-                err += e * self.nu.kernel.quad_mass()
+            value, err = self.control.integral(region, g)
         except ArithmeticError as exc:
             raise DivergentControlMeasureError(str(exc)) from exc
-        if not np.all(np.isfinite((drift_tv, gaussian, jump))):
+        if not np.isfinite(value):
             raise DivergentControlMeasureError("control measure is not finite on the region")
-        return ControlMeasureValue(drift_tv, gaussian, jump, err)
+        return ControlMeasureValue(value, err)
 
     # --- symbols -------------------------------------------------------
     def levy_symbol(self, f, u: float, t: float = 1.0,

@@ -115,9 +115,9 @@ class WhiteNoiseField:
 
         ``edges[i]`` are the mesh edge coordinates along space axis i
         (including both endpoints).  The box must lie inside a single window
-        part.  The meshes ``through`` (edge lists like ``edges``) refine the
-        grid first, in order, as if each had been queried alone; only the
-        last mesh is read.
+        part: a ``ValueError`` otherwise.  The meshes ``through`` (edge lists
+        like ``edges``) refine the grid first, in order, as if each had been
+        queried alone; only the last mesh is read.
         """
         if self._sigma is None or t <= 0.0:
             return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
@@ -139,7 +139,7 @@ class WhiteNoiseField:
                     arr[(slice(None),) * (i + 1) + (slice(lo, int(np.searchsorted(planes, e[-1]))),)],
                     starts, axis=i + 1)
             return arr
-        return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
+        raise ValueError("mesh box must lie within a single window part")
 
     # -- refinement ------------------------------------------------------
     def _refine(self, steps) -> None:

@@ -1,29 +1,26 @@
 """Bounded rectangular regions of R^d.
 
 A :class:`Box` is a product of one-dimensional intervals, half-open on the
-left by default (``(lo_i, hi_i]`` per axis).  Individual axes can flip to the
-``[lo_i, hi_i)`` convention, which the additive-sheet evaluator needs for
-boxes anchored at negative coordinates.  A :class:`Region` is a finite union
-of pairwise disjoint boxes of a common dimension.
+left (``(lo_i, hi_i]`` per axis).  A :class:`Region` is a finite union of
+pairwise disjoint boxes of a common dimension.
 
-Only point membership distinguishes the closure conventions; volumes and
-Lebesgue integrals do not see boundaries.
+Only point membership sees the boundaries; volumes and Lebesgue integrals
+do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box ``prod_i (lo_i, hi_i]`` (or ``[lo_i, hi_i)`` where flagged)."""
+    """Axis-aligned box ``prod_i (lo_i, hi_i]``."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    closed_left: tuple[bool, ...] = field(default=())
 
     def __post_init__(self):
         lo = tuple(float(a) for a in self.lo)
@@ -32,10 +29,6 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box needs matching, nonempty lo/hi tuples")
-        cl = self.closed_left or (False,) * len(lo)
-        if len(cl) != len(lo):
-            raise ValueError("closed_left length must match dimension")
-        object.__setattr__(self, "closed_left", tuple(bool(c) for c in cl))
         for a, b in zip(lo, hi):
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise ValueError("box corners must be finite")
@@ -56,24 +49,17 @@ class Box:
         if x.shape[1] != self.dim:
             raise ValueError(f"points have dimension {x.shape[1]}, box has {self.dim}")
         ok = np.ones(x.shape[0], dtype=bool)
-        for i, (a, b, cl) in enumerate(zip(self.lo, self.hi, self.closed_left)):
-            if cl:
-                ok &= (x[:, i] >= a) & (x[:, i] < b)
-            else:
-                ok &= (x[:, i] > a) & (x[:, i] <= b)
+        for i, (a, b) in enumerate(zip(self.lo, self.hi)):
+            ok &= (x[:, i] > a) & (x[:, i] <= b)
         return ok
 
     def intersect(self, other: "Box") -> "Box | None":
-        """Geometric intersection, or None if the interiors do not meet.
-
-        Closure flags are inherited from ``self`` on shared edges; boundaries
-        carry no volume so downstream quadrature never notices.
-        """
+        """Geometric intersection, or None if the interiors do not meet."""
         lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
         hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
         if any(a >= b for a, b in zip(lo, hi)):
             return None
-        return Box(lo, hi, self.closed_left)
+        return Box(lo, hi)
 
     def overlaps(self, other: "Box") -> bool:
         """True when the open interiors intersect (shared faces do not count)."""

@@ -70,20 +70,15 @@ class OutOfWindowError(ValueError):
 class LevyItoSpec:
     """The Levy-Ito decomposition of one sampler config, shared by its paths.
 
-    Integrability, all finite for a random measure: ``gaussian_l2``, the
-    Gaussian mass of the window; ``small_jump``, the second moment of jumps
-    of size <= 1 over it; ``large_jump``, the mass of jumps of size > 1.
-    Per unit of modulation: ``tail`` ``nu(|y| > eps)``, ``compensator_rate``
-    ``int_{eps < |y| <= 1} y nu`` and ``small_moment`` ``int_{|y| <= eps}
-    y^2 nu``.  Over the window: the mean jump count ``jump_rate`` of a path,
+    Built only where the control measure of the window is finite, as it is
+    for a random measure.  Per unit of modulation: ``tail`` ``nu(|y| > eps)``,
+    ``compensator_rate`` ``int_{eps < |y| <= 1} y nu`` and ``small_moment``
+    ``int_{|y| <= eps} y^2 nu``.  Over the window: the mean jump count ``jump_rate`` of a path,
     the box probabilities ``box_p`` of jump locations, and the white-noise
     root masses of Sigma and of the ``substitute`` for the small jumps.
     """
 
     chars: Characteristics
-    gaussian_l2: float
-    small_jump: float
-    large_jump: float
     tail: float = 0.0
     compensator_rate: float = 0.0
     small_moment: float = 0.0
@@ -106,19 +101,12 @@ def _decompose(chars: Characteristics, window: Region, horizon: float, eps: floa
                mode: str) -> LevyItoSpec:
     if window.dim != chars.dim:
         raise ValueError("window dimension does not match characteristics")
-    gaussian_l2 = chars.sigma_measure(window)
-    small = large = 0.0
-    if chars.nu is not None:
-        kern, mod = chars.nu.kernel, chars.nu.modulation
-        mod_mass, _ = chars.nu.spatial_mass(window)
-        small = mod_mass * kern.second_moment_below(1.0)
-        large = mod_mass * kern.tail_mass(1.0)
-    for name, v in (("gaussian", gaussian_l2), ("small-jump", small), ("large-jump", large)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} integrability condition fails on the window")
+    chars.control_measure(window)   # raises unless lambda(window) < infinity
     sigma_roots = root_masses(chars.sigma, window)
     if chars.nu is None:
-        return LevyItoSpec(chars, gaussian_l2, small, large, sigma_roots=sigma_roots)
+        return LevyItoSpec(chars, sigma_roots=sigma_roots)
+    kern, mod = chars.nu.kernel, chars.nu.modulation
+    mod_mass, _ = chars.nu.spatial_mass(window)
     tail = kern.tail_mass(eps)
     rate = horizon * mod_mass * tail
     if not np.isfinite(rate):
@@ -133,7 +121,7 @@ def _decompose(chars: Characteristics, window: Region, horizon: float, eps: floa
     if mode == "gaussian-substitute" and eps > 0.0:
         substitute = DiffusionComponent(Density(mod.const * s2) if mod.is_constant
                                         else Density(lambda x: mod(x) * s2))
-    return LevyItoSpec(chars, gaussian_l2, small, large, tail,
+    return LevyItoSpec(chars, tail,
                        kern.annulus_first_moment(eps, 1.0) if eps < 1.0 else 0.0, s2,
                        rate, box_p, sigma_roots, substitute,
                        root_masses(substitute, window))

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from levyfield import (Atom, Characteristics, Density, DiffusionComponent,
-                       DivergentControlMeasureError, DriftComponent,
+from levyfield import (Atom, Characteristics, ControlMeasureValue, Density,
+                       DiffusionComponent, DivergentControlMeasureError, DriftComponent,
                        IndicatorFunction, JumpComponent, ProductBump, Region,
                        SamplerConfig, SimpleFunction, StableKernel, interval,
                        preset, sample_field, stable_symbol_constant)
@@ -16,6 +16,7 @@ from levyfield.config import characteristics_from_config
 from levyfield.funcs import GaussianFunction
 from levyfield.integrate import cylindrical_characteristics, integrate
 from levyfield.quadrature import region_integral
+from levyfield.sampler import levy_ito_spec
 from levyfield.verify import embedding_inequality_check
 
 UNIT = Region.from_intervals([(0.0, 1.0)])
@@ -32,9 +33,7 @@ def test_control_measure_stable_constant():
 def test_control_measure_white_noise_is_lebesgue():
     chars = preset("gaussian-white-noise", dim=2)
     r = Region.from_intervals([(0.0, 2.0), (0.0, 1.5)])
-    cm = chars.control_measure(r)
-    assert cm.drift_tv == 0.0 and cm.jump_mass == 0.0
-    assert cm.gaussian_mass == pytest.approx(3.0)
+    assert chars.control_measure(r).value == pytest.approx(3.0)
 
 
 def test_control_measure_counts_atoms():
@@ -43,9 +42,8 @@ def test_control_measure_counts_atoms():
         gamma=DriftComponent(Density(0.0), (Atom((0.5,), -2.0),)),
         sigma=DiffusionComponent(Density(0.0), (Atom((0.25,), 1.5),)),
     )
-    cm = chars.control_measure(UNIT)
-    assert cm.drift_tv == pytest.approx(2.0)   # total variation of the atom
-    assert cm.gaussian_mass == pytest.approx(1.5)
+    # the total variation of the gamma atom plus the sigma atom
+    assert chars.control_measure(UNIT).value == pytest.approx(2.0 + 1.5)
     outside = Region.from_intervals([(2.0, 3.0)])
     assert chars.control_measure(outside).value == 0.0
 
@@ -157,30 +155,27 @@ def test_atom_sum_leaves_out_atoms_outside_the_region():
 def test_integral_adds_atoms_to_the_density_part():
     gamma = DriftComponent(Density(-2.0), (Atom((0.5,), 0.75), Atom((2.0,), 4.0)))
     assert gamma.integral(UNIT) == (-2.0 + 0.75, 0.0)
-    assert gamma.integral(UNIT, absolute=True) == (2.0 + 0.75, 0.0)
     val, err = gamma.integral(UNIT, lambda p: p[:, 0])
     assert val == pytest.approx(-1.0 + 0.375, abs=1e-12) and err < 1e-9
-    val, _ = gamma.integral(UNIT, lambda p: p[:, 0], absolute=True)
-    assert val == pytest.approx(1.0 + 0.375, abs=1e-12)
+    # |gamma| is the control measure of a drift-only triple
+    tv = Characteristics(1, gamma=gamma)
+    assert tv.control_measure(UNIT) == ControlMeasureValue(2.0 + 0.75, 0.0)
+    assert tv.control_measure(UNIT, lambda p: p[:, 0]).value == pytest.approx(
+        1.0 + 0.375, abs=1e-12)
 
 
 @pytest.mark.parametrize("density", [Density(-0.7), Density(lambda p: np.cos(3.0 * p[:, 0]))],
                          ids=["constant", "callable"])
-@pytest.mark.parametrize("absolute", [False, True])
-def test_density_integral_takes_the_integrand(density, absolute):
+def test_density_integral_takes_the_integrand(density):
     def g(p):
         return np.exp(p[:, 0]) - 1.5
 
-    def dens(p):
-        return np.abs(density(p)) if absolute else density(p)
-
     two_boxes = Region(1, (interval(-1.0, 0.25), interval(0.5, 2.0)))
     for region in (two_boxes, Region(1, ())):
-        assert density.integral(region, g, absolute) == region_integral(
-            lambda p: g(p) * dens(p), region)
+        assert density.integral(region, g) == region_integral(
+            lambda p: g(p) * density(p), region)
     if density.is_constant:
-        assert density.integral(two_boxes, absolute=absolute) == (
-            (0.7 if absolute else -0.7) * 2.75, 0.0)
+        assert density.integral(two_boxes) == (-0.7 * 2.75, 0.0)
 
 
 def test_same_point_atoms_merge_into_one():
@@ -190,8 +185,8 @@ def test_same_point_atoms_merge_into_one():
     assert gamma.atoms == (Atom((0.5,), 0.0), Atom((0.25,), 2.0))
     chars = Characteristics(1, gamma=gamma)
     assert chars.gamma_measure(Region.from_intervals([(0.4, 0.6)])) == 0.0
-    assert chars.control_measure(Region.from_intervals([(0.4, 0.6)])).drift_tv == 0.0
-    assert chars.control_measure(UNIT).drift_tv == 2.0
+    assert chars.control_measure(Region.from_intervals([(0.4, 0.6)])).value == 0.0
+    assert chars.control_measure(UNIT).value == 2.0
 
 
 # One triple with a gamma and a sigma atom inside (0, 1] and a gamma atom at
@@ -220,10 +215,10 @@ def test_atom_terms_in_the_symbol():
 
 
 def test_atom_terms_in_the_control_measure():
-    cm = ATOMS.control_measure(UNIT)
-    assert (cm.drift_tv, cm.gaussian_mass) == (0.3 + 0.7, 0.5 + 0.4)
+    assert ATOMS.control_measure(UNIT).value == pytest.approx(
+        (0.3 + 0.7) + (0.5 + 0.4), abs=1e-15)
     wide = ATOMS.control_measure(Region.from_intervals([(0.0, 3.0)]))
-    assert wide.drift_tv == pytest.approx(0.9 + 0.7 + 5.0, abs=1e-12)
+    assert wide.value == pytest.approx((0.9 + 0.7 + 5.0) + (1.5 + 0.4), abs=1e-12)
 
 
 def test_atom_terms_in_the_drift_of_integrate():
@@ -293,13 +288,76 @@ def test_control_measure_integrates_a_function_against_each_part():
     g = lambda x: 1.0 + x[:, 0]
     cm = ATOMS.control_measure(UNIT, g)
     # |gamma|: 0.3 * 1.5 + 0.7 * 1.25; Sigma: 0.5 * 1.5 + 0.4 * 1.75
-    assert (cm.drift_tv, cm.gaussian_mass, cm.jump_mass) == pytest.approx(
-        (0.45 + 0.875, 0.75 + 0.7, 0.0), abs=1e-14)
+    assert cm.value == pytest.approx((0.45 + 0.875) + (0.75 + 0.7), abs=1e-14)
     chars = preset("balan-stable", alpha=1.5, p=0.7, q=0.3)
     whole = chars.control_measure(UNIT)
     weighted = chars.control_measure(UNIT, g)
-    for part in ("drift_tv", "gaussian_mass", "jump_mass"):
-        assert getattr(weighted, part) == pytest.approx(1.5 * getattr(whole, part), rel=1e-13)
+    assert weighted.value == pytest.approx(1.5 * whole.value, rel=1e-13)
+
+
+# lambda against four triples: constant parts with p != q, constant parts with
+# atoms, callable parts with a gamma and a sigma atom at one point, and gamma
+# alone with same-point atoms that merge (0.5: +1 and -1; 0.25: -2 and 0.5)
+LAMBDA_TRIPLES = {
+    "balan-stable": preset("balan-stable", alpha=1.5, p=0.7, q=0.3),
+    "atoms": ATOMS,
+    "callable": Characteristics(
+        1,
+        gamma=DriftComponent(Density(lambda p: np.sin(3.0 * p[:, 0])), (Atom((0.25,), -0.6),)),
+        sigma=DiffusionComponent(Density(0.5), (Atom((0.25,), 0.4), Atom((0.75,), 0.2))),
+        nu=JumpComponent(StableKernel(1.5, 0.7, 0.3),
+                         modulation=Density(lambda p: 1.0 + p[:, 0] ** 2))),
+    "gamma-merged": Characteristics(1, gamma=DriftComponent(
+        Density(-0.4), (Atom((0.5,), 1.0), Atom((0.5,), -1.0), Atom((0.25,), -2.0),
+                        Atom((0.25,), 0.5)))),
+}
+
+
+def three_part_control_measure(chars, region, g):
+    """``int_A g d lambda`` as the sum of its three parts, each against its own measure."""
+    total = 0.0
+    if chars.gamma is not None:
+        dens = chars.gamma.density
+        total += (abs(dens.const) * region.volume if g is None and dens.is_constant
+                  else region_integral(lambda p: (1.0 if g is None else g(p))
+                                       * np.abs(dens(p)), region)[0])
+        total += chars.gamma.atom_sum(g, region, absolute=True)
+    if chars.sigma is not None:
+        total += chars.sigma.integral(region, g)[0]
+    if chars.nu is not None:
+        total += chars.nu.modulation.integral(region, g)[0] * chars.nu.kernel.quad_mass()
+    return total
+
+
+@pytest.mark.parametrize("name", LAMBDA_TRIPLES)
+def test_lambda_is_one_measure_of_the_three_parts(name):
+    chars = LAMBDA_TRIPLES[name]
+    two_boxes = Region(1, (interval(-1.0, 0.25), interval(0.5, 2.0)))
+    for region in (UNIT, two_boxes):
+        for g in (None, lambda p: 1.0 + p[:, 0]):
+            want = three_part_control_measure(chars, region, g)
+            assert chars.control_measure(region, g).value == pytest.approx(want, rel=1e-12)
+    x = np.linspace(-1.0, 2.0, 31)[:, None]
+    mass = chars.nu.kernel.quad_mass() if chars.nu is not None else 0.0
+    want = (np.abs(chars.drift_density(x)) + chars.diffusion_density(x)) \
+        + chars.jump_modulation(x) * mass
+    assert np.array_equal(chars.control_density(x), want)
+    assert chars.control is chars.control   # built once per triple
+
+
+def test_lambda_merges_the_atoms_of_gamma_and_sigma_by_point():
+    lam = LAMBDA_TRIPLES["callable"].control
+    assert lam.atoms == (Atom((0.25,), 0.6 + 0.4), Atom((0.75,), 0.2))
+    assert LAMBDA_TRIPLES["gamma-merged"].control.atoms == (Atom((0.5,), 0.0),
+                                                            Atom((0.25,), 1.5))
+    assert LAMBDA_TRIPLES["balan-stable"].control.density.is_constant
+    assert not LAMBDA_TRIPLES["callable"].control.density.is_constant
+
+
+def test_the_sampler_needs_a_finite_lambda_on_its_window():
+    chars = Characteristics(1, sigma=DiffusionComponent(Density(np.inf)))
+    with pytest.raises(DivergentControlMeasureError):
+        levy_ito_spec(chars, SamplerConfig(seed=1, window=UNIT))
 
 
 def test_config_round_trip():

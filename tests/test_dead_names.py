@@ -14,6 +14,7 @@ quadrature (``QUADRATURE_CALLERS``).  Where f lives is read in one place,
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -245,3 +246,26 @@ def test_the_scan_sees_a_private_gaussian_import():
               "from . import gaussian\n"
               "def f(w):\n    return gaussian._mesh_cells(w), gaussian.root_masses, w._rngs\n")
     assert private_gaussian_names(source) == ["_mesh_cells", "_refine", "_span"]
+
+
+def traced_names() -> tuple[list, list]:
+    """``FUNCTIONS`` and ``METHODS`` of ``perfbench/tracer.py``, read from its source."""
+    tables = {}
+    for node in ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("FUNCTIONS", "METHODS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables["FUNCTIONS"], tables["METHODS"]
+
+
+def test_every_traced_name_resolves():
+    # looked up as ``Tracer.install`` does: a module attribute, or a method in
+    # the class's own ``__dict__``
+    functions, methods = traced_names()
+    assert functions and methods
+    missing = [f"{mod}.{attr}" for mod, attr, _ in functions
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    missing += [f"{mod}.{cls}.{attr}" for mod, cls, attr, _ in methods
+                if attr not in vars(getattr(importlib.import_module(mod), cls, object))]
+    assert missing == []

@@ -110,6 +110,13 @@ def test_grid_values_consistent_with_point_queries():
         assert cells[0, k] == w.value(1.0, Region(1, (interval(float(a), float(b)),)))[0]
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (0.5, 1.5)], ids=["outside", "half-outside"])
+def test_grid_values_needs_a_box_inside_one_window_part(lo, hi):
+    w = make_field(77)
+    with pytest.raises(ValueError, match="within a single window part"):
+        w.grid_values(1.0, Box((lo,), (hi,)), [np.linspace(lo, hi, 3)])
+
+
 def test_none_sigma_is_zero():
     w = WhiteNoiseField(None, WIN, 1.0, [np.random.SeedSequence(1)])
     assert w.value(1.0, WIN)[0] == 0.0

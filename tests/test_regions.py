@@ -14,12 +14,6 @@ def test_interval_is_left_open():
     assert b.contains(pts).tolist() == [False, True, True, True, False]
 
 
-def test_closed_left_box_flips_the_boundary():
-    b = Box((-1.0,), (0.0,), closed_left=(True,))
-    pts = np.array([[-1.0], [-0.5], [0.0]])
-    assert b.contains(pts).tolist() == [True, True, False]
-
-
 def test_volume():
     assert interval(2.0, 5.0).volume == 3.0
     assert Box((0.0, -1.0), (2.0, 1.0)).volume == 4.0

@@ -303,14 +303,14 @@ def test_a_config_is_set_up_once_for_all_its_paths(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(StableKernel, "tail_mass", lambda kern, c: ("tail", c))
-    count(Characteristics, "sigma_measure", lambda chars, region: ("sigma", region))
+    count(Characteristics, "control_measure", lambda chars, region: ("lambda", region))
     count(JumpComponent, "spatial_mass", lambda nu, region: ("modulation", region))
     count(gaussian, "_space_mass",
           lambda sigma, box: ("root", sigma is chars.sigma, box))
     for k in range(100):
         sample_field(chars, config, k)
     assert calls[("tail", config.eps)] == 1
-    assert calls[("sigma", TWO_BOXES)] == calls[("modulation", TWO_BOXES)] == 1
+    assert calls[("lambda", TWO_BOXES)] == calls[("modulation", TWO_BOXES)] == 1
     # the white-noise root cells of sigma and of the small-jump substitute
     assert sum(1 for key in calls if key[0] == "root") == 2 * len(TWO_BOXES.boxes)
     assert set(calls.values()) == {1}

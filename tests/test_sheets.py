@@ -94,12 +94,22 @@ def test_box_increment_splits_at_a_plane():
     assert whole == pytest.approx(left + right, abs=1e-9)
 
 
+class CornerBox(Box):
+    """The corner box of a point x with no zero coordinate, as the signed corner
+    factors count it: ``(0, x_i]`` where x_i > 0 and ``[x_i, 0)`` where x_i < 0."""
+
+    def contains(self, p):
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        return np.all(np.where(hi == 0.0, (p >= lo) & (p < hi), (p > lo) & (p <= hi)), axis=1)
+
+
 def corner_measure(real, t, x):
     """``M((0, t] x corner box of x)`` with its orientation sign, by ``evaluate``."""
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         return 0.0
-    box = Box(tuple(np.minimum(x, 0.0)), tuple(np.maximum(x, 0.0)), tuple(x < 0.0))
+    box = CornerBox(tuple(np.minimum(x, 0.0)), tuple(np.maximum(x, 0.0)))
     return (-1.0) ** int(np.sum(x < 0.0)) * real.evaluate(t, Region.from_box(box))
 
 
