@@ -119,27 +119,25 @@ class WhiteNoiseField:
         like ``edges``) refine the grid first, in order, as if each had been
         queried alone; only the last mesh is read.
         """
+        # the first window part the box meets must hold it, whatever sigma and t
+        part = next((n for n, b in enumerate(self._window.boxes) if b.overlaps(box)), None)
+        if part is None or self._window.boxes[part].intersect(box) != box:
+            raise ValueError("mesh box must lie within a single window part")
         if self._sigma is None or t <= 0.0:
             return np.zeros((len(self),) + tuple(len(e) - 1 for e in edges))
         # the bounds of a later mesh are planes already: no step of its own
         self._refine(_bounds(t, (box,)) + [(i, e) for mesh in (*through, edges)
                                            for i, e in enumerate(mesh, 1)])
-        for patch in self._patches:
-            if patch["box"].intersect(box) is None:
-                continue
-            if not all(patch["box"].lo[i] <= box.lo[i] and box.hi[i] <= patch["box"].hi[i]
-                       for i in range(box.dim)):
-                raise ValueError("mesh box must lie within a single window part")
-            arr = patch["values"][:, _span(patch["axes"][0], 0.0, t)].sum(axis=1)
-            for i, e in enumerate(edges):
-                planes = patch["axes"][i + 1]
-                lo = int(np.searchsorted(planes, e[0]))
-                starts = np.searchsorted(planes, e[:-1]) - lo
-                arr = np.add.reduceat(
-                    arr[(slice(None),) * (i + 1) + (slice(lo, int(np.searchsorted(planes, e[-1]))),)],
-                    starts, axis=i + 1)
-            return arr
-        raise ValueError("mesh box must lie within a single window part")
+        patch = self._patches[part]
+        arr = patch["values"][:, _span(patch["axes"][0], 0.0, t)].sum(axis=1)
+        for i, e in enumerate(edges):
+            planes = patch["axes"][i + 1]
+            lo = int(np.searchsorted(planes, e[0]))
+            starts = np.searchsorted(planes, e[:-1]) - lo
+            arr = np.add.reduceat(
+                arr[(slice(None),) * (i + 1) + (slice(lo, int(np.searchsorted(planes, e[-1]))),)],
+                starts, axis=i + 1)
+        return arr
 
     # -- refinement ------------------------------------------------------
     def _refine(self, steps) -> None:

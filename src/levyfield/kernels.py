@@ -74,14 +74,15 @@ def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
 
 
-def choice_indices(rng: np.random.Generator, p, n: int) -> np.ndarray:
-    """``rng.choice(len(p), size=n, p=p)`` without its checks of ``p`` on every
-    call: the same n uniforms through the same normalized CDF, so the same
-    indices and the same generator state after.  ``p`` is nonnegative with a
+def choice_indices(p, u: np.ndarray) -> np.ndarray:
+    """The indices ``rng.choice(len(p), size=n, p=p)`` makes of its uniforms
+    ``u = rng.random(n)``, without its checks of ``p`` on every call: the same
+    normalized CDF, searched, so ``choice_indices(p, rng.random(n))`` leaves
+    the generator as ``rng.choice`` does.  ``p`` is nonnegative with a
     positive sum."""
     cdf = np.asarray(p, dtype=float).cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
+    return cdf.searchsorted(u, side="right")
 
 
 def copy_rng(rng: np.random.Generator, draws: int = 0) -> np.random.Generator:
@@ -318,6 +319,11 @@ class JumpKernel:
         """Draw n sizes from the kernel conditioned on ``|y| > eps``."""
         raise NotImplementedError
 
+    def tail_map(self, eps: float):
+        """The in-place map f of uniforms to sizes with ``f(rng.random(n))`` bit
+        for bit ``sample_tail(rng, n, eps)``; None for a rejection sampler."""
+        return None
+
 
 @dataclass(frozen=True)
 class StableKernel(JumpKernel):
@@ -512,12 +518,16 @@ class StableKernel(JumpKernel):
         return out
 
     def _map_blocks(self, rng, out, eps):
-        """Fill ``out`` from ``rng`` and map it, ``_TRANSFORM_BLOCK`` at a time."""
+        """Map ``out``, filled from ``rng`` first (if any), ``_TRANSFORM_BLOCK`` at a time."""
         buf = np.empty(min(out.size, _TRANSFORM_BLOCK))
         for lo in range(0, out.size, _TRANSFORM_BLOCK):
             u = out[lo:lo + _TRANSFORM_BLOCK]
-            rng.random(out=u)
+            if rng is not None:
+                rng.random(out=u)
             self._inverse_cdf(u, buf[:u.size], eps)
+
+    def tail_map(self, eps):
+        return lambda u: self._map_blocks(None, u, eps)
 
     def _inverse_cdf(self, u, buf, eps):
         """Map uniforms ``u`` to jumps in place, ``buf`` a scratch of its size."""
@@ -603,6 +613,9 @@ class JumpSizeDistribution:
         """``E[e^{-u Y}]`` for u >= 0."""
         raise NotImplementedError
 
+    def tail_map(self, eps):  # as JumpKernel.tail_map
+        return None
+
     def sample_tail(self, rng, n, eps):
         """Rejection sampling of Y given |Y| > eps, in at most 10,000 blocks."""
         acc = sum(self.prob_tails(eps))
@@ -658,7 +671,7 @@ class DiscreteJumps(JumpSizeDistribution):
 
     def sample(self, rng, n):
         v, p = self._arr()
-        return v[choice_indices(rng, p, n)]
+        return v[choice_indices(p, rng.random(n))]
 
     def prob_tails(self, c):
         v, p = self._arr()
@@ -692,11 +705,15 @@ class DiscreteJumps(JumpSizeDistribution):
         return np.exp(np.multiply.outer(-u, v)) @ p
 
     def sample_tail(self, rng, n, eps):
+        return self.tail_map(eps)(rng.random(n))
+
+    def tail_map(self, eps):
+        """The atoms beyond eps, picked as ``choice_indices`` picks them."""
         v, p = self._arr()
         m = np.abs(v) > eps
         if not m.any():
             raise ValueError(f"jump distribution has no mass beyond {eps}")
-        return v[m][choice_indices(rng, p[m] / p[m].sum(), n)]
+        return lambda u: v[m].take(choice_indices(p[m] / p[m].sum(), u), out=u)
 
     def to_config(self):
         return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
@@ -900,6 +917,9 @@ class CompoundPoissonKernel(JumpKernel):
 
     def sample_tail(self, rng, n, eps):
         return self.jumps.sample_tail(rng, n, eps)
+
+    def tail_map(self, eps):
+        return self.jumps.tail_map(eps)
 
     def to_config(self):
         return {"kind": "compound-poisson", "rate": self.rate,

@@ -12,13 +12,16 @@ config but not on the seed: ``levy_ito_spec`` builds them once per config,
 and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 
 ``sample_fields`` draws a batch of paths, ``sample_field`` its batch of one.
-Replicate k draws from its own streams ``SeedSequence((seed, k, stream))``:
-the count n; n uniform times, sorted in place; each jump's box (as
-``rng.choice`` draws it; one box spends n uniforms instead); n locations; n
-sizes.  The marks stay in draw order: iid and independent of the times, whose
-sort gives the uniform order statistics, they keep the Poisson law (Devroye,
-"Non-Uniform Random Variate Generation", 1986, ch. V).  A batch query
-gathers its jumps by ascending row index (``PathBatch._kept``), not by mask.
+Replicate k draws from its own streams ``default_rng(SeedSequence((seed, k,
+stream)))``, all seeds of a batch hashed at once (``_streams``): the count n;
+n uniform times, sorted in place; each jump's box (as ``rng.choice`` draws
+it; one box spends n uniforms instead); n locations; n sizes (uniforms where
+the kernel has a ``tail_map``).  Scaling the times, mapping a one-box
+window's locations and the sizes run once per batch.  The marks stay in draw
+order: iid and independent of the times, whose sort gives the uniform order
+statistics, they keep the Poisson law (Devroye, "Non-Uniform Random Variate
+Generation", 1986, ch. V).  A batch query gathers its jumps by ascending row
+index (``PathBatch._kept``), not by mask.
 
 ``sample_marginals`` is a law-identical fast path for replicated one-set
 marginals M(T, A): it skips jump records entirely and reduces each replicate
@@ -37,7 +40,9 @@ bit for bit those of one pass.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,7 +287,7 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
     # one box takes every jump: its "pick" only spends the n uniforms that
     # choice_indices would draw, so that seeded paths keep their locations
     one = len(boxes) == 1
-    pick = rng.random(n) if one else choice_indices(rng, box_p, n)
+    pick = rng.random(n) if one else choice_indices(box_p, rng.random(n))
     pts = np.empty((n, window.dim))
     for i, b in enumerate(boxes):
         sel = slice(None) if one else pick == i
@@ -313,28 +318,111 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
     return pts
 
 
+# NumPy's SeedSequence (O'Neill's seed_seq; NEP 19 keeps its output fixed): the
+# first constant and multiplier of its pool and output hashes, and its mix's
+_HASH_POOL, _HASH_OUT = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+
+
+def _words32(n) -> tuple:
+    """``n`` as SeedSequence reads an integer: little-endian 32-bit words."""
+    if (n := operator.index(n)) < 0:
+        raise ValueError("expected non-negative integer")
+    return tuple(n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32))
+
+
+def _hash(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays, its constant moving on at each call."""
+    def step(v):
+        nonlocal const
+        v = (v ^ np.uint32(const)) * np.uint32(const := const * mult & 0xFFFFFFFF)
+        return v ^ v >> np.uint32(16)
+    return step
+
+
+def _mix(x, y):
+    r = x * np.uint32(_MIX[0]) - y * np.uint32(_MIX[1])
+    return r ^ r >> np.uint32(16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """Per column of ``entropy`` (words x entropies, uint32): the four words
+    of ``SeedSequence(entropy).generate_state(4, np.uint64)``."""
+    pool_hash = _hash(*_HASH_POOL)
+    pool = [pool_hash(w) for w in (*entropy[:4], *[np.zeros_like(entropy[0])] * (4 - len(entropy)))]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], pool_hash(pool[src]))
+    for word in entropy[4:]:  # words past the pool mix into every pool word
+        pool = [_mix(w, pool_hash(word)) for w in pool]
+    out_hash = _hash(*_HASH_OUT)
+    state = np.stack([out_hash(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _given_state():
+    from numpy.random.bit_generator import ISeedSequence  # numpy.random loads on first use
+
+    @dataclass
+    class GivenState(ISeedSequence):
+        """PCG64's seed words, hashed in advance (it asks once, for 4 uint64)."""
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return GivenState
+
+
+def _streams(seed, replicates, stream: int):
+    """``default_rng(SeedSequence((seed, k, stream)))`` for each k of
+    ``replicates``, built one at a time from seeds hashed all at once: the
+    entropies of one word count as one array."""
+    head, tail = _words32(seed), _words32(stream)
+    entropy = [head + _words32(k) + tail for k in replicates]
+    states = np.empty((len(entropy), 4), np.uint64)
+    for width in {len(e) for e in entropy}:
+        rows = [i for i, e in enumerate(entropy) if len(e) == width]
+        states[rows] = _seed_states(np.array([entropy[i] for i in rows], np.uint32).T)
+    given = _given_state()
+    return (np.random.Generator(np.random.PCG64(given(words))) for words in states)
+
+
 def sample_fields(chars: Characteristics, config: SamplerConfig, replicates) -> PathBatch:
     """Paths ``replicates`` (indices) of the config's Levy-Ito decomposition:
     Poisson jumps above eps + white noise + drift.  Each draws from its own
     streams, so member i is ``sample_field(chars, config, replicates[i])``."""
     spec = levy_ito_spec(chars, config)
-    T, window = config.horizon, config.window
+    T, window, eps, dim = config.horizon, config.window, config.eps, chars.dim
     counts = np.zeros(len(replicates) + 1, dtype=np.intp)
-    times, locs, sizes = [np.empty(0)], [np.empty((0, chars.dim))], [np.empty(0)]
-    for i, k in enumerate(replicates if chars.nu is not None else ()):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, k, _STREAM_JUMPS)))
+    times, locs, sizes = [np.empty(0)], [np.empty((0, dim))], [np.empty(0)]
+    # one box at constant intensity: raw uniforms, mapped into the box below (a
+    # window without modulation mass has no box_p and raises in _sample_locations)
+    box = window.boxes[0] if (spec.box_p is not None and len(window.boxes) == 1
+                              and chars.nu.modulation.is_constant) else None
+    to_tail = chars.nu.kernel.tail_map(eps) if spec.jump_rate else None
+    paths = _streams(config.seed, replicates if chars.nu is not None else (), _STREAM_JUMPS)
+    for i, rng in enumerate(paths):
         n = counts[i + 1] = int(rng.poisson(spec.jump_rate))
-        times.append(rng.uniform(0.0, T, n))
+        times.append(rng.random(n))
         times[-1].sort()
-        locs.append(_sample_locations(rng, chars.nu.modulation, window, spec.box_p, n))
-        sizes.append(chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0))
+        # after the n uniforms that a pick of the one box spends
+        locs.append(rng.random((dim + 1) * n)[n:].reshape(n, dim) if box is not None else
+                    _sample_locations(rng, chars.nu.modulation, window, spec.box_p, n))
+        sizes.append(rng.random(n) if to_tail is not None else
+                     chars.nu.kernel.sample_tail(rng, n, eps) if n else np.empty(0))
+    times, locs, sizes = (np.concatenate(a) for a in (times, locs, sizes))
+    times *= T  # T u sorted is uniform(0, T) sorted
+    if box is not None:
+        locs *= np.subtract(box.hi, box.lo)
+        locs += box.lo
+    if to_tail is not None:
+        to_tail(sizes)
 
     def noise(sigma, roots, stream):
-        return None if sigma is None else WhiteNoiseField(sigma, window, T, [
-            np.random.SeedSequence((config.seed, k, stream)) for k in replicates], roots)
+        return None if sigma is None else WhiteNoiseField(
+            sigma, window, T, list(_streams(config.seed, replicates, stream)), roots)
 
-    return PathBatch(spec, config, replicates, np.cumsum(counts), np.concatenate(times),
-                     np.concatenate(locs), np.concatenate(sizes),
+    return PathBatch(spec, config, replicates, np.cumsum(counts), times, locs, sizes,
                      noise(chars.sigma, spec.sigma_roots, _STREAM_GAUSS),
                      noise(spec.substitute, spec.substitute_roots, _STREAM_SUBSTITUTE))
 

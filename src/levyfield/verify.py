@@ -260,10 +260,9 @@ def independence_test(x, y, *, permutations: int = 200, level: float = 0.01,
         return VerificationReport(name, math.nan, level, "indeterminate",
                                   n, seed, provenance, ("constant marginal; dcov undefined",))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1ce)))
-    rows = np.empty((permutations + 1, n), dtype=np.intp)
-    rows[0] = np.arange(n)
-    for row in rows[1:]:
-        row[:] = rng.permutation(n)
+    rows = np.tile(np.arange(n), (permutations + 1, 1))
+    shuffled = rows[1:]  # each row as rng.permutation(n) draws it, in one call
+    rng.permuted(shuffled, axis=1, out=shuffled)
     stats = _dcov_v_statistics(x, y, rows)
     obs = float(stats[0])
     exceed = int(np.count_nonzero(stats[1:] >= obs))

@@ -117,6 +117,17 @@ def test_grid_values_needs_a_box_inside_one_window_part(lo, hi):
         w.grid_values(1.0, Box((lo,), (hi,)), [np.linspace(lo, hi, 3)])
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (0.5, 1.5)], ids=["outside", "half-outside"])
+def test_grid_values_checks_the_box_without_sigma_or_time(lo, hi):
+    # a field that reads zeros still refuses a box outside its window parts
+    silent = WhiteNoiseField(None, WIN, 1.0, [np.random.SeedSequence(1)])
+    for w, t in ((silent, 1.0), (make_field(77), 0.0)):
+        with pytest.raises(ValueError, match="within a single window part"):
+            w.grid_values(t, Box((lo,), (hi,)), [np.linspace(lo, hi, 3)])
+        assert np.array_equal(w.grid_values(t, WIN.boxes[0], [np.linspace(0.0, 1.0, 3)]),
+                              np.zeros((1, 2)))
+
+
 def test_none_sigma_is_zero():
     w = WhiteNoiseField(None, WIN, 1.0, [np.random.SeedSequence(1)])
     assert w.value(1.0, WIN)[0] == 0.0

@@ -226,6 +226,26 @@ def test_split_sample_tail_is_bit_identical_to_one_pass(kern, width, monkeypatch
         assert got_rng.random() == want_rng.random()
 
 
+@pytest.mark.parametrize("kern", [*_STABLE_MAPS, CompoundPoissonKernel(
+    3.0, DiscreteJumps((2.0, -0.5, 0.3, -0.05), (0.4, 0.3, 0.2, 0.1)))])
+def test_the_tail_map_of_uniforms_is_sample_tail(kern):
+    b = kernels._TRANSFORM_BLOCK
+    for n in (0, 1, b, 2 * b + 3):
+        got_rng, want_rng = np.random.default_rng(n + 5), np.random.default_rng(n + 5)
+        u = got_rng.random(n)
+        kern.tail_map(0.1)(u)
+        assert u.tobytes() == kern.sample_tail(want_rng, n, 0.1).tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
+def test_rejection_samplers_have_no_tail_map():
+    for kern in (TemperedStableKernel(1.2, 2.0),
+                 TabulatedKernel([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+                 CompoundPoissonKernel(2.0, NormalJumps(0.0, 1.0)),
+                 CompoundPoissonKernel(2.0, UniformJumps(-1.0, 2.0))):
+        assert kern.tail_map(0.1) is None
+
+
 def test_copy_rng_draws_what_the_generator_draws_after_k_draws():
     rng = np.random.default_rng(4)
     rng.integers(7, dtype=np.uint32)  # leaves a buffered 32-bit half
@@ -338,7 +358,7 @@ def test_choice_indices_is_rng_choice(probs, n):
     for seed in range(20):
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = want_rng.choice(len(probs), size=n, p=probs)
-        got = kernels.choice_indices(got_rng, probs, n)
+        got = kernels.choice_indices(probs, got_rng.random(n))
         assert np.array_equal(got, want) and got.shape == (n,)
         assert got_rng.random() == want_rng.random()
 

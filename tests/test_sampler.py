@@ -9,12 +9,12 @@ import pytest
 import scipy.stats as sps
 
 from levyfield import (Box, Characteristics, Density, InfiniteActivityError,
-                       JumpComponent, Region, SamplerConfig, StableKernel,
+                       JumpComponent, Region, SamplerConfig, StableKernel, TabulatedKernel,
                        TemperedStableKernel, interval, preset,
                        sample_field, sample_fields, sample_marginals,
                        sample_stable_marginal_oracle,
                        stable_symbol_constant)
-from levyfield import gaussian, sampler
+from levyfield import gaussian, kernels, sampler
 from levyfield.characteristics import DiffusionComponent
 from levyfield.sampler import OutOfWindowError
 
@@ -434,3 +434,129 @@ def test_kept_rows_gather_as_the_mask():
         got, want = batch.jump_sums(t, region), _mask_sums(batch, t, region)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert 0 < batch._kept(0.6, interval(0.2, 0.7)).size < n
+
+
+# --------------------------------------------------------------------------
+# Streams and draw order
+# --------------------------------------------------------------------------
+
+SIGMA = DiffusionComponent(Density(0.5))
+
+
+def _pin_case(name, dim):
+    """(characteristics, window, eps) of each kernel and window kind."""
+    unit = Region.from_box(Box((0.0,) * dim, (1.0,) * dim))
+    windows = {1: BATCH_WINDOWS[1], 2: TWO_BOXES}
+    stable = {"stable-1.5": StableKernel(1.5), "stable-0.8": StableKernel(0.8),
+              "skewed": StableKernel(1.3, 0.7, 0.3),
+              "tempered": TemperedStableKernel(1.2, 2.0),
+              "tabulated": TabulatedKernel([-2.0, -0.5, 0.0, 0.5, 2.0], [1.0, 3.0, 0.0, 3.0, 1.0])}
+    if name in stable:
+        return Characteristics(dim, sigma=SIGMA, nu=JumpComponent(stable[name])), unit, 0.1
+    if name == "mytnik-positive":
+        return preset(name, alpha=1.5, dim=dim), unit, 0.1
+    if name == "impulsive":
+        return preset(name, rate=20.0, dim=dim), unit, 0.0
+    nu = JumpComponent(StableKernel(1.5), Density(lambda x: 2.0 - x[:, -1]) if name == "callable"
+                       else Density(1.5))
+    return (Characteristics(dim, sigma=SIGMA, nu=nu),
+            unit if name == "callable" else windows[dim], 0.1)
+
+
+def _one_path_as_drawn(chars, config, k):
+    """Path k drawn one call at a time, in the documented order, with its
+    white noises: default_rng(SeedSequence((seed, k, stream))) per stream."""
+    spec = sampler.levy_ito_spec(chars, config)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, k, 1)))
+    n = int(rng.poisson(spec.jump_rate))
+    times = rng.uniform(0.0, config.horizon, n)
+    times.sort()
+    locs = sampler._sample_locations(rng, chars.nu.modulation, config.window, spec.box_p, n)
+    sizes = chars.nu.kernel.sample_tail(rng, n, config.eps) if n else np.empty(0)
+    noises = [None if sigma is None else gaussian.WhiteNoiseField(
+                  sigma, config.window, config.horizon,
+                  [np.random.SeedSequence((config.seed, k, stream))])
+              for sigma, stream in ((chars.sigma, 2), (spec.substitute, 3))]
+    return times, locs, sizes, noises
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 40 + 3])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["stable-1.5", "stable-0.8", "mytnik-positive", "skewed",
+                                  "impulsive", "tempered", "tabulated", "two-boxes", "callable"])
+def test_a_batch_draws_each_path_as_one_call_at_a_time(name, dim, seed):
+    chars, window, eps = _pin_case(name, dim)
+    config = cfg(seed, window=window, eps=eps, small_jump_mode="gaussian-substitute")
+    replicates = [0, 1, 2, 5, 2 ** 32 + 1]
+    batch = sample_fields(chars, config, replicates)
+    values = [None if s is None else s.value(0.6, PROBES[dim]) for s in
+              (batch.gaussian, batch.substitute)]
+    assert batch.jump_times.size > 0
+    for i, k in enumerate(replicates):
+        times, locs, sizes, noises = _one_path_as_drawn(chars, config, k)
+        a, b = batch.offsets[i], batch.offsets[i + 1]
+        assert np.array_equal(batch.jump_times[a:b], times)
+        assert np.array_equal(batch.jump_locations[a:b], locs)
+        assert np.array_equal(batch.jump_sizes[a:b], sizes)
+        for got, lone in zip(values, noises):
+            assert (got is None) == (lone is None)
+            assert got is None or got[i] == lone.value(0.6, PROBES[dim])[0]
+
+
+SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5, np.int64(7)]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_streams_are_the_seed_sequences_of_each_replicate(seed):
+    replicates = [*range(50), 2 ** 32 + 1]
+    for stream in (1, 2, 3):
+        for k, got in zip(replicates, sampler._streams(seed, replicates, stream), strict=True):
+            want = np.random.default_rng(np.random.SeedSequence((seed, k, stream)))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(5).tobytes() == want.random(5).tobytes()
+
+
+def test_a_negative_seed_is_refused_as_by_seed_sequence():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((-1, 0, 1))
+    with pytest.raises(ValueError):
+        list(sampler._streams(-1, range(3), 1))
+
+
+def test_a_batch_maps_its_jump_sizes_once(monkeypatch):
+    # one map of a batch's uniforms, not a sample_tail call per path
+    from levyfield.kernels import CompoundPoissonKernel, DiscreteJumps
+    maps, tail_map = [], CompoundPoissonKernel.tail_map
+
+    def counted(kern, eps):
+        to_tail = tail_map(kern, eps)
+
+        def mapped(u):
+            maps.append(u.size)
+            return to_tail(u)
+        return mapped
+
+    def no_sample_tail(*args):
+        raise AssertionError("sample_tail was called")
+
+    monkeypatch.setattr(CompoundPoissonKernel, "tail_map", counted)
+    monkeypatch.setattr(DiscreteJumps, "sample_tail", no_sample_tail)
+    batches = list(sampler.path_batches(IMP, cfg(12), 600))
+    assert len(maps) == len(batches) >= 1
+    assert maps == [b.jump_sizes.size for b in batches]
+
+
+def test_a_stable_batch_maps_by_blocks_not_by_path(monkeypatch):
+    calls, inverse_cdf = [], StableKernel._inverse_cdf
+
+    def counted(kern, u, buf, eps):
+        calls.append(u.size)
+        return inverse_cdf(kern, u, buf, eps)
+
+    monkeypatch.setattr(StableKernel, "_inverse_cdf", counted)
+    chars = Characteristics(1, nu=JumpComponent(StableKernel(1.5)))
+    batch = sample_fields(chars, cfg(13, eps=0.05), range(200))
+    total = batch.jump_sizes.size
+    assert total > 2 * 200
+    assert calls == [min(kernels._TRANSFORM_BLOCK, total - lo)
+                     for lo in range(0, total, kernels._TRANSFORM_BLOCK)]
