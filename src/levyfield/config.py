@@ -390,7 +390,7 @@ def _run_verify_cf(cfg, task, prefix, emit, reports, failures):
     report = cf_match_test(cfg.characteristics, task["function"],
                            sampler.horizon, task["u"], task["n"], cfg.seed,
                            window=sampler.window, eps=sampler.eps,
-                           artifacts=extras)
+                           small_jump_mode=sampler.small_jump_mode, artifacts=extras)
     _record(report, prefix, reports, failures)
     if extras:
         emit(f"{prefix}.csv", lambda p: write_cf_csv(

@@ -15,8 +15,8 @@ and the paths, ``sample_marginals``, ``integrate`` and the sheets read them.
 Replicate k draws from its own streams ``default_rng(SeedSequence((seed, k,
 stream)))``, all seeds of a batch hashed at once (``_streams``): the count n;
 n uniform times, sorted in place; each jump's box (as ``rng.choice`` draws
-it; one box spends n uniforms instead); n locations; n sizes (uniforms where
-the kernel has a ``tail_map``).  Scaling the times, mapping a one-box
+it, n uniforms even for one box); n locations; n sizes (uniforms where the
+kernel has a ``tail_map``).  Scaling the times, mapping a one-box
 window's locations and the sizes run once per batch.  The marks stay in draw
 order: iid and independent of the times, whose sort gives the uniform order
 statistics, they keep the Poisson law (Devroye, "Non-Uniform Random Variate
@@ -283,15 +283,11 @@ def _sample_locations(rng: np.random.Generator, modulation: Density,
                       window: Region, box_p: tuple, n: int) -> np.ndarray:
     if box_p is None:
         raise ValueError("jump modulation has no mass on the window")
-    boxes = window.boxes
-    # one box takes every jump: its "pick" only spends the n uniforms that
-    # choice_indices would draw, so that seeded paths keep their locations
-    one = len(boxes) == 1
-    pick = rng.random(n) if one else choice_indices(box_p, rng.random(n))
+    pick = choice_indices(box_p, rng.random(n))
     pts = np.empty((n, window.dim))
-    for i, b in enumerate(boxes):
-        sel = slice(None) if one else pick == i
-        k = n if one else int(np.count_nonzero(sel))
+    for i, b in enumerate(window.boxes):
+        sel = pick == i
+        k = int(np.count_nonzero(sel))
         if k == 0:
             continue
         lo, hi = np.asarray(b.lo), np.asarray(b.hi)

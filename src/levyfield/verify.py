@@ -77,15 +77,19 @@ def _child_seed(*parts) -> int:
 
 def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
                   seed: int, *, window: Region | None = None,
-                  eps: float = 1e-3, artifacts: dict | None = None) -> VerificationReport:
+                  eps: float = 1e-3, small_jump_mode: str = "drop-with-bound",
+                  artifacts: dict | None = None) -> VerificationReport:
     """Empirical CF of ``int f dM(t, .)`` against ``exp(t Psi(u))``.
 
     Acceptance combines the Monte Carlo radius ``2/sqrt(n)`` with the exact
-    truncation-bias term ``|exp(t Psi_eps) - exp(t Psi)|`` per frequency, so
-    dropped small jumps are accounted for analytically rather than blamed on
-    the sampler.  Simple functions route through the fast marginal sampler;
-    anything else samples paths in batches, keeps their jump sums and white
-    noises, and pairs the white noises of many paths as one stack.
+    bias of the sampled law per frequency, ``|exp(t Psi_eps) - exp(t Psi)|``
+    when small jumps are dropped, so they are accounted for analytically
+    rather than blamed on the sampler.  Their ``gaussian-substitute`` adds a
+    white noise of variance ``t s2_eps int f^2 m`` (s2_eps: the second moment
+    of the jumps below eps) inside the first exp.  Simple functions route
+    through the fast marginal sampler; anything else samples paths in
+    batches, keeps their jump sums and white noises, and pairs the white
+    noises of many paths as one stack.
     """
     if n < 1000:
         raise ValueError("cf test needs at least 1000 replicates")
@@ -100,21 +104,29 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
     if terms is not None:
         samples = np.zeros(n)
         for k, (coef, region) in enumerate(terms):
-            cfg = SamplerConfig(seed=_child_seed(seed, k), window=window,
-                                horizon=t, eps=eps, replicates=n)
+            cfg = SamplerConfig(seed=_child_seed(seed, k), window=window, horizon=t,
+                                eps=eps, small_jump_mode=small_jump_mode, replicates=n)
             samples += coef * sample_marginals(chars, cfg, region)
     else:
-        cfg = SamplerConfig(seed=seed, window=window, horizon=t, eps=eps)
+        cfg = SamplerConfig(seed=seed, window=window, horizon=t, eps=eps,
+                            small_jump_mode=small_jump_mode)
         samples = _integrate_paths(chars, cfg, path_batches(chars, cfg, n), f, t)[0]
 
     emp, radius = empirical_cf(samples, u)
     notes = []
+    substitute = small_jump_mode == "gaussian-substitute"
     try:
+        var = 0.0   # of the white noise that stands in for the jumps below eps
+        if substitute and chars.nu is not None and eps > 0.0:
+            mod = chars.nu.modulation
+            f2m = (sum(c * c * mod.integral(r)[0] for c, r in terms) if terms is not None else
+                   mod.integral(effective_domain(f, window), lambda x: np.asarray(f(x)) ** 2)[0])
+            var = t * chars.nu.kernel.second_moment_below(eps) * f2m
         target = np.empty(u.shape, dtype=complex)
         bias = np.empty(u.shape)
         for j, uj in enumerate(u):
             target[j] = np.exp(chars.levy_symbol(f, uj, t, eps=0.0).value)
-            biased = np.exp(chars.levy_symbol(f, uj, t, eps=eps).value)
+            biased = np.exp(chars.levy_symbol(f, uj, t, eps=eps).value - uj * uj * var / 2.0)
             bias[j] = abs(biased - target[j])
             notes.append(f"u={uj:g}: |emp-target|={abs(emp[j] - target[j]):.3e} "
                          f"bias={bias[j]:.3e}")
@@ -128,8 +140,10 @@ def cf_match_test(chars: Characteristics, f, t: float, u_grid, n: int,
         artifacts.update(u=u, emp=emp, target=target, bias=bias, radius=radius,
                          per_u_pass=(deviations <= radius))
     decision = "pass" if worst <= radius else "fail"
-    prov = ("target exp(t*Psi(u)) from the characteristic triple; "
-            "per-u truncation bias |exp(t*Psi_eps)-exp(t*Psi)| credited")
+    prov = "target exp(t*Psi(u)) from the characteristic triple; " + (
+        "small-jump mode gaussian-substitute, per-u bias "
+        "|exp(t*Psi_eps-u^2*t*s2_eps*int f^2 m/2)-exp(t*Psi)| credited" if substitute
+        else "per-u truncation bias |exp(t*Psi_eps)-exp(t*Psi)| credited")
     return VerificationReport("cf-match", float(worst), float(radius), decision, n,
                               seed, prov, tuple(notes))
 
@@ -158,36 +172,44 @@ def _dominance_sums(rank: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
 
     With steps cut into blocks and ranks into buckets of ``width``, such a j
     is in an earlier block and a lower bucket (a 2-D prefix sum of the
-    (block, bucket) histogram), in the same block (step order), or in an
-    earlier block and the same bucket (rank order): about (n/width)^2 +
-    2 n width work per column, one loop pass per offset within a block.
+    (block, bucket, column) histogram, by whole rows over blocks and then
+    over buckets: a ``cumsum``'s additions along each axis), in the same
+    block (step order), or in an earlier block and the same bucket (rank
+    order).  Both orders lie (order, offset, block, column) with int32 keys
+    and counts, so one loop over the offsets d within a block serves both;
+    sums add in the order d = 1, 2, ...  About (n/width)^2 + 2 n width work
+    per column.
     """
     n, p = rank.shape
     nb = -(-n // width)
-    m = nb * width
-    # 1-based cells: the prefix sum at cell - (nb + 2) skips the own block and bucket
-    cell = ((np.arange(p) * (nb + 1) + np.arange(n)[:, None] // width + 1) * (nb + 1)
-            + rank // width + 1).ravel()
-    size = p * (nb + 1) ** 2
+    col = np.arange(p)
+    block = np.arange(n) // width
+    bucket, offset = np.divmod(rank, width)
+    # 1-based cells: the prefix sum at cell - (nb + 2) p skips the own block and bucket
+    cell = (((block + 1)[:, None] * (nb + 1) + bucket + 1) * p + col).ravel()
+    size = (nb + 1) ** 2 * p
     hist = np.stack([np.bincount(cell, minlength=size),
-                     np.bincount(cell, z.ravel(), size)]).reshape(2, p, nb + 1, nb + 1)
-    np.cumsum(hist, axis=2, out=hist)
-    np.cumsum(hist, axis=3, out=hist)
-    # same block in step order, same bucket in rank order; padding precedes no point
-    at_rank = np.zeros((m, p), dtype=np.intp)
-    np.put_along_axis(at_rank, rank, np.arange(n)[:, None], axis=0)
-    zpad = np.pad(z, ((0, m - n), (0, 0)))
-    by_step, by_rank = np.zeros((2, 2, nb, width, p))
-    for key, w, acc in ((np.pad(rank, ((0, m - n), (0, 0))), zpad, by_step),
-                        (at_rank // width, np.take_along_axis(zpad, at_rank, axis=0), by_rank)):
-        key, w = key.reshape(nb, width, p), w.reshape(nb, width, p)
-        for d in range(1, width):
-            hit = key[:, d:] > key[:, :-d]
-            acc[0, :, d:] += hit
-            acc[1, :, d:] += hit * w[:, :-d]
-    out = hist.reshape(2, -1)[:, cell - (nb + 2)].reshape(2, n, p)
-    out += by_step.reshape(2, m, p)[:, :n]
-    out += np.take_along_axis(by_rank.reshape(2, m, p), rank[None], axis=1)
+                     np.bincount(cell, z.ravel(), size)]).reshape(2, nb + 1, nb + 1, p)
+    for rows in (hist.transpose(1, 0, 2, 3), hist.transpose(2, 0, 1, 3)):
+        for k in range(1, nb + 1):
+            rows[k] += rows[k - 1]
+    # step order, then rank order (``at``: each point's place); padding precedes no point
+    at = ((offset * nb + bucket) * p + col).ravel()
+    key = np.zeros((2, width, nb, p), dtype=np.int32)
+    w = np.zeros(key.shape)
+    for a, by_step, by_rank in ((key, rank, np.repeat(block, p)), (w, z, z.ravel())):
+        a[0] = np.pad(by_step, ((0, nb * width - n), (0, 0))).reshape(nb, width, p).swapaxes(0, 1)
+        a[1].ravel()[at] = by_rank
+    count = np.zeros(key.shape, dtype=np.int32)
+    total = np.zeros(key.shape)
+    for d in range(1, width):
+        hit = key[:, d:] > key[:, :-d]
+        count[:, d:] += hit
+        total[:, d:] += hit * w[:, :-d]
+    out = np.take(hist.reshape(2, -1), cell - (nb + 2) * p, axis=1).reshape(2, n, p)
+    for acc, part in ((count, out[0]), (total, out[1])):
+        part += acc[0].swapaxes(0, 1).reshape(-1, p)[:n]
+        part += acc[1].ravel()[at].reshape(n, p)
     return out
 
 

