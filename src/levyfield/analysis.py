@@ -40,19 +40,11 @@ def drift_correction_sup(chars: Characteristics, x: np.ndarray, u) -> np.ndarray
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.broadcast_to(np.abs(np.asarray(u, dtype=float)), (x.shape[0],)).astype(float)
-    return _drift_sup(chars, x, u, chars.jump_modulation(x))
-
-
-def _drift_sup(chars: Characteristics, x: np.ndarray, u: np.ndarray,
-               mod: np.ndarray | None) -> np.ndarray:
-    """``drift_correction_sup`` at points ``x`` of shape (n, d) with ``u >= 0`` of
-    shape (n,), both float; ``mod`` is the jump modulation at ``x`` (None without
-    a jump part)."""
     a0 = chars.drift_density(x)
     kern = chars.nu.kernel if chars.nu is not None else None
     if kern is None or kern.symmetric:
         return np.abs(a0) * u
-    return kern.drift_sup(a0, mod, u)
+    return kern.drift_sup(a0, chars.jump_modulation(x), u)
 
 
 # --------------------------------------------------------------------------
@@ -64,17 +56,28 @@ def modular_integrand(chars: Characteristics, f):
 
     Integrating this against Lebesgue gives the membership integral
     ``int Phi(|f|, x) lambda(dx)`` off the atoms (``modular_integrals`` adds them).
+    The drift sup, ``u^2 Sigma`` and ``m(x) int (1 ^ |u y|^2) k(dy)`` are added in place
+    in that order; constant densities enter as floats, and the term of an absent gamma
+    or Sigma (0 where |f| is finite) is skipped: the full sum's bits where it is finite.
     """
     kern = chars.nu.kernel if chars.nu is not None else None
 
     def integrand(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         u = np.abs(np.asarray(f(x), dtype=float))
-        mod = chars.jump_modulation(x) if kern is not None else None
-        out = _drift_sup(chars, x, u, mod)
-        out += u * u * chars.diffusion_density(x)
+        mod = chars.nu.modulation.at(x) if kern is not None else None
+        terms = []
+        if kern is not None and not kern.symmetric:
+            terms.append(kern.drift_sup(chars.drift_density(x), np.broadcast_to(mod, u.shape), u))
+        elif chars.gamma is not None:
+            terms.append(np.abs(chars.gamma.density.at(x)) * u)
+        if chars.sigma is not None:
+            terms.append(u * u * chars.sigma.density.at(x))
         if kern is not None:
-            out += mod * kern.compact_moment(u)
+            terms.append(mod * kern.compact_moment(u))
+        out = terms[0]
+        for term in terms[1:]:
+            out += term
         return out
 
     return integrand

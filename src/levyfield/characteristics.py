@@ -69,11 +69,16 @@ class Density:
             return np.full(x.shape[0], self.const)
         return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
 
-    def integral(self, region: Region, g=None) -> tuple[float, float]:
-        """``(int_region g density dx, quadrature error)``; ``g=None`` stands for 1."""
+    def at(self, x: np.ndarray):
+        """The density at the (n, d) points ``x``; a constant density as the float itself."""
+        return self.const if self.is_constant else self(x)
+
+    def integral(self, region: Region, g=None):
+        """``(int_region g density dx, quadrature error)``, one per row of a k-row ``g``
+        (shape (k, n)); ``g=None`` stands for 1."""
         if g is None and self.is_constant:
             return self.const * region.volume, 0.0
-        return region_integral(self if g is None else (lambda p: g(p) * self(p)), region)
+        return region_integral(self if g is None else (lambda p: g(p) * self.at(p)), region)
 
     def to_config(self):
         if not self.is_constant:

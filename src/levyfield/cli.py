@@ -14,7 +14,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import stationarity_check, tempered_test
@@ -91,6 +90,7 @@ def _run(args) -> int:
 
 
 def _versions() -> dict:
+    import scipy  # the manifest's version only; a module-level import costs every run
     return {"levyfield": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__}
 

@@ -122,7 +122,10 @@ class PolynomialDecay(TestFunction):
 
     def __call__(self, x):
         x = self._coerce(x)
-        return (1.0 + sum(c * c for c in x.T)) ** (-self.r)
+        s = sum(c * c for c in x.T)
+        s += 1.0
+        s **= -self.r
+        return s
 
     def mixed_partial(self, x):
         # d applications of d/dx_i give (-2)^d r(r+1)...(r+d-1) x_1...x_d (1+|x|^2)^{-r-d}

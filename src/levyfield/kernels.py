@@ -389,8 +389,9 @@ class StableKernel(JumpKernel):
         return _value(out)
 
     def compact_moment(self, u):
-        u = np.abs(np.asarray(u, dtype=float))
-        val = self.scale * 2.0 / (2.0 - self.alpha) * u ** self.alpha
+        val = np.abs(np.asarray(u, dtype=float))
+        val **= self.alpha
+        val *= self.scale * 2.0 / (2.0 - self.alpha)
         return val if val.shape else float(val)
 
     def cf_integrand(self, c, eps: float = 0.0):

@@ -5,12 +5,15 @@ estimate is the last escalation difference.  Escalation stops once that
 difference is within ``max(ABS_TOL, REL_TOL * |value|)``: the tolerances are
 module constants, the same for every caller.  ``region_integrals`` integrates
 several regions at once: per order, the nodes of every unsettled box of them all,
-built axis by axis, go to the integrand as one (n, d) array (at most
-``MAX_POINTS`` of them, or one box's).  Each box still escalates, stops and is
-reduced on its own, so where the integrand's value at a point does not depend on
-the other points of the call, each region's value and error are bit for bit those
-of integrating its boxes one by one.  Outside this module only ``Density.integral``
-(through ``region_integral``, the one-region case) and ``modular_integrals`` call it.
+built axis-major, go to the integrand as one (n, d) view (at most ``MAX_POINTS``
+of them, or one box's), and one ``np.matmul`` per axis reduces all their sums
+with the same BLAS calls as a lone box's.  An integrand may return k rows, shape
+(k, n): every (row, box) escalates, stops and is checked for finiteness on its
+own, and a box's nodes are evaluated until all its rows have settled.  So where
+the integrand's value at a point does not depend on the other points of the call,
+each region's (and row's) value and error are bit for bit those of integrating its
+boxes one by one.  Outside this module only ``Density.integral`` (through
+``region_integral``, the one-region case) and ``modular_integrals`` call it.
 """
 
 from __future__ import annotations
@@ -36,76 +39,85 @@ def _rule(order: int):
     return _rule_cache[order]
 
 
-def _tensor_sums(f, mid: np.ndarray, half: np.ndarray, order: int) -> list[float]:
-    """Tensor Gauss-Legendre sums of ``f`` over the boxes ``mid[i] +- half[i]`` (arrays
-    of shape (boxes, d)), evaluating ``f`` on the nodes of as many boxes at once as
-    ``MAX_POINTS`` allows; each sum is reduced axis by axis as for a lone box.  Axis
-    j's nodes ``mid[:, j] + half[:, j] * node`` are broadcast over the grid (C order)."""
+def _tensor_sums(f, mid: np.ndarray, half: np.ndarray, order: int) -> np.ndarray:
+    """Tensor Gauss-Legendre sums, shape (rows, boxes), of ``f`` (n values, or k rows of
+    them) over the boxes ``mid[i] +- half[i]`` (arrays of shape (boxes, d)).  ``f`` sees
+    as many boxes' nodes at once as ``MAX_POINTS`` allows, as an (n, d) view of axis-major
+    nodes: axis j's ``mid[:, j] + half[:, j] * node``, broadcast over the grid (C order).
+    One ``np.matmul`` per axis, last first, makes a lone box's BLAS calls for all boxes."""
     d = mid.shape[1]
     nodes, weights = _rule(order)
     per = max(1, MAX_POINTS // order ** d)
-    sums = []
+    parts = []
     for start in range(0, len(mid), per):
         m, h = mid[start:start + per], half[start:start + per]
-        pts = np.empty((len(m),) + (order,) * d + (d,))
+        b = len(m)
+        pts = np.empty((d, b) + (order,) * d)
         for j in range(d):
-            pts[..., j] = (m[:, j, None] + h[:, j, None] * nodes).reshape(
-                (len(m),) + (1,) * j + (order,) + (1,) * (d - 1 - j))
-        vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(pts.shape[:-1])
-        for v, axis_weights in zip(vals, h[:, ::-1, None] * weights):
-            for w in axis_weights:
-                v = v @ w
-            sums.append(float(v))
-    return sums
+            pts[j] = (m[:, j, None] + h[:, j, None] * nodes).reshape(
+                (b,) + (1,) * j + (order,) + (1,) * (d - 1 - j))
+        vals = np.asarray(f(pts.reshape(d, -1).T), dtype=float).reshape((-1, b) + (order,) * d)
+        w = h[:, ::-1, None] * weights   # per box, the axes' weights, last axis first
+        for t in range(d - 1):
+            vals = np.matmul(vals, w[:, t].reshape((b,) + (1,) * (d - 2 - t) + (order, 1)))[..., 0]
+        parts.append(np.matmul(vals[..., None, :], w[:, d - 1, :, None])[..., 0, 0])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _box_integrals(f, boxes) -> list[tuple[float, float]]:
-    """Adaptive-order (value, error) per box: every box escalates through
-    ``ORDERS`` until it settles, and the boxes still unsettled share each call."""
+def _box_integrals(f, boxes) -> list[list[tuple[float, float]]]:
+    """Adaptive-order (value, error) per box and row: each (row, box) escalates through
+    ``ORDERS`` until it settles, on its own; a box's nodes go to every call until all
+    its rows have settled, and a settled row's later sums are never read."""
     lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    prev = _tensor_sums(f, mid, half, ORDERS[0])
-    out: list = [None] * len(prev)
-    live = list(range(len(prev)))
+    prev = _tensor_sums(f, mid, half, ORDERS[0]).T.tolist()
+    out: list = [[None] * len(p) for p in prev]
+    live = [(i, range(len(p))) for i, p in enumerate(prev)]
     for order in ORDERS[1:]:
         if not live:
             break
-        part = (mid, half) if len(live) == len(mid) else (mid[live], half[live])
+        idx = [i for i, _ in live]
+        part = (mid, half) if len(idx) == len(mid) else (mid[idx], half[idx])
         still = []
-        for i, cur in zip(live, _tensor_sums(f, *part, order)):
-            err = abs(cur - prev[i])
-            if not math.isfinite(cur):
-                raise ArithmeticError("integral is not finite")
-            out[i] = (cur, err)   # final once it settles, or after the last order
-            if not err <= max(ABS_TOL, REL_TOL * abs(cur)):
-                prev[i] = cur
-                still.append(i)
+        for (i, rows), sums in zip(live, _tensor_sums(f, *part, order).T.tolist()):
+            left = []
+            for r in rows:
+                cur = sums[r]
+                err = abs(cur - prev[i][r])
+                if not math.isfinite(cur):
+                    raise ArithmeticError("integral is not finite")
+                out[i][r] = (cur, err)   # final once it settles, or after the last order
+                if not err <= max(ABS_TOL, REL_TOL * abs(cur)):
+                    prev[i][r] = cur
+                    left.append(r)
+            if left:
+                still.append((i, left))
         live = still
     return out
 
 
-def box_integral(f, box: Box) -> tuple[float, float]:
+def box_integral(f, box: Box):
     """Adaptive-order integral over a box; returns (value, error estimate)."""
-    return _box_integrals(f, (box,))[0]
+    return region_integral(f, Region.from_box(box))
 
 
-def region_integrals(f, regions) -> list[tuple[float, float]]:
+def region_integrals(f, regions) -> list:
     """Per region, the sum over its boxes, in box order, of each box's adaptive-order
-    integral: (value, error).  The boxes of all the regions escalate together."""
+    integral: (value, error), or one such pair per row of a k-row integrand.  The boxes
+    of all the regions escalate together; a call without any box gives (0.0, 0.0)."""
     boxes = [b for region in regions for b in region.boxes]
-    results = iter(_box_integrals(f, boxes) if boxes else ())
+    per_box = _box_integrals(f, boxes) if boxes else [[(0.0, 0.0)]]
+    results, k = iter(per_box), len(per_box[0])
     out = []
     for region in regions:
-        total, err = 0.0, 0.0
+        sums = [(0.0, 0.0)] * k
         for _ in region.boxes:
-            v, e = next(results)
-            total += v
-            err += e
-        out.append((total, err))
+            sums = [(v + bv, e + be) for (v, e), (bv, be) in zip(sums, next(results))]
+        out.append(sums[0] if k == 1 else sums)
     return out
 
 
-def region_integral(f, region: Region) -> tuple[float, float]:
+def region_integral(f, region: Region):
     """``region_integrals`` of one region."""
     return region_integrals(f, (region,))[0]
 

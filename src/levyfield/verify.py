@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import modular_integrals
-from .characteristics import Characteristics
+from .characteristics import Characteristics, Density, DivergentControlMeasureError
 from .funcs import IndicatorFunction, effective_domain
 from .integrate import _integrate_paths, empirical_cf
 from .kernels import DiscreteJumps, JumpSizeDistribution
@@ -419,30 +419,34 @@ def embedding_inequality_check(chars: Characteristics, f,
         raise ValueError("f has no bounded support: give a bounded domain")
     prov = ("modular bound with proof constants 1, 11, 9 plus the "
             "large-jump linear tail term")
+    nu = chars.nu
+
+    def rhs_rows(x):
+        """|f| and f^2 against lambda's density, then the two jump terms against m."""
+        u = np.abs(np.asarray(f(x)))
+        ell = chars.control.density.at(x)
+        rows = np.zeros((4, len(u)))
+        np.multiply(u, ell, out=rows[0])
+        np.multiply(u ** 2, ell, out=rows[1])
+        if nu is not None:
+            m = nu.modulation.at(x)
+            cut = np.where(u > 0.0, 1.0 / np.maximum(u, 1e-300), 1.0)
+            np.multiply(nu.kernel.compact_moment(u), m, out=rows[2])
+            np.multiply(u * nu.kernel.abs_annulus_first_moment(cut), m, out=rows[3])
+        return rows
+
     try:
         lam = chars.control_measure(domain)
-
-        def fl(x):
-            return np.abs(np.asarray(f(x)))
-
+        # the modular alone: its drift sup (NonConvergenceError) sees only its own nodes
         lhs, err = modular_integrals(chars, f, (domain,))[0]
-        l1 = chars.control_measure(domain, fl)
-        l2 = chars.control_measure(domain, lambda x: fl(x) ** 2)
-        err += l1.error_bound + l2.error_bound
-        t3 = t4 = 0.0
-        if chars.nu is not None:
-            kern, mod = chars.nu.kernel, chars.nu.modulation
-            t3, e = mod.integral(domain, lambda x: kern.compact_moment(fl(x)))
-            err += e
-
-            def tail_term(x):
-                u = fl(x)
-                cut = np.where(u > 0.0, 1.0 / np.maximum(u, 1e-300), 1.0)
-                return u * kern.abs_annulus_first_moment(cut)
-
-            t4, e = mod.integral(domain, tail_term)
-            err += e
-        rhs = l1.value + 11.0 * l2.value + 9.0 * t3 + t4
+        (l1, e1), (l2, e2), (t3, e3), (t4, e4) = (   # the rows hold their densities
+            Density(1.0).integral(domain, rhs_rows) if domain.boxes else [(0.0, 0.0)] * 4)
+        l1 += chars.control.atom_sum(lambda x: np.abs(np.asarray(f(x))), domain)
+        l2 += chars.control.atom_sum(lambda x: np.abs(np.asarray(f(x))) ** 2, domain)
+        if not (np.isfinite(l1) and np.isfinite(l2)):
+            raise DivergentControlMeasureError("control measure is not finite on the region")
+        err = err + (e1 + e2) + e3 + e4
+        rhs = l1 + 11.0 * l2 + 9.0 * t3 + t4
     except ArithmeticError as exc:
         return VerificationReport("embedding-inequality", math.nan, math.nan, "indeterminate",
                                   0, None, prov, (str(exc),))

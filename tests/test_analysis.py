@@ -1,5 +1,6 @@
 """Modular/membership machinery, temperedness, stationarity, Besov rules."""
 
+import hashlib
 import math
 import time
 
@@ -431,3 +432,27 @@ def test_a_six_shell_verdict_takes_one_call_per_order(monkeypatch, dim):
     calls.clear()
     rung_by_rung(monkeypatch, chars, Counted(1.0, dim))
     assert len(calls) >= 2 * (1 + analysis.MIN_SHELLS)
+
+
+# sha256 of criterion 8's 93 membership results (verdict, value, error, shells;
+# floats as float.hex), pinned at fe23670: the quadrature's order of operations
+_CRITERION_8_SHA256 = "37a74a3d7330d99ad02e1678b2018c20b121028e14045bd23ef9ea463dbb1b50"
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def test_criterion_8_results_are_pinned_bit_for_bit():
+    lines = []
+    for alpha in np.linspace(0.3, 1.9, 10):
+        for r in np.linspace(0.2, 3.0, 5):
+            for d in (1, 2):
+                if abs(2.0 * r * alpha - d) <= 0.2:
+                    continue
+                res = lm_membership(preset("balan-stable", alpha=float(alpha), dim=d),
+                                    PolynomialDecay(float(r), dim=d))
+                lines.append(" ".join([res.verdict, str(_hex(res.value)), str(_hex(res.error)),
+                                       *map(_hex, res.shells)]))
+    assert len(lines) == 93
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CRITERION_8_SHA256

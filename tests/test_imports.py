@@ -59,6 +59,16 @@ def test_import_loads_neither_scipy_stats_nor_scipy_integrate():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy's version goes into the manifest, read where the manifest is written
+    code = "import sys, levyfield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    paths = [str(PACKAGE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_loads_no_executor_logger_or_numpy_random():
     # the stable tail's helper threads are plain threading.Thread; an executor,
     # a logger or numpy.random (2 MB) would only add to every run's start-up
@@ -156,7 +166,7 @@ def scipy_submodule_imports(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES], ids=lambda p: p.name)
 def test_no_module_level_scipy_submodule_import(path):
-    # a bare ``import scipy`` (cli.py, for the manifest's version) loads no submodule
+    # a bare ``import scipy`` loads no submodule; ``cli._versions`` imports it where it is called
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert not scipy_submodule_imports(tree), f"{path.name}: move the import into its caller"
 

@@ -257,3 +257,60 @@ def test_one_box_helpers_are_the_batched_routine():
 def test_shell_regions_are_built_once():
     assert shell_region(2, 3) is shell_region(2, 3)
     assert shell_region(1, -1) is not shell_region(2, -1)
+
+
+# --------------------------------------------------------------------------
+# k-row integrands: shape (k, n), each row escalating and settling on its own
+# --------------------------------------------------------------------------
+
+def _bump_rows(x):
+    t = x[:, 0]
+    return np.where(t <= 1.0, t ** 3, 1.0 / (1.0 + 25.0 * (t - 2.0) ** 2))
+
+
+def _rsqrt(x):
+    return 1.0 / np.sqrt(x[:, 0])
+
+
+def test_each_row_is_its_own_region_integral():
+    # a row settling at orders 16 / 96 / 16 by box, one that never settles on box 0, a cubic
+    region = Region(1, (Box((0.0,), (1.0,)), Box((1.0,), (3.0,)), Box((3.0,), (4.0,))))
+    rows = (_bump_rows, _rsqrt, lambda x: x[:, 0] ** 3)
+    sizes = []
+    got = region_integral(_counted(lambda x: np.stack([g(x) for g in rows]), sizes), region)
+    assert got == [region_integral(g, region) for g in rows]
+    assert got[0] == _serial(_bump_rows, region)
+    # the 1/sqrt row keeps box 0 at every order; box 1 goes on for the bump
+    assert sizes == [3 * 8, 3 * 16, 2 * 32, 2 * 64, 2 * 96]
+    got = region_integrals(lambda x: np.stack([g(x) for g in rows]), [region, Region(1, ())])
+    assert got[1] == [(0.0, 0.0)] * 3
+    assert box_integral(lambda x: np.stack([g(x) for g in rows]), region.boxes[1]) \
+        == [box_integral(g, region.boxes[1]) for g in rows]
+
+
+def test_a_non_finite_live_row_raises():
+    region = Region(1, (Box((0.0,), (1.0,)), Box((2.0,), (3.0,))))
+    for bad in (np.inf, np.nan):
+        f = lambda x, bad=bad: np.stack([x[:, 0], np.where(x[:, 0] > 2.5, bad, 1.0)])
+        with pytest.raises(ArithmeticError, match="not finite"):
+            region_integral(f, region)
+
+
+def test_a_row_non_finite_only_after_it_settled_does_not_raise():
+    # row 0 settles at order 16 on box 0, which row 1 keeps live to order 96;
+    # row 0 is inf at every node of orders 32 and up, but those sums are never read
+    box = Box((0.0,), (1.0,))
+    late = lambda x: np.full(len(x), np.inf) if len(x) >= 32 else x[:, 0] ** 2
+    sizes = []
+    got = box_integral(_counted(lambda x: np.stack([late(x), _rsqrt(x)]), sizes), box)
+    assert got == [box_integral(lambda x: x[:, 0] ** 2, box), box_integral(_rsqrt, box)]
+    assert sizes == [8, 16, 32, 64, 96]
+
+
+def test_a_k_row_integrand_takes_one_call_per_order():
+    shell = shell_region(2, 1)
+    sizes = []
+    rows = (gauss_bell, lambda x: np.cos(x[:, 0]) * gauss_bell(x))
+    got = region_integral(_counted(lambda x: np.stack([g(x) for g in rows]), sizes), shell)
+    assert got == [_serial(g, shell) for g in rows]
+    assert 2 <= len(sizes) <= len(quadrature.ORDERS) and sizes[0] == 4 * 8 ** 2

@@ -626,3 +626,50 @@ def test_stationary_increment_pair_validation():
         stationary_increment_test(chars, UNIT, [], 100, seed=0)
     with pytest.raises(ValueError):
         stationary_increment_test(chars, UNIT, [(0.9, 0.4)], 100, seed=0)
+
+
+def _criterion_9_fixtures():
+    """Criterion 9's 50 (chars, f, domain), drawn in its order from seed 2024."""
+    rng = np.random.default_rng(2024)
+    for i in range(50):
+        kind = i % 3
+        if kind == 0:
+            alpha, p = rng.uniform(0.3, 1.9), rng.uniform(0.0, 1.0)
+            kern = StableKernel(alpha, p, 1.0 - p, scale=rng.uniform(0.3, 2.0))
+        elif kind == 1:
+            vals = rng.uniform(-2.0, 2.0, size=3)
+            kern = CompoundPoissonKernel(
+                rng.uniform(0.5, 4.0), DiscreteJumps(tuple(vals), tuple(rng.dirichlet(np.ones(3)))))
+        else:
+            a = rng.uniform(0.1, 1.0)
+            kern = CompoundPoissonKernel(rng.uniform(0.5, 4.0),
+                                         UniformJumps(a, a + rng.uniform(0.5, 2.0)))
+        d = 1 + i % 2
+        chars = Characteristics(d, gamma=DriftComponent(Density(rng.uniform(-1.0, 1.0))),
+                                sigma=DiffusionComponent(Density(rng.uniform(0.0, 1.0))),
+                                nu=JumpComponent(kern))
+        if i % 2 == 0:
+            c, radius = rng.uniform(-0.5, 0.5, size=d), rng.uniform(0.2, 0.8, size=d)
+            yield chars, ProductBump(center=tuple(c), radius=tuple(radius)), \
+                Region.from_intervals([(ci - ri, ci + ri) for ci, ri in zip(c, radius)])
+        else:
+            cuts = np.sort(rng.uniform(-1.0, 1.0, size=4))
+            yield chars, SimpleFunction(tuple(
+                (float(rng.uniform(-2.0, 2.0)), Region.from_intervals([(cuts[j], cuts[j + 1])] * d))
+                for j in range(3))), Region.from_intervals([(cuts[0], cuts[-1])] * d)
+
+
+# sha256 of criterion 9's 50 reports (statistic, threshold, decision, notes;
+# floats as float.hex), pinned at fe23670: the quadrature's order of operations
+_CRITERION_9_SHA256 = "8837ed1a6f334a0bcf4fa937f9012b6e296762b6698afad6af525b1bda07f339"
+
+
+def test_criterion_9_reports_are_pinned_bit_for_bit():
+    lines = []
+    with np.errstate(over="ignore"):
+        for chars, f, domain in _criterion_9_fixtures():
+            rep = embedding_inequality_check(chars, f, domain)
+            lines.append(" ".join([float(rep.statistic).hex(), float(rep.threshold).hex(),
+                                   rep.decision, *rep.notes]))
+    assert len(lines) == 50 and all(" pass " in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CRITERION_9_SHA256
