@@ -29,25 +29,6 @@ class UndefinedDensityError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Drift correction term U and its sup over the truncation parameter
-# --------------------------------------------------------------------------
-
-def drift_correction_sup(chars: Characteristics, x: np.ndarray, u) -> np.ndarray:
-    """``sup_{0 <= v <= u} |v a0(x) + m(x) G(v)|`` — Lebesgue-normalized.
-
-    ``G`` is the kernel's ``truncation_drift``.  The supremand is odd in v,
-    so [0, u] suffices.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.broadcast_to(np.abs(np.asarray(u, dtype=float)), (x.shape[0],)).astype(float)
-    a0 = chars.drift_density(x)
-    kern = chars.nu.kernel if chars.nu is not None else None
-    if kern is None or kern.symmetric:
-        return np.abs(a0) * u
-    return kern.drift_sup(a0, chars.jump_modulation(x), u)
-
-
-# --------------------------------------------------------------------------
 # The modular
 # --------------------------------------------------------------------------
 

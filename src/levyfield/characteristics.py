@@ -10,8 +10,7 @@ The noise is described by a triple (gamma, Sigma, nu) over a spatial domain:
 
 Set evaluations of the noise at time t are infinitely divisible with triple
 ``(t gamma(A), t Sigma(A), t nu(A, .))``.  The module computes the control
-measure, the Levy symbol of set/function evaluations, and the Laplace
-exponent where it exists.
+measure and the Levy symbol of set/function evaluations.
 """
 
 from __future__ import annotations
@@ -316,16 +315,6 @@ class Characteristics:
             raise SymbolDivergentError("symbol integrals failed to converge")
         value = t * (1j * u * drift - 0.5 * u * u * gauss + jump)
         return LevySymbolValue(complex(value), drift, gauss, complex(jump), u, t)
-
-    def laplace_exponent(self, region: Region, u: float, t: float = 1.0) -> float:
-        """``log E[e^{-u M(t, A)}]`` where it exists (light negative tail)."""
-        u = float(u)
-        val = -u * self.gamma_measure(region) \
-            + 0.5 * u * u * self.sigma_measure(region)
-        if self.nu is not None and u != 0.0:
-            mass, _ = self.nu.spatial_mass(region)
-            val += mass * float(self.nu.kernel.laplace_integrand(u))
-        return t * val
 
     # --- serialization -------------------------------------------------
     def to_config(self) -> dict:

@@ -183,9 +183,6 @@ class SimpleFunction:
             out += coef * region.contains(x)
         return out
 
-    def scaled(self, c: float) -> "SimpleFunction":
-        return SimpleFunction(tuple((c * coef, r) for coef, r in self.terms))
-
 
 def effective_domain(f, region: Region | None = None) -> Region | None:
     """The part of ``region`` (None: R^d) where f can be nonzero; None if unbounded."""

@@ -222,13 +222,6 @@ class JumpKernel:
         """
         raise NotImplementedError
 
-    def laplace_integrand(self, u) -> np.ndarray:
-        """``int (e^{-u y} - 1 + u y 1{|y| <= 1}) k(dy)`` for u >= 0.
-
-        Finite only when the negative tail is light; kernels raise otherwise.
-        """
-        raise NotImplementedError
-
     def truncation_drift(self, v) -> np.ndarray:
         """``G(v) = int (tau(v y) - v tau(y)) k(dy)`` with ``tau(y) = y ^ sgn(y)``.
 
@@ -433,19 +426,6 @@ class StableKernel(JumpKernel):
         out = s * (re + 1j * b * im)
         return out.reshape(np.shape(c_arr)) if np.ndim(c_arr) else complex(out[0])
 
-    def laplace_integrand(self, u):
-        if self.q != 0.0:
-            raise ValueError("Laplace integrand diverges: kernel has negative jumps")
-        u = np.asarray(u, dtype=float)
-        a, s = self.alpha, self.scale * self.p
-        if a == 1.0:
-            raise ValueError("alpha = 1 one-sided Laplace form not supported")
-        if a > 1.0:
-            val = s * (a * math.gamma(-a) * u ** a - u * a / (a - 1.0))
-        else:
-            val = s * (-math.gamma(1.0 - a) * u ** a + u * a / (1.0 - a))
-        return val if val.shape else float(val)
-
     def _truncation_drift(self, v):
         a = self.alpha
         mag = np.abs(v)
@@ -610,10 +590,6 @@ class JumpSizeDistribution:
         """``E[e^{icY} 1{|Y| > eps}]``."""
         raise NotImplementedError
 
-    def mgf_neg(self, u) -> np.ndarray:
-        """``E[e^{-u Y}]`` for u >= 0."""
-        raise NotImplementedError
-
     def tail_map(self, eps):  # as JumpKernel.tail_map
         return None
 
@@ -664,8 +640,11 @@ class DiscreteJumps(JumpSizeDistribution):
 
     @property
     def symmetric(self) -> bool:
-        pairs = dict(zip(self.values, self.probs))
-        return all(pairs.get(-v) == p for v, p in pairs.items())
+        """Each value's total probability equals its mirror's (0 when absent)."""
+        law = {}
+        for v, p in zip(self.values, self.probs):
+            law[v] = law.get(v, 0.0) + p
+        return all(law.get(-v, 0.0) == p for v, p in law.items())
 
     def _arr(self):
         return np.asarray(self.values), np.asarray(self.probs)
@@ -699,11 +678,6 @@ class DiscreteJumps(JumpSizeDistribution):
         v, p = self._arr()
         m = np.abs(v) > eps
         return np.exp(1j * np.multiply.outer(c, v[m])) @ p[m]
-
-    def mgf_neg(self, u):
-        v, p = self._arr()
-        u = np.asarray(u, dtype=float)
-        return np.exp(np.multiply.outer(-u, v)) @ p
 
     def sample_tail(self, rng, n, eps):
         return self.tail_map(eps)(rng.random(n))
@@ -775,10 +749,6 @@ class NormalJumps(JumpSizeDistribution):
         out = self.char_fn(c) - inner
         return out if np.ndim(c) else complex(out)
 
-    def mgf_neg(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.exp(-u * self.mu + 0.5 * (self.sigma * u) ** 2)
-
     def to_config(self):
         return {"kind": "normal", "mu": self.mu, "sigma": self.sigma}
 
@@ -835,13 +805,6 @@ class UniformJumps(JumpSizeDistribution):
             out += 2.0 * h * spherical_jn(0, c * h) * np.exp(0.5j * c * (lo + hi)) / self._len()
         return out if np.ndim(c) else complex(out)
 
-    def mgf_neg(self, u):
-        u = np.asarray(u, dtype=float)
-        res = np.where(
-            u == 0.0, 1.0,
-            (np.exp(-u * self.a) - np.exp(-u * self.b)) / np.where(u == 0.0, 1.0, u * self._len()))
-        return res if res.shape else float(res)
-
     def to_config(self):
         return {"kind": "uniform", "a": self.a, "b": self.b}
 
@@ -879,12 +842,6 @@ class CompoundPoissonKernel(JumpKernel):
             phi, mass = self.jumps.char_fn_tail(c, eps), sum(self.jumps.prob_tails(eps))
         val = self.rate * (phi - mass) - 1j * c * self.rate * self.jumps.mean_annulus(eps, 1.0)
         return val if np.ndim(c) else complex(val)
-
-    def laplace_integrand(self, u):
-        u = np.asarray(u, dtype=float)
-        val = self.rate * (self.jumps.mgf_neg(u) - 1.0) \
-            + u * self.rate * self.jumps.mean_annulus(0.0, 1.0)
-        return val if val.shape else float(val)
 
     # Discrete jumps: exact sums over the atoms; other laws use the generic routes.
     def compact_moment(self, u):
@@ -1103,7 +1060,7 @@ class TabulatedKernel(JumpKernel):
         total = masses.sum()
         if total <= 0:
             raise ValueError(f"no tabulated mass beyond {eps}")
-        seg = rng.choice(masses.size, size=n, p=masses / total)
+        seg = choice_indices(masses / total, rng.random(n))
         lo, hi = lo[seg], hi[seg]
         # rejection against the larger end of the (linear) piece: half pass or more
         out = np.empty(n)

@@ -7,7 +7,8 @@ Four families:
   ``beta*alpha/(1-alpha)`` with beta = p - q, zero Gaussian part.  alpha = 1
   forces p = q = 1/2 (and the singular drift coefficient vanishes with beta).
 - ``mytnik-positive``: spectrally positive alpha-stable, alpha in (1, 2),
-  normalized so the Laplace exponent of M(t, A) is ``t * u^alpha * leb(A)``.
+  normalized so the Laplace exponent of M(t, A) is ``t * u^alpha * leb(A)``,
+  that is, its Levy symbol is ``t * (-iu)^alpha * leb(A)``.
 - ``impulsive``: compound-Poisson impulses with a fully compensated symbol;
   the truncated-convention drift therefore carries ``-int_{|y|>1} y mu(dy)``.
 """
@@ -25,7 +26,8 @@ PRESET_NAMES = ("gaussian-white-noise", "balan-stable", "mytnik-positive", "impu
 
 
 def spectrally_positive_scale(alpha: float) -> float:
-    """Kernel scale making the spectrally positive Laplace exponent exactly u^alpha."""
+    """Kernel scale making the spectrally positive Laplace exponent exactly u^alpha,
+    the Levy symbol ``(-iu)^alpha``."""
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
     return -1.0 / math.gamma(1.0 - alpha)

@@ -11,7 +11,7 @@ import scipy.integrate as spi
 from levyfield import (Characteristics, Density, JumpComponent, Region,
                        StableKernel, analysis, preset)
 from levyfield.analysis import (TemperedResult, UndefinedDensityError, besov_classify,
-                                drift_correction_sup, lm_membership,
+                                lm_membership,
                                 modular_integrand, phi_m, stationarity_check,
                                 tempered_test)
 from levyfield.characteristics import Atom, DiffusionComponent, DriftComponent
@@ -73,7 +73,11 @@ def test_drift_sup_linear_when_jumps_symmetric():
     chars = Characteristics(1, gamma=DriftComponent(Density(-0.7)),
                             nu=JumpComponent(StableKernel(1.5, 0.5, 0.5)))
     x = np.array([[0.2], [0.9]])
-    out = drift_correction_sup(chars, x, 2.0)
+    # the modular's drift term is |a0| u: the rest is the same triple's without gamma
+    def two(p):
+        return np.full(len(p), 2.0)
+    out = (modular_integrand(chars, two)(x)
+           - modular_integrand(Characteristics(1, nu=chars.nu), two)(x))
     assert out == pytest.approx([1.4, 1.4], rel=1e-14)
 
 
@@ -84,7 +88,8 @@ def test_drift_sup_matches_brute_force_stable():
     u = 2.0
     grid = np.linspace(0.0, u, 20001)
     brute = np.abs(a0 * grid + kern.truncation_drift(grid)).max()
-    got = float(drift_correction_sup(chars, np.array([[0.3]]), u)[0])
+    mod = chars.jump_modulation(np.array([[0.3]]))
+    got = float(kern.drift_sup(np.array([a0]), mod, np.array([u]))[0])
     assert got == pytest.approx(brute, rel=1e-6)
     assert got >= brute - 1e-12
 
@@ -97,7 +102,8 @@ def test_drift_sup_matches_brute_force_discrete():
     breaks = np.array([0.5, 2.0])  # 1/|jump|
     grid = np.union1d(np.linspace(0.0, u, 10001), breaks)
     brute = np.abs(0.4 * grid + kern.truncation_drift(grid)).max()
-    got = float(drift_correction_sup(chars, np.array([[0.0]]), u)[0])
+    a0 = chars.drift_density(np.array([[0.0]]))
+    got = float(kern.drift_sup(a0, chars.jump_modulation(np.array([[0.0]])), np.array([u]))[0])
     assert got == pytest.approx(brute, rel=1e-12)
 
 

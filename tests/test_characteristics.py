@@ -131,14 +131,6 @@ def test_symbol_smooth_test_function_vs_simple_approx():
     assert abs(exact - approx) < 5e-4
 
 
-def test_laplace_exponent_spectrally_positive():
-    chars = preset("mytnik-positive", alpha=1.5)
-    for u in (0.5, 1.0, 2.0):
-        assert chars.laplace_exponent(UNIT, u) == pytest.approx(u ** 1.5, rel=1e-10)
-    two = Region.from_intervals([(0.0, 2.0)])
-    assert chars.laplace_exponent(two, 1.0, t=3.0) == pytest.approx(6.0, rel=1e-10)
-
-
 def test_atom_sum_leaves_out_atoms_outside_the_region():
     gamma = DriftComponent(Density(0.0), (Atom((0.5,), -1.0), Atom((2.0,), 4.0)))
     sigma = DiffusionComponent(Density(0.0), (Atom((0.5,), 0.25),))

@@ -5,7 +5,8 @@ that no code in ``src``, ``tests`` and ``perfbench`` names has no caller and
 should go.  Code names it as a variable, an attribute, an imported name or a
 keyword, or as a word of a string that is not a docstring, so string hooks
 (``perfbench/tracer.py`` patches by name) count; comments and docstrings do
-not.
+not.  A name that only tests reach is listed in ``TEST_ONLY`` with the reason
+it stays.
 
 Spatial integrals go through their measure (``Density.integral``) and the
 modular through ``modular_integrals``, so only those two call the region
@@ -125,6 +126,37 @@ def test_the_fenwick_scan_is_gone():
     # distance covariance reads two blocked dominance sums (verify._dominance_sums)
     defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
     assert defined & {"_fenwick_paths", "_ordered_cross_sums"} == set()
+
+
+def test_the_test_only_helpers_are_gone():
+    # the noise is described by its symbol (Characteristics.levy_symbol); the
+    # modular computes its own drift sup (JumpKernel.drift_sup)
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"Characteristics.laplace_exponent", "JumpKernel.laplace_integrand",
+            "StableKernel.laplace_integrand", "CompoundPoissonKernel.laplace_integrand",
+            "JumpSizeDistribution.mgf_neg", "DiscreteJumps.mgf_neg", "NormalJumps.mgf_neg",
+            "UniformJumps.mgf_neg", "drift_correction_sup", "SimpleFunction.scaled"}
+    assert defined & gone == set()
+
+
+# package names that only tests call, each kept for a reason
+TEST_ONLY = {
+    "box_increment": "paper-facing: a sheet's increment over a box",
+    "integrate_simple": "paper-facing: the pathwise integral of a simple function",
+    "phi_m": "paper-facing: the modular Phi(u, x) against the control measure",
+    "sample_stable_marginal_oracle": "reference oracle independent of the path sampler",
+    "read_frames": "artifact reader of the binary jump table",
+    "read_jsonl": "artifact reader of the JSON-lines outputs",
+    "interval": "public constructor of a one-dimensional box",
+}
+
+
+def test_only_the_listed_names_are_reached_by_tests_alone():
+    # __init__.py re-exports every public name, so it is no evidence of use
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    perfbench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert dead_names(package, package + perfbench) == set(TEST_ONLY)
 
 
 def test_the_scan_sees_a_dead_name():

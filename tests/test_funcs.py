@@ -83,7 +83,6 @@ def test_simple_function_eval_and_scaling():
                         (-3.0, Region(1, (interval(1.0, 2.0),)))))
     x = np.array([[0.5], [1.5], [2.5]])
     assert f(x).tolist() == [2.0, -3.0, 0.0]
-    assert f.scaled(0.5)(x).tolist() == [1.0, -1.5, 0.0]
     assert f.support_region.volume == pytest.approx(2.0)
 
 

@@ -1,5 +1,6 @@
 """Jump kernels: moments against quadrature, sampling against known laws."""
 
+import hashlib
 import math
 import threading
 import warnings
@@ -10,7 +11,8 @@ import scipy.integrate as spi
 import scipy.special
 import scipy.stats as sps
 
-from levyfield import (CompoundPoissonKernel, DiscreteJumps, NormalJumps,
+from levyfield import (Characteristics, CompoundPoissonKernel, DiscreteJumps,
+                       IndicatorFunction, JumpComponent, NormalJumps, Region,
                        StableKernel, TabulatedKernel, TemperedStableKernel,
                        UniformJumps, kernel_from_config, stable_symbol_constant)
 from levyfield import kernels
@@ -63,21 +65,6 @@ def test_stable_symbol_constant_matches_scipy_gamma():
     for a in alphas[alphas != 1.0]:
         want = scipy.special.gamma(2.0 - a) / (1.0 - a) * math.cos(math.pi * a / 2.0)
         assert stable_symbol_constant(a) == pytest.approx(want, rel=1e-14, abs=0.0), a
-
-
-@pytest.mark.parametrize("a", [0.3, 0.7, 0.95, 1.05, 1.3, 1.8])
-def test_one_sided_laplace_integrand_matches_scipy_gamma(a):
-    # both terms of the closed form nearly cancel where it changes sign, so the
-    # difference is measured against the size of the terms
-    kern, s = StableKernel(a, 1.0, 0.0, scale=0.8), 0.8
-    u = np.logspace(-4, 4, 33)
-    if a > 1.0:
-        gam, lin = s * a * scipy.special.gamma(-a) * u ** a, s * u * a / (a - 1.0)
-    else:
-        gam, lin = -s * scipy.special.gamma(1.0 - a) * u ** a, -s * u * a / (1.0 - a)
-    got = kern.laplace_integrand(u)
-    assert np.all(np.abs(got - (gam - lin)) <= 1e-14 * (np.abs(gam) + np.abs(lin)))
-    assert kern.laplace_integrand(1.0) == got[16]  # u = 10**0
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 1.9])
@@ -437,6 +424,27 @@ def test_compound_poisson_symmetry_flag():
     sym = CompoundPoissonKernel(1.0, DiscreteJumps((1.0, -1.0), (0.5, 0.5)))
     asym = CompoundPoissonKernel(1.0, DiscreteJumps((1.0, -1.0), (0.6, 0.4)))
     assert sym.symmetric and not asym.symmetric
+    # an atom of probability 0 needs no mirror
+    assert DiscreteJumps((1.0, -1.0, 2.0), (0.5, 0.5, 0.0)).symmetric
+
+
+def test_repeated_atoms_are_read_as_their_merged_law():
+    # P(1) = 0.5 + 0.25 however the atoms are written, so the law is not symmetric
+    rep = CompoundPoissonKernel(2.0, DiscreteJumps((1.0, -1.0, 1.0), (0.5, 0.25, 0.25)))
+    merged = CompoundPoissonKernel(2.0, DiscreteJumps((1.0, -1.0), (0.75, 0.25)))
+    assert not rep.symmetric and not merged.symmetric
+    c = np.array([-2.0, 0.3, 1.0, 4.0])
+    for eps in (0.0, 0.5):
+        assert rep.cf_integrand(c, eps) == pytest.approx(merged.cf_integrand(c, eps), rel=1e-14)
+    v = np.array([0.5, 2.0])
+    assert rep.truncation_drift(v) == pytest.approx([0.0, -1.0], abs=1e-15)
+    assert merged.truncation_drift(v) == pytest.approx([0.0, -1.0], abs=1e-15)
+    a0, mod, u = np.array([0.4, -0.2]), np.ones(2), np.array([1.5, 3.0])
+    assert rep.drift_sup(a0, mod, u) == pytest.approx(merged.drift_sup(a0, mod, u), rel=1e-14)
+    f = IndicatorFunction(Region.from_intervals([(0.0, 1.0)]))
+    got, want = (Characteristics(1, nu=JumpComponent(k)).levy_symbol(f, 1.0).value
+                 for k in (rep, merged))
+    assert want.imag < -0.1 and got == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +575,25 @@ def test_tabulated_kernel_sample_tail_distribution():
     assert cdf(2.5) == pytest.approx(1.0, abs=1e-15) and cdf(0.5) == 0.0
     stat = sps.kstest(y, cdf)
     assert stat.pvalue > 0.01
+
+
+# sha256 of the jumps and the next two uniforms, taken when segments were picked
+# by rng.choice: the pick through choice_indices draws the same uniforms
+TAB_SAMPLE_TAIL_SHA256 = {
+    (0, 0.0, 7): "eb2044b1c9f89e9520fb5fb97a645447aecee3622063f3818134ab8c9fb080cd",
+    (3, 0.05, 1000): "85ac39f0d442e369645c2dec1cce42c6bf28be976867089ed0bf077cc53ef4d9",
+    (11, 0.5, 1000): "915d5f13e1f6dcca1d162bdc69fe583aa86690d6bd4738fe19914138d6930f98",
+    (5, 0.05, 1): "b1001d87bdd4885e93901d456e15e402a1bc52dfe523223e0b7a2ff9e3599a6b",
+    (8, 0.5, 0): "9029c06d01afb47f15194e95cffa395be9d61070830086a73b7f751c6d7a4a9c",
+}
+
+
+@pytest.mark.parametrize("seed, eps, n", sorted(TAB_SAMPLE_TAIL_SHA256))
+def test_tabulated_sample_tail_is_pinned(seed, eps, n):
+    rng = np.random.default_rng(seed)
+    y = TAB.sample_tail(rng, n, eps)
+    got = hashlib.sha256(y.tobytes() + rng.random(2).tobytes()).hexdigest()
+    assert got == TAB_SAMPLE_TAIL_SHA256[seed, eps, n]
 
 
 @pytest.mark.parametrize("kern", [
@@ -830,14 +857,13 @@ def test_tabulated_rejection_rounds_are_bounded():
         def __init__(self):
             self.rng, self.rounds = np.random.default_rng(0), 0
 
-        def choice(self, *args, **kwargs):
-            return self.rng.choice(*args, **kwargs)
-
         def uniform(self, lo, hi):
             self.rounds += 1
             return self.rng.uniform(lo, hi)
 
         def random(self, size):
+            if not self.rounds:  # the segment pick
+                return self.rng.random(size)
             return np.full(size, 2.0)  # twice the cap: no draw passes
 
     stub = NeverAccepts()

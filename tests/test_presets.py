@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levyfield import Region, preset
+from levyfield import IndicatorFunction, Region, preset
 from levyfield.kernels import (CompoundPoissonKernel, DiscreteJumps,
                                StableKernel)
 from levyfield.presets import PRESET_NAMES, spectrally_positive_scale
@@ -51,10 +51,14 @@ def test_mytnik_scale_gives_unit_laplace_exponent():
     s = spectrally_positive_scale(1.5)
     assert chars.nu.kernel.scale == pytest.approx(s, rel=1e-14)
     assert chars.nu.kernel.q == 0.0  # spectrally positive: no negative jumps
-    # the normalization is the whole point: log E e^{-u M(1,[0,1])} = u^1.5
-    for u in (0.5, 1.0, 2.0):
-        got = chars.laplace_exponent(UNIT, u, 1.0)
-        assert got == pytest.approx(u ** 1.5, rel=1e-9)
+    # the normalization is the whole point: log E e^{-u M(1,[0,1])} = u^1.5,
+    # so the symbol of M(t, A) is t leb(A) (-iu)^1.5
+    for u in (0.5, 1.0, 2.0, -1.0):
+        got = chars.levy_symbol(IndicatorFunction(UNIT), u).value
+        assert got == pytest.approx((-1j * u) ** 1.5, rel=1e-9)
+    two = Region.from_intervals([(0.0, 2.0)])
+    got = chars.levy_symbol(IndicatorFunction(two), 1.0, t=3.0).value
+    assert got == pytest.approx(6.0 * (-1j) ** 1.5, rel=1e-9)
 
 
 def test_spectrally_positive_scale_domain():
