@@ -4,9 +4,12 @@ The central object is the pointwise modular
 
     Phi(u, x) = sup_{|c| <= 1} |U(c u, x)| + u^2 g(x) + int (1 ^ |u y|^2) rho(x, dy)
 
-with densities taken against the control measure.  A function f is integrable
-against the random measure exactly when ``int Phi(|f(x)|, x) lambda(dx)`` is
-finite, so membership testing reduces to quadrature with divergence detection.
+with densities taken against the control measure and the drift of ``v M`` under
+the symbol's indicator truncation ``y 1{|y| <= 1}``, ``U(v, x) = gamma(x) v +
+m(x) v int y (1{|v y| <= 1} - 1{|y| <= 1}) k(dy)``: pointwise the density of
+the cylindrical drift a(f) at f(x) = v.  A function f is integrable against the
+random measure exactly when ``int Phi(|f(x)|, x) lambda(dx)`` is finite, so
+membership testing reduces to quadrature with divergence detection.
 Internally everything is computed unnormalized (against Lebesgue), which avoids
 dividing by the control density under the integral sign.
 """
@@ -49,7 +52,10 @@ def modular_integrand(chars: Characteristics, f):
         mod = chars.nu.modulation.at(x) if kern is not None else None
         terms = []
         if kern is not None and not kern.symmetric:
-            terms.append(kern.drift_sup(chars.drift_density(x), np.broadcast_to(mod, u.shape), u))
+            a0 = chars.gamma.density.at(x) if chars.gamma is not None else 0.0
+            rows, back = (np.unique(u, return_inverse=True) if np.ndim(a0) == np.ndim(mod) == 0
+                          else (u, slice(None)))  # constants: one sup per distinct |f|
+            terms.append(kern.drift_sup(*np.broadcast_arrays(a0, mod, rows))[back])
         elif chars.gamma is not None:
             terms.append(np.abs(chars.gamma.density.at(x)) * u)
         if chars.sigma is not None:

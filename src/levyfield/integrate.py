@@ -215,18 +215,13 @@ class CylindricalCharacteristics:
 def cylindrical_characteristics(chars: Characteristics, f) -> CylindricalCharacteristics:
     """The triple (a(f), <Qf,f>, image of nu under (x,y) -> f(x)y)."""
     total = functools.partial(_over_support, chars, f)
-    # a(f) = int f d gamma + int m(x) f(x) int y (1{|f y|<=1} - 1{|y|<=1}) nu
+    # a(f) = int f d gamma + int m(x) G(f(x)) dx, G the kernel's truncation drift
     a_val = a_err = 0.0
     if chars.gamma is not None:
         a_val, a_err = total(lambda r: chars.gamma.integral(r, f))
     if chars.nu is not None:
         kern, mod = chars.nu.kernel, chars.nu.modulation
-
-        def gap(x):
-            fx = f(x)
-            return fx * kern.indicator_moment_diff(fx)
-
-        v, e = total(lambda r: mod.integral(r, gap))
+        v, e = total(lambda r: mod.integral(r, lambda x: kern.truncation_drift(f(x))))
         a_val += v
         a_err += e
     # qf

@@ -29,6 +29,7 @@ import, so the functions that need them import them when called.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -223,26 +224,14 @@ class JumpKernel:
         raise NotImplementedError
 
     def truncation_drift(self, v) -> np.ndarray:
-        """``G(v) = int (tau(v y) - v tau(y)) k(dy)`` with ``tau(y) = y ^ sgn(y)``.
+        """``G(v) = v int y (1{|v y| <= 1} - 1{|y| <= 1}) k(dy) = v indicator_moment_diff(v)``:
+        the jumps' part of the drift of ``v M`` under the symbol's indicator truncation.
 
         Odd in v, and identically zero for symmetric kernels.  Finite for every
         Levy kernel: the indicator mismatch lives on an annulus away from 0.
         """
         v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
-        out = np.zeros_like(v) if self.symmetric else self._truncation_drift(v)
-        return float(out[0]) if scalar else out
-
-    def _truncation_drift(self, v: np.ndarray) -> np.ndarray:
-        """``G`` of an asymmetric kernel on an array of at least one dimension."""
-        out = v * self.indicator_moment_diff(v)
-        tp1, tn1 = self.tail_masses(1.0)
-        live = v != 0.0
-        vl = v[live]
-        tp, tn = self.tail_masses(_reciprocal(np.abs(vl)))
-        out[live] += np.sign(vl) * (tp - tn) - vl * (tp1 - tn1)
-        return out
+        return _value(np.zeros(v.shape) if self.symmetric else v * self.indicator_moment_diff(v))
 
     def drift_sup(self, a0: np.ndarray, mod: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``sup_{0 <= v <= u} |a0 v + mod G(v)|`` elementwise over 1-d arrays.
@@ -251,7 +240,8 @@ class JumpKernel:
         successive levels agree to ``SUP_TOL`` (at most to ``SUP_MAX_LEVEL``).
         A grid settles on an interior maximum only quadratically, or stalls on
         it, so rows whose best point is interior, or that still move, then zoom
-        in on it, 16 times finer a step, until steps agree, else
+        in on it, 16 times finer a step, until steps agree and the best point's
+        grid neighbours lie within ``SUP_TOL`` of it, else
         ``NonConvergenceError``.  A non-finite maximum is returned as is.  Each
         row refines until its own levels (and steps) agree, so its value does
         not depend on the rows evaluated beside it.
@@ -263,7 +253,7 @@ class JumpKernel:
             level, settled = np.zeros(w.size, dtype=int), np.zeros(w.size, dtype=bool)
             live = np.arange(w.size)
             for m in range(4, SUP_MAX_LEVEL + 1):
-                new, best[live] = self._grid_sup(
+                new, best[live], _ = self._grid_sup(
                     a[live], b[live], w[live, None] * np.linspace(0.0, 1.0, 2 ** m + 1)[1:])
                 settled[live] = np.abs(new - cur[live]) <= SUP_TOL * (1.0 + new)
                 cur[live], level[live] = new, m
@@ -277,21 +267,24 @@ class JumpKernel:
         return out
 
     def _grid_sup(self, a0, mod, v):
-        """Row maxima of ``|a0 v + mod G(v)|`` over the grid rows of ``v``, and their points."""
+        """Row maxima of ``|a0 v + mod G(v)|`` over the grid rows of ``v``, their
+        points, and how far the lower of their grid neighbours falls below them."""
         g = np.asarray(self.truncation_drift(v.ravel())).reshape(v.shape)
         h = np.abs(a0[:, None] * v + mod[:, None] * g)
-        at = (np.arange(v.shape[0]), h.argmax(axis=1))
-        return h[at], v[at]
+        rows, i = np.arange(v.shape[0]), h.argmax(axis=1)
+        near = np.minimum(h[rows, np.maximum(i - 1, 0)], h[rows, np.minimum(i + 1, v.shape[1] - 1)])
+        return h[rows, i], v[rows, i], h[rows, i] - near
 
     def _zoom_sup(self, a0, mod, u, best, cur, width):
         """Per row, grids of 33 points around ``best``, 16 times narrower each
-        step, until two steps agree; updates ``best``, ``cur`` and ``width``."""
+        step, until two steps agree and ``best``'s grid neighbours lie as close
+        (at a kink of G a step may not move); updates ``best``, ``cur`` and ``width``."""
         live = np.arange(cur.size)
         for _ in range(SUP_MAX_LEVEL):
             v = np.clip(best[live, None] + width[live, None] * np.linspace(-1.0, 1.0, 33),
                         0.0, u[live, None])
-            new, best[live] = self._grid_sup(a0[live], mod[live], v)
-            moved = np.abs(new - cur[live])
+            new, best[live], drop = self._grid_sup(a0[live], mod[live], v)
+            moved = np.maximum(np.abs(new - cur[live]), drop)
             cur[live], width[live] = new, width[live] / 16.0
             unsettled = ~(moved <= SUP_TOL * (1.0 + new))
             live = live[unsettled]
@@ -426,15 +419,10 @@ class StableKernel(JumpKernel):
         out = s * (re + 1j * b * im)
         return out.reshape(np.shape(c_arr)) if np.ndim(c_arr) else complex(out[0])
 
-    def _truncation_drift(self, v):
-        a = self.alpha
-        mag = np.abs(v)
-        return self.scale * self.beta / (1.0 - a) * np.sign(v) * (mag ** a - mag)
-
     def drift_sup(self, a0, mod, u):
         """Exact sup of |A v + B v^alpha| on [0, u]: endpoint or stationary point."""
         a = self.alpha
-        b_coef = mod * self.scale * self.beta / (1.0 - a) if a != 1.0 else np.zeros_like(mod)
+        b_coef = mod * self.scale * self.beta * a / (1.0 - a) if a != 1.0 else np.zeros_like(mod)
         a_coef = a0 - b_coef
         best = np.abs(a_coef * u + b_coef * u ** a)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -852,23 +840,22 @@ class CompoundPoissonKernel(JumpKernel):
         val = self.rate * (np.minimum(1.0, np.multiply.outer(u, sizes) ** 2) @ probs)
         return val if val.shape else float(val)
 
-    def _truncation_drift(self, v):
-        if not isinstance(self.jumps, DiscreteJumps):
-            return super()._truncation_drift(v)
-        sizes, probs = self.jumps._arr()
-        prod = v[:, None] * sizes[None, :]
-        gap = np.clip(prod, -1.0, 1.0) - v[:, None] * np.clip(sizes, -1.0, 1.0)[None, :]
-        return self.rate * gap @ probs
+    @functools.cached_property
+    def _pieces(self):
+        """Discrete jumps: the pieces ``(left, right]`` between the breakpoints ``1/|size|``
+        and ``G(v)/v`` on each, read inside it (at a computed breakpoint it may read the next)."""
+        breaks = np.unique(1.0 / np.abs(self.jumps._arr()[0]))
+        left = np.append(0.0, breaks)
+        inside = np.append(0.5 * (left[:-1] + breaks), 2.0 * breaks[-1])
+        return left, np.append(breaks, np.inf), self.indicator_moment_diff(inside)
 
     def drift_sup(self, a0, mod, u):
-        """Discrete jumps: G is linear between the breakpoints ``1/|size|``."""
+        """Discrete jumps: each piece's sup is its left limit at ``min(right, u)``."""
         if not isinstance(self.jumps, DiscreteJumps):
             return super().drift_sup(a0, mod, u)
-        sizes, _ = self.jumps._arr()
-        breaks = np.unique(1.0 / np.abs(sizes[sizes != 0.0]))
-        cand = np.minimum(np.concatenate([breaks, [np.inf]])[None, :], u[:, None])
-        g = np.asarray(self.truncation_drift(cand.ravel())).reshape(cand.shape)
-        return np.abs(a0[:, None] * cand + mod[:, None] * g).max(axis=1)
+        left, right, ratio = self._pieces
+        slope = np.abs(a0[:, None] + mod[:, None] * ratio)
+        return np.where(left < u[:, None], np.minimum(right, u[:, None]) * slope, 0.0).max(axis=1)
 
     def _abs_annulus_first_moment(self, c):
         return self.rate * self.jumps.abs_mean_annulus(1.0, c)

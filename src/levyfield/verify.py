@@ -412,7 +412,8 @@ def embedding_inequality_check(chars: Characteristics, f,
     + 11 ||f||_L2(lambda)^2 + 9 int (1 ^ |f y|^2) nu + int_{|y|>1} |f y|
     1{|f y| <= 1} nu`` are evaluated by quadrature where f can be nonzero in
     the domain (f's support by default), which must be bounded; where f
-    vanishes on the domain both sides are 0.
+    vanishes on the domain both sides are 0.  The last right-hand term bounds
+    the large-jump part of the modular's drift ``U`` (its small jumps: the L2 term).
     """
     domain = effective_domain(f, domain)
     if domain is None:

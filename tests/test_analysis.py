@@ -37,36 +37,31 @@ def test_truncation_drift_stable_closed_form_vs_quadrature():
         return 1.5 * side * abs(y) ** -2.5
 
     for v in (0.3, 1.7, -2.5):
-        def gap(y):
-            return (np.clip(v * y, -1, 1) - v * np.clip(y, -1, 1)) * dens(y)
-
-        big = 50.0
-        pieces = sorted({1.0, 1.0 / abs(v)})
-        val = 0.0
-        for sgn in (1.0, -1.0):
-            cuts = [1e-12] + pieces + [big]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                q, _ = spi.quad(gap, sgn * a, sgn * b)
-                val += q * sgn
-        # saturated tails beyond |y| = big
-        val += (np.sign(v) - v) * (0.8 - 0.2) * big ** -1.5
-        assert kern.truncation_drift(v) == pytest.approx(val, rel=1e-6)
+        # G(v) = v int y (1{|v y| <= 1} - 1{|y| <= 1}) k(dy): the indicators
+        # differ on 1 < |y| <= 1/|v| (|v| < 1, +) or 1/|v| < |y| <= 1 (|v| > 1, -)
+        lo, hi = sorted((1.0, 1.0 / abs(v)))
+        val = sum(spi.quad(lambda y: y * dens(y), a, b)[0] for a, b in ((lo, hi), (-hi, -lo)))
+        want = v * val * (1.0 if abs(v) < 1.0 else -1.0)
+        assert kern.truncation_drift(v) == pytest.approx(want, rel=1e-6)
 
 
 def test_truncation_drift_discrete_by_hand():
     kern = CompoundPoissonKernel(3.0, DiscreteJumps((2.0, -0.5), (0.6, 0.4)))
-    # v = 0.8: only the +2 jump saturates either clip
-    want = 3.0 * (0.6 * (1.0 - 0.8 * 1.0) + 0.4 * (-0.4 + 0.8 * 0.5))
-    assert kern.truncation_drift(0.8) == pytest.approx(want, rel=1e-12)
+    # v = 0.4: the +2 jump joins the truncated ones; v = 2.5: the -0.5 jump
+    # leaves them; v = 0.8: neither moves
+    v = np.array([0.4, 0.8, 2.5, -0.4])
+    want = [0.4 * 3.0 * 0.6 * 2.0, 0.0, 2.5 * 3.0 * 0.4 * 0.5, -0.4 * 3.0 * 0.6 * 2.0]
+    assert kern.truncation_drift(v) == pytest.approx(want, rel=1e-12)
+    assert kern.truncation_drift(0.4) == pytest.approx(want[0], rel=1e-12)
 
 
 def test_truncation_drift_generic_kernel_vs_quadrature():
     kern = CompoundPoissonKernel(2.0, UniformJumps(0.5, 2.0))
     for v in (0.4, 1.3):
         val, _ = spi.quad(
-            lambda y: (np.clip(v * y, -1, 1) - v * np.clip(y, -1, 1)) / 1.5,
+            lambda y: y * (float(abs(v * y) <= 1.0) - float(abs(y) <= 1.0)) / 1.5,
             0.5, 2.0, points=[1.0, 1.0 / v])
-        assert kern.truncation_drift(v) == pytest.approx(2.0 * val, rel=1e-9)
+        assert kern.truncation_drift(v) == pytest.approx(2.0 * v * val, rel=1e-9)
 
 
 def test_drift_sup_linear_when_jumps_symmetric():
@@ -107,14 +102,77 @@ def test_drift_sup_matches_brute_force_discrete():
     assert got == pytest.approx(brute, rel=1e-12)
 
 
+def test_discrete_drift_sup_takes_each_piece_s_left_limit():
+    # G(v)/v is constant on each piece between the breakpoints 1/|y|, and here
+    # 1/(1/y) < y: at the computed breakpoint G already reads the next (zero) piece
+    kern = CompoundPoissonKernel(1.0, DiscreteJumps((1.4806461292258453,), (1.0,)))
+    assert kern.drift_sup(np.zeros(1), np.ones(1), np.ones(1)) == pytest.approx([1.0], rel=1e-15)
+    assert kern.drift_sup(np.zeros(2), np.ones(2), np.array([0.0, 0.5])) == pytest.approx(
+        [0.0, 0.5 * 1.4806461292258453], rel=1e-15)
+
+
+def test_discrete_drift_sup_matches_a_grid_with_each_breakpoint_s_left_neighbour():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        vals = rng.uniform(-2.0, 2.0, 3)
+        kern = CompoundPoissonKernel(rng.uniform(0.5, 4.0),
+                                     DiscreteJumps(tuple(vals), tuple(rng.dirichlet(np.ones(3)))))
+        a0, mod, u = rng.uniform(-1.0, 1.0, 5), rng.uniform(0.5, 2.0, 5), rng.uniform(0.05, 3.0, 5)
+        got = kern.drift_sup(a0, mod, u)
+        left = (1.0 - 1e-14) / np.abs(vals)   # |a0 v + mod G(v)| is linear on each piece
+        for i in range(5):
+            v = np.concatenate([np.linspace(0.0, u[i], 2001), left[left <= u[i]]])
+            brute = np.abs(a0[i] * v + mod[i] * kern.truncation_drift(v)).max()
+            assert got[i] == pytest.approx(brute, rel=1e-13)
+
+
+ASYMMETRIC_STABLE = [("mytnik-positive", {"alpha": 1.2}), ("mytnik-positive", {"alpha": 1.5}),
+                     ("balan-stable", {"alpha": 1.5, "p": 0.8, "q": 0.2}),
+                     ("balan-stable", {"alpha": 0.8, "p": 0.9, "q": 0.1}),
+                     ("balan-stable", {"alpha": 0.4, "p": 0.0, "q": 1.0})]
+
+
+@pytest.mark.parametrize("name, params", ASYMMETRIC_STABLE)
+def test_drift_term_of_a_strictly_stable_preset_is_c_u_to_the_alpha(name, params):
+    # gamma = s beta alpha/(1 - alpha) cancels G's linear term: U(v) = c v^alpha,
+    # so the modular is ~u^alpha as for the symmetric law
+    chars = preset(name, **params)
+    kern, alpha = chars.nu.kernel, params["alpha"]
+    c = abs(kern.scale * kern.beta * alpha / (1.0 - alpha))
+    x = np.array([[0.3]])
+    for u in 10.0 ** -np.arange(1.0, 7.0):
+        drift = modular_integrand(chars, lambda p, u=u: np.full(len(p), u))(x)[0] \
+            - kern.compact_moment(u)
+        assert drift == pytest.approx(c * u ** alpha, rel=1e-12)
+
+
+MEMBERSHIP_TRIPLES = [("mytnik-positive", {"alpha": 1.2}), ("mytnik-positive", {"alpha": 1.5}),
+                      ("balan-stable", {"alpha": 0.8, "p": 0.8, "q": 0.2}),
+                      ("balan-stable", {"alpha": 1.5, "p": 0.8, "q": 0.2}),
+                      ("balan-stable", {"alpha": 0.8}), ("balan-stable", {"alpha": 1.5})]
+
+
+@pytest.mark.parametrize("name, params", MEMBERSHIP_TRIPLES)
+def test_polynomial_decay_is_a_member_iff_2_r_alpha_exceeds_d(name, params):
+    # the paper's integrability condition for a strictly stable noise: f in L^alpha,
+    # closer to the boundary than criterion 8's band (r = 0.36 in 1-D: 2 r alpha = 1.08)
+    alpha = params["alpha"]
+    for d in (1, 2):
+        chars = preset(name, dim=d, **params)
+        for r in (0.2, 0.3, 0.36, 0.45, 0.55, 0.6, 0.65, 0.75, 1.0, 1.5):
+            want = "member" if 2.0 * r * alpha > d else "non-member"
+            assert lm_membership(chars, PolynomialDecay(r, dim=d)).verdict == want, (d, r)
+
+
 def test_drift_sup_zooms_in_on_an_interior_maximum():
-    # a dyadic grid settles on a smooth interior maximum only quadratically,
-    # or stalls (two levels with the same maximum, 3e-7 low here)
+    # a dyadic grid settles on an interior maximum (here G's kink at 1/1.7)
+    # only slowly, or stalls (two levels with the same maximum)
     kern = CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.7))
     u = np.array([0.8, 1.1, 1.4, 1.9])
     got = kern.drift_sup(np.full(4, 0.4), np.ones(4), u)
     for ui, g in zip(u, got):
-        grid = np.linspace(0.0, ui, 2_000_001)
+        kinks = np.array([1.0 / 1.7, 1.0 / 0.3])
+        grid = np.union1d(np.linspace(0.0, ui, 2_000_001), kinks[kinks <= ui])
         brute = np.abs(0.4 * grid + kern.truncation_drift(grid)).max()
         assert g == pytest.approx(brute, rel=1e-9)
 

@@ -139,6 +139,15 @@ def test_the_test_only_helpers_are_gone():
     assert defined & gone == set()
 
 
+def test_the_clipped_truncation_is_gone():
+    # the modular's G(v) is v * indicator_moment_diff(v) for every kernel
+    # (JumpKernel.truncation_drift): the symbol's truncation, not tau(y) = y ^ sgn(y)
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    gone = {"JumpKernel._truncation_drift", "StableKernel._truncation_drift",
+            "CompoundPoissonKernel._truncation_drift"}
+    assert defined & gone == set()
+
+
 # package names that only tests call, each kept for a reason
 TEST_ONLY = {
     "box_increment": "paper-facing: a sheet's increment over a box",

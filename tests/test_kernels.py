@@ -11,12 +11,15 @@ import scipy.integrate as spi
 import scipy.special
 import scipy.stats as sps
 
-from levyfield import (Characteristics, CompoundPoissonKernel, DiscreteJumps,
+from levyfield import (Characteristics, CompoundPoissonKernel, Density, DiscreteJumps,
                        IndicatorFunction, JumpComponent, NormalJumps, Region,
                        StableKernel, TabulatedKernel, TemperedStableKernel,
                        UniformJumps, kernel_from_config, stable_symbol_constant)
 from levyfield import kernels
+from levyfield.analysis import modular_integrand
+from levyfield.characteristics import DriftComponent
 from levyfield.kernels import upper_gamma
+from levyfield.presets import preset
 
 
 def stable_density(y, alpha, p, q, scale=1.0):
@@ -437,8 +440,8 @@ def test_repeated_atoms_are_read_as_their_merged_law():
     for eps in (0.0, 0.5):
         assert rep.cf_integrand(c, eps) == pytest.approx(merged.cf_integrand(c, eps), rel=1e-14)
     v = np.array([0.5, 2.0])
-    assert rep.truncation_drift(v) == pytest.approx([0.0, -1.0], abs=1e-15)
-    assert merged.truncation_drift(v) == pytest.approx([0.0, -1.0], abs=1e-15)
+    assert rep.truncation_drift(v) == pytest.approx([0.0, -2.0], abs=1e-15)
+    assert merged.truncation_drift(v) == pytest.approx([0.0, -2.0], abs=1e-15)
     a0, mod, u = np.array([0.4, -0.2]), np.ones(2), np.array([1.5, 3.0])
     assert rep.drift_sup(a0, mod, u) == pytest.approx(merged.drift_sup(a0, mod, u), rel=1e-14)
     f = IndicatorFunction(Region.from_intervals([(0.0, 1.0)]))
@@ -656,7 +659,7 @@ def test_array_cuts_give_the_scalar_results_bit_for_bit(kern):
 
 
 def _generic(kern):
-    """Kernels whose compact moment and truncation drift are JumpKernel's own."""
+    """Kernels whose compact moment and indicator moment difference are JumpKernel's own."""
     return isinstance(kern, TabulatedKernel) or (
         isinstance(kern, CompoundPoissonKernel) and not isinstance(kern.jumps, DiscreteJumps))
 
@@ -677,12 +680,78 @@ def test_generic_moments_match_the_per_cut_formulas(kern):
             kern.annulus_first_moment(1.0, r) if a < 1.0 else -kern.annulus_first_moment(r, 1.0)
             for a, r in zip(np.abs(v), inv)]
     assert _same_bits(kern.indicator_moment_diff(v), diff)
-    tp1, tn1 = kern.tail_masses(1.0)
-    drift = [x * d + (0.0 if x == 0.0 else np.sign(x) * (kern.tail_masses(r)[0]
-                                                          - kern.tail_masses(r)[1])
-                      - x * (tp1 - tn1))
-             for x, d, r in zip(v, diff, inv)]
-    assert _same_bits(kern.truncation_drift(v), drift)
+    assert _same_bits(kern.truncation_drift(v), [x * d for x, d in zip(v, diff)])
+
+
+def _kernel_integral(kern, g, lo, hi):
+    """``int_{lo < |y| <= hi} g(y) k(dy)``, 0 < lo: a sum over the atoms, else ``quad``
+    of the density over ``log |y|`` per side, cut at its kinks and support's end."""
+    if isinstance(kern, CompoundPoissonKernel) and isinstance(kern.jumps, DiscreteJumps):
+        y, p = np.array(kern.jumps.values), np.array(kern.jumps.probs)
+        keep = (np.abs(y) > lo) & (np.abs(y) <= hi)
+        return kern.rate * float(np.sum(g(y[keep]) * p[keep]))
+    if isinstance(kern, CompoundPoissonKernel):
+        law = kern.jumps
+        dens = lambda y: kern.rate * law.pdf(y)  # noqa: E731
+        kinks = [law.a, law.b] if isinstance(law, UniformJumps) else []
+    else:
+        dens, kinks = kern.density, list(getattr(kern, "grid", []))
+
+    def integrand(t, side):   # 0 beyond |y| = e^300, where no kernel here has mass 1e-50
+        y = side * math.exp(min(t, 300.0))
+        return 0.0 if t > 300.0 else g(y) * dens(y) * abs(y)
+
+    total = 0.0
+    for side in (1.0, -1.0):
+        ends = [abs(k) for k in kinks if k * side > 0.0]
+        top = min(hi, max(ends, default=0.0)) if kinks else hi   # a bounded support's end
+        if lo < top:
+            pts = [math.log(k) for k in ends if lo < k < top] or None
+            total += spi.quad(integrand, math.log(lo), math.log(top), args=(side,),
+                              points=pts, limit=200)[0]
+    return total
+
+
+def _rajput_rosinski_drift(kern, gamma, mod, vs):
+    """``U_RR(v) = v a_tau + m int (tau(v y) - v tau(y)) k(dy)`` at each v > 0, from
+    the definition: clipped truncation ``tau(y) = y ^ sgn(y)``, with the drift
+    ``a_tau = gamma + m int_{|y|>1} sgn(y) k`` that pairs with it."""
+    a_tau = gamma + mod * _kernel_integral(kern, np.sign, 1.0, np.inf)
+    out = []
+    for v in vs:
+        lo, hi = sorted((1.0, 1.0 / v))   # tau(v y) = v tau(y) for |y| <= lo
+
+        def gap(y, v=v):
+            return np.clip(v * y, -1.0, 1.0) - v * np.clip(y, -1.0, 1.0)
+
+        out.append(v * a_tau + mod * (_kernel_integral(kern, gap, lo, hi)
+                                      + _kernel_integral(kern, gap, hi, np.inf)))
+    return np.array(out)
+
+
+RR_TRIPLES = [preset("mytnik-positive", alpha=1.5), preset("mytnik-positive", alpha=1.2),
+              preset("balan-stable", alpha=1.5, p=0.8, q=0.2),
+              preset("balan-stable", alpha=0.8, p=0.9, q=0.1),
+              preset("balan-stable", alpha=0.4, p=0.0, q=1.0),
+              preset("impulsive", rate=3.0, jumps=DiscreteJumps((2.0, -0.5), (0.6, 0.4)))] + [
+    Characteristics(1, gamma=DriftComponent(Density(1.0)), nu=JumpComponent(k))
+    for k in ARRAY_KERNELS if not k.symmetric]
+
+
+@pytest.mark.parametrize("chars", RR_TRIPLES, ids=lambda c: type(c.nu.kernel).__name__)
+def test_modular_is_equivalent_to_rajput_rosinski_s(chars):
+    # |U_RR(v) - U(v)| = m |int_{|v y| > 1} sgn(y) k| <= m k(|y| > 1/v), at most the
+    # modular's own compact term, so Phi / Phi_RR lies in [1/2, 2] at every u
+    x = np.array([[0.3]])
+    kern = chars.nu.kernel
+    gamma, mod = float(chars.drift_density(x)[0]), float(chars.jump_modulation(x)[0])
+    us = np.logspace(-6.0, 3.0, 10)
+    v = np.union1d(np.geomspace(1e-7, 1e3, 41), us)   # sup over [0, u] on this grid
+    drift = np.abs(_rajput_rosinski_drift(kern, gamma, mod, v))
+    for u in us:
+        phi = modular_integrand(chars, lambda p, u=u: np.full(len(p), u))(x)[0]
+        phi_rr = drift[v <= u].max() + mod * kern.compact_moment(u)
+        assert 0.5 <= phi / phi_rr <= 2.0, u
 
 
 @pytest.mark.parametrize("law", [DiscreteJumps((2.0, -0.5, 0.3, 0.5), (0.4, 0.3, 0.2, 0.1)),
