@@ -53,9 +53,7 @@ def modular_integrand(chars: Characteristics, f):
         terms = []
         if kern is not None and not kern.symmetric:
             a0 = chars.gamma.density.at(x) if chars.gamma is not None else 0.0
-            rows, back = (np.unique(u, return_inverse=True) if np.ndim(a0) == np.ndim(mod) == 0
-                          else (u, slice(None)))  # constants: one sup per distinct |f|
-            terms.append(kern.drift_sup(*np.broadcast_arrays(a0, mod, rows))[back])
+            terms.append(kern.drift_sup(*np.broadcast_arrays(a0, mod, u)))
         elif chars.gamma is not None:
             terms.append(np.abs(chars.gamma.density.at(x)) * u)
         if chars.sigma is not None:

@@ -304,12 +304,12 @@ class Characteristics:
             if self.nu is not None and u != 0.0:
                 kern, mod = self.nu.kernel, self.nu.modulation
 
-                def cf(p):
-                    return kern.cf_integrand(u * np.asarray(f(p)), eps)
+                def cf(p):  # an asymmetric CF's two parts: two rows, one call per node
+                    val = kern.cf_integrand(u * np.asarray(f(p)), eps)
+                    return np.real(val) if kern.symmetric else np.stack([val.real, val.imag])
 
-                jump += mod.integral(support, lambda p: np.real(cf(p)))[0]
-                if not kern.symmetric:
-                    jump += 1j * mod.integral(support, lambda p: np.imag(cf(p)))[0]
+                rows = mod.integral(support, cf)
+                jump += rows[0] if kern.symmetric else rows[0][0] + 1j * rows[1][0]
         if not (np.isfinite(drift) and np.isfinite(gauss)
                 and np.isfinite(jump.real) and np.isfinite(jump.imag)):
             raise SymbolDivergentError("symbol integrals failed to converge")

@@ -17,9 +17,11 @@ truncation drift and its supremum).  Tails and truncated moments take scalar
 or array cuts, bit for bit alike, in closed form: powers (stable), incomplete
 gamma functions (tempered stable), atom sums, normal CDF or clipped
 polynomials (compound Poisson), Simpson's rule on linear pieces plus prefix
-sums (tabulated; its CF integrand is exact per piece too).  Quadrature is
-left only in the tempered-stable CF integrand, the stable small-jump CF
-beyond ``1/|c|`` and the normal jump law's CF tail.
+sums (tabulated; its CF integrand is exact per piece too).  So are the CF integrands:
+the tempered-stable one is ``s alpha Gamma(-alpha) Re[(theta - ic)^alpha - theta^alpha]``,
+at alpha = 1 ``s (theta log1p(r^2)/2 - |c| atan r)``, r = |c|/theta.  Quadrature is left
+only in the (tempered) stable small-jump CF beyond ``1/|theta - ic|`` and the normal
+jump law's CF inside ``[-eps, eps]``.
 
 The scalar Gamma is ``math.gamma``: every argument is a scalar off the poles,
 and it differs from ``scipy.special.gamma`` by at most 9 ULP on (-2, 3)
@@ -114,8 +116,7 @@ _TRANSFORM_BLOCK = 1 << 14  # stable jumps per fill-and-map pass: 128 KiB stays 
 _SPLIT_BLOCKS = 8
 
 SMALL_CF_RTOL = 1e-10
-# Terms m = 1..12 of the cosine and sine series; at |c y| <= 1 the first
-# omitted term is below 1e-25 of the leading one.
+# terms m = 1..12 of the cosine and sine series: at |c y| <= 1 the rest is below 1e-25
 _M = np.arange(1, 13)
 _EVEN, _ODD, _SIGN = 2.0 * _M, 2.0 * _M + 1.0, (-1.0) ** _M
 _FACT_EVEN = np.array([math.factorial(2 * m) for m in _M], dtype=float)
@@ -131,6 +132,32 @@ def _quad_checked(f, a, b):
         raise ArithmeticError(f"quad on ({a:g}, {b:g}] reached error {err:.3g} "
                               f"on a value of {val:.6g}")
     return val
+
+
+def _small_cf_part(c_arr, eps, a, beta, theta, scale):
+    """``int_{|y| <= eps} (e^{icy} - 1 - icy) k(dy)``, ``k = scale a |y|^(-a-1) e^(-theta |y|)``
+    times (1 + beta)/2 on y > 0 and (1 - beta)/2 on y < 0.  On (0, e], e = min(eps,
+    1/|theta - ic|), the series of e^{-theta y} weights the stable integrand's Taylor
+    series at exponents a - i, term by term (one term at theta = 0); ``quad`` takes (e, eps],
+    raising ``ArithmeticError`` when its error estimate exceeds ``SMALL_CF_RTOL``."""
+    c = np.asarray(c_arr, dtype=float).ravel()
+    e = eps / np.maximum(1.0, np.hypot(c, theta) * eps)
+    i = np.arange(20 if theta else 1)  # theta e <= 1: the first omitted weight is below 1e-18
+    weight = (-theta * e)[:, None] ** i / np.cumprod(np.maximum(i, 1.0))
+    x = (c * e)[:, None]
+    re, im = (a * e ** -a * ((x ** n @ (_SIGN[:, None] / (f[:, None] * (n[:, None] - a + i))))
+                             * weight).sum(axis=1)
+              for n, f in ((_EVEN, _FACT_EVEN), (_ODD, _FACT_ODD)))
+    # past 1/|c| (theta = 0) cos(cy) - 1 does not cancel; past 1/theta it may
+    cos1 = (lambda v: np.cos(v) - 1.0) if theta == 0.0 else (lambda v: -2.0 * np.sin(0.5 * v) ** 2)
+    for k in np.flatnonzero(e < eps):
+        ck, lo = float(c[k]), 1.0 / math.hypot(c[k], theta)
+        re[k] += _quad_checked(lambda y: cos1(ck * y) * a * y ** (-a - 1.0) * np.exp(-theta * y),
+                               lo, eps)
+        if beta != 0.0:
+            im[k] += _quad_checked(lambda y: (np.sin(ck * y) - ck * y) * a * y ** (-a - 1.0)
+                                   * np.exp(-theta * y), lo, eps)
+    return (scale * (re + 1j * beta * im)).reshape(np.shape(c_arr))
 
 
 def _phi(z):
@@ -244,8 +271,13 @@ class JumpKernel:
         grid neighbours lie within ``SUP_TOL`` of it, else
         ``NonConvergenceError``.  A non-finite maximum is returned as is.  Each
         row refines until its own levels (and steps) agree, so its value does
-        not depend on the rows evaluated beside it.
+        not depend on the rows evaluated beside it, and a repeated row is refined once.
         """
+        keys = np.stack(np.broadcast_arrays(a0, mod, u))
+        order = np.lexsort(keys)
+        first = (np.diff(keys[:, order], prepend=np.nan) != 0.0).any(axis=0)
+        back = (np.cumsum(first) - 1)[np.argsort(order)]
+        a0, mod, u = keys[:, order[first]]
         out = np.zeros_like(u)
         for start in range(0, u.size, 256):
             a, b, w = a0[start:start + 256], mod[start:start + 256], u[start:start + 256]
@@ -264,7 +296,7 @@ class JumpKernel:
             if z.any():
                 cur[z] = self._zoom_sup(a[z], b[z], w[z], best[z], cur[z], w[z] / 2.0 ** level[z])
             out[start:start + 256] = cur
-        return out
+        return out[back]
 
     def _grid_sup(self, a0, mod, v):
         """Row maxima of ``|a0 v + mod G(v)|`` over the grid rows of ``v``, their
@@ -391,33 +423,8 @@ class StableKernel(JumpKernel):
             skew = b * math.tan(math.pi * a / 2.0) * np.sign(c_arr)
             full = -s * C * mag * (1.0 - 1j * skew) - 1j * c_arr * s * b * a / (1.0 - a)
         if eps > 0.0:
-            full = full - self._small_cf_part(c_arr, eps)
+            full = full - _small_cf_part(c_arr, eps, a, b, 0.0, s)
         return full if full.shape else complex(full)
-
-    def _small_cf_part(self, c_arr, eps):
-        """``int_{|y| <= eps} (e^{icy} - 1 - icy) k(dy)``.
-
-        The Taylor series of the integrand integrates term by term over
-        ``(0, e]`` with ``e = min(eps, 1/|c|)``; beyond ``1/|c|`` the
-        integrand no longer cancels and ``quad`` takes ``(1/|c|, eps]``,
-        raising ``ArithmeticError`` when its error estimate exceeds
-        ``SMALL_CF_RTOL``.
-        """
-        a, b, s = self.alpha, self.beta, self.scale
-        c = np.asarray(c_arr, dtype=float).ravel()
-        e = eps / np.maximum(1.0, np.abs(c) * eps)
-        x = (c * e)[:, None]
-        re = a * e ** -a * (x ** _EVEN @ (_SIGN / (_FACT_EVEN * (_EVEN - a))))
-        im = a * e ** -a * (x ** _ODD @ (_SIGN / (_FACT_ODD * (_ODD - a))))
-        for i in np.flatnonzero(e < eps):
-            ci = float(c[i])
-            re[i] += _quad_checked(lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0),
-                                   1.0 / abs(ci), eps)
-            if b != 0.0:
-                im[i] += _quad_checked(lambda y: (np.sin(ci * y) - ci * y) * a * y ** (-a - 1.0),
-                                       1.0 / abs(ci), eps)
-        out = s * (re + 1j * b * im)
-        return out.reshape(np.shape(c_arr)) if np.ndim(c_arr) else complex(out[0])
 
     def drift_sup(self, a0, mod, u):
         """Exact sup of |A v + B v^alpha| on [0, u]: endpoint or stationary point."""
@@ -876,6 +883,9 @@ class TemperedStableKernel(JumpKernel):
     """Symmetric tempered-stable kernel ``scale*(alpha/2)|y|^(-alpha-1) e^{-cutoff|y|}``.
 
     Letting cutoff -> 0 recovers the symmetric stable kernel of the same alpha.
+    Its CF integrand is the module docstring's closed form, as ``s alpha Gamma(-alpha)
+    theta^alpha [expm1(alpha log1p(r^2)/2) cos w - 2 sin^2(w/2)]`` with ``w = alpha atan r``
+    (no cancellation at small c), and at alpha = 1 its limit.
     """
 
     alpha: float
@@ -893,11 +903,9 @@ class TemperedStableKernel(JumpKernel):
             raise ValueError("scale must be positive")
 
     def density(self, y):
-        y = np.asarray(y, dtype=float)
+        mag = np.abs(np.asarray(y, dtype=float))
         with np.errstate(divide="ignore"):
-            mag = np.abs(y)
-            return np.where(mag > 0,
-                            self.scale * 0.5 * self.alpha * mag ** (-self.alpha - 1.0)
+            return np.where(mag > 0, self.scale * 0.5 * self.alpha * mag ** (-self.alpha - 1.0)
                             * np.exp(-self.cutoff * mag), 0.0)
 
     def tail_masses(self, c):
@@ -924,16 +932,16 @@ class TemperedStableKernel(JumpKernel):
             upper_gamma(1.0 - a, th) - upper_gamma(1.0 - a, th * c))
 
     def cf_integrand(self, c, eps: float = 0.0):
-        from scipy import integrate  # slow to import; see _quad_checked
-        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-        a, th = self.alpha, self.cutoff
-        out = np.empty(c_arr.shape, dtype=complex)
-        for i, ci in enumerate(c_arr):
-            f = lambda y: (np.cos(ci * y) - 1.0) * a * y ** (-a - 1.0) * np.exp(-th * y)
-            v = integrate.quad(f, max(eps, 0.0), 1.0, limit=400)[0] if eps < 1.0 else 0.0
-            v += integrate.quad(f, max(eps, 1.0), np.inf, limit=400)[0]
-            out[i] = self.scale * v  # symmetric: purely real
-        return out if np.ndim(c) else complex(out[0])
+        c_arr = np.asarray(c, dtype=float)
+        a, th, s = self.alpha, self.cutoff, self.scale
+        r = np.abs(c_arr) / th
+        w = a * np.arctan(r)
+        full = (s * (0.5 * th * np.log1p(r * r) - np.abs(c_arr) * w) if a == 1.0 else
+                s * a * math.gamma(-a) * th ** a * (np.expm1(0.5 * a * np.log1p(r * r)) * np.cos(w)
+                                                    - 2.0 * np.sin(0.5 * w) ** 2)) + 0.0j
+        if eps > 0.0:
+            full = full - _small_cf_part(c_arr, eps, a, 0.0, th, s)
+        return full if full.shape else complex(full)
 
     def sample_tail(self, rng, n, eps):
         """Rejection from the stable tail with acceptance ``e^{-cutoff(|y|-eps)}``."""

@@ -192,6 +192,24 @@ def test_drift_sup_of_a_row_does_not_depend_on_the_rows_beside_it():
     assert np.array_equal(tail[::-1], batch)
 
 
+def test_drift_sup_refines_each_distinct_row_once(monkeypatch):
+    # constant densities repeat rows; rows that share u but not a0 or mod stay apart
+    kern = CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.7))
+    rng = np.random.default_rng(3)
+    u = np.repeat(rng.uniform(0.05, 3.0, 10), 2)
+    a0, mod = np.tile([0.4, -0.2], 10), np.tile([1.0, 1.5], 10)
+    pick = rng.permutation(np.repeat(np.arange(20), 3))
+    points = []
+    drift = CompoundPoissonKernel.truncation_drift
+    monkeypatch.setattr(CompoundPoissonKernel, "truncation_drift",
+                        lambda self, v: points.append(np.size(v)) or drift(self, v))
+    distinct = kern.drift_sup(a0, mod, u)
+    alone = sum(points)
+    points.clear()
+    assert np.array_equal(kern.drift_sup(a0[pick], mod[pick], u[pick]), distinct[pick])
+    assert sum(points) == alone
+
+
 class UnsettledKernel(JumpKernel):
     """Unit mass whose truncation drift below v = 0.1 flips sign at every call.
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from levyfield import (Atom, Characteristics, ControlMeasureValue, Density,
                        DiffusionComponent, DivergentControlMeasureError, DriftComponent,
                        IndicatorFunction, JumpComponent, ProductBump, Region,
-                       SamplerConfig, SimpleFunction, StableKernel, interval,
-                       preset, sample_field, stable_symbol_constant)
+                       SamplerConfig, SimpleFunction, StableKernel, TemperedStableKernel,
+                       interval, preset, sample_field, stable_symbol_constant)
 from levyfield.analysis import lm_membership
 from levyfield.config import characteristics_from_config
-from levyfield.funcs import GaussianFunction
+from levyfield.funcs import GaussianFunction, effective_domain
+from levyfield.kernels import CompoundPoissonKernel, UniformJumps
 from levyfield.integrate import cylindrical_characteristics, integrate
 from levyfield.quadrature import region_integral
 from levyfield.sampler import levy_ito_spec
@@ -94,6 +96,50 @@ def test_symbol_symmetric_stable_closed_form():
         v = chars.levy_symbol(f, u, t=2.0).value
         assert v.imag == pytest.approx(0.0, abs=1e-12)
         assert v.real == pytest.approx(-2.0 * C * u ** 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("chars", [
+    preset("mytnik-positive", alpha=1.5),
+    Characteristics(1, nu=JumpComponent(StableKernel(0.8, 0.7, 0.3))),
+    Characteristics(1, nu=JumpComponent(CompoundPoissonKernel(2.0, UniformJumps(0.3, 1.7))))],
+    ids=["mytnik-positive", "stable", "uniform"])
+def test_symbol_integrates_both_parts_of_an_asymmetric_cf_in_one_batch(chars, monkeypatch):
+    # the real and imaginary parts are two rows of one integrand: the values of
+    # two integrals, bit for bit, from one cf_integrand call per node
+    kern, mod = chars.nu.kernel, chars.nu.modulation
+    calls = []
+    cf = type(kern).cf_integrand
+
+    def counted(self, c, eps=0.0):
+        calls.append(1)
+        return cf(self, c, eps)
+
+    monkeypatch.setattr(type(kern), "cf_integrand", counted)
+    for f in (ProductBump((0.0,), (0.5,)), ProductBump((0.2,), (0.7,))):
+        support = effective_domain(f)
+        for u in (0.5, 1.0, 2.0):
+            for eps in (0.0, 0.01):
+                counts = []
+                for part in (None, np.real, np.imag):   # the symbol, then each part alone
+                    calls.clear()
+                    if part is None:
+                        jump = chars.levy_symbol(f, u, eps=eps).jump_integral
+                    else:
+                        got = mod.integral(support,
+                                           lambda p: part(kern.cf_integrand(u * f(p), eps)))[0]
+                        want = got if part is np.real else want + 1j * got
+                    counts.append(len(calls))
+                assert jump.imag != 0.0 and jump == 0.0 + want, (u, eps)
+                assert counts[0] == max(counts[1:]) < sum(counts[1:]), (u, eps)
+
+
+def test_tempered_symbol_of_a_bump_raises_no_warning():
+    # the tempered-stable CF is a closed form: at eps = 0 no quadrature warns
+    chars = Characteristics(1, nu=JumpComponent(TemperedStableKernel(1.5, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.0, 0.01):
+            assert chars.levy_symbol(ProductBump((0.0,), (0.5,)), 1.0, eps=eps).value.real < 0.0
 
 
 def test_symbol_simple_function_two_terms():

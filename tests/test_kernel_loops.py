@@ -15,9 +15,9 @@ CONCRETE = {name for name, cls in inspect.getmembers(levyfield.kernels, inspect.
             and cls not in (JumpKernel, JumpSizeDistribution)}
 QUAD = {"quad", "_quad", "_quad_checked", "quad_vec"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-# Characteristic-function integrands without a closed form here still
-# integrate frequency by frequency (ROADMAP item 1).
-ALLOWED = {"StableKernel._small_cf_part", "TemperedStableKernel.cf_integrand"}
+# The (tempered) stable small-jump CF integrates beyond 1/|theta - ic| frequency
+# by frequency.
+ALLOWED = {"_small_cf_part"}
 
 
 def functions(tree: ast.Module):

@@ -303,19 +303,19 @@ def _small_cf_part_exact(a, c, eps):
 def test_stable_small_cf_part_matches_closed_form(alpha, beta):
     # the truncated-away part of the stable CF integrand, which sets the
     # truncation bias that cf_match_test credits
-    k = StableKernel(alpha, (1 + beta) / 2, (1 - beta) / 2)
     for eps in (1e-3, 1e-2, 0.5):
         cs = np.array([1e-3, 0.3, 1.0, 2.0, 50.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = k._small_cf_part(cs, eps)
-            assert k._small_cf_part(-cs[2], eps) == pytest.approx(np.conj(got[2]), rel=1e-14)
+            got = kernels._small_cf_part(cs, eps, alpha, beta, 0.0, 1.0)
+            assert kernels._small_cf_part(-cs[2], eps, alpha, beta, 0.0, 1.0) == pytest.approx(
+                np.conj(got[2]), rel=1e-14)
         for c, g in zip(cs, got):
             re, im = _small_cf_part_exact(alpha, c, eps)
             assert g.real == pytest.approx(re, rel=1e-10), (c, eps)
             assert g.imag == pytest.approx(beta * im, rel=1e-10, abs=0.0), (c, eps)
     with pytest.raises(ArithmeticError, match="quad on"):
-        k._small_cf_part(np.array([1e6]), 0.5)  # 8e4 periods: quad gives up
+        kernels._small_cf_part(np.array([1e6]), 0.5, alpha, beta, 0.0, 1.0)  # 8e4 periods
 
 
 # --------------------------------------------------------------------------
@@ -463,6 +463,82 @@ def test_tempered_stable_density_and_tail():
     num = 2 * spi.quad(lambda t: 1.3 * 0.7 * t ** -1.7 * math.exp(-2 * t) / 2,
                        0.5, np.inf, limit=200)[0]
     assert got == pytest.approx(num, rel=1e-6)
+
+
+TEMPERED_C = [1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 50.0, 1e4, 1e12]
+
+
+def _tempered_cf_exact(alpha, cutoff, c, eps, scale):
+    """``scale alpha int_eps^inf (cos cy - 1) y^(-alpha-1) e^(-cutoff y) dy`` to 50 digits:
+    ``Gamma(-alpha) Re[(th - ic)^alpha - th^alpha]`` at eps = 0 (its limit at alpha = 1),
+    else ``Re[z^alpha Gamma(-alpha, z eps)] - th^alpha Gamma(-alpha, th eps)``, z = th - ic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, th, c = mpmath.mpf(alpha), mpmath.mpf(cutoff), mpmath.mpf(c)
+        z = mpmath.mpc(th, -c)
+        if eps > 0.0:
+            val = (mpmath.re(z ** a * mpmath.gammainc(-a, z * eps))
+                   - th ** a * mpmath.gammainc(-a, th * eps))
+        elif alpha == 1.0:
+            val = th / 2 * mpmath.log(1 + (c / th) ** 2) - abs(c) * mpmath.atan(abs(c) / th)
+        else:
+            val = mpmath.gamma(-a) * mpmath.re(z ** a - th ** a)
+        return float(scale * (1 if alpha == 1.0 and eps == 0.0 else a) * val)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("cutoff", [0.1, 1.0, 7.0])
+def test_tempered_cf_integrand_is_the_closed_form(alpha, cutoff):
+    kern = TemperedStableKernel(alpha, cutoff, scale=1.3)
+    c = np.array(TEMPERED_C + [-x for x in TEMPERED_C])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kern.cf_integrand(c)
+    assert np.all(got.imag == 0.0)
+    for ci, g in zip(c, got.real):
+        assert g == pytest.approx(_tempered_cf_exact(alpha, cutoff, ci, 0.0, 1.3),
+                                  rel=1e-13, abs=0.0), ci
+    assert kern.cf_integrand(0.0) == 0.0 and kern.cf_integrand(0.0, 0.1) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("cutoff", [0.1, 1.0, 7.0])
+def test_tempered_cf_integrand_beyond_eps_is_the_incomplete_gamma_form(alpha, cutoff):
+    # the small-jump part: the series of e^{-cutoff y} inside 1/|cutoff - ic|, quad beyond.
+    # The value is the full one less that part, so it is held to 1e-10 of the larger
+    # of the two (they cancel to 1e-6 at cutoff 7, eps 0.5, c 50)
+    kern = TemperedStableKernel(alpha, cutoff, scale=1.3)
+    c = np.array([1e-6, 1e-3, 0.3, 1.0, 5.0, 50.0])
+    for eps in (1e-3, 1e-2, 0.1, 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kern.cf_integrand(c, eps)
+        assert kern.cf_integrand(-c[3], eps) == pytest.approx(got[3], rel=1e-14)
+        for ci, g in zip(c, got):
+            want = _tempered_cf_exact(alpha, cutoff, ci, eps, 1.3)
+            full = _tempered_cf_exact(alpha, cutoff, ci, 0.0, 1.3)
+            assert g.imag == 0.0
+            assert abs(g.real - want) <= 1e-10 * max(abs(want), abs(full)), (ci, eps)
+
+
+# sha256 of StableKernel.cf_integrand over the grid below, taken before the
+# tempered-stable kernel came to share its small-jump helper
+STABLE_CF_SHA256 = "4b3ae257130ef19e9b64fa69b81ff7c1fbdf12706cd7fbf3d0c3427a867ceadd"
+
+
+def test_stable_cf_integrand_is_pinned():
+    h = hashlib.sha256()
+    c = np.logspace(-4, 2.5, 27)
+    c = np.concatenate([-c[::-1], [0.0], c])
+    for alpha in (0.4, 0.8, 1.0, 1.2, 1.5, 1.9):
+        for beta in (-1.0, 0.0, 0.6, 1.0):
+            if alpha == 1.0 and beta != 0.0:
+                continue
+            k = StableKernel(alpha, (1 + beta) / 2, (1 - beta) / 2, scale=1.3)
+            for eps in (0.0, 1e-3, 0.01, 0.1, 0.5):
+                h.update(k.cf_integrand(c, eps).tobytes())
+                h.update(np.array([k.cf_integrand(x, eps) for x in c[::9]]).tobytes())
+    assert h.hexdigest() == STABLE_CF_SHA256
 
 
 def test_tempered_stable_finite_first_moment():
@@ -752,6 +828,90 @@ def test_modular_is_equivalent_to_rajput_rosinski_s(chars):
         phi = modular_integrand(chars, lambda p, u=u: np.full(len(p), u))(x)[0]
         phi_rr = drift[v <= u].max() + mod * kern.compact_moment(u)
         assert 0.5 <= phi / phi_rr <= 2.0, u
+
+
+# --------------------------------------------------------------------------
+# the CF contract: every kernel's cf_integrand against its own density
+# --------------------------------------------------------------------------
+
+def _cos1(x):
+    """``cos x - 1`` without cancellation."""
+    return -2.0 * np.sin(0.5 * x) ** 2
+
+
+def _sin1(x):
+    """``sin x - x`` without cancellation: four Taylor terms below 0.1."""
+    x2 = x * x
+    head = -x * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
+    return np.where(np.abs(x) < 0.1, head, np.sin(x) - x)
+
+
+def _quad(f, a, b, **kw):
+    """``quad`` without its warnings (the comparison judges the value)."""
+    return spi.quad(f, a, b, limit=400, full_output=1, **kw)[0] if a < b else 0.0
+
+
+def _cf_reference(kern, c, eps):
+    """``int_{|y| > eps} (e^{icy} - 1 - icy 1{|y| <= 1}) k(dy)`` from the kernel's atoms
+    or density.  Per side, up to ``far = max(1, 1/|c|)`` the cancelling forms of
+    ``cos - 1`` and ``sin - id`` are integrated (over ``log y`` where the density is
+    singular at 0); beyond, the density with the cosine and sine weights, less its mass."""
+    if isinstance(kern, CompoundPoissonKernel) and isinstance(kern.jumps, DiscreteJumps):
+        y, p = np.array(kern.jumps.values), np.array(kern.jumps.probs)
+        y, p = y[np.abs(y) > eps], p[np.abs(y) > eps]
+        im = np.where(np.abs(y) <= 1.0, _sin1(c * y), np.sin(c * y))
+        return kern.rate * complex(np.sum(_cos1(c * y) * p), np.sum(im * p))
+    singular = isinstance(kern, (StableKernel, TemperedStableKernel))
+    if isinstance(kern, CompoundPoissonKernel):
+        law = kern.jumps
+        dens = lambda y: kern.rate * law.pdf(y)  # noqa: E731
+        kinks = ([law.a, law.b] if isinstance(law, UniformJumps)   # the normal's 40 sigma
+                 else [law.mu - 40.0 * law.sigma, law.mu + 40.0 * law.sigma])
+    else:
+        dens, kinks = kern.density, list(getattr(kern, "grid", []))
+    if isinstance(kern, TemperedStableKernel):   # e^-40 of the density's mass lies beyond
+        kinks = [-40.0 / kern.cutoff, 40.0 / kern.cutoff]
+    re = im = 0.0
+    for side in (1.0, -1.0):
+        ends = [abs(k) for k in kinks if k * side > 0.0]
+        top = max(ends, default=0.0) if kinks else math.inf   # a bounded support's end
+        cuts = ends + [1.0]   # where the density or the integrand has a kink
+        # below 1e-100 a stable integrand is under c^2 1e-50 (alpha <= 1.5 here)
+        lo, far = max(eps, 1e-100), min(max(1.0, 1.0 / abs(c)), top)
+
+        def near(g, a, b):
+            """``int_a^b g(t) d(t) dt`` for the density d of this side."""
+            if singular:
+                return _quad(lambda s: g(math.exp(s)) * dens(side * math.exp(s)) * math.exp(s),
+                             math.log(a), math.log(b), epsabs=0.0, epsrel=1e-12,
+                             points=[math.log(k) for k in cuts if a < k < b] or None)
+            return _quad(lambda t: g(t) * dens(side * t), a, b, epsabs=0.0, epsrel=1e-12,
+                         points=[k for k in cuts if a < k < b] or None)
+
+        re += near(lambda t: _cos1(c * t), lo, far)
+        im += side * (near(lambda t: _sin1(c * t), lo, min(1.0, far))
+                      + near(lambda t: math.sin(c * t), max(lo, 1.0), far))
+        start = max(lo, far)
+        mass = near(lambda t: 1.0, start, min(top, 1e300))
+        if mass > 0.0:
+            d = lambda t: dens(side * t)  # noqa: E731
+            kw = dict(epsabs=1e-13 * mass) if top == math.inf else dict(epsabs=0.0, epsrel=1e-12)
+            re += _quad(d, start, top, weight="cos", wvar=abs(c), **kw) - mass
+            im += side * np.sign(c) * _quad(d, start, top, weight="sin", wvar=abs(c), **kw)
+    return complex(re, im)
+
+
+@pytest.mark.parametrize("kern", ARRAY_KERNELS, ids=lambda k: type(k).__name__)
+def test_cf_integrand_is_the_integral_of_the_density(kern):
+    # finite activity computes rate (phi - mass): its rounding is an ulp of the mass
+    finite = not isinstance(kern, (StableKernel, TemperedStableKernel))
+    c = np.array([s * x for x in (1e-6, 1e-3, 0.3, 1.0, 5.0, 50.0) for s in (1.0, -1.0)])
+    for eps in (0.0, 1e-3, 0.1, 0.5):
+        floor = 1e-14 * _kernel_integral(kern, np.ones_like, max(eps, 1e-300), np.inf) if finite else 0.0
+        got = kern.cf_integrand(c, eps)
+        for ci, g in zip(c, got):
+            want = _cf_reference(kern, ci, eps)
+            assert abs(g - want) <= 1e-9 * abs(want) + floor, (ci, eps, g, want)
 
 
 @pytest.mark.parametrize("law", [DiscreteJumps((2.0, -0.5, 0.3, 0.5), (0.4, 0.3, 0.2, 0.1)),
