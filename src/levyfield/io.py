@@ -57,15 +57,10 @@ def read_jsonl(path: str) -> list[dict]:
 
 def write_jump_records(path: str, real) -> None:
     """JSONL dump of one realization's retained jumps, header line first."""
-    header = {
-        "kind": "jump-records",
-        "dimension": int(real.chars.dim),
-        "count": int(real.jump_times.size),
-        "seed": int(real.config.seed),
-        "replicate": int(real.replicate),
-        "eps": float(real.config.eps),
-        "horizon": float(real.config.horizon),
-    }
+    header = {"kind": "jump-records", "dimension": int(real.chars.dim),
+              "count": int(real.jump_times.size), "seed": int(real.config.seed),
+              "replicate": int(real.replicate), "eps": float(real.config.eps),
+              "horizon": float(real.config.horizon)}
     times, sizes = real.jump_times, real.jump_sizes
     finite = (np.isfinite(times) & np.isfinite(real.jump_locations).all(axis=1)
               & np.isfinite(sizes)).tolist()
@@ -154,10 +149,6 @@ def config_hash(config: dict) -> str:
 
 def write_manifest(path: str, config: dict, artifacts: list[str],
                    versions: dict) -> None:
-    manifest = {
-        "config_hash": config_hash(config),
-        "seed": config.get("seed"),
-        "artifacts": sorted(artifacts),
-        "versions": versions,
-    }
+    manifest = {"config_hash": config_hash(config), "seed": config.get("seed"),
+                "artifacts": sorted(artifacts), "versions": versions}
     atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

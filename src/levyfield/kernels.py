@@ -19,9 +19,9 @@ gamma functions (tempered stable), atom sums, normal CDF or clipped
 polynomials (compound Poisson), Simpson's rule on linear pieces plus prefix
 sums (tabulated; its CF integrand is exact per piece too).  So are the CF integrands:
 the tempered-stable one is ``s alpha Gamma(-alpha) Re[(theta - ic)^alpha - theta^alpha]``,
-at alpha = 1 ``s (theta log1p(r^2)/2 - |c| atan r)``, r = |c|/theta.  Quadrature is left
-only in the (tempered) stable small-jump CF beyond ``1/|theta - ic|`` and the normal
-jump law's CF inside ``[-eps, eps]``.
+at alpha = 1 ``s (theta log1p(r^2)/2 - |c| atan r)``, r = |c|/theta.  Cut at eps, the
+(tempered) stable one is a series where |theta - ic| eps <= 1, else Legendre's continued
+fraction; quadrature is left only in the normal jump law's CF inside ``[-eps, eps]``.
 
 The scalar Gamma is ``math.gamma``: every argument is a scalar off the poles,
 and it differs from ``scipy.special.gamma`` by at most 9 ULP on (-2, 3)
@@ -115,49 +115,73 @@ _TRANSFORM_BLOCK = 1 << 14  # stable jumps per fill-and-map pass: 128 KiB stays 
 # of 8 took 0.78 of its time.
 _SPLIT_BLOCKS = 8
 
-SMALL_CF_RTOL = 1e-10
-# terms m = 1..12 of the cosine and sine series: at |c y| <= 1 the rest is below 1e-25
-_M = np.arange(1, 13)
-_EVEN, _ODD, _SIGN = 2.0 * _M, 2.0 * _M + 1.0, (-1.0) ** _M
-_FACT_EVEN = np.array([math.factorial(2 * m) for m in _M], dtype=float)
-_FACT_ODD = np.array([math.factorial(2 * m + 1) for m in _M], dtype=float)
+# terms m = 1..14 of the series in (c eps)^2: |c eps| <= 1 inside 1/|theta - ic|, and beyond
+# it |c eps| < 1/4 and (c/theta)^2 < 1/15; either way the first one left out is below 1e-17
+_M = np.arange(1, 15)
+_TERMS = (-1.0) ** _M / np.array([math.factorial(2 * m) for m in _M], dtype=float)
+_LENTZ_STEPS = 400  # Legendre's fraction took at most 184 at |x| >= 1, Re x >= 0, 0 < a < 2
 
 
-def _quad_checked(f, a, b):
-    """``quad`` of a one-signed integrand to ``SMALL_CF_RTOL``, or ``ArithmeticError``."""
-    from scipy import integrate  # slow to import; only the quadrature fallbacks need it
-    val, err, *_ = integrate.quad(f, a, b, limit=400, epsabs=0.0,
-                                  epsrel=SMALL_CF_RTOL / 100, full_output=1)
-    if not err <= SMALL_CF_RTOL * abs(val):
-        raise ArithmeticError(f"quad on ({a:g}, {b:g}] reached error {err:.3g} "
-                              f"on a value of {val:.6g}")
-    return val
+def _legendre(x, a):
+    """``x^a e^x Gamma(-a, x)``, |x| >= 1, Re x >= 0, from Legendre's continued fraction
+    ``1/(x + 1 + a - 1(1 + a)/(x + 3 + a - 2(2 + a)/(x + 5 + a - ...)))`` (DLMF 8.9) by modified
+    Lentz.  An entry stops at its own first step of 1 to the last bit, so the others do not
+    move it; ``ArithmeticError`` if one takes ``_LENTZ_STEPS``."""
+    b = f = big_c = np.asarray(x, dtype=complex) + (1.0 + a)  # f = b0 + a1/(b1 + ...)
+    d, out, live = np.zeros_like(b), np.empty_like(b), np.ones(b.shape, dtype=bool)
+    for j in range(1, _LENTZ_STEPS + 1):
+        b = b + 2.0
+        d = 1.0 / (b - j * (j + a) * d)
+        big_c = b - j * (j + a) / big_c
+        f = f * (big_c * d)
+        done = live & (np.abs(big_c * d - 1.0) <= np.finfo(float).eps)
+        out[done] = 1.0 / f[done]
+        live &= ~done
+        if not live.any():
+            return out
+    raise ArithmeticError(f"Legendre's fraction for Gamma({-a:g}, x) took {_LENTZ_STEPS} steps")
 
 
-def _small_cf_part(c_arr, eps, a, beta, theta, scale):
-    """``int_{|y| <= eps} (e^{icy} - 1 - icy) k(dy)``, ``k = scale a |y|^(-a-1) e^(-theta |y|)``
-    times (1 + beta)/2 on y > 0 and (1 - beta)/2 on y < 0.  On (0, e], e = min(eps,
-    1/|theta - ic|), the series of e^{-theta y} weights the stable integrand's Taylor
-    series at exponents a - i, term by term (one term at theta = 0); ``quad`` takes (e, eps],
-    raising ``ArithmeticError`` when its error estimate exceeds ``SMALL_CF_RTOL``."""
-    c = np.asarray(c_arr, dtype=float).ravel()
-    e = eps / np.maximum(1.0, np.hypot(c, theta) * eps)
-    i = np.arange(20 if theta else 1)  # theta e <= 1: the first omitted weight is below 1e-18
-    weight = (-theta * e)[:, None] ** i / np.cumprod(np.maximum(i, 1.0))
-    x = (c * e)[:, None]
-    re, im = (a * e ** -a * ((x ** n @ (_SIGN[:, None] / (f[:, None] * (n[:, None] - a + i))))
-                             * weight).sum(axis=1)
-              for n, f in ((_EVEN, _FACT_EVEN), (_ODD, _FACT_ODD)))
-    # past 1/|c| (theta = 0) cos(cy) - 1 does not cancel; past 1/theta it may
-    cos1 = (lambda v: np.cos(v) - 1.0) if theta == 0.0 else (lambda v: -2.0 * np.sin(0.5 * v) ** 2)
-    for k in np.flatnonzero(e < eps):
-        ck, lo = float(c[k]), 1.0 / math.hypot(c[k], theta)
-        re[k] += _quad_checked(lambda y: cos1(ck * y) * a * y ** (-a - 1.0) * np.exp(-theta * y),
-                               lo, eps)
-        if beta != 0.0:
-            im[k] += _quad_checked(lambda y: (np.sin(ck * y) - ck * y) * a * y ** (-a - 1.0)
-                                   * np.exp(-theta * y), lo, eps)
-    return (scale * (re + 1j * beta * im)).reshape(np.shape(c_arr))
+def _stable_family_cf(kern, c, eps, full, theta):
+    """``kern.cf_integrand(c, eps)`` at the 1-d array c, for a kernel of density ``scale a
+    |y|^(-a-1) e^(-theta |y|)`` times (1 +- beta)/2 on +-y > 0 and of CF ``full`` at eps = 0.
+    With z = theta - ic and x = theta eps, each frequency takes its own route:
+    * |z| eps <= 1: ``full`` less the part on (0, eps], the series of its integrand in c eps
+      with term n weighted by ``x^(a-n) gamma(n - a, x)`` (the series of e^{-theta y});
+    * |z| eps > 1: the part beyond eps, per side ``a[z^a Gamma(-a, z eps) - theta^a Gamma(-a, x)]``,
+      the first term by ``_legendre``, the second the mass beyond eps;
+    * |z| eps > 1 and |c| eps < 1/4, where those two terms cancel (x > 0.96 there): the part
+      beyond eps as the series in c eps with ``x^(a-n) Gamma(n - a, x)`` by upward recurrence.
+    Beyond eps the compensator is on (eps, 1] only."""
+    a, beta = kern.alpha, kern.beta
+    x, v, unit, out = theta * eps, c * eps, kern.scale * a * eps ** -a, full.copy()
+    inner = np.hypot(c, theta) * eps <= 1.0
+    series, beyond = ~inner & (np.abs(v) < 0.25), ~inner & (np.abs(v) >= 0.25)
+
+    def even(coef, v2):  # sum_m coef[m - 1] v^(2m) by Horner
+        return functools.reduce(lambda acc, k: (acc + k) * v2, coef[::-1], 0.0)
+
+    if inner.any():
+        i, vi = np.arange(20.0), v[inner]  # theta eps <= 1: the first omitted is below 1/20!
+        w = [(1.0 / np.add.outer(n - a, i)) @ ((-x) ** i / np.cumprod(np.maximum(i, 1.0)))
+             for n in (2.0 * _M, 2.0 * _M + 1.0)]
+        odd = beta * vi * even(_TERMS * w[1] / (2.0 * _M + 1.0), vi * vi) if beta else 0.0
+        out[inner] -= unit * (even(_TERMS * w[0], vi * vi) + 1j * odd)
+        if eps > 1.0:
+            out[inner] -= 1j * c[inner] * kern.annulus_first_moment(1.0, eps)
+    if series.any():
+        upper = [x ** (a - 2.0) * float(upper_gamma(2.0 - a, x))]  # x^(a-k) Gamma(k - a, x)
+        for k in range(2, 2 * _M[-1]):
+            upper.append(((k - a) * upper[-1] + math.exp(-x)) / x)
+        out[series] = unit * even(_TERMS * upper[::2], v[series] ** 2)
+    if beyond.any():
+        part = np.exp(-(x - 1j * v[beyond])) * _legendre(x - 1j * v[beyond], a)
+        # the mass beyond eps; upper_gamma's recurrence cancels at x >= 1, the fraction does not
+        mass = unit * math.exp(-x) * _legendre(x, a).real if x >= 1.0 else kern.tail_mass(eps)
+        out[beyond] = unit * (part.real + 1j * beta * part.imag) - mass
+        if eps < 1.0:
+            out[beyond] -= 1j * c[beyond] * kern.annulus_first_moment(eps, 1.0)
+    return out
 
 
 def _phi(z):
@@ -366,13 +390,8 @@ class StableKernel(JumpKernel):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.p == self.q
-
-    @property
-    def beta(self) -> float:
-        return self.p - self.q
+    symmetric = property(lambda self: self.p == self.q)
+    beta = property(lambda self: self.p - self.q)
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -414,16 +433,17 @@ class StableKernel(JumpKernel):
 
     def cf_integrand(self, c, eps: float = 0.0):
         c_arr = np.asarray(c, dtype=float)
+        c = c_arr.ravel() if eps > 0.0 else c_arr  # 1-d: a frequency alone is its bits in an array
         a, b, s = self.alpha, self.beta, self.scale
         C = stable_symbol_constant(a)
-        mag = np.abs(c_arr) ** a
+        mag = np.abs(c) ** a
         if a == 1.0:
             full = -s * C * mag + 0.0j
         else:
-            skew = b * math.tan(math.pi * a / 2.0) * np.sign(c_arr)
-            full = -s * C * mag * (1.0 - 1j * skew) - 1j * c_arr * s * b * a / (1.0 - a)
+            skew = b * math.tan(math.pi * a / 2.0) * np.sign(c)
+            full = -s * C * mag * (1.0 - 1j * skew) - 1j * c * s * b * a / (1.0 - a)
         if eps > 0.0:
-            full = full - _small_cf_part(c_arr, eps, a, b, 0.0, s)
+            full = _stable_family_cf(self, c, eps, full, 0.0).reshape(c_arr.shape)
         return full if full.shape else complex(full)
 
     def drift_sup(self, a0, mod, u):
@@ -635,11 +655,11 @@ class DiscreteJumps(JumpSizeDistribution):
 
     @property
     def symmetric(self) -> bool:
-        """Each value's total probability equals its mirror's (0 when absent)."""
+        """Each value's total probability is its mirror's (0 when absent) to within 1e-12."""
         law = {}
         for v, p in zip(self.values, self.probs):
             law[v] = law.get(v, 0.0) + p
-        return all(law.get(-v, 0.0) == p for v, p in law.items())
+        return all(abs(law.get(-v, 0.0) - p) <= 1e-12 for v, p in law.items())
 
     def _arr(self):
         return np.asarray(self.values), np.asarray(self.probs)
@@ -665,14 +685,13 @@ class DiscreteJumps(JumpSizeDistribution):
         return _window_sum(v * v * p, np.abs(v), -np.inf, c)
 
     def char_fn(self, c):
-        v, p = self._arr()
-        c = np.asarray(c, dtype=float)
-        return np.exp(1j * np.multiply.outer(c, v)) @ p
+        return self.char_fn_tail(np.asarray(c, dtype=float), 0.0)  # every atom is nonzero
 
     def char_fn_tail(self, c, eps):
         v, p = self._arr()
         m = np.abs(v) > eps
-        return np.exp(1j * np.multiply.outer(c, v[m])) @ p[m]
+        # summed along each row, not by @, so a frequency does not depend on the others
+        return (np.exp(1j * np.multiply.outer(c, v[m])) * p[m]).sum(axis=-1)
 
     def sample_tail(self, rng, n, eps):
         return self.tail_map(eps)(rng.random(n))
@@ -698,9 +717,7 @@ class NormalJumps(JumpSizeDistribution):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.mu == 0.0
+    symmetric = property(lambda self: self.mu == 0.0)
 
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, n)
@@ -734,12 +751,14 @@ class NormalJumps(JumpSizeDistribution):
         return np.exp(1j * c * self.mu - 0.5 * (self.sigma * c) ** 2)
 
     def char_fn_tail(self, c, eps):
-        """``char_fn`` less its smooth part on [-eps, eps], one ``quad_vec``."""
-        from scipy.integrate import quad_vec  # slow to import; see _quad_checked
+        """``char_fn`` less its smooth part on [-eps, eps], one ``quad_vec`` judged by its error
+        estimate against the tolerance asked (its flag also fails on a roundoff warning)."""
+        from scipy.integrate import quad_vec  # slow to import; see the module docstring
         c = np.asarray(c, dtype=float)
-        inner, _, info = quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
-                                  epsabs=1e-13, epsrel=1e-11, full_output=True)
-        if not info.success:
+        tol_abs, tol_rel = 1e-13, 1e-11
+        inner, err, info = quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
+                                    epsabs=tol_abs, epsrel=tol_rel, full_output=True)
+        if not err <= max(tol_abs, tol_rel * np.linalg.norm(inner)):
             raise ArithmeticError(f"quad_vec on [-{eps:g}, {eps:g}]: {info.message}")
         out = self.char_fn(c) - inner
         return out if np.ndim(c) else complex(out)
@@ -760,9 +779,7 @@ class UniformJumps(JumpSizeDistribution):
     def _len(self):
         return self.b - self.a
 
-    @property
-    def symmetric(self) -> bool:
-        return self.a == -self.b
+    symmetric = property(lambda self: self.a == -self.b)
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, n)
@@ -815,9 +832,7 @@ class CompoundPoissonKernel(JumpKernel):
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.jumps.symmetric
+    symmetric = property(lambda self: self.jumps.symmetric)
 
     def tail_masses(self, c):
         pos, neg = self.jumps.prob_tails(c)
@@ -835,7 +850,8 @@ class CompoundPoissonKernel(JumpKernel):
             phi, mass = self.jumps.char_fn(c), 1.0
         else:  # drop jumps of size <= eps entirely
             phi, mass = self.jumps.char_fn_tail(c, eps), sum(self.jumps.prob_tails(eps))
-        val = self.rate * (phi - mass) - 1j * c * self.rate * self.jumps.mean_annulus(eps, 1.0)
+        comp = self.jumps.mean_annulus(min(eps, 1.0), 1.0)  # on (eps, 1] only: 0 at eps >= 1
+        val = self.rate * (phi - mass) - 1j * c * self.rate * comp
         return val if np.ndim(c) else complex(val)
 
     # Discrete jumps: exact sums over the atoms; other laws use the generic routes.
@@ -892,7 +908,7 @@ class TemperedStableKernel(JumpKernel):
     cutoff: float
     scale: float = 1.0
 
-    symmetric = True
+    symmetric, beta = True, 0.0
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -933,14 +949,15 @@ class TemperedStableKernel(JumpKernel):
 
     def cf_integrand(self, c, eps: float = 0.0):
         c_arr = np.asarray(c, dtype=float)
+        c = c_arr.ravel() if eps > 0.0 else c_arr  # 1-d: a frequency alone is its bits in an array
         a, th, s = self.alpha, self.cutoff, self.scale
-        r = np.abs(c_arr) / th
+        r = np.abs(c) / th
         w = a * np.arctan(r)
-        full = (s * (0.5 * th * np.log1p(r * r) - np.abs(c_arr) * w) if a == 1.0 else
+        full = (s * (0.5 * th * np.log1p(r * r) - np.abs(c) * w) if a == 1.0 else
                 s * a * math.gamma(-a) * th ** a * (np.expm1(0.5 * a * np.log1p(r * r)) * np.cos(w)
                                                     - 2.0 * np.sin(0.5 * w) ** 2)) + 0.0j
         if eps > 0.0:
-            full = full - _small_cf_part(c_arr, eps, a, 0.0, th, s)
+            full = _stable_family_cf(self, c, eps, full, th).reshape(c_arr.shape)
         return full if full.shape else complex(full)
 
     def sample_tail(self, rng, n, eps):

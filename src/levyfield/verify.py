@@ -11,7 +11,7 @@ bit-exactly from its report line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,16 +46,7 @@ class VerificationReport:
         return self.decision == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "notes": list(self.notes),
-        }
+        return dict(asdict(self), notes=list(self.notes))
 
 
 def summary_table(reports) -> str:

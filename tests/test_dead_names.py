@@ -98,13 +98,15 @@ def test_merged_integration_helpers_are_gone():
     # term is the generic JumpKernel.compact_moment; the image of the jump
     # measure is one quadrature per mass (integrate.Pushforward); every sheet
     # query is one lattice (sheets.SheetRealization.corner_grid); the stable and
-    # tempered-stable small-jump CF is one helper (kernels._small_cf_part)
+    # tempered-stable truncated CF is one helper (kernels._stable_family_cf), with
+    # no quadrature
     defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
     kernels = ("JumpKernel", "StableKernel", "CompoundPoissonKernel", "TemperedStableKernel",
                "TabulatedKernel", "DiscreteJumps", "NormalJumps", "UniformJumps")
     gone = {"_expanding_quad", "TemperedStableKernel.compact_moment", "PushforwardMixture",
             "PushforwardTable", *(f"{k}.scale_image" for k in kernels),
-            "_fast_grid", "_corner_box", "StableKernel._small_cf_part"}
+            "_fast_grid", "_corner_box", "StableKernel._small_cf_part", "_small_cf_part",
+            "_quad_checked"}
     assert defined & gone == set()
 
 

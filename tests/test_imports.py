@@ -121,6 +121,21 @@ def test_a_stable_run_loads_no_scipy_special(tmp_path):
     assert "scipy.special" not in loaded
 
 
+def test_a_stable_family_symbol_loads_no_scipy_integrate(tmp_path):
+    # the truncated CF of both stable families is a series or a continued fraction,
+    # at frequencies inside and beyond 1/|cutoff - ic|
+    code = (
+        "from levyfield import (Characteristics, JumpComponent, ProductBump, StableKernel,\n"
+        "                       TemperedStableKernel)\n"
+        "bump = ProductBump((0.0,), (0.5,))\n"
+        "for kern in (TemperedStableKernel(1.5, 7.0), StableKernel(1.5, 0.8, 0.2)):\n"
+        "    chars = Characteristics(1, nu=JumpComponent(kern))\n"
+        "    for eps in (0.01, 0.5):\n"
+        "        for u in (1.0, 20.0):\n"
+        "            chars.levy_symbol(bump, u, eps=eps)")
+    assert "scipy.integrate" not in _modules_after(code, tmp_path)
+
+
 def test_the_dependence_checks_load_no_scipy_stats(tmp_path):
     # the calls of the benchmark's dependence workload: the stationarity test's
     # KS p-value is exact in verify, so only n > 10,000 would need scipy.stats

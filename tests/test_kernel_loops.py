@@ -15,9 +15,9 @@ CONCRETE = {name for name, cls in inspect.getmembers(levyfield.kernels, inspect.
             and cls not in (JumpKernel, JumpSizeDistribution)}
 QUAD = {"quad", "_quad", "_quad_checked", "quad_vec"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-# The (tempered) stable small-jump CF integrates beyond 1/|theta - ic| frequency
-# by frequency.
-ALLOWED = {"_small_cf_part"}
+# Every kernel integral is array-valued; the last per-frequency quad, the
+# (tempered) stable small-jump CF beyond 1/|theta - ic|, is a continued fraction now.
+ALLOWED = set()
 
 
 def functions(tree: ast.Module):
