@@ -7,7 +7,7 @@ separately.  Four parametric families are provided:
 
 * ``stable(alpha, p, q)`` with density ``p*alpha*y^(-alpha-1)`` on y > 0 and
   ``q*alpha*(-y)^(-alpha-1)`` on y < 0 (optionally scaled),
-* compound Poisson: ``rate`` times a proper jump-size distribution,
+* compound Poisson: ``rate`` times a jump law, itself a kernel of mass one,
 * tempered stable: symmetric ``(alpha/2)*|y|^(-alpha-1)*exp(-cutoff*|y|)``,
 * tabulated: piecewise-linear density on a user grid.
 
@@ -65,8 +65,10 @@ def stable_symbol_constant(alpha: float) -> float:
 def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     """Upper incomplete gamma ``Gamma(s, x)`` for s possibly <= 0 (x > 0).
 
-    Uses the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s to
-    reach the regularized scipy implementation, which needs s > 0.
+    For s < 0 and finite x >= 1, ``x^s e^{-x}`` times Legendre's continued fraction
+    (``_legendre``).  Elsewhere the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
+    reaches the regularized scipy implementation, which needs s > 0; at x >= 1 its two terms
+    cancel.
     """
     from scipy.special import exp1, gammaincc  # slow to import; see the module docstring
     x = np.asarray(x, dtype=float)
@@ -74,7 +76,11 @@ def upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
         return math.gamma(s) * gammaincc(s, x)
     if s == 0:
         return exp1(x)
-    return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
+    out, far = np.empty(x.shape), (x >= 1.0) & (x < math.inf)
+    xf, xn = x[far], x[~far]
+    out[far] = _legendre(xf, -s).real * xf ** s * np.exp(-xf)
+    out[~far] = (upper_gamma(s + 1.0, xn) - xn ** s * np.exp(-xn)) / s
+    return out
 
 
 def choice_indices(p, u: np.ndarray) -> np.ndarray:
@@ -176,9 +182,7 @@ def _stable_family_cf(kern, c, eps, full, theta):
         out[series] = unit * even(_TERMS * upper[::2], v[series] ** 2)
     if beyond.any():
         part = np.exp(-(x - 1j * v[beyond])) * _legendre(x - 1j * v[beyond], a)
-        # the mass beyond eps; upper_gamma's recurrence cancels at x >= 1, the fraction does not
-        mass = unit * math.exp(-x) * _legendre(x, a).real if x >= 1.0 else kern.tail_mass(eps)
-        out[beyond] = unit * (part.real + 1j * beta * part.imag) - mass
+        out[beyond] = unit * (part.real + 1j * beta * part.imag) - kern.tail_mass(eps)
         if eps < 1.0:
             out[beyond] -= 1j * c[beyond] * kern.annulus_first_moment(eps, 1.0)
     return out
@@ -572,45 +576,37 @@ class StableKernel(JumpKernel):
 # Jump-size distributions for the compound-Poisson kernel
 # --------------------------------------------------------------------------
 
-class JumpSizeDistribution:
-    """Proper law of a single jump (no mass at 0); tails elementwise over cuts."""
-
-    symmetric: bool = False
-
-    def pdf(self, y):
-        """Lebesgue density; laws with atoms have none."""
-        raise NotImplementedError
-
-    def prob_tails(self, c):
-        """(P(Y > c), P(Y < -c))."""
-        raise NotImplementedError
+class JumpSizeDistribution(JumpKernel):
+    """Proper law of a single jump (no mass at 0): a kernel of total mass one."""
 
     def _partial_mean(self, lo, hi):
         """``E[Y; lo < Y <= hi]``."""
         raise NotImplementedError
 
-    def mean_annulus(self, r1, r2):
-        """``E[Y; r1 < |Y| <= r2]``."""
+    def annulus_first_moment(self, r1, r2):
         return _value(self._partial_mean(r1, r2) + self._partial_mean(-r2, -r1))
 
-    def abs_mean_annulus(self, r1, r2):
-        """``E[|Y|; r1 < |Y| <= r2]``."""
-        return _value(self._partial_mean(r1, r2) - self._partial_mean(-r2, -r1))
-
-    def second_moment_below(self, c):
-        """``E[Y^2; |Y| <= c]``."""
-        raise NotImplementedError
+    def _abs_annulus_first_moment(self, c):
+        return _value(self._partial_mean(1.0, c) - self._partial_mean(-c, -1.0))
 
     def char_fn_tail(self, c, eps: float) -> np.ndarray:
         """``E[e^{icY} 1{|Y| > eps}]``."""
         raise NotImplementedError
 
-    def tail_map(self, eps):  # as JumpKernel.tail_map
-        return None
+    def cf_integrand(self, c, eps: float = 0.0):
+        """``(E[e^{icY}; |Y| > eps] - P(|Y| > eps)) - ic E[Y; eps < |Y| <= 1]``."""
+        c = np.asarray(c, dtype=float)
+        if eps == 0.0:
+            phi, mass = self.char_fn(c), 1.0
+        else:  # drop jumps of size <= eps entirely
+            phi, mass = self.char_fn_tail(c, eps), self.tail_mass(eps)
+        comp = self.annulus_first_moment(min(eps, 1.0), 1.0)  # on (eps, 1] only: 0 at eps >= 1
+        val = (phi - mass) - 1j * c * comp
+        return val if np.ndim(c) else complex(val)
 
     def sample_tail(self, rng, n, eps):
         """Rejection sampling of Y given |Y| > eps, in at most 10,000 blocks."""
-        acc = sum(self.prob_tails(eps))
+        acc = self.tail_mass(eps)
         if acc <= 0.0:
             raise ValueError(f"jump distribution has no mass beyond {eps}")
         out = np.empty(0)
@@ -668,21 +664,42 @@ class DiscreteJumps(JumpSizeDistribution):
         v, p = self._arr()
         return v[choice_indices(p, rng.random(n))]
 
-    def prob_tails(self, c):
+    def tail_masses(self, c):
         v, p = self._arr()
         return _window_sum(p, v, c, np.inf), _window_sum(p, -v, c, np.inf)
 
-    def mean_annulus(self, r1, r2):
+    def annulus_first_moment(self, r1, r2):
         v, p = self._arr()
         return _window_sum(v * p, np.abs(v), r1, r2)
 
-    def abs_mean_annulus(self, r1, r2):
+    def _abs_annulus_first_moment(self, c):
         v, p = self._arr()
-        return _window_sum(np.abs(v) * p, np.abs(v), r1, r2)
+        return _window_sum(np.abs(v) * p, np.abs(v), 1.0, c)
 
     def second_moment_below(self, c):
         v, p = self._arr()
         return _window_sum(v * v * p, np.abs(v), -np.inf, c)
+
+    # exact sums over the atoms, each along its own row so a u does not depend on the others
+    def compact_moment(self, u):
+        v, p = self._arr()
+        val = np.minimum(1.0, np.multiply.outer(np.asarray(u, dtype=float), v) ** 2)
+        return _value((val * p).sum(axis=-1))
+
+    @functools.cached_property
+    def _pieces(self):
+        """The pieces ``(left, right]`` between the breakpoints ``1/|size|`` and ``G(v)/v`` on
+        each, read inside it (at a computed breakpoint it may read the next)."""
+        breaks = np.unique(1.0 / np.abs(self._arr()[0]))
+        left = np.append(0.0, breaks)
+        inside = np.append(0.5 * (left[:-1] + breaks), 2.0 * breaks[-1])
+        return left, np.append(breaks, np.inf), self.indicator_moment_diff(inside)
+
+    def drift_sup(self, a0, mod, u):
+        """Each piece's sup is its left limit at ``min(right, u)``."""
+        left, right, ratio = self._pieces
+        slope = np.abs(a0[:, None] + mod[:, None] * ratio)
+        return np.where(left < u[:, None], np.minimum(right, u[:, None]) * slope, 0.0).max(axis=1)
 
     def char_fn(self, c):
         return self.char_fn_tail(np.asarray(c, dtype=float), 0.0)  # every atom is nonzero
@@ -722,18 +739,20 @@ class NormalJumps(JumpSizeDistribution):
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, n)
 
-    def pdf(self, y):
+    def density(self, y):
         return _phi((y - self.mu) / self.sigma) / self.sigma
 
-    def prob_tails(self, c):
+    def tail_masses(self, c):
         return (_value(_ndtr(-((c - self.mu) / self.sigma))),
                 _value(_ndtr((-c - self.mu) / self.sigma)))
 
     def _partial_mean(self, a, b):
-        # E[Y; a < Y <= b] for a normal, via the standard truncated identities.
+        # E[Y; a < Y <= b] for a normal, via the standard truncated identities; above the
+        # mean P(a < Y <= b) is a difference of upper tails, which does not cancel
         za, zb = (a - self.mu) / self.sigma, (b - self.mu) / self.sigma
+        prob = np.where(za > 0.0, _ndtr(-za) - _ndtr(-zb), _ndtr(zb) - _ndtr(za))
         with np.errstate(over="ignore"):  # phi(z) at huge |z| is 0
-            return self.mu * (_ndtr(zb) - _ndtr(za)) - self.sigma * (_phi(zb) - _phi(za))
+            return self.mu * prob - self.sigma * (_phi(zb) - _phi(za))
 
     def second_moment_below(self, c):
         # E[Y^2; -c < Y <= c] from the second truncated moment; z phi(z) is 0 at infinite z
@@ -756,7 +775,7 @@ class NormalJumps(JumpSizeDistribution):
         from scipy.integrate import quad_vec  # slow to import; see the module docstring
         c = np.asarray(c, dtype=float)
         tol_abs, tol_rel = 1e-13, 1e-11
-        inner, err, info = quad_vec(lambda y: np.exp(1j * c * y) * self.pdf(y), -eps, eps,
+        inner, err, info = quad_vec(lambda y: np.exp(1j * c * y) * self.density(y), -eps, eps,
                                     epsabs=tol_abs, epsrel=tol_rel, full_output=True)
         if not err <= max(tol_abs, tol_rel * np.linalg.norm(inner)):
             raise ArithmeticError(f"quad_vec on [-{eps:g}, {eps:g}]: {info.message}")
@@ -784,10 +803,10 @@ class UniformJumps(JumpSizeDistribution):
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, n)
 
-    def pdf(self, y):
+    def density(self, y):
         return _value(np.where((self.a <= y) & (y <= self.b), 1.0 / self._len(), 0.0))
 
-    def prob_tails(self, c):
+    def tail_masses(self, c):
         pos = np.maximum(0.0, self.b - np.maximum(self.a, c)) / self._len()
         neg = np.maximum(0.0, np.minimum(self.b, -c) - self.a) / self._len()
         return _value(pos), _value(neg)
@@ -823,7 +842,7 @@ class UniformJumps(JumpSizeDistribution):
 
 @dataclass(frozen=True)
 class CompoundPoissonKernel(JumpKernel):
-    """Finite-activity kernel ``rate * law(jumps)``."""
+    """Finite-activity kernel ``rate * law(jumps)``: ``rate`` times its law in every quantity."""
 
     rate: float
     jumps: JumpSizeDistribution
@@ -834,54 +853,30 @@ class CompoundPoissonKernel(JumpKernel):
 
     symmetric = property(lambda self: self.jumps.symmetric)
 
+    def density(self, y):
+        return self.rate * self.jumps.density(y)
+
     def tail_masses(self, c):
-        pos, neg = self.jumps.prob_tails(c)
+        pos, neg = self.jumps.tail_masses(c)
         return self.rate * pos, self.rate * neg
 
     def second_moment_below(self, c):
         return self.rate * self.jumps.second_moment_below(c)
 
     def annulus_first_moment(self, r1, r2):
-        return self.rate * self.jumps.mean_annulus(r1, r2)
-
-    def cf_integrand(self, c, eps: float = 0.0):
-        c = np.asarray(c, dtype=float)
-        if eps == 0.0:
-            phi, mass = self.jumps.char_fn(c), 1.0
-        else:  # drop jumps of size <= eps entirely
-            phi, mass = self.jumps.char_fn_tail(c, eps), sum(self.jumps.prob_tails(eps))
-        comp = self.jumps.mean_annulus(min(eps, 1.0), 1.0)  # on (eps, 1] only: 0 at eps >= 1
-        val = self.rate * (phi - mass) - 1j * c * self.rate * comp
-        return val if np.ndim(c) else complex(val)
-
-    # Discrete jumps: exact sums over the atoms; other laws use the generic routes.
-    def compact_moment(self, u):
-        if not isinstance(self.jumps, DiscreteJumps):
-            return super().compact_moment(u)
-        u = np.asarray(u, dtype=float)
-        sizes, probs = self.jumps._arr()
-        val = self.rate * (np.minimum(1.0, np.multiply.outer(u, sizes) ** 2) @ probs)
-        return val if val.shape else float(val)
-
-    @functools.cached_property
-    def _pieces(self):
-        """Discrete jumps: the pieces ``(left, right]`` between the breakpoints ``1/|size|``
-        and ``G(v)/v`` on each, read inside it (at a computed breakpoint it may read the next)."""
-        breaks = np.unique(1.0 / np.abs(self.jumps._arr()[0]))
-        left = np.append(0.0, breaks)
-        inside = np.append(0.5 * (left[:-1] + breaks), 2.0 * breaks[-1])
-        return left, np.append(breaks, np.inf), self.indicator_moment_diff(inside)
-
-    def drift_sup(self, a0, mod, u):
-        """Discrete jumps: each piece's sup is its left limit at ``min(right, u)``."""
-        if not isinstance(self.jumps, DiscreteJumps):
-            return super().drift_sup(a0, mod, u)
-        left, right, ratio = self._pieces
-        slope = np.abs(a0[:, None] + mod[:, None] * ratio)
-        return np.where(left < u[:, None], np.minimum(right, u[:, None]) * slope, 0.0).max(axis=1)
+        return self.rate * self.jumps.annulus_first_moment(r1, r2)
 
     def _abs_annulus_first_moment(self, c):
-        return self.rate * self.jumps.abs_mean_annulus(1.0, c)
+        return self.rate * self.jumps._abs_annulus_first_moment(c)
+
+    def compact_moment(self, u):
+        return self.rate * self.jumps.compact_moment(u)
+
+    def cf_integrand(self, c, eps: float = 0.0):
+        return self.rate * self.jumps.cf_integrand(c, eps)
+
+    def drift_sup(self, a0, mod, u):
+        return self.jumps.drift_sup(a0, self.rate * mod, u)
 
     def sample_tail(self, rng, n, eps):
         return self.jumps.sample_tail(rng, n, eps)

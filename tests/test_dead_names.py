@@ -151,6 +151,18 @@ def test_the_clipped_truncation_is_gone():
     assert defined & gone == set()
 
 
+def test_the_second_vocabulary_of_a_jump_law_is_gone():
+    # a jump law is a kernel of mass one (JumpSizeDistribution subclasses JumpKernel) and
+    # takes the kernel's method names; the compound-Poisson kernel is rate times its law,
+    # and the discrete law's drift pieces are its own
+    defined = {q for text in package_sources() for q, _ in definitions(ast.parse(text))}
+    laws = ("JumpSizeDistribution", "DiscreteJumps", "NormalJumps", "UniformJumps")
+    gone = {f"{law}.{name}" for law in laws
+            for name in ("prob_tails", "mean_annulus", "abs_mean_annulus", "pdf")}
+    gone |= {"JumpSizeDistribution.tail_map", "CompoundPoissonKernel._pieces"}
+    assert defined & gone == set()
+
+
 # package names that only tests call, each kept for a reason
 TEST_ONLY = {
     "box_increment": "paper-facing: a sheet's increment over a box",

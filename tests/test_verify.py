@@ -660,9 +660,9 @@ def _criterion_9_fixtures():
 
 
 # sha256 of criterion 9's 50 reports (statistic, threshold, decision, notes;
-# floats as float.hex), pinned when the modular's drift took the symbol's
-# indicator truncation: the quadrature's order of operations
-_CRITERION_9_SHA256 = "b76a8df6b540da897ad7a54d1be53055f8960ed015a5e8c4a8df72f0a66202da"
+# floats as float.hex), pinned when the compound-Poisson kernel became its
+# rate times its law in every quantity: the quadrature's order of operations
+_CRITERION_9_SHA256 = "4e4afc6a5375ea1d13bde379560be2b0c34ce44ebe50ea18afe3ea1c5488bd02"
 
 
 def test_criterion_9_reports_are_pinned_bit_for_bit():
